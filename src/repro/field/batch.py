@@ -145,7 +145,8 @@ class _LimbContext:
 
     __slots__ = (
         "field", "modulus", "n_limbs", "p_planes", "p_ext_planes",
-        "mu_planes", "max_dot_terms", "_twiddle_cache",
+        "mu_planes", "max_dot_terms", "p_terms", "p_neg_inv",
+        "_twiddle_cache", "_mont_stage_cache", "_coset_cache",
     )
 
     def __init__(self, field: PrimeField) -> None:
@@ -166,20 +167,87 @@ class _LimbContext:
         self.max_dot_terms = max(1, min(
             lane_limit // L, 1 << max(0, 2 * L * LIMB_BITS - 2 * bits)
         ))
+        # Montgomery REDC constants (odd moduli only; GF(2) never
+        # transforms): the non-zero limbs of p as (index, limb) pairs —
+        # REDC multiplies by nothing else — and -p^-1 mod base.
+        self.p_terms = [
+            (j, limb) for j, limb in enumerate(_int_limbs(p, L)) if limb
+        ]
+        self.p_neg_inv = (-pow(p, -1, LIMB_BASE)) % LIMB_BASE if p & 1 else 0
         self._twiddle_cache: dict = {}
+        self._mont_stage_cache: dict = {}
+        self._coset_cache: dict = {}
 
     def twiddle_planes(self, root: int, length: int):
-        """Limb planes of ``[root^0 .. root^{length-1}]`` (cached)."""
+        """Limb planes of ``[root^0 .. root^{length-1}]`` (cached).
+
+        Canonical form: only the exact-fallback NTT reads these.
+        """
         key = (root, length)
         cached = self._twiddle_cache.get(key)
         if cached is None:
-            p = self.modulus
-            tws = [1] * length
-            for i in range(1, length):
-                tws[i] = tws[i - 1] * root % p
-            cached = _encode(self, tws).reshape(self.n_limbs, length)
+            cached = _encode(
+                self, _power_row(self.modulus, 1, root, length)
+            ).reshape(self.n_limbs, length)
             self._twiddle_cache[key] = cached
         return cached
+
+    def mont_planes(self, values: Sequence[int]):
+        """Canonical ints -> Montgomery-form limb planes (``v*R mod p``)."""
+        p = self.modulus
+        r = (1 << (LIMB_BITS * self.n_limbs)) % p
+        return _encode(self, [v * r % p for v in values])
+
+    def mont_stage_twiddles(self, root: int, n: int):
+        """Per-stage Montgomery-form twiddle planes of a size-``n`` NTT.
+
+        Entry ``s`` serves the stage with butterfly span ``2 << s``:
+        ``[w^0 .. w^(half-1)]`` for ``w = root^(n / (2 half))``, shaped
+        ``(L, half)``.  Stage 0's lone twiddle is 1 and is never
+        multiplied, so its slot is None.
+        """
+        key = (root, n)
+        cached = self._mont_stage_cache.get(key)
+        if cached is None:
+            p = self.modulus
+            cached = [None]
+            half = 2
+            while half < n:
+                w = pow(root, n // (2 * half), p)
+                cached.append(self.mont_planes(_power_row(p, 1, w, half)))
+                half <<= 1
+            self._mont_stage_cache[key] = cached
+        return cached
+
+    def coset_constants(self, n: int):
+        """``(w_N^-1, w_N, twist)`` for the prover's coset extension.
+
+        ``twist`` is the Montgomery-form row ``N^-1 * w_2N^k`` for
+        ``k < N``: one Montgomery multiply by it turns the unscaled
+        inverse transform's output into the coefficients of
+        ``f(w_2N * x)``, still in ordinary (non-Montgomery) form.
+        """
+        cached = self._coset_cache.get(n)
+        if cached is None:
+            p = self.modulus
+            root = self.field.root_of_unity(n)
+            twist = _power_row(
+                p, pow(n, -1, p), self.field.root_of_unity(2 * n), n
+            )
+            cached = (pow(root, -1, p), root, self.mont_planes(twist))
+            self._coset_cache[n] = cached
+        return cached
+
+    def lazy_ntt_fits(self, n: int, c_in: int) -> bool:
+        """Can a size-``n`` lazy NTT run on inputs below ``c_in * p``?
+
+        Every stage adds at most ``2p`` to the value bound (see
+        :func:`_np_ntt`), and the result must still fit ``L`` limbs.
+        """
+        n_stages = n.bit_length() - 1
+        return (c_in + 2 * n_stages) * self.modulus <= (
+            1 << (LIMB_BITS * self.n_limbs)
+        )
 
 
 _CTX_CACHE: dict[int, _LimbContext] = {}
@@ -194,6 +262,14 @@ def _ctx(field: PrimeField) -> _LimbContext:
 
 def _int_limbs(x: int, n_limbs: int) -> list[int]:
     return [(x >> (LIMB_BITS * i)) & LIMB_MASK for i in range(n_limbs)]
+
+
+def _power_row(p: int, first: int, ratio: int, length: int) -> list[int]:
+    """``[first * ratio^k mod p for k < length]``."""
+    row = [first % p] * length
+    for k in range(1, length):
+        row[k] = row[k - 1] * ratio % p
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -338,35 +414,34 @@ def _conv(a, b):
     return out
 
 
-def _barrett(ctx: _LimbContext, planes, canonical: bool = True):
+def _barrett(ctx: _LimbContext, planes):
     """Barrett-reduce normalized planes (value < base^(2L)) mod p.
 
     HAC Algorithm 14.42 in radix 2^24, vectorized over the element
-    axes; returns canonical (L, ...) planes.  ``canonical=False`` skips
-    the trailing conditional subtractions and returns the main step's
-    residue in ``[0, 3p)`` as ``L`` planes — only valid when ``3p <
-    base^L`` (the lazy-NTT caller guards this); the value is exact
-    modulo ``p`` either way.
+    axes; returns canonical (L, ...) planes.  Inputs narrower than 2L
+    planes (a lazy NTT result, a small-row product) keep their width:
+    the quotient estimate only reads the planes that exist.
     """
     L = ctx.n_limbs
     x = planes
-    if x.shape[0] < 2 * L:
-        padded = _np.zeros((2 * L,) + x.shape[1:], dtype=_np.int64)
+    if x.shape[0] < L + 1:
+        padded = _np.zeros((L + 1,) + x.shape[1:], dtype=_np.int64)
         padded[: x.shape[0]] = x
         x = padded
     q1 = x[L - 1:]                                   # floor(x / b^(L-1))
     q2 = _carry(_conv(q1, ctx.mu_planes.reshape(
-        (L + 1,) + (1,) * (x.ndim - 1))), 2 * L + 3)
+        (L + 1,) + (1,) * (x.ndim - 1))), x.shape[0] + 3)
     q3 = q2[L + 1:]                                  # floor(q2 / b^(L+1))
-    # r2 = q3 * p mod b^(L+1): truncated convolution, carries kept
-    # inside the window (the carry out of limb L is dropped).
+    # r2 = q3 * p mod b^(L+1): truncated convolution over p's non-zero
+    # limbs, carries kept inside the window (the carry out of limb L is
+    # dropped).
     tail = x.shape[1:]
     r2 = _np.zeros((L + 1,) + tail, dtype=_np.int64)
     for i in range(min(L + 1, q3.shape[0])):
         qi = q3[i]
-        for j in range(L + 1 - i):
-            if j < L:
-                r2[i + j] += qi * int(ctx.p_planes[j])
+        for j, limb in ctx.p_terms:
+            if i + j <= L:
+                r2[i + j] += qi * limb
     for i in range(L):
         c = r2[i] >> LIMB_BITS
         r2[i] &= LIMB_MASK
@@ -374,8 +449,6 @@ def _barrett(ctx: _LimbContext, planes, canonical: bool = True):
     r2[L] &= LIMB_MASK
     r1 = x[: L + 1]
     r, _ok = _borrow_sub(r1, r2)                     # mod b^(L+1)
-    if not canonical:
-        return r[:L]
     r = _cond_sub(r, ctx.p_ext_planes, times=2)
     return r[:L]
 
@@ -506,85 +579,207 @@ def _np_matvec(ctx, w_planes, m_planes):
     return total
 
 
+def _mont_mul(ctx, a, w):
+    """Lazy Montgomery product ``a * w * R^-1 mod p``, ``R = base^L``.
+
+    ``a`` holds normalized limbs of any value below ``R``; ``w`` is a
+    canonical value, so with ``w = v*R mod p`` (see
+    :meth:`_LimbContext.mont_planes`) the result is ``a * v`` in
+    ordinary form.  One limb convolution, then a limb-by-limb REDC: each
+    step picks ``m`` with ``t + m * p * base^i = 0 mod base^(i+1)`` and
+    adds ``m`` times the *non-zero* limbs of ``p`` — for ``p = 1 mod
+    base`` (every NTT-friendly shipped modulus) ``m`` is a negation and
+    the low-limb product a plain add.  Returns ``L`` uncarried
+    nonnegative planes whose value lies in ``[0, 2p)``:
+    ``(a*w + m*p) / R < p + p``.
+    """
+    L = ctx.n_limbs
+    tail = _np.broadcast_shapes(a.shape[1:], w.shape[1:])
+    t = _np.empty((2 * L,) + tail, dtype=_np.int64)
+    t[2 * L - 1] = 0
+    tmp = _np.empty(tail, dtype=_np.int64)
+    for i in range(L):
+        for j in range(L):
+            if i == 0 or j == L - 1:                 # first touch of t[i+j]
+                _np.multiply(a[i], w[j], out=t[i + j])
+            else:
+                t[i + j] += _np.multiply(a[i], w[j], out=tmp)
+    neg_inv = ctx.p_neg_inv
+    for i in range(L):
+        if neg_inv == LIMB_MASK:
+            m = _np.negative(t[i], out=tmp)
+        else:
+            m = _np.bitwise_and(t[i], LIMB_MASK, out=tmp)
+            m *= neg_inv
+        m &= LIMB_MASK
+        for j, limb in ctx.p_terms:
+            t[i + j] += m if limb == 1 else m * limb
+        t[i] >>= LIMB_BITS
+        t[i + 1] += t[i]
+    return t[L:]
+
+
+def _ntt_lazy(ctx, planes, root: int, c_in: int):
+    """Size-``n`` radix-2 NTT over the last axis, *without* the final
+    canonicalization: values below ``c_in * p`` in, normalized limbs of
+    values below ``(c_in + 2 * stages) * p`` out.
+
+    The caller checks :meth:`_LimbContext.lazy_ntt_fits` first.  Input
+    limbs may be uncarried (a :func:`_mont_mul` result) as long as they
+    are nonnegative: stage 1 never multiplies, it only carries.
+
+    Layout: the first half of the stages pair elements a few slots
+    apart, which as views of the natural order would hand numpy inner
+    loops of length 1, 2, 4...  So the bit-reversal gather also
+    transposes each row to ``(n1, n2)`` — position inside a size-``n1``
+    block first, block index last — where those stages pair whole
+    contiguous rows; one transposing copy then restores natural order
+    for the stages with spans of ``n1`` and up.
+    """
+    n = planes.shape[-1]
+    L = ctx.n_limbs
+    if n == 1:
+        return _carry(planes, L)
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    out = _np.ascontiguousarray(
+        planes[..., _bit_reverse_permutation(n, n1)]
+    )
+    lead = out.shape[:-1]
+    ones = (1,) * (len(lead) - 1)
+    # Stage 1 adds c_in*p to keep lo - hi nonnegative and doubles the
+    # bound (2*c_in <= c_in + 2: callers pass c_in of 1 or 2); every
+    # later stage adds a Montgomery product in [0, 2p), so 2p.
+    offsets = [_int_limbs(c * ctx.modulus, L) for c in (c_in, 2)]
+    inner = n // n1
+    half = 1
+    for tw in ctx.mont_stage_twiddles(root, n):
+        if half == n1 and inner > 1:
+            out = _np.ascontiguousarray(
+                out.reshape(lead + (n1, inner)).swapaxes(-1, -2)
+            )
+            inner = 1
+        shaped = out.reshape(
+            lead + (n // (2 * half * inner), 2 * half, inner)
+        )
+        lo = shaped[..., :half, :]
+        hi = shaped[..., half:, :]
+        if tw is None:
+            t, offset = hi, offsets[0]
+        else:
+            t = _mont_mul(ctx, hi, tw.reshape((L,) + ones + (1, half, 1)))
+            offset = offsets[1]
+        # s = lo + t and d = lo - t + offset: carried, never compared
+        # against p; exact mod p throughout.
+        for i in range(L):
+            vs = lo[i] + t[i]
+            vd = lo[i] - t[i]
+            vd += offset[i]
+            if i:
+                vs += carry_s
+                vd += carry_d
+            carry_s = vs >> LIMB_BITS
+            carry_d = vd >> LIMB_BITS
+            _np.bitwise_and(vs, LIMB_MASK, out=lo[i])
+            _np.bitwise_and(vd, LIMB_MASK, out=hi[i])
+        half <<= 1
+    return out.reshape(lead + (n,))
+
+
 def _np_ntt(ctx, planes, root: int):
     """Radix-2 NTT over the last axis of (L, B, n) planes.
 
-    Butterflies are *lazy* when the limb headroom allows (all shipped
-    moduli): stage values live in ``[0, C*p)`` with ``C`` growing by at
-    most 3 per stage — the twiddle product keeps Barrett's main-step
-    residue (< 3p), sums skip the conditional subtraction, and
-    differences add a flat ``3p`` instead of comparing — so each stage
-    is pure convolution/carry passes with no limb comparisons at all.
-    One full Barrett pass at the end canonicalizes, making the output
-    bit-identical to the exact per-stage path (which remains as the
-    fallback for headroom-starved moduli).
+    Butterflies are *lazy Montgomery* when the limb headroom allows
+    (all shipped moduli).  Values stay in ordinary form; only the stage
+    twiddles are cached in Montgomery form ``w*R mod p`` (``R =
+    base^L``), so the twiddle product ``t = hi*w`` is one limb
+    convolution plus a REDC that multiplies by the non-zero limbs of
+    ``p`` alone (:func:`_mont_mul`) and lands in ``[0, 2p)`` whatever
+    ``hi`` was.  Sums ``lo + t`` skip the conditional subtraction and
+    differences add a flat ``2p`` instead of comparing, so a stage is
+    convolution/carry passes with no limb comparisons, and the value
+    bound grows by ``2p`` per stage: canonical inputs end below ``(1 +
+    2*stages)*p``, which the guard ``(c_in + 2*stages)*p <= base^L``
+    keeps inside ``L`` normalized limbs.  One Barrett pass at the end
+    canonicalizes, making the output bit-identical to the exact
+    per-stage path (:func:`_np_ntt_exact`, the fallback for
+    headroom-starved moduli).
     """
     n = planes.shape[-1]
     if n == 1:
         return planes
-    perm = _bit_reverse_permutation(n)
-    out = planes[..., perm].copy()
+    if not ctx.lazy_ntt_fits(n, 1):
+        return _np_ntt_exact(ctx, planes, root)
+    return _barrett(ctx, _ntt_lazy(ctx, planes, root, 1))
+
+
+def _np_ntt_exact(ctx, planes, root: int):
+    """The NTT with every stage canonical: Barrett twiddle products,
+    compared adds and subtracts.  Needs no headroom above ``p``."""
+    n = planes.shape[-1]
+    out = _np.ascontiguousarray(planes[..., _bit_reverse_permutation(n)])
     p = ctx.modulus
     L = ctx.n_limbs
-    n_stages = n.bit_length() - 1
-    # Lazy growth bound: inputs are canonical (C = 1); every stage adds
-    # at most 3p, and the sub path needs t <= 3p, so values stay below
-    # (4 + 3 * n_stages) * p — which must fit L normalized limbs.
-    lazy = (4 + 3 * n_stages) * p <= (1 << (LIMB_BITS * L))
-    if lazy:
-        three_p = _np.array(_int_limbs(3 * p, L), dtype=_np.int64)
     length = 2
     while length <= n:
         half = length >> 1
-        w_len = pow(root, n // length, p)
-        tw = ctx.twiddle_planes(w_len, half)         # (L, half)
+        tw = ctx.twiddle_planes(pow(root, n // length, p), half)
         shaped = out.reshape(out.shape[:-1] + (n // length, length))
         lo = shaped[..., :half]
         hi = shaped[..., half:]
-        if half == 1:
-            # Stage 1's only twiddle is w^0 = 1: t = hi, skip the
-            # multiply (a full conv + Barrett over the half array).
-            t = hi
-        else:
-            x = _carry(_conv(hi, tw.reshape(
-                (L,) + (1,) * (shaped.ndim - 2) + (half,))), 2 * L)
-            t = _barrett(ctx, x, canonical=not lazy)
-        if lazy:
-            # s = lo + t and d = lo - t + 3p, carried but never
-            # compared against p; exact mod p throughout.
-            s = lo + t
-            d = (
-                lo - t
-                + three_p.reshape((L,) + (1,) * (shaped.ndim - 1))
-            )
-            new_lo = _np.empty_like(s)
-            new_hi = _np.empty_like(d)
-            carry_s = _np.zeros(s.shape[1:], dtype=_np.int64)
-            carry_d = _np.zeros(d.shape[1:], dtype=_np.int64)
-            for i in range(L):
-                vs = s[i] + carry_s
-                vd = d[i] + carry_d
-                carry_s = vs >> LIMB_BITS
-                carry_d = vd >> LIMB_BITS
-                new_lo[i] = vs & LIMB_MASK
-                new_hi[i] = vd & LIMB_MASK
-        else:
-            new_lo = _np_add(ctx, lo, t)
-            new_hi = _np_sub(ctx, lo, t)
+        t = _np_mul(ctx, hi, tw.reshape(
+            (L,) + (1,) * (shaped.ndim - 2) + (half,)))
+        new_lo = _np_add(ctx, lo, t)
+        new_hi = _np_sub(ctx, lo, t)
         shaped[..., :half] = new_lo
         shaped[..., half:] = new_hi
         length <<= 1
-    if lazy:
-        # One canonicalizing Barrett for the whole transform.
-        out = _barrett(ctx, _carry(out, 2 * L))
     return out
 
 
-def _bit_reverse_permutation(n: int) -> list[int]:
-    bits = n.bit_length() - 1
-    perm = [0] * n
-    for i in range(n):
-        perm[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+def _np_coset_product(ctx, f, g):
+    """``h = f*g`` on the size-2N domain from ``(L, B, N)`` evaluations.
+
+    The double domain's even points coincide with the small domain
+    (``w_2N^2 = w_N``), so h's even evaluations are products of the
+    *input* rows.  The odd points ``f(w_2N * w_N^j)`` are the size-N
+    transform of the ``w_2N^k``-twisted coefficients, and the whole
+    round trip stays in lazy planes: unscaled inverse transform (no
+    canonicalization) -> one Montgomery multiply by the cached
+    ``N^-1 * w_2N^k`` row (back below ``2p``) -> forward transform from
+    that lazy input.  Even and odd limb products share one carry and
+    one Barrett pass on the interleaved ``(B, 2N)`` result.
+    """
+    L, B, n = f.shape
+    inv_root, root, twist = ctx.coset_constants(n)
+    fg = _np.concatenate([f, g], axis=1)
+    coeffs = _ntt_lazy(ctx, fg, inv_root, 1)
+    odd = _ntt_lazy(
+        ctx, _mont_mul(ctx, coeffs, twist.reshape(L, 1, n)), root, 2
+    )
+    lazy = _np.empty((2 * L - 1, B, 2 * n), dtype=_np.int64)
+    lazy[..., 0::2] = _conv(f, g)
+    lazy[..., 1::2] = _conv(odd[:, :B], odd[:, B:])
+    return _barrett(ctx, _carry(lazy, 2 * L))
+
+
+_BIT_REVERSE_CACHE: dict = {}
+
+
+def _bit_reverse_permutation(n: int, n1: int = 1):
+    """Bit-reversal of ``range(n)`` as a cached contiguous index array.
+
+    With ``n1 > 1`` the permutation is composed with the ``(n/n1, n1)
+    -> (n1, n/n1)`` transpose that :func:`_ntt_lazy` starts from.
+    """
+    key = (n, n1)
+    perm = _BIT_REVERSE_CACHE.get(key)
+    if perm is None:
+        rev = [0]
+        while len(rev) < n:
+            rev = [2 * r for r in rev] + [2 * r + 1 for r in rev]
+        perm = _BIT_REVERSE_CACHE[key] = _np.ascontiguousarray(
+            _np.array(rev, dtype=_np.intp).reshape(n // n1, n1).T
+        ).reshape(n)
     return perm
 
 
@@ -1471,8 +1666,9 @@ def interleave_columns(even: BatchVector, odd: BatchVector) -> BatchVector:
     """Merge two ``(B, n)`` batches into ``(B, 2n)``, alternating columns.
 
     ``out[:, 2j] = even[:, j]`` and ``out[:, 2j + 1] = odd[:, j]`` —
-    how the batched prover assembles h over the double domain from its
-    even (free) and odd (twisted-NTT) halves without decoding planes.
+    how :func:`coset_extend_product`'s canonical route assembles h over
+    the double domain from its even (free) and odd (twisted-NTT) halves
+    without decoding planes.
     """
     if len(even.shape) != 2 or even.shape != odd.shape:
         raise FieldError("interleave_columns needs matching 2-D batches")
@@ -1491,6 +1687,47 @@ def interleave_columns(even: BatchVector, odd: BatchVector) -> BatchVector:
         for er, orow in zip(even._data, odd._data)
     ]
     return BatchVector(even.field, (B, 2 * n), rows, False)
+
+
+def coset_extend_product(f: BatchVector, g: BatchVector) -> BatchVector:
+    """``h = f * g`` on the size-2N domain, from evaluations on size N.
+
+    ``f`` and ``g`` are ``(B, N)`` batches of polynomial evaluations on
+    the order-N subgroup (N a power of two); row ``b`` of the ``(B,
+    2N)`` result holds the product polynomial's evaluations on the
+    order-2N subgroup.  This is the SNIP prover's whole deterministic
+    sweep: even points are ``f[j] * g[j]`` outright, odd points come
+    from interpolating, twisting the coefficients by ``w_2N^k`` and
+    re-evaluating — a size-N transform pair, never a size-2N one.  The
+    numpy backend runs it as one fused kernel that stays in lazy limb
+    planes between the transforms (:func:`_np_coset_product`); results
+    are canonical and bit-identical on both backends.
+    """
+    f._check(g)
+    if len(f.shape) != 2:
+        raise FieldError("coset_extend_product needs 2-D batches")
+    field = f.field
+    B, n = f.shape
+    if n == 0 or n & (n - 1) != 0:
+        raise FieldError(f"NTT size must be a power of two, got {n}")
+    if f._numpy:
+        ctx = _ctx(field)
+        if ctx.lazy_ntt_fits(n, 2):
+            return BatchVector(
+                field, (B, 2 * n),
+                _np_coset_product(ctx, f._data, g._data), True,
+            )
+    # Pure backend, or a modulus without lazy headroom: the same sweep
+    # through the canonical batch ops.
+    p = field.modulus
+    root = field.root_of_unity(n)
+    twist = _power_row(p, pow(n, -1, p), field.root_of_unity(2 * n), n)
+    coeffs_scaled = stack_rows([f, g]).ntt(pow(root, -1, p))
+    odd = coeffs_scaled.mul_row(twist).ntt(root)
+    return interleave_columns(
+        f * g,
+        odd.take_rows(range(B)) * odd.take_rows(range(B, 2 * B)),
+    )
 
 
 def concat_columns(
@@ -1613,8 +1850,8 @@ def stack_rows(parts: "Sequence[BatchVector]") -> BatchVector:
 
     The row-axis dual of :func:`concat_columns` for plane parts: all
     parts must share width and backend, and their limb planes are
-    copied directly (never decoded).  The batched prover stacks the
-    assembled f-rows on top of the g-rows this way to ride one
+    copied directly (never decoded).  :func:`coset_extend_product`
+    stacks the f-rows on top of the g-rows this way to ride one
     ``(2B, N)`` NTT pair.
     """
     parts = list(parts)

@@ -9,7 +9,8 @@ treatment.  A batch of submissions flows
     values ──afe.encode──► encodings (Python ints, per value)
            ──compiled-plan sweep──► (B, M) mul-input planes + validity
            (u0/v0/Beaver triples drawn per value, scalar order)
-           ──h_planes_batch──► one (2B, N) batch NTT pair, h as planes
+           ──h_planes_batch──► one fused coset-extension sweep
+                               (field.batch.coset_extend_product), h as planes
            ──submission_planes──► (B, k + proof_len) x||proof matrix
            ──share_vectors_client_batch──► PRG seeds + explicit planes
            ──encode_bytes_batch──► wire bodies
@@ -39,8 +40,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuit.circuit import Circuit
-from repro.field.batch import BatchVector, concat_columns, stack_rows
-from repro.field.ntt import EvaluationDomain
+from repro.field.batch import (
+    BatchVector,
+    concat_columns,
+    coset_extend_product,
+)
 from repro.field.prime_field import PrimeField
 from repro.mpc.beaver import BeaverTriple, generate_triple
 from repro.snip.proof import SnipError, snip_domain_sizes
@@ -106,11 +110,13 @@ def h_planes_batch(
 ) -> BatchVector:
     """The deterministic prover sweep for ``B`` traces: h as ``(B, 2N)``.
 
-    All ``f`` and ``g`` evaluation rows ride one ``(2B, N)`` batch
-    through a single interpolate/evaluate NTT pair, and ``h = f * g``
-    is one plane Hadamard product — bit-identical to what per-proof
-    :func:`repro.snip.prover.build_proof` computes, but the values
-    never leave limb planes.
+    This function only lays out the ``(B, N)`` evaluation blocks of
+    ``f`` and ``g``; the polynomial work — interpolate, extend to the
+    odd points of the double domain, multiply — is
+    :func:`repro.field.batch.coset_extend_product`, one size-N
+    transform pair over all ``2B`` rows.  The result is bit-identical
+    to what per-proof :func:`repro.snip.prover.build_proof` computes,
+    but the values never leave limb planes.
 
     ``traces`` is either a list of scalar
     :class:`~repro.circuit.circuit.EvaluationTrace` objects (one per
@@ -124,62 +130,37 @@ def h_planes_batch(
 
     m = circuit.n_mul_gates
     size_n, size_2n = snip_domain_sizes(m)
-    if isinstance(traces, BatchTrace):
-        B = len(traces)
-        if m == 0 or B == 0:
-            return BatchVector.zeros(field, (B, size_2n), force_pure)
+    plane_trace = isinstance(traces, BatchTrace)
+    if not plane_trace:
+        traces = list(traces)
+    B = len(traces)
+    if m == 0 or B == 0:
+        return BatchVector.zeros(field, (B, size_2n), force_pure)
+    if plane_trace:
         if force_pure is None:
             force_pure = traces.mul_inputs_left.force_pure
+        lefts, rights = traces.mul_inputs_left, traces.mul_inputs_right
         pad = BatchVector.zeros(field, (B, size_n - m - 1), force_pure)
-        f_block = concat_columns(
-            field,
-            [[[r.u0] for r in randoms], traces.mul_inputs_left, pad],
-            force_pure,
-        )
-        g_block = concat_columns(
-            field,
-            [[[r.v0] for r in randoms], traces.mul_inputs_right, pad],
-            force_pure,
-        )
-        fg = stack_rows([f_block, g_block])
-    else:
-        traces = list(traces)
-        B = len(traces)
-        if m == 0 or B == 0:
-            return BatchVector.zeros(field, (B, size_2n), force_pure)
-        pad = [0] * (size_n - m - 1)
-        rows = [
-            [r.u0] + trace.mul_inputs_left + pad
-            for r, trace in zip(randoms, traces)
-        ]
-        rows += [
-            [r.v0] + trace.mul_inputs_right + pad
-            for r, trace in zip(randoms, traces)
-        ]
-        fg = BatchVector.from_ints(field, rows, force_pure)
-    domain_n = EvaluationDomain(field, size_n)
-    domain_2n = EvaluationDomain(field, size_2n)
-    # The double domain's even points coincide with the small domain
-    # (w_2N^2 = w_N), so h's even evaluations are free products of the
-    # *input* rows: h[2i] = f_evals[i] * g_evals[i].  Only the odd
-    # points need polynomial work — f(w_2N * w_N^j) = NTT_N of the
-    # w_2N^k-twisted coefficients — so the forward transform is size N,
-    # not 2N (the inverse transform's 1/N scale folds into the twist).
-    p = field.modulus
-    even = fg.take_rows(range(B)) * fg.take_rows(range(B, 2 * B))
-    coeffs_scaled = fg.ntt(pow(domain_n.root, -1, p))  # N * coefficients
-    w2 = domain_2n.root
-    n_inv = pow(size_n, -1, p)
-    twist = [n_inv] * size_n
-    for k in range(1, size_n):
-        twist[k] = twist[k - 1] * w2 % p
-    odd_evals = coeffs_scaled.mul_row(twist).ntt(domain_n.root)
-    odd = odd_evals.take_rows(range(B)) * odd_evals.take_rows(
-        range(B, 2 * B)
-    )
-    from repro.field.batch import interleave_columns
 
-    return interleave_columns(even, odd)
+        def block(heads, inputs):
+            return concat_columns(
+                field, [[[h] for h in heads], inputs, pad], force_pure
+            )
+    else:
+        lefts = [trace.mul_inputs_left for trace in traces]
+        rights = [trace.mul_inputs_right for trace in traces]
+        pad = [0] * (size_n - m - 1)
+
+        def block(heads, inputs):
+            return BatchVector.from_ints(
+                field,
+                [[h] + row + pad for h, row in zip(heads, inputs)],
+                force_pure,
+            )
+    return coset_extend_product(
+        block([r.u0 for r in randoms], lefts),
+        block([r.v0 for r in randoms], rights),
+    )
 
 
 def submission_planes(

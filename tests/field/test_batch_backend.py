@@ -264,18 +264,118 @@ def test_signed_delta_batch_matches_scalar(field, force_pure, rng):
         ]
 
 
+def _adversarial_rows(field, size, rng):
+    """Rows that drive the lazy-butterfly value bound to its worst case
+    (every sum at its ceiling, every difference at its floor), plus one
+    random row."""
+    top = field.modulus - 1
+    spike = [0] * size
+    spike[rng.randrange(size)] = top
+    return [
+        [top] * size,
+        [0] * size,
+        [0, top] * (size // 2),
+        [top, 0] * (size // 2),
+        spike,
+        random_vector(field, size, rng),
+    ]
+
+
+def _ntt_sizes(field, largest=4096):
+    size = 2
+    while size <= min(largest, 1 << field.two_adicity):
+        yield size
+        size *= 2
+
+
+@pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
+def test_lazy_ntt_kernel_matches_scalar_on_adversarial_rows(field, rng):
+    """The lazy-Montgomery plane NTT against the scalar oracle: every
+    shipped modulus, sizes 2..4096, 2-D and 1-D shapes."""
+    if not use_numpy(None):
+        pytest.skip("exercises the numpy NTT kernel")
+    for size in _ntt_sizes(field):
+        root = field.root_of_unity(size)
+        rows = _adversarial_rows(field, size, rng)
+        forward = [ntt(field, row, root) for row in rows]
+        inverse = [intt(field, row, root) for row in rows]
+        batched = BatchVector.from_ints(field, rows, force_pure=False)
+        assert batched.ntt(root).to_ints() == forward
+        assert batched.intt(root).to_ints() == inverse
+        # 1-D shape, on the rows with the most and the least structure
+        for i in (0, len(rows) - 1):
+            single = BatchVector.from_ints(field, rows[i], force_pure=False)
+            assert single.ntt(root).to_ints() == forward[i]
+            assert single.intt(root).to_ints() == inverse[i]
+
+
+def _coset_oracle(field, f_row, g_row):
+    """h on the double domain from the scalar transforms: f*g on the
+    even points, a twisted size-N transform pair on the odd points."""
+    p = field.modulus
+    size = len(f_row)
+    root = field.root_of_unity(size)
+    w2 = field.root_of_unity(2 * size)
+
+    def odd_points(evals):
+        coeffs = intt(field, evals, root)
+        return ntt(
+            field, [c * pow(w2, k, p) % p for k, c in enumerate(coeffs)], root
+        )
+
+    h = [0] * (2 * size)
+    h[0::2] = [a * b % p for a, b in zip(f_row, g_row)]
+    h[1::2] = [
+        a * b % p for a, b in zip(odd_points(f_row), odd_points(g_row))
+    ]
+    return h
+
+
+@pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_coset_extend_product_matches_scalar_oracle(field, force_pure, rng):
+    from repro.field.batch import coset_extend_product
+
+    def check(f_rows, g_rows):
+        got = coset_extend_product(
+            BatchVector.from_ints(field, f_rows, force_pure=force_pure),
+            BatchVector.from_ints(field, g_rows, force_pure=force_pure),
+        )
+        assert got.backend == backend_id(force_pure)
+        assert got.to_ints() == [
+            _coset_oracle(field, f, g) for f, g in zip(f_rows, g_rows)
+        ]
+
+    # B = 1, N = 2: the sum1 shape (one mul gate)
+    check([random_vector(field, 2, rng)], [random_vector(field, 2, rng)])
+    # the 2N domain must exist: N <= 2^(two_adicity - 1)
+    largest = min(512, 1 << (field.two_adicity - 1))
+    for size in _ntt_sizes(field, largest):
+        rows = _adversarial_rows(field, size, rng)
+        check(rows, rows[::-1])
+    # m + 1 = N/2 + 1: the vec256 shape (N = 512), zero-padded tails
+    size = largest
+    used = size // 2 + 1
+    padded = [
+        random_vector(field, used, rng) + [0] * (size - used)
+        for _ in range(4)
+    ]
+    check(padded[:2], padded[2:])
+
+
 def test_ntt_exact_fallback_on_headroom_starved_modulus():
     """The lazy-butterfly guard must fall back to the exact per-stage
     path — and still match the scalar NTT bit for bit.
 
     Every shipped modulus leaves lazy headroom, so this builds a
     24-bit NTT-friendly prime (one 24-bit limb, no slack: the guard
-    ``(4 + 3·stages)·p <= base^L`` fails) to exercise the fallback.
+    ``(c_in + 2·stages)·p <= base^L`` fails even for canonical input,
+    ``c_in = 1``) to exercise the fallback.
     """
     if not use_numpy(None):
         pytest.skip("exercises the numpy NTT kernel")
     from repro.field import PrimeField
-    from repro.field.batch import LIMB_BITS
+    from repro.field.batch import LIMB_BITS, _ctx, coset_extend_product
 
     field = PrimeField(
         modulus=33 * (1 << 18) + 1, two_adicity=18, generator=10,
@@ -284,7 +384,8 @@ def test_ntt_exact_fallback_on_headroom_starved_modulus():
     size = 16
     n_stages = size.bit_length() - 1
     # The point of this field: the lazy guard is off at this size.
-    assert (4 + 3 * n_stages) * field.modulus > (1 << LIMB_BITS)
+    assert (1 + 2 * n_stages) * field.modulus > (1 << LIMB_BITS)
+    assert not _ctx(field).lazy_ntt_fits(size, 1)
     rng = random.Random(0xFA11)
     rows = [
         [field.rand(rng) for _ in range(size)] for _ in range(5)
@@ -296,4 +397,8 @@ def test_ntt_exact_fallback_on_headroom_starved_modulus():
     ]
     assert batched.intt(root).to_ints() == [
         intt(field, row, root) for row in rows
+    ]
+    # The fused prover sweep takes the canonical route on such a field.
+    assert coset_extend_product(batched, batched).to_ints() == [
+        _coset_oracle(field, row, row) for row in rows
     ]

@@ -22,6 +22,7 @@ Small deterministic cases run in tier-1; the randomized batch-64 sweep
 is ``slow``-marked (run with ``-m slow``).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -51,6 +52,7 @@ from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
 from repro.protocol import PrioClient, PrioServer
 from repro.snip import (
     ServerRandomness,
+    build_proof,
     prove_and_share,
     prove_and_share_many,
     prove_and_share_planes,
@@ -58,6 +60,9 @@ from repro.snip import (
     share_proof,
     share_proof_batch,
 )
+from repro.snip.proof import snip_domain_sizes
+from repro.transport import TransportClient
+from repro.workloads.scenarios import scenario_by_name
 
 BACKENDS = [True] + ([False] if use_numpy(None) else [])
 MODULI = [FIELD_SMALL, FIELD64, FIELD87, FIELD265]
@@ -155,6 +160,47 @@ def test_batched_client_proof_free_afe(force_pure):
                 values, batched=True, force_pure=force_pure
             ),
         )
+
+
+#: SHA-256 over the framed vec256 uploads below, taken on the commit
+#: before the lazy-Montgomery NTT landed: kernel rewrites in the client
+#: prover must not move a single upload byte.
+VEC256_UPLOADS_SHA256 = (
+    "157d7cd4c8fcaf5797549ec2c36bcdb35c80376284f8453d79b36c28546cf02e"
+)
+
+
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_vec256_uploads_pinned_bytes(force_pure):
+    afe = VectorSumAfe(FIELD87, 256, n_bits=1)
+    rng = random.Random(0x5EC256)
+    values = [[rng.randrange(2) for _ in range(256)] for _ in range(8)]
+    client = PrioClient(afe, 2, rng=random.Random(0xF1DE))
+    digest = hashlib.sha256()
+    for sub in client.prepare_submissions(
+        values, batched=True, force_pure=force_pure
+    ):
+        digest.update(TransportClient.frame_submission(sub))
+    assert digest.hexdigest() == VEC256_UPLOADS_SHA256
+
+
+@pytest.mark.slow
+def test_highres_sized_proofs_bit_identical_to_scalar_build_proof():
+    """N = 4096 (the ``highres`` count-min scenario, 3822 mul gates):
+    the fused plane sweep against per-proof scalar ``build_proof``."""
+    scenario = scenario_by_name("highres")
+    afe = scenario.afe
+    field = afe.field
+    circuit = afe.valid_circuit()
+    assert snip_domain_sizes(circuit.n_mul_gates)[0] == 4096
+    rng = random.Random(0x41CE5)
+    xs = [afe.encode(scenario.generate(rng), rng) for _ in range(3)]
+    seq_rng, batch_rng = random.Random(4096), random.Random(4096)
+    sequential = [build_proof(field, circuit, x, seq_rng) for x in xs]
+    batched = prove_many(field, circuit, xs, batch_rng)
+    assert seq_rng.getstate() == batch_rng.getstate()
+    for scalar_proof, batch_proof in zip(sequential, batched):
+        assert scalar_proof.flatten() == batch_proof.flatten()
 
 
 def test_batched_false_falls_back_to_scalar_loop():
