@@ -107,43 +107,31 @@ class PrioClient:
     def prepare_submissions(
         self,
         values,
-        batched: "bool | None" = None,
         force_pure: "bool | None" = None,
     ) -> list[ClientSubmission]:
         """Encode, prove, share, and frame many values at once.
 
-        With ``batched=True`` (the default) the whole batch runs
-        through the plane-resident client prover: proof polynomials
-        for every value ride one batch NTT sweep
+        The whole batch runs through the plane-resident client prover:
+        proof polynomials for every value ride one batch NTT sweep
         (:mod:`repro.snip.batch_prover`), the PRG-compressed sharing
         expands all seeds in one vectorized pass
         (:func:`~repro.sharing.additive.share_vectors_client_batch`),
         and the explicit wire bodies come straight out of
         :func:`~repro.field.batch.encode_bytes_batch` — no per-element
         Python-int crossing between the circuit trace and the wire
-        bytes.  ``batched=False`` falls back to per-value
-        :meth:`prepare_submission` calls.
+        bytes.
 
         Per-submission randomness is drawn in exactly scalar order, so
-        both paths produce *bit-identical* uploads to repeated
-        :meth:`prepare_submission` calls under the same rng (asserted
-        by ``tests/snip/test_client_batch_equivalence.py``) — except
-        when sealing is configured, where the batched path seals after
-        the whole batch's shares are drawn (equivalent in
-        distribution, not bit-identical).  ``force_pure`` overrides the
-        batch backend for this call (``None`` auto-selects).
+        the uploads are *bit-identical* to repeated
+        :meth:`prepare_submission` calls — the scalar oracle — under
+        the same rng, in any chunking (asserted by
+        ``tests/snip/test_client_batch_equivalence.py``) — except when
+        sealing is configured, where this path seals after the whole
+        batch's shares are drawn (equivalent in distribution, not
+        bit-identical).  ``force_pure`` overrides the batch backend for
+        this call (``None`` auto-selects).
         """
         values = list(values)
-        if batched is None:
-            batched = True
-        if not batched:
-            return [self.prepare_submission(v) for v in values]
-        return self._prepare_submissions_batched(values, force_pure)
-
-    def _prepare_submissions_batched(
-        self, values, force_pure: "bool | None"
-    ) -> list[ClientSubmission]:
-        """The plane-resident batch path (see :meth:`prepare_submissions`)."""
         if not values:
             return []
         field = self.field

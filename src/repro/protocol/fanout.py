@@ -1,47 +1,55 @@
-"""Per-server execution backends for the verification pipeline.
+"""Per-server execution backends behind one batch-id-keyed op seam.
 
-PR 3 staged the pipeline over asyncio queues with per-server *thread*
-fan-out.  The hot kernels (SHAKE digests, numpy limb matmuls) release
-the GIL, but everything between them — the Barrett carry loops, the
-per-limb convolution dispatch, the round algebra at small batch sizes
-— runs under it, which caps single-host overlap well below the core
-count (the ROADMAP's "GIL ceiling").  Prio's deployment model assumes
-each server runs on its own hardware (NSDI 2017 §6); this module makes
-that real on one host: an ``executor="process"`` backend gives every
-:class:`~repro.protocol.server.PrioServer` a dedicated worker process
-that owns the server's entire state (replay sets, epoch counters, the
-plane-resident accumulator) for the duration of a run.
+Prio's deployment model assumes each server runs on its own hardware
+(NSDI 2017 §6).  This module is where a driver — the batch protocol in
+:mod:`repro.protocol.pipeline`, the simulated cluster's nodes — hands
+per-server work to wherever that server's state lives.
 
-Three backends, one semantics
------------------------------
+The op seam
+-----------
 
 Every backend drives the *same* op implementation, :class:`_ServerOps`
 — a thin batch-id-keyed wrapper over the ``PrioServer`` batch entry
-points — so accept/reject decisions are bit-identical by construction:
+points — so accept/reject decisions are bit-identical by construction.
+The ten ops are the whole server-side protocol surface: ``receive_wire``
+/ ``receive_sealed`` (wire bytes in, one ``None | Exception`` verdict
+per position out), ``ingest`` (commit the survivors to planes),
+``round1`` / ``round2`` (the SNIP broadcasts, plane form),
+``accumulate`` (apply decisions), ``reject_all`` / ``abandon_all`` /
+``abandon_open`` (failure cleanup) and ``snapshot`` (state sync).
+
+Backends
+--------
 
 ``inline``
-    Ops run on the calling thread.  Right on single-CPU hosts, where
-    hand-offs cost latency and buy nothing.
+    Ops run on the calling thread.  Right for batch-of-one calls and
+    single-CPU hosts, where hand-offs cost latency and buy nothing.
 
 ``thread``
-    Ops run on a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    (the PR-3 behavior, still the default: at tiny batches the work per
-    op is far below process-crossing cost).
+    Ops run on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
+    The hot kernels (SHAKE digests, numpy limb matmuls) release the
+    GIL; everything between them runs under it, which caps overlap
+    well below the core count.
 
 ``process``
     One single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-    per server.  The single worker pins each server's mutable state to
+    per server.  The single worker pins each server's mutable state
+    (replay sets, epoch counters, the plane-resident accumulator) to
     exactly one process — ops for server ``i`` always execute where
     server ``i`` lives — while distinct servers verify genuinely in
     parallel, GIL-free.
+
+``"kind:K"``
+    :class:`ShardedFanout`: K workers of that kind per logical server,
+    partitioned by submission id.
 
 What crosses the process boundary
 ---------------------------------
 
 Everything crosses in plane form, never as per-element Python ints:
 
-* **inbound** — each server's slice of a batch's wire packets
-  (``bytes`` bodies; seeds stay 16-byte seeds and expand worker-side),
+* **inbound** — each server's slice of a batch's wire bytes (seeds
+  stay 16-byte seeds and expand worker-side),
 * **between rounds** — :class:`~repro.snip.verifier.Round1Batch` /
   ``Round2Batch``, i.e. two ``(B,)`` limb planes each (pickling a
   :class:`~repro.field.batch.BatchVector` serializes the int64 plane
@@ -57,7 +65,7 @@ cross at all: they are born and die inside the worker.
 Worker lifecycle is strict: pools shut down with ``wait=True`` so
 repeated runs leak neither threads nor child processes, and a crashed
 worker (``BrokenProcessPool``) fails the affected batches without
-hanging the pipeline.
+hanging the driver.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.field.batch import concat_vectors
 from repro.protocol.server import PendingSubmission, PrioServer
+from repro.protocol.wire import WireError, routing_id
 from repro.snip.verifier import Round1Batch, Round2Batch
 
 #: executor knob values accepted everywhere the pipeline is exposed;
@@ -87,10 +96,10 @@ class FanoutError(ValueError):
 class _InlineExecutor:
     """Executor that runs work on the calling thread.
 
-    On a single-CPU host, thread hand-offs cost latency and buy no
-    parallelism (the GIL-releasing kernels have no second core to run
-    on), so the pipeline keeps its staged structure but executes stage
-    work inline.  Implements the two Executor methods asyncio uses.
+    For batch-of-one calls and on a single-CPU host, thread hand-offs
+    cost latency and buy no parallelism, so the pipeline keeps its
+    staged structure but executes stage work inline.  Implements the
+    two Executor methods asyncio uses.
     """
 
     def submit(self, fn, *args):
@@ -131,80 +140,54 @@ class _BatchState:
 
 
 class _ServerOps:
-    """Batch-id-keyed pipeline ops over one :class:`PrioServer`.
+    """Batch-id-keyed protocol ops over one :class:`PrioServer`.
 
     Every backend — inline, thread, process — executes exactly this
-    class, so the pipeline's semantics cannot drift between them.  In
+    class, so the protocol's semantics cannot drift between them.  In
     process mode an instance lives in the worker that owns the server;
-    locally one instance per server lives in the driver process.
-
-    The pipeline ops (`receive`/`ingest`/`round1`/`round2`/
-    `accumulate`) key state by an opaque ``batch_id``; the simulated
-    cluster uses the submission-id-keyed group ops below them.
+    locally one instance per server lives in the driver process.  All
+    state is keyed by an opaque ``batch_id`` the driver picks.
     """
 
     def __init__(self, server: PrioServer) -> None:
         self.server = server
         self._batches: dict[int, _BatchState] = {}
-        #: undecided cluster pendings, keyed by submission id
-        self._by_sid: dict[bytes, PendingSubmission] = {}
-        #: cluster verification groups, keyed by group id
-        self._groups: dict[int, "tuple[list[PendingSubmission], object]"] = {}
 
-    # -- pipeline ops ---------------------------------------------------
+    def _receive(self, batch_id: int, received):
+        """Open a batch with its receive output; pendings stay resident.
 
-    def receive(self, batch_id: int, payloads, encrypt: bool):
-        """Frame-validate one server's packets; pendings stay resident.
-
-        Returns one ``None`` (success) or the raised exception per
+        Returns one ``None`` (success) or the refusing exception per
         position — the cross-boundary form; the heavy
         :class:`PendingSubmission` objects (latent seeds, decoded
         planes) never leave this process.
         """
-        server = self.server
-        if encrypt:
-            received = server.receive_sealed_batch(payloads)
-        else:
-            received = server.receive_batch(payloads)
-        state = self._batches[batch_id] = _BatchState()
-        state.received = received
-        return [r if isinstance(r, Exception) else None for r in received]
-
-    def receive_sealed(self, batch_id: int, payloads):
-        """Frame-validate sealed packets (the encrypted transport seam).
-
-        ``payloads`` holds one ``envelope || box`` sealed packet per
-        position.  Boxes open worker-side (the shard owns its server's
-        box key), plaintexts join the fused batch decode.  Same
-        cross-boundary verdict form as :meth:`receive`.
-        """
-        received = self.server.receive_sealed_batch(payloads)
         state = self._batches[batch_id] = _BatchState()
         state.received = received
         return [r if isinstance(r, Exception) else None for r in received]
 
     def receive_wire(self, batch_id: int, payloads):
-        """Frame-validate raw wire-packet bytes (the transport seam).
+        """Frame-validate encoded packets, one per position — bytes
+        cross the worker boundary (cheap to pickle), headers parse
+        worker-side, bodies join the server's fused batch decode."""
+        return self._receive(
+            batch_id, self.server.receive_wire_batch(payloads)
+        )
 
-        ``payloads`` holds one length-framed packet per position,
-        exactly as read off a socket — bytes cross the worker boundary
-        (cheap to pickle), headers parse worker-side, and bodies join
-        the server's fused batch decode.  Same cross-boundary verdict
-        form as :meth:`receive`.
-        """
-        received = self.server.receive_wire_batch(payloads)
-        state = self._batches[batch_id] = _BatchState()
-        state.received = received
-        return [r if isinstance(r, Exception) else None for r in received]
+    def receive_sealed(self, batch_id: int, payloads):
+        """Frame-validate sealed packets (``envelope || box`` per
+        position).  Boxes open worker-side — the worker owns its
+        server's box key — and plaintexts join the same fused decode."""
+        return self._receive(
+            batch_id, self.server.receive_sealed_batch(payloads)
+        )
 
     def ingest(self, batch_id: int, keep) -> None:
         """Commit receive: abandon non-survivors, plane-ingest the rest.
 
         ``keep`` holds the positions (into this batch's payloads) that
         every server received successfully.  Positions this server
-        received but a peer did not are abandoned — the mirror of the
-        synchronous fan-out rule: no decision was made, so an honest
-        retry must not be mistaken for a replay.
+        received but a peer did not are abandoned: no decision was
+        made, so an honest retry must not be mistaken for a replay.
         """
         state = self._batches[batch_id]
         keep_set = set(keep)
@@ -256,9 +239,9 @@ class _ServerOps:
     def reject_all(self, batch_id: int) -> None:
         """Defensive sweep: reject every undecided pending of a batch.
 
-        Used when a verification round failed mid-batch (the mirror of
-        the synchronous path's whole-batch rejection) — shapes were
-        validated at receive time, so rather than mis-credit anything,
+        Used when a verification round found the batch inconsistent
+        (a ``ValueError`` — shapes were validated at receive time, so
+        this is a protocol violation): rather than mis-credit anything,
         every received submission is rejected individually.
         """
         self._settle_undecided(batch_id, self.server.reject)
@@ -266,15 +249,16 @@ class _ServerOps:
     def abandon_all(self, batch_id: int) -> None:
         """Release every received-but-undecided pending of a batch.
 
-        Used when receive/ingest failed partway across the server
-        fan-out: ids must not stay pending (honest retries would look
-        like replays) and must not enter the seen set (no decision)."""
+        Used when a worker failed before the commit point (receive,
+        ingest or a round): ids must not stay pending (honest retries
+        would look like replays) and must not enter the seen set (no
+        decision was made)."""
         self._settle_undecided(batch_id, self.server.abandon)
 
     def abandon_open(self) -> None:
         """Release every batch still open at this server.
 
-        The pipeline's abnormal-exit sweep (cancellation, fatal error):
+        The drivers' abnormal-exit sweep (cancellation, fatal error):
         in-flight batches were received but will never be decided, so
         their ids must leave the pending set — an honest retry of the
         same submissions after the interrupted run must succeed — and
@@ -282,28 +266,6 @@ class _ServerOps:
         reused backend."""
         for batch_id in list(self._batches):
             self.abandon_all(batch_id)
-
-    # -- cluster (group) ops -------------------------------------------
-
-    def receive_one(self, packet):
-        """Scalar receive for the simulated cluster; returns the id."""
-        pending = self.server.receive(packet)
-        self._by_sid[pending.submission_id] = pending
-        return pending.submission_id
-
-    def begin_group(self, gid: int, sids):
-        pendings = [self._by_sid.pop(sid) for sid in sids]
-        party, round1 = self.server.begin_verification_batch(pendings)
-        self._groups[gid] = (pendings, party)
-        return round1
-
-    def finish_group(self, gid: int, round1_batches):
-        _, party = self._groups[gid]
-        return self.server.finish_verification_batch(party, round1_batches)
-
-    def settle_group(self, gid: int, decisions) -> None:
-        pendings, _ = self._groups.pop(gid)
-        self.server.accumulate_batch(pendings, decisions)
 
     # -- state sync (process backend) ----------------------------------
 
@@ -325,8 +287,8 @@ def _consume_exception(future) -> None:
 class ServerFanout:
     """Executes :class:`_ServerOps` calls for a set of servers.
 
-    ``call`` is the asyncio seam the pipeline awaits; ``call_sync`` is
-    the blocking seam the simulated cluster drives from its event loop.
+    ``call`` is the asyncio seam the drivers await; ``call_sync`` is
+    its blocking twin for callers without an event loop.
     ``begin_run``/``end_run`` bracket one pipeline run (the process
     backend pushes/pulls server state there); ``close`` releases every
     worker, waiting for them — no leaked threads or child processes.
@@ -340,11 +302,11 @@ class ServerFanout:
     async def sweep(self, op: str, args_per_server):
         """One ``op`` per server, all submitted before any is awaited.
 
-        The pipeline's workhorse: submission happens eagerly (so
+        The batch protocol's workhorse: submission happens eagerly (so
         thread/process backends run the servers genuinely in parallel)
         and awaiting a completed future suspends nothing (so the inline
-        backend pays no ``gather`` scheduling overhead — this is what
-        keeps batch-of-one at parity with PR 3).  The first failure is
+        backend pays no ``gather`` scheduling overhead, which is what
+        keeps batch-of-one cheap).  The first failure is
         re-raised after every future has been drained, so no worker
         exception goes unretrieved.
         """
@@ -560,15 +522,6 @@ def shard_of(sid: bytes, n_shards: int) -> int:
     return int.from_bytes(sid[:8], "little") % n_shards
 
 
-#: wire-frame offsets of the submission id (mirrors
-#: ``repro.protocol.wire``: magic(2) | version(1) | kind(1) | id(16))
-_WIRE_SID_START, _WIRE_SID_END = 4, 20
-
-#: sealed-envelope offsets of the submission id (mirrors
-#: ``repro.protocol.wire``: magic(2) | version(1) | id(16) | index(2))
-_ENVELOPE_SID_START, _ENVELOPE_SID_END = 3, 19
-
-
 class _ShardPlan:
     """Driver-side bookkeeping for one batch across one server's shards."""
 
@@ -638,7 +591,7 @@ class ShardedFanout(ServerFanout):
             # One-time partition of pre-existing replay ids, so replays
             # of submissions seen before this fan-out existed are still
             # caught at the shard that now owns their slice.
-            for sid in server._seen_ids:
+            for sid in server._replay:
                 shard_row[shard_of(sid, n_shards)]._replay.add(sid)
             self.shards.append(shard_row)
             flat.extend(shard_row)
@@ -646,9 +599,8 @@ class ShardedFanout(ServerFanout):
             flat, executor, batch_size
         )
         self.kind = f"sharded({self.inner.kind}x{n_shards})"
-        #: per logical server: batch_id -> plan / group_id -> plan
+        #: per logical server: batch_id -> plan
         self._plans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
-        self._gplans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
         self._run_open = False
         try:
             self.begin_run()
@@ -738,19 +690,26 @@ class ShardedFanout(ServerFanout):
             raise FanoutError(f"op not supported by the sharded fan-out: {op}")
         return planner(s, *args)
 
-    # -- pipeline ops ---------------------------------------------------
+    # -- the ops ---------------------------------------------------------
 
-    def _route_positions(self, sids) -> "list[list[int]]":
+    def _plan_receive_wire(self, s, batch_id, payloads):
+        # Raw or sealed, the id sits at a fixed cleartext offset
+        # (``routing_id``).  It is only a routing hint — each shard
+        # re-validates everything, and a sealed packet's envelope sid
+        # against the authenticated inner header.  Too-short payloads
+        # route to shard 0, whose receive rejects them with the same
+        # WireError the unsharded path raises.
         positions: "list[list[int]]" = [[] for _ in range(self.n_shards)]
-        for pos, sid in enumerate(sids):
-            positions[shard_of(sid, self.n_shards)].append(pos)
-        return positions
-
-    def _receive_plan(self, s, batch_id, payloads, positions, extra):
+        for pos, data in enumerate(payloads):
+            try:
+                k = shard_of(routing_id(data), self.n_shards)
+            except WireError:
+                k = 0
+            positions[k].append(pos)
         plan = _ShardPlan(positions)
         self._plans[s][batch_id] = plan
         calls = [
-            (k, (batch_id, [payloads[p] for p in pos]) + extra)
+            (k, (batch_id, [payloads[p] for p in pos]))
             for k, pos in enumerate(positions)
             if pos
         ]
@@ -765,44 +724,7 @@ class ShardedFanout(ServerFanout):
 
         return calls, merge
 
-    def _sealed_positions(self, payloads) -> "list[list[int]]":
-        # Sealed packets carry their submission id in the cleartext
-        # envelope; route on it like raw frames.  Too-short payloads
-        # route to shard 0, whose receive rejects them with the same
-        # WireError the unsharded path raises.  (The envelope sid is
-        # only a routing hint — each shard re-validates it against the
-        # authenticated inner header after opening the box.)
-        return self._route_positions(
-            [
-                bytes(data[_ENVELOPE_SID_START:_ENVELOPE_SID_END])
-                for data in payloads
-            ]
-        )
-
-    def _plan_receive(self, s, batch_id, payloads, encrypt):
-        if encrypt:
-            positions = self._sealed_positions(payloads)
-        else:
-            positions = self._route_positions(
-                [packet.submission_id for packet in payloads]
-            )
-        return self._receive_plan(
-            s, batch_id, payloads, positions, (encrypt,)
-        )
-
-    def _plan_receive_sealed(self, s, batch_id, payloads):
-        return self._receive_plan(
-            s, batch_id, payloads, self._sealed_positions(payloads), ()
-        )
-
-    def _plan_receive_wire(self, s, batch_id, payloads):
-        # Raw frames: the id sits at a fixed header offset.  Too-short
-        # frames route to shard 0, whose receive rejects them with the
-        # same WireError the unsharded path raises.
-        positions = self._route_positions(
-            [bytes(data[_WIRE_SID_START:_WIRE_SID_END]) for data in payloads]
-        )
-        return self._receive_plan(s, batch_id, payloads, positions, ())
+    _plan_receive_sealed = _plan_receive_wire
 
     def _plan_ingest(self, s, batch_id, keep):
         plan = self._plans[s][batch_id]
@@ -924,67 +846,8 @@ class ShardedFanout(ServerFanout):
 
     def _plan_abandon_open(self, s):
         self._plans[s].clear()
-        self._gplans[s].clear()
         calls = [(k, ()) for k in range(self.n_shards)]
         return calls, lambda results: None
-
-    # -- cluster (group) ops -------------------------------------------
-
-    def _plan_receive_one(self, s, packet):
-        k = shard_of(packet.submission_id, self.n_shards)
-        return [(k, (packet,))], lambda results: results[0]
-
-    def _plan_begin_group(self, s, gid, sids):
-        sids = list(sids)
-        positions = self._route_positions(sids)
-        plan = _ShardPlan(positions)
-        plan.n_survivors = len(sids)
-        calls = []
-        for k, pos in enumerate(positions):
-            if not pos:
-                continue
-            plan.shard_order.append(k)
-            plan.ranks.append(pos)     # caller order == global rank
-            calls.append((k, (gid, [sids[i] for i in pos])))
-        self._gplans[s][gid] = plan
-
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.d, batch.e) for batch in results],
-                lambda d, e: Round1Batch(d=d, e=e),
-            )
-
-        return calls, merge
-
-    def _plan_finish_group(self, s, gid, round1_batches):
-        plan = self._gplans[s][gid]
-        calls = [
-            (k, (gid, self._split_round1(round1_batches, indices)))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
-
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.sigma, batch.assertion) for batch in results],
-                lambda sg, an: Round2Batch(sigma=sg, assertion=an),
-            )
-
-        return calls, merge
-
-    def _plan_settle_group(self, s, gid, decisions):
-        plan = self._gplans[s][gid]
-        calls = [
-            (k, (gid, [decisions[r] for r in indices]))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
-
-        def merge(results):
-            self._gplans[s].pop(gid, None)
-            return None
-
-        return calls, merge
 
 
 # ----------------------------------------------------------------------
@@ -996,19 +859,16 @@ def resolve_fanout(
     servers: "list[PrioServer]",
     executor=None,
     batch_size: int = 1,
-    n_shards: int = 1,
 ) -> "tuple[ServerFanout, bool]":
     """Resolve the ``executor`` knob to a backend instance.
 
-    Accepts ``None`` (the PR-3 default: threads, or inline on a
-    single-CPU host), one of :data:`EXECUTOR_KINDS` — optionally with a
-    ``":K"`` shard-count suffix (``"process:4"`` = four sharded workers
-    of that kind per logical server) — a ready :class:`ServerFanout`
-    (reused verbatim — the caller owns it), or a plain
-    ``concurrent.futures`` executor (wrapped, caller-owned).  Returns
-    ``(fanout, owned)``; the pipeline closes only backends it owns.
-    ``n_shards > 1`` wraps the resolved kind in a
-    :class:`ShardedFanout` the same way the suffix does.
+    Accepts ``None`` (host-sized: threads, or inline on a single-CPU
+    host), one of :data:`EXECUTOR_KINDS` — optionally with a ``":K"``
+    shard-count suffix (``"process:4"`` = four sharded workers of that
+    kind per logical server) — a ready :class:`ServerFanout` (reused
+    verbatim — the caller owns it), or a plain ``concurrent.futures``
+    executor (wrapped, caller-owned).  Returns ``(fanout, owned)``;
+    callers close only backends they own.
 
     ``"process"`` falls back to the thread backend automatically when
     worker processes cannot be created (restricted sandboxes, missing
@@ -1020,35 +880,21 @@ def resolve_fanout(
     if isinstance(executor, str) and ":" in executor:
         kind, _, count = executor.partition(":")
         try:
-            suffix_shards = int(count)
+            n_shards = int(count)
         except ValueError:
             raise FanoutError(
                 f"bad shard count in executor spec: {executor!r}"
             ) from None
-        if n_shards != 1 and n_shards != suffix_shards:
-            raise FanoutError(
-                f"executor spec {executor!r} conflicts with "
-                f"n_shards={n_shards}"
-            )
-        executor, n_shards = kind, suffix_shards
-    if n_shards != 1:
-        if n_shards < 1:
-            raise FanoutError("n_shards must be >= 1")
-        if isinstance(executor, ServerFanout):
-            raise FanoutError(
-                "cannot shard a ready ServerFanout instance; pass an "
-                'executor kind (e.g. "process:4") instead'
-            )
-        return ShardedFanout(
-            servers, n_shards, executor, batch_size
-        ), True
+        if n_shards != 1:
+            return ShardedFanout(servers, n_shards, kind, batch_size), True
+        executor = kind
     if isinstance(executor, ServerFanout):
         return executor, False
     if executor is None:
         return LocalFanout(servers), True
     if executor == "thread":
         # Explicit request: a real pool even on a single-CPU host (the
-        # None default still auto-drops to inline there).
+        # None default auto-drops to inline there).
         return LocalFanout(
             servers,
             ThreadPoolExecutor(max_workers=max(2, len(servers))),

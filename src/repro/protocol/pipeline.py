@@ -1,53 +1,59 @@
-"""Asyncio pipeline front end for the batched verification core.
+"""The per-batch server protocol, written once, and its asyncio driver.
 
-The synchronous :meth:`~repro.protocol.runner.PrioDeployment.deliver_batch`
-runs each verification batch start-to-finish before touching the next:
-receive/ingest, the two SNIP rounds, accumulate.  This module stages
-the same work over bounded :class:`asyncio.Queue` hops —
+Appendix H defines one server protocol — Upload, Validate (two SNIP
+rounds), Aggregate — and this module holds its one implementation, as
+two coroutines over :meth:`ServerFanout.sweep
+<repro.protocol.fanout.ServerFanout.sweep>`:
 
-    submissions -> [batcher] -> [ingest] -> [verify+accumulate]
+:func:`receive_and_ingest` (the *ingest half*)
+    receive sweep -> first refusal per position -> ``ingest(keep)``
+    sweep.  A position any server refused is rejected alone (the
+    servers that did receive it abandon it, so an honest retry is not a
+    replay); the survivors are committed to planes.
+
+:func:`verify_and_accumulate` (the *verify half*)
+    ``round1`` -> ``round2`` -> ``decide_batch`` -> ``accumulate``.
+
+The halves own the one failure policy.  A failed sweep is
+infrastructure — a crashed worker, a broken pool — and *abandons* the
+batch (``abandon_all``: ids released, nothing decided, an honest retry
+is accepted), in either half.  The one exception: a ``ValueError`` out
+of the rounds is a protocol inconsistency (shapes were validated at
+receive time) and *rejects* the batch (``reject_all``: ids burned).
+The ``accumulate`` sweep is the commit point: a failure there cannot be
+isolated (servers that already folded the batch cannot roll back), so
+it propagates.
+
+Every driver calls these halves: :class:`AsyncPrioPipeline` here (and,
+through it, :class:`~repro.protocol.runner.PrioDeployment` and
+:class:`~repro.protocol.registration.GatedDeployment`) and the socket
+front end (:class:`~repro.transport.server.PrioTransportServer`).  The
+simulated cluster (:mod:`repro.simnet.prio_cluster`) keeps its
+message-driven schedule but speaks the same ops.
+
+:class:`AsyncPrioPipeline` stages the halves over bounded
+:class:`asyncio.Queue` hops —
+
+    submissions -> [batcher] -> [ingest half] -> [verify half]
 
 so expansion/decode of batch ``N+1`` overlaps verification of batch
-``N``, and the per-server CPU work inside each stage fans out over an
-execution backend (:mod:`repro.protocol.fanout`).  With
-:meth:`AsyncPrioPipeline.run_values` the *client* joins the pipeline
-as a producer stage —
+``N``, and the per-server CPU work inside each half fans out over an
+execution backend (:mod:`repro.protocol.fanout`: ``"inline"`` /
+``"thread"`` / ``"process"`` / ``"auto"``, optionally ``":K"``
+sharded).  With :meth:`AsyncPrioPipeline.run_values` the *client*
+joins the pipeline as a producer stage —
 
-    values -> [batched client prover] -> [ingest] -> [verify+accumulate]
+    values -> [batched client prover] -> [ingest half] -> [verify half]
 
 — each chunk proved, shared, and framed through the plane-resident
-batched prover (bit-identical to the scalar client) while the servers
-verify the previous chunk, so both halves of the protocol are batched
-and overlapped:
+batched prover while the servers verify the previous chunk.  Queue
+bounds give backpressure: a slow verify stage stalls ingest instead of
+buffering unbounded plane matrices.
 
-``executor="thread"`` (the default)
-    A shared thread pool; the hot kernels — SHAKE XOF digests and
-    numpy limb matmuls — release the GIL, so multi-core hosts overlap
-    servers for the kernel-dominated portions of a batch.
-
-``executor="process"``
-    One dedicated worker process per server.  Each server's whole
-    state lives in its worker; batches cross the boundary in plane
-    form (wire bytes in, ``Round1Batch``/``Round2Batch`` planes
-    between rounds).  This removes the GIL from the picture entirely —
-    the Python-level glue between kernels parallelizes too — which is
-    what breaks the single-host throughput ceiling the thread backend
-    hits (see ``benchmarks/bench_fanout.py``).
-
-``executor="inline"``
-    Stage work on the calling thread (single-CPU hosts, debugging).
-
-Queue bounds give backpressure: a slow verify stage stalls ingest
-instead of buffering unbounded plane matrices.
-
-Semantics are identical across backends and to the synchronous path —
-same per-submission accept/reject decisions, same replay protection,
-same statistics; every backend executes the one shared op
-implementation (:class:`~repro.protocol.fanout._ServerOps`), and the
-equivalence tests drive all of them and compare.  Failure isolation is
-per batch: an exception thrown inside a worker (a crashed process, a
-poisoned batch) rejects that batch's submissions alone, and the
-pipeline keeps draining the stream.
+Everything that enters a server is wire bytes: the pipeline hands
+``packet.encode()`` (or the sealed packet) to the receive ops, exactly
+what the socket front end reads off the wire, so decisions are
+bit-identical across drivers and backends by construction.
 """
 
 from __future__ import annotations
@@ -58,11 +64,15 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.protocol.fanout import ServerFanout, resolve_fanout
 from repro.protocol.server import PrioServer
+from repro.protocol.wire import WireError
 
 __all__ = [
     "AsyncPrioPipeline",
+    "IngestedBatch",
     "PipelineStats",
+    "receive_and_ingest",
     "run_pipelined",
+    "verify_and_accumulate",
 ]
 
 #: sentinel closing each stage's input queue
@@ -76,7 +86,8 @@ class PipelineStats:
     n_batches: int = 0
     n_receive_failures: int = 0
     #: submissions failed by a worker/backend crash (not a protocol
-    #: rejection): the batch was rejected and the stream continued
+    #: rejection): the batch was abandoned — nothing decided, ids
+    #: released — and the stream continued
     n_worker_failures: int = 0
     #: ingest batches that were in flight when verify started one —
     #: a direct measure of stage overlap (0 on a fully serial run)
@@ -91,26 +102,131 @@ class PipelineStats:
 
 
 @dataclass
-class _IngestedBatch:
-    """One verification batch, ingested and ready for the rounds.
+class IngestedBatch:
+    """What the ingest half hands the verify half (and the driver).
 
     The ingested share planes themselves stay wherever the backend
     keeps server state (driver process or per-server worker), keyed by
-    ``batch_id``; only the bookkeeping crosses stages.
+    ``batch_id``; only this bookkeeping crosses stages.
     """
 
     batch_id: int
-    #: positions (into the submission stream) that survived receive
-    indices: list[int]
+    #: per position: the first server's typed refusal, or ``None``
+    refusals: "list[Exception | None]"
+    #: a worker failed before anything was decided: the batch is
+    #: abandoned at every server and ``keep`` will not be verified
+    abandoned: bool = False
+
+    @property
+    def keep(self) -> "list[int]":
+        """Positions no server refused, ascending — the verify half's
+        rows."""
+        return [
+            pos for pos, refusal in enumerate(self.refusals)
+            if refusal is None
+        ]
+
+
+async def _cleanup_batch(
+    fanout: ServerFanout, n_servers: int, batch_id: int, op: str
+) -> None:
+    """Best-effort per-server sweep after a mid-batch failure."""
+    for s in range(n_servers):
+        try:
+            await fanout.call(s, op, batch_id)
+        except Exception:  # noqa: BLE001 - backend may be gone
+            continue
+
+
+async def receive_and_ingest(
+    fanout: ServerFanout, batch_id: int, payloads, sealed: bool
+) -> IngestedBatch:
+    """The ingest half of the per-batch protocol.
+
+    ``payloads[s]`` is server ``s``'s wire bytes, one per batch
+    position — sealed packets when ``sealed``, encoded packets
+    otherwise.  Receive mutates only per-server replay state, so the
+    servers' fused frame-check+decode sweeps fan out safely; within one
+    server the batch stays in stream order.
+    """
+    n_servers = len(payloads)
+    n = len(payloads[0])
+    try:
+        received = await fanout.sweep(
+            "receive_sealed" if sealed else "receive_wire",
+            [(batch_id, payloads[s]) for s in range(n_servers)],
+        )
+    except Exception:  # noqa: BLE001 - a worker died mid-receive
+        # Servers that did receive must release the ids so an honest
+        # retry is not mistaken for a replay.
+        await _cleanup_batch(fanout, n_servers, batch_id, "abandon_all")
+        return IngestedBatch(batch_id, [None] * n, abandoned=True)
+    ingested = IngestedBatch(batch_id, [
+        next((r[pos] for r in received if r[pos] is not None), None)
+        for pos in range(n)
+    ])
+    try:
+        # The heavy part — PRG expansion and byte decode into plane
+        # matrices — fans out per server; refused positions are
+        # abandoned wherever receive succeeded.
+        await fanout.sweep(
+            "ingest", [(batch_id, ingested.keep)] * n_servers
+        )
+    except Exception:  # noqa: BLE001 - a worker died mid-ingest
+        await _cleanup_batch(fanout, n_servers, batch_id, "abandon_all")
+        ingested.abandoned = True
+    return ingested
+
+
+async def verify_and_accumulate(
+    fanout: ServerFanout, servers: "list[PrioServer]", ingested: IngestedBatch
+) -> "list[bool] | None":
+    """The verify half: one decision per ``ingested.keep`` position.
+
+    Returns ``None`` when a worker failed before the commit point and
+    the batch was abandoned (nothing decided; retryable).
+    """
+    n_kept = len(ingested.keep)
+    if not n_kept:
+        return []  # the ingest sweep already settled the batch
+    n_servers = len(servers)
+    batch_id = ingested.batch_id
+    try:
+        # The round-1/round-2 broadcasts stay in plane form — every
+        # server consumes the same per-server batches.
+        round1 = await fanout.sweep("round1", [(batch_id,)] * n_servers)
+        round2 = await fanout.sweep(
+            "round2", [(batch_id, round1)] * n_servers
+        )
+        decisions = servers[0].decide_batch(round2)
+    except ValueError:
+        # Shapes were validated at receive time, so an inconsistent
+        # batch is a protocol violation: fail all of it, one submission
+        # at a time, rather than mis-credit any of it.
+        await _cleanup_batch(fanout, n_servers, batch_id, "reject_all")
+        return [False] * n_kept
+    except Exception:  # noqa: BLE001 - a worker died mid-round
+        # Nothing was committed and nobody verified these submissions:
+        # release the ids instead of burning them.
+        await _cleanup_batch(fanout, n_servers, batch_id, "abandon_all")
+        return None
+    # The commit point.  A failure here cannot be isolated to the
+    # batch: servers that already folded it into their accumulators
+    # cannot roll back, so a partial commit leaves the server set
+    # divergent (shares would no longer cancel at publish).  Let the
+    # exception propagate — the run fails loudly instead of silently
+    # publishing garbage.
+    await fanout.sweep("accumulate", [(batch_id, decisions)] * n_servers)
+    return decisions
 
 
 class AsyncPrioPipeline:
-    """Drives a server set through the staged verification pipeline.
+    """Drives a server set through the staged batch protocol.
 
     ``queue_depth`` bounds how many ingested-but-unverified batches may
     exist at once (the overlap window); ``executor`` selects the
     per-server execution backend — ``"thread"`` / ``"process"`` /
-    ``"inline"`` / ``"auto"``, a ready
+    ``"inline"`` / ``"auto"`` (optionally ``":K"`` sharded), a ready
     :class:`~repro.protocol.fanout.ServerFanout` (reused across runs,
     caller-owned), a plain ``concurrent.futures`` executor
     (caller-owned), or ``None`` for the host-sized default.
@@ -123,7 +239,6 @@ class AsyncPrioPipeline:
         queue_depth: int = 2,
         executor: "str | ServerFanout | ThreadPoolExecutor | None" = None,
         encrypt: bool = False,
-        n_shards: int = 1,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -134,9 +249,6 @@ class AsyncPrioPipeline:
         self.queue_depth = queue_depth
         self.executor = executor
         self.encrypt = encrypt
-        #: shard each logical server across this many workers of the
-        #: selected executor kind (equivalent to a ``"kind:K"`` spec)
-        self.n_shards = n_shards
         self.stats = PipelineStats()
         #: True while the verify stage is mid-batch (stage-overlap probe)
         self._verifying = False
@@ -166,8 +278,8 @@ class AsyncPrioPipeline:
         ``N+1`` while the servers ingest and verify chunk ``N`` — the
         protocol's two halves are batched *and* overlapped.  Decisions,
         replay protection, and statistics match preparing everything up
-        front and calling :meth:`run_async` (the batched prover is
-        bit-identical to the scalar client).
+        front and calling :meth:`run_async` (the prover draws in scalar
+        order, so cleartext uploads are bit-identical in any chunking).
         """
         values = list(values)
         submissions: list = [None] * len(values)
@@ -195,7 +307,7 @@ class AsyncPrioPipeline:
         self._next_batch_id = 0
         results: "list[bool]" = [False] * len(submissions)
         fanout, owned = resolve_fanout(
-            self.servers, self.executor, self.batch_size, self.n_shards
+            self.servers, self.executor, self.batch_size
         )
         self.stats.executor = fanout.kind
         synced = True
@@ -219,7 +331,7 @@ class AsyncPrioPipeline:
                 asyncio.create_task(make_producer(ingest_q)),
                 asyncio.create_task(
                     self._ingest_stage(
-                        submissions, ingest_q, verify_q, results, fanout
+                        submissions, ingest_q, verify_q, fanout
                     )
                 ),
                 asyncio.create_task(
@@ -299,33 +411,33 @@ class AsyncPrioPipeline:
         await ingest_q.put(_DONE)
 
     # ------------------------------------------------------------------
-    # Stage 2: receive (framing) + plane ingest, per server in workers
+    # Stage 2: the ingest half, per server in workers
     # ------------------------------------------------------------------
 
     def _payloads_for(self, server_slot: int, submissions, indices):
-        """One server's slice of a batch, in cross-boundary form.
+        """One server's slice of a batch as wire bytes.
 
         Packets are selected by the server's *protocol* index, not its
         position in ``self.servers`` — a shuffled server list must
-        still route every share to the server it was addressed to.
+        still route every share to the server it was addressed to.  A
+        (mutated) packet whose header fields cannot be encoded goes out
+        as an empty payload, which the server refuses as a malformed
+        frame — that submission's receive failure, like any other.
         """
         index = self.servers[server_slot].server_index
         if self.encrypt:
             return [submissions[i].sealed_packets[index] for i in indices]
-        return [submissions[i].packets[index] for i in indices]
-
-    async def _cleanup_batch(self, fanout, batch_id: int, op: str) -> None:
-        """Best-effort per-server sweep after a mid-batch failure."""
-        for s in range(len(self.servers)):
+        payloads = []
+        for i in indices:
             try:
-                await fanout.call(s, op, batch_id)
-            except Exception:  # noqa: BLE001 - backend may be gone
-                continue
+                payloads.append(submissions[i].packets[index].encode())
+            except WireError:
+                payloads.append(b"")
+        return payloads
 
     async def _ingest_stage(
-        self, submissions, ingest_q, verify_q, results, fanout
+        self, submissions, ingest_q, verify_q, fanout
     ) -> None:
-        n_servers = len(self.servers)
         while True:
             batch = await ingest_q.get()
             if batch is _DONE:
@@ -341,51 +453,16 @@ class AsyncPrioPipeline:
                 self.stats.n_worker_failures += len(batch)
                 self.stats.batch_sizes.append(0)
                 continue
-            try:
-                # Receive mutates only per-server replay state, so the
-                # servers' fused frame-check+decode sweeps fan out
-                # safely; within one server the batch stays in stream
-                # order.
-                received = await fanout.sweep("receive", [
-                    (
-                        batch_id,
-                        self._payloads_for(s, submissions, batch),
-                        self.encrypt,
-                    )
-                    for s in range(n_servers)
-                ])
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # A worker died mid-receive: fail this batch alone.
-                # Servers that did receive must release the ids so an
-                # honest retry is not mistaken for a replay.
-                await self._cleanup_batch(fanout, batch_id, "abandon_all")
-                self.stats.n_worker_failures += len(batch)
-                self.stats.batch_sizes.append(0)
-                continue
-            survivors: list[int] = []
-            keep: list[int] = []
-            for pos, index in enumerate(batch):
-                if any(received[s][pos] is not None for s in range(n_servers)):
-                    # Mirror of the synchronous fan-out rule; the
-                    # ingest op below abandons this position at the
-                    # servers whose receive succeeded.
-                    self.stats.n_receive_failures += 1
-                    results[index] = False
-                else:
-                    survivors.append(index)
-                    keep.append(pos)
-            try:
-                # The heavy part — PRG expansion and byte decode into
-                # plane matrices — fans out per server.
-                await fanout.sweep(
-                    "ingest", [(batch_id, keep)] * n_servers
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                await self._cleanup_batch(fanout, batch_id, "abandon_all")
+            payloads = [
+                self._payloads_for(s, submissions, batch)
+                for s in range(len(self.servers))
+            ]
+            ingested = await receive_and_ingest(
+                fanout, batch_id, payloads, self.encrypt
+            )
+            survivors = [batch[pos] for pos in ingested.keep]
+            self.stats.n_receive_failures += len(batch) - len(survivors)
+            if ingested.abandoned:
                 self.stats.n_worker_failures += len(survivors)
                 self.stats.batch_sizes.append(0)
                 continue
@@ -393,63 +470,29 @@ class AsyncPrioPipeline:
             if self._verifying:
                 self.stats.overlapped_batches += 1
             if survivors:
-                await verify_q.put(
-                    _IngestedBatch(batch_id=batch_id, indices=survivors)
-                )
+                await verify_q.put((ingested, survivors))
 
     # ------------------------------------------------------------------
-    # Stage 3: the two SNIP rounds + decide + accumulate
+    # Stage 3: the verify half
     # ------------------------------------------------------------------
 
     async def _verify_stage(self, verify_q, results, fanout) -> None:
-        n_servers = len(self.servers)
         while True:
             item = await verify_q.get()
             if item is _DONE:
                 return
+            ingested, survivors = item
             self._verifying = True
             try:
-                round1_batches = await fanout.sweep(
-                    "round1", [(item.batch_id,)] * n_servers
+                decisions = await verify_and_accumulate(
+                    fanout, self.servers, ingested
                 )
-                # The round-1/round-2 broadcasts stay in plane form —
-                # every server consumes the same per-server batches.
-                round2_batches = await fanout.sweep(
-                    "round2",
-                    [(item.batch_id, round1_batches)] * n_servers,
-                )
-                decisions = self.servers[0].decide_batch(round2_batches)
-            except asyncio.CancelledError:
-                raise
-            except ValueError:
-                # Defensive mirror of the synchronous path: shapes were
-                # validated at receive time, so fail the whole batch
-                # rather than mis-credit any of it.
-                await self._cleanup_batch(fanout, item.batch_id, "reject_all")
-                for index in item.indices:
-                    results[index] = False
-                continue
-            except Exception:
-                # A worker died mid-round: nothing was committed yet,
-                # so reject this batch alone and keep draining.
-                await self._cleanup_batch(fanout, item.batch_id, "reject_all")
-                self.stats.n_worker_failures += len(item.indices)
-                for index in item.indices:
-                    results[index] = False
-                continue
             finally:
                 self._verifying = False
-            # The commit point.  A failure here cannot be isolated to
-            # the batch: servers that already folded it into their
-            # accumulators cannot roll back, so a partial commit leaves
-            # the server set divergent (shares would no longer cancel
-            # at publish).  Let the exception propagate — the run fails
-            # loudly instead of silently publishing garbage (PR 3
-            # likewise ran Aggregate outside its defensive net).
-            await fanout.sweep(
-                "accumulate", [(item.batch_id, decisions)] * n_servers
-            )
-            for index, accepted in zip(item.indices, decisions):
+            if decisions is None:
+                self.stats.n_worker_failures += len(survivors)
+                continue
+            for index, accepted in zip(survivors, decisions):
                 results[index] = accepted
 
 
@@ -460,15 +503,13 @@ def run_pipelined(
     queue_depth: int = 2,
     encrypt: bool = False,
     executor: "str | ServerFanout | ThreadPoolExecutor | None" = None,
-    n_shards: int = 1,
 ) -> tuple[list[bool], PipelineStats]:
     """One-call pipeline run over prepared submissions.
 
     Returns ``(decisions, stats)`` with one decision per submission in
-    stream order — the async counterpart of calling
-    ``deliver_batch`` chunk by chunk.  ``executor`` selects the
-    per-server backend and ``n_shards`` the per-server worker shard
-    count (see :class:`AsyncPrioPipeline`).
+    stream order (``False`` for rejected *and* for abandoned ones —
+    ``stats.n_worker_failures`` tells them apart).  ``executor``
+    selects the per-server backend (see :class:`AsyncPrioPipeline`).
     """
     pipeline = AsyncPrioPipeline(
         servers,
@@ -476,7 +517,6 @@ def run_pipelined(
         queue_depth=queue_depth,
         executor=executor,
         encrypt=encrypt,
-        n_shards=n_shards,
     )
     decisions = pipeline.run(submissions)
     return decisions, pipeline.stats

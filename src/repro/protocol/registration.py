@@ -22,6 +22,11 @@ This module implements that defence on top of the base pipeline:
   from unregistered keys or with bad signatures, counting *distinct*
   registered contributors (a Sybil submitting twice counts once), and
   refusing to publish below the threshold.
+
+Registration is a pre-stage of the ordinary ingest: a signed packet is
+*admitted* (key and signature checked), and its signed bytes then enter
+the server through the same ``receive_wire_batch`` and the same batch
+protocol (:mod:`repro.protocol.pipeline`) every other upload uses.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 from repro.afe.base import Afe
 from repro.crypto.sign import SigningKeyPair, sign, verify
 from repro.ec.p256 import Point
-from repro.protocol.client import PrioClient
+from repro.protocol.client import ClientSubmission, PrioClient
+from repro.protocol.pipeline import run_pipelined
 from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
 from repro.protocol.wire import ClientPacket
 from repro.snip.verifier import ServerRandomness
@@ -125,22 +131,38 @@ class GatedServer(PrioServer):
         self.registry = registry
         self.publish_threshold = publish_threshold
         self._contributors: set[bytes] = set()
+        #: admitted-but-not-yet-received submission id -> client id
+        self._admitted: dict[bytes, bytes] = {}
 
-    def receive_signed(self, signed: SignedPacket) -> PendingSubmission:
+    def admit(self, signed: SignedPacket) -> None:
+        """Check a packet's registration and signature (the pre-stage).
+
+        Raises :class:`RegistrationError`; on success the packet's
+        signed bytes may enter through :meth:`receive_wire_batch`,
+        which credits the submission to this client.
+        """
         if not self.registry.is_registered(signed.client_id):
             raise RegistrationError("client is not registered")
         public = self.registry.public_key(signed.client_id)
         if not verify(public, signed.signed_bytes(), signed.signature):
             raise RegistrationError("bad submission signature")
-        pending = self.receive(signed.packet)
-        # Tag the pending submission with its contributor so acceptance
-        # can be attributed (one Sybil key = one contributor).
-        pending.contributor_id = signed.client_id  # type: ignore[attr-defined]
-        return pending
+        self._admitted[signed.packet.submission_id] = signed.client_id
+
+    def receive_wire_batch(self, payloads):
+        # Tag each received submission with its contributor so
+        # acceptance can be attributed (one Sybil key = one
+        # contributor).  Admissions are consumed by the receive that
+        # follows them, whatever its outcome.
+        admitted, self._admitted = self._admitted, {}
+        received = super().receive_wire_batch(payloads)
+        for result in received:
+            if isinstance(result, PendingSubmission):
+                result.contributor_id = (  # type: ignore[attr-defined]
+                    admitted.get(result.submission_id)
+                )
+        return received
 
     def _note_accepted(self, pending: PendingSubmission) -> None:
-        # Hooks both Aggregate paths (scalar accumulate and the
-        # vectorized accumulate_batch).
         super()._note_accepted(pending)
         contributor = getattr(pending, "contributor_id", None)
         if contributor is not None:
@@ -197,28 +219,21 @@ class GatedDeployment:
         return RegisteredClient(self.afe, self.n_servers, keypair, rng=rng)
 
     def deliver(self, signed_packets: list[SignedPacket]) -> bool:
-        pendings = []
+        """Admit one signed submission at every server, then run it
+        through the batch protocol as a batch of one."""
         try:
             for server, signed in zip(self.servers, signed_packets):
-                pendings.append(server.receive_signed(signed))
-        except ProtocolError:
+                server.admit(signed)
+        except RegistrationError:
             return False
-        parties, round1 = [], []
-        for server, pending in zip(self.servers, pendings):
-            party, msg = server.begin_verification(pending)
-            parties.append(party)
-            round1.append(msg)
-        round2 = [
-            server.finish_verification(party, round1)
-            for server, party in zip(self.servers, parties)
-        ]
-        accepted = self.servers[0].decide(round2)
-        for server, pending in zip(self.servers, pendings):
-            if accepted:
-                server.accumulate(pending)
-            else:
-                server.reject(pending)
-        return accepted
+        packets = [signed.packet for signed in signed_packets]
+        decisions, _ = run_pipelined(
+            self.servers,
+            [ClientSubmission(packets[0].submission_id, packets)],
+            batch_size=1,
+            executor="inline",
+        )
+        return decisions[0]
 
     def publish(self):
         shares = [server.publish() for server in self.servers]

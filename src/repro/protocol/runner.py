@@ -1,24 +1,26 @@
-"""In-process deployment runner: wires clients and servers lock-step.
+"""In-process deployment: a client, a server set, and one driver.
 
 ``PrioDeployment`` is the high-level API most examples use:
 
     deployment = PrioDeployment.create(afe, n_servers=5)
-    for value in private_values:
-        deployment.submit(value)
+    deployment.submit_many(private_values)
     aggregate = deployment.publish()
 
 It executes the full Appendix H protocol — upload (optionally sealed),
 two-round SNIP verification, accumulate, publish, decode — with every
-server as a real :class:`~repro.protocol.server.PrioServer` instance,
-and keeps the bandwidth/acceptance statistics the benchmarks report.
+server a real :class:`~repro.protocol.server.PrioServer`, and keeps
+the bandwidth/acceptance statistics the benchmarks report.
 
-With ``batch_size > 1`` the deployment proves and verifies
-submissions in chunks of that size through the vectorized batch
-backend (:mod:`repro.field.batch`): one fused sweep per server per
-batch instead of per-submission work.  Acceptance decisions, replay
-protection, and every statistic remain per submission — a bad upload
-rejects alone, and ``n_rejected``/``upload_bytes_total`` count
-submissions, never batches.
+There are three ways in, and all of them run the one batch protocol
+(:mod:`repro.protocol.pipeline`) over the deployment's fan-out:
+:meth:`PrioDeployment.submit` (one value, with a fault-injection
+hook), :meth:`PrioDeployment.submit_many` (values; the batched client
+prover is the pipeline's producer stage) and
+:meth:`PrioDeployment.deliver` (prepared uploads).  ``batch_size`` is
+the verification batch: one fused sweep per server per batch.
+Acceptance decisions, replay protection, and every statistic remain
+per submission — a bad upload rejects alone, and
+``n_rejected``/``upload_bytes_total`` count submissions, never batches.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.afe.base import Afe
 from repro.crypto.box import BoxKeyPair
-from repro.protocol.client import ClientSubmission, PrioClient
-from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
+from repro.protocol.client import PrioClient
+from repro.protocol.fanout import ServerFanout, resolve_fanout
+from repro.protocol.pipeline import AsyncPrioPipeline
+from repro.protocol.server import PrioServer, ProtocolError
 from repro.snip.verifier import ServerRandomness
 
 
@@ -61,14 +65,14 @@ class PrioDeployment:
         self.client = client
         self.encrypt = encrypt
         self.batch_size = batch_size
-        #: pipeline execution backend ("thread" | "process" | "inline" |
-        #: "auto", a ServerFanout, or None for the host-sized default)
+        #: execution backend ("inline" | "thread" | "process" | "auto",
+        #: optionally ":K" sharded, or a ServerFanout); None = inline
         self.executor = executor
-        #: backend resolved from a string `executor`, cached so repeated
-        #: pipelined calls reuse one worker-pool set (spawning process
-        #: workers per call would dwarf the fan-out win); released by
-        #: :meth:`close`
-        self._fanout = None
+        #: the backend, resolved on first use and reused by every call
+        #: until :meth:`close` (spawning process workers per call would
+        #: dwarf the fan-out win)
+        self._fanout: "ServerFanout | None" = None
+        self._owns_fanout = False
         self.stats = DeploymentStats()
 
     @classmethod
@@ -89,9 +93,10 @@ class PrioDeployment:
         """``batch_size`` makes servers accumulate and verify submissions
         in batches of that size (``submit_many`` chunks accordingly);
         decisions and statistics remain per submission.  ``executor``
-        selects the pipelined paths' per-server execution backend
-        (``"thread"``/``"process"``/``"inline"``/``"auto"``, optionally
-        with a ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`).
+        selects the per-server execution backend
+        (``"inline"``/``"thread"``/``"process"``/``"auto"``, optionally
+        with a ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`);
+        the default runs every server inline on the calling thread.
         ``replay_cache`` selects each server's replay store
         (``"memory"``/``"tiered"``; see :mod:`repro.protocol.replay`) —
         only a string spec is accepted here because every server needs
@@ -136,28 +141,24 @@ class PrioDeployment:
 
     # ------------------------------------------------------------------
 
-    def _resolve_executor(self, override):
-        """Backend for one pipelined call: per-call override wins; a
-        deployment-level *string* selection resolves once and the
-        resulting fan-out (its worker pools) is reused across calls."""
-        if override is not None:
-            return override
-        if isinstance(self.executor, str):
-            if self._fanout is None:
-                from repro.protocol.fanout import resolve_fanout
-
-                self._fanout, _ = resolve_fanout(
-                    self.servers, self.executor, self.batch_size
-                )
-            return self._fanout
-        return self.executor
+    def _pipeline(self) -> AsyncPrioPipeline:
+        """A pipeline over the deployment's (lazily resolved) fan-out."""
+        if self._fanout is None:
+            self._fanout, self._owns_fanout = resolve_fanout(
+                self.servers, self.executor or "inline", self.batch_size
+            )
+        return AsyncPrioPipeline(
+            self.servers, batch_size=self.batch_size,
+            executor=self._fanout, encrypt=self.encrypt,
+        )
 
     def close(self) -> None:
         """Release any worker pools the deployment created, plus each
         server's replay cache (tiered caches own on-disk databases);
         idempotent."""
         if self._fanout is not None:
-            self._fanout.close()
+            if self._owns_fanout:
+                self._fanout.close()
             self._fanout = None
         for server in self.servers:
             server._replay.close()
@@ -171,198 +172,53 @@ class PrioDeployment:
     # ------------------------------------------------------------------
 
     def submit(self, value, mutate=None) -> bool:
-        """Run one client's value through the full pipeline.
+        """Run one client's value through the protocol (a batch of one).
 
-        ``mutate``, if given, receives the :class:`ClientSubmission`
-        before delivery and may corrupt it — the robustness tests'
+        ``mutate``, if given, receives the
+        :class:`~repro.protocol.client.ClientSubmission` before
+        delivery and may corrupt it — the robustness tests'
         fault-injection hook.
         """
-        submission = self.client.prepare_submission(value)
+        submission = self.client.prepare_submissions([value])[0]
         if mutate is not None:
             mutate(submission)
-        return self.deliver(submission)
+        return self.deliver([submission])[0]
 
-    def deliver(self, submission: ClientSubmission) -> bool:
-        """Run one prepared submission through the pipeline (a batch
-        of one — the batched path is bit-identical at every size)."""
-        return self.deliver_batch([submission])[0]
+    def submit_many(self, values) -> int:
+        """Submit many values in ONE pipeline run; returns the number
+        accepted.
 
-    def deliver_batch(self, submissions) -> list[bool]:
-        """Run a batch of prepared submissions through the pipeline.
+        The batched plane prover runs as the pipeline's producer stage
+        (:meth:`~repro.protocol.pipeline.AsyncPrioPipeline.run_values`):
+        the client proves and frames chunk ``N+1`` of ``batch_size``
+        values while the servers ingest and verify chunk ``N``.
+        """
+        values = list(values)
+        pipeline = self._pipeline()
+        decisions = pipeline.run_values(self.client, values)
+        self._count(decisions, pipeline.stats.upload_bytes)
+        return sum(decisions)
+
+    def deliver(self, submissions) -> list[bool]:
+        """Run prepared submissions through the protocol, in batches
+        of ``batch_size``; one decision per submission, stream order.
 
         Framing errors (wrong length, replay, bad seal) reject the
-        offending submission alone; the rest of the batch proceeds to
+        offending submission alone; the rest of its batch proceeds to
         one vectorized SNIP verification sweep per server, after which
         every submission is accepted or rejected — and counted in the
         statistics — individually.
         """
         submissions = list(submissions)
-        results: list[bool | None] = [None] * len(submissions)
-        received: list[tuple[int, list[PendingSubmission]]] = []
-        for idx, submission in enumerate(submissions):
-            self.stats.n_submitted += 1
-            self.stats.upload_bytes_total += submission.upload_bytes
-            pendings: list[PendingSubmission] = []
-            try:
-                for i, server in enumerate(self.servers):
-                    if self.encrypt:
-                        pendings.append(
-                            server.receive_sealed(submission.sealed_packets[i])
-                        )
-                    else:
-                        pendings.append(server.receive(submission.packets[i]))
-            except (ProtocolError, ValueError):
-                # Servers that did receive must release the id: no
-                # decision was made, and an honest retry must not be
-                # mistaken for a replay.
-                for server, pending in zip(self.servers, pendings):
-                    server.abandon(pending)
-                self.stats.n_rejected += 1
-                results[idx] = False
-                continue
-            received.append((idx, pendings))
-
-        if received:
-            try:
-                parties = []
-                round1_by_server = []
-                for s, server in enumerate(self.servers):
-                    party, round1 = server.begin_verification_batch(
-                        [pendings[s] for _, pendings in received]
-                    )
-                    parties.append(party)
-                    round1_by_server.append(round1)
-                # The round-1/round-2 broadcasts stay in plane form —
-                # every server consumes the same per-server batches.
-                round2_by_server = [
-                    server.finish_verification_batch(party, round1_by_server)
-                    for server, party in zip(self.servers, parties)
-                ]
-                decisions = self.servers[0].decide_batch(round2_by_server)
-            except (ProtocolError, ValueError):
-                # Shapes were validated at receive time, so this is a
-                # defensive path: fail the whole batch, one submission
-                # at a time, rather than mis-credit any of it.
-                for idx, pendings in received:
-                    for server, pending in zip(self.servers, pendings):
-                        server.reject(pending)
-                    self.stats.n_rejected += 1
-                    results[idx] = False
-                return [bool(r) for r in results]
-
-            # Aggregate consumes the ingested planes: one vectorized
-            # fold per server for the whole batch's accepted rows.
-            for s, server in enumerate(self.servers):
-                server.accumulate_batch(
-                    [pendings[s] for _, pendings in received], decisions
-                )
-            for (idx, _), accepted in zip(received, decisions):
-                if accepted:
-                    self.stats.n_accepted += 1
-                else:
-                    self.stats.n_rejected += 1
-                results[idx] = accepted
-        return [bool(r) for r in results]
-
-    def deliver_pipelined(
-        self, submissions, queue_depth: int = 2, executor=None
-    ) -> list[bool]:
-        """Run prepared submissions through the asyncio staged pipeline.
-
-        Same decisions, replay protection, and statistics as chunked
-        :meth:`deliver_batch` calls, but ingest of batch ``N+1``
-        overlaps verification of batch ``N`` and per-server work fans
-        out over the deployment's execution backend — threads by
-        default, one worker process per server with
-        ``executor="process"``
-        (:class:`~repro.protocol.pipeline.AsyncPrioPipeline`).
-        """
-        from repro.protocol.pipeline import run_pipelined
-
-        submissions = list(submissions)
-        for submission in submissions:
-            self.stats.n_submitted += 1
-            self.stats.upload_bytes_total += submission.upload_bytes
-        decisions, _ = run_pipelined(
-            self.servers,
-            submissions,
-            batch_size=self.batch_size,
-            queue_depth=queue_depth,
-            encrypt=self.encrypt,
-            executor=self._resolve_executor(executor),
-        )
-        self.stats.n_accepted += sum(decisions)
-        self.stats.n_rejected += len(decisions) - sum(decisions)
+        decisions = self._pipeline().run(submissions)
+        self._count(decisions, sum(s.upload_bytes for s in submissions))
         return decisions
 
-    def submit_many_pipelined(
-        self, values, queue_depth: int = 2, executor=None,
-        client_batched: bool = True,
-    ) -> int:
-        """Prepare and pipeline many values; returns the number accepted.
-
-        With ``client_batched`` (the default) the batched plane prover
-        runs as a *producer stage* of the async pipeline
-        (:meth:`~repro.protocol.pipeline.AsyncPrioPipeline.run_values`):
-        the client proves and frames chunk ``N+1`` while the servers
-        ingest and verify chunk ``N``.  ``client_batched=False``
-        prepares every upload up front through the scalar client
-        (identical bytes — the batched prover is bit-identical — just
-        no batching or overlap on the client half).
-        """
-        from repro.protocol.pipeline import AsyncPrioPipeline
-
-        values = list(values)
-        if not client_batched:
-            submissions = self.client.prepare_submissions(
-                values, batched=False
-            )
-            return sum(
-                self.deliver_pipelined(submissions, queue_depth, executor)
-            )
-        pipeline = AsyncPrioPipeline(
-            self.servers,
-            batch_size=self.batch_size,
-            queue_depth=queue_depth,
-            executor=self._resolve_executor(executor),
-            encrypt=self.encrypt,
-        )
-        decisions = pipeline.run_values(self.client, values)
-        self.stats.n_submitted += len(values)
-        self.stats.upload_bytes_total += pipeline.stats.upload_bytes
+    def _count(self, decisions: list[bool], upload_bytes: int) -> None:
+        self.stats.n_submitted += len(decisions)
+        self.stats.upload_bytes_total += upload_bytes
         self.stats.n_accepted += sum(decisions)
         self.stats.n_rejected += len(decisions) - sum(decisions)
-        return sum(decisions)
-
-    def submit_batch(self, values, mutate=None) -> list[bool]:
-        """Prepare and deliver ``values`` as one server-side batch.
-
-        Client proof generation is batched too
-        (:meth:`~repro.protocol.client.PrioClient.prepare_submissions`).
-        ``mutate``, if given, receives ``(index, submission)`` for each
-        prepared submission — the batched fault-injection hook.
-        """
-        submissions = self.client.prepare_submissions(values)
-        if mutate is not None:
-            for index, submission in enumerate(submissions):
-                mutate(index, submission)
-        return self.deliver_batch(submissions)
-
-    def submit_many(self, values) -> int:
-        """Submit many values; returns the number accepted.
-
-        With ``batch_size > 1`` the values run through the batched
-        prove/verify pipeline in chunks of ``batch_size``; otherwise
-        one at a time (identical outcomes either way).
-        """
-        values = list(values)
-        if self.batch_size > 1:
-            accepted = 0
-            for start in range(0, len(values), self.batch_size):
-                chunk = values[start:start + self.batch_size]
-                accepted += sum(self.submit_batch(chunk))
-            return accepted
-        return sum(1 for v in values if self.submit(v))
 
     # ------------------------------------------------------------------
 

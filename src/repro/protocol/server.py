@@ -11,10 +11,16 @@ rejected before verification (the paper notes Prio packets "can be
 replay-protected at the servers"); ids received but not yet decided
 count too, so a replay *inside* a verification batch is caught.
 
-The ``begin_verification_batch``/``finish_verification_batch``/
-``decide_batch`` triple is the vectorized hot path: one
-:class:`~repro.snip.verifier.BatchedSnipVerifierParty` sweep covers a
-whole batch of submissions, with per-submission decisions.
+Everything that enters a server is wire bytes, a batch at a time:
+:meth:`PrioServer.receive_wire_batch` takes encoded packets,
+:meth:`PrioServer.receive_sealed_batch` is a pre-stage that opens
+sealed packets into the same fused sweep.  The
+``begin_verification_batch``/``finish_verification_batch``/
+``decide_batch`` triple then runs one
+:class:`~repro.snip.verifier.BatchedSnipVerifierParty` sweep over the
+whole batch, with per-submission decisions.  There is no scalar path:
+one submission is a batch of one (the scalar SNIP oracle lives in
+:mod:`repro.snip`).
 """
 
 from __future__ import annotations
@@ -36,16 +42,13 @@ from repro.protocol.wire import (
     WireError,
     parse_envelope,
 )
-from repro.sharing.prg import SEED_SIZE, expand_seed, expand_seed_batch
-from repro.snip.proof import SnipProofShare, proof_num_elements
+from repro.sharing.prg import expand_seed_batch
+from repro.snip.proof import proof_num_elements
 from repro.snip.verifier import (
     BatchedSnipVerifierParty,
     Round1Batch,
-    Round1Message,
     Round2Batch,
-    Round2Message,
     ServerRandomness,
-    SnipVerifierParty,
     VerificationContext,
 )
 
@@ -55,71 +58,31 @@ class ProtocolError(ValueError):
 
 
 class PendingSubmission:
-    """A received, de-framed share awaiting verification.
+    """A received, frame-checked share awaiting verification.
 
-    The share vector may be *latent*: a SEED packet stores just its
-    16-byte PRG seed (expanded in one vectorized sweep when the batch
-    is verified) and a plane-ingested EXPLICIT packet stores a row of
-    limb planes.  ``x_share`` / ``proof_share`` materialize Python
-    ints on first access — the scalar-verification fallback; the
-    batched pipeline never touches them.
+    The share vector is *latent* until the batch is ingested: a SEED
+    packet stores just its 16-byte PRG seed (expanded in one vectorized
+    sweep per verification batch) and an EXPLICIT packet stores its row
+    of the fused receive decode.  After ingest both point at their row
+    of the batch's assembled ``(B, n)`` share matrix; the share never
+    exists as Python ints.
     """
 
-    def __init__(
-        self,
-        submission_id: bytes,
-        x_share: "list[int] | None" = None,
-        proof_share: "SnipProofShare | None" = None,
-    ) -> None:
+    def __init__(self, submission_id: bytes) -> None:
         self.submission_id = submission_id
-        self._x_share = x_share
-        self._proof_share = proof_share
-        #: latent sources (at most one is set before materialization)
+        #: latent SEED source (dropped once the row is expanded)
         self._seed: bytes | None = None
+        #: plane source: ``(matrix, row)``
         self._source: "tuple[BatchVector, int] | None" = None
-        #: framing metadata needed to materialize and split lazily
-        self._field = None
-        self._n_inputs = len(x_share) if x_share is not None else None
-        self._n_mul_gates: int | None = None
-        self._n_elements: int | None = None
-
-    @property
-    def x_share(self) -> list[int]:
-        self._materialize()
-        return self._x_share
-
-    @property
-    def proof_share(self) -> "SnipProofShare | None":
-        self._materialize()
-        return self._proof_share
-
-    def _materialize(self) -> None:
-        if self._x_share is not None:
-            return
-        if self._source is not None:
-            vector = self._source[0].row_ints(self._source[1])
-        elif self._seed is not None:
-            vector = expand_seed(self._field, self._seed, self._n_elements)
-        else:
-            raise ProtocolError("pending submission has no share source")
-        k = self._n_inputs
-        self._x_share = vector[:k]
-        if self._n_mul_gates is not None:
-            self._proof_share = SnipProofShare.unflatten(
-                self._field, vector[k:], self._n_mul_gates
-            )
 
     def release(self) -> None:
-        """Drop every share source after the submission is decided.
+        """Drop every share source after the submission is settled.
 
-        Long-running servers hold decided :class:`PendingSubmission`
+        Long-running servers hold settled :class:`PendingSubmission`
         objects only for their ids; without this, each one would pin
-        its materialized per-client bigints (``x_share`` /
-        ``proof_share``) — and, transitively, whole ingested plane
-        matrices — for as long as the caller keeps the handle.
+        its seed or — transitively — a whole ingested plane matrix for
+        as long as the caller keeps the handle.
         """
-        self._x_share = None
-        self._proof_share = None
         self._seed = None
         self._source = None
 
@@ -151,8 +114,7 @@ class PrioServer:
         self.circuit = afe.valid_circuit()
 
         #: the Aggregate state, plane-resident: decoded to Python ints
-        #: only at :meth:`publish` (or through the compatibility
-        #: :attr:`accumulator` property)
+        #: only at :meth:`publish`
         self._accumulator = BatchVector.zeros(
             self.field, (afe.k_prime,),
             tiny_batch_force_pure(afe.k_prime, force_pure_backend),
@@ -173,24 +135,6 @@ class PrioServer:
         self._ctx: VerificationContext | None = None
         #: server-to-server field elements broadcast (Figure 6 metric)
         self.elements_broadcast = 0
-
-    @property
-    def _seen_ids(self) -> ReplayCache:
-        """Compatibility view of the replay cache (``in``, ``len``,
-        iteration, ``clear`` — everything the old ``set`` offered)."""
-        return self._replay
-
-    @property
-    def accumulator(self) -> list[int]:
-        """The accumulator as Python ints (decodes the limb plane)."""
-        return self._accumulator.to_ints()
-
-    @accumulator.setter
-    def accumulator(self, values) -> None:
-        """Replace the accumulator (e.g. after DP noising)."""
-        self._accumulator = BatchVector.from_ints(
-            self.field, list(values), self.force_pure_backend
-        )
 
     # ------------------------------------------------------------------
     # Epoch / context management (the fixed-r optimization)
@@ -227,37 +171,58 @@ class PrioServer:
             batch_size * n, self.force_pure_backend
         )
 
-    def receive_sealed(self, sealed: bytes) -> PendingSubmission:
-        """Receive one sealed packet (a batch of one).
+    def _share_elements(self) -> int:
+        """Share-vector length this task's packets must carry."""
+        if self.circuit is None:
+            return self.afe.k
+        return self.afe.k + proof_num_elements(self.circuit.n_mul_gates)
 
-        Same kernels, checks, and typed errors as
-        :meth:`receive_sealed_batch`; the raised exception is the
-        per-position result the batch path would have reported.
+    def receive_wire_batch(
+        self, payloads: "list[bytes]"
+    ) -> "list[PendingSubmission | Exception]":
+        """Receive a batch of encoded packets; per-position outcomes.
+
+        ``payloads`` holds one encoded :class:`ClientPacket` per
+        position, exactly as length-framed off a socket (in-memory
+        drivers pass ``packet.encode()``).  The result list holds a
+        :class:`PendingSubmission` where the packet was received and
+        the typed exception object where it was refused — a malformed
+        header, wrong server, replay, wrong length or out-of-range
+        element rejects its position alone.  Header fields parse per
+        packet (a cheap fixed-offset slice); every EXPLICIT body joins
+        one fused checked decode.
         """
-        result = self.receive_sealed_batch([sealed])[0]
-        if isinstance(result, Exception):
-            raise result
-        return result
+        out: "list[PendingSubmission | Exception]" = [None] * len(payloads)
+        packets: "list[tuple[int, ClientPacket]]" = []
+        for i, data in enumerate(payloads):
+            try:
+                packets.append(
+                    (i, ClientPacket.decode(bytes(data), self.field))
+                )
+            except WireError as exc:
+                out[i] = exc
+        self._receive_packets(packets, out)
+        return out
 
     def receive_sealed_batch(
         self, payloads: "list[bytes]"
     ) -> "list[PendingSubmission | Exception]":
-        """Open a batch of sealed packets into the fused wire decode.
+        """Open a batch of sealed packets into the fused receive sweep.
 
-        ``payloads`` holds one ``envelope || box`` sealed packet per
-        position (:mod:`repro.protocol.wire` envelope layout).  Per
-        position: the envelope parses (cheap slice), the wrong-server
-        and replay checks run against the *cleartext* envelope fields —
-        before paying the two scalar multiplications of
+        A pre-stage of :meth:`receive_wire_batch`: ``payloads`` holds
+        one ``envelope || box`` sealed packet per position
+        (:mod:`repro.protocol.wire` envelope layout).  Per position:
+        the envelope parses (cheap slice), the wrong-server and replay
+        checks run against the *cleartext* envelope fields — before
+        paying the two scalar multiplications of
         :func:`~repro.crypto.box.open_box` — then the box opens with
         the envelope as associated data (so a grafted envelope fails
         authentication), and the opened packet's inner header must
-        agree with its envelope.  Survivors join one fused
-        :meth:`receive_batch` sweep; every failure rejects its
-        position alone with the typed error object.
+        agree with its envelope.  Survivors join the same fused sweep
+        cleartext packets do; every failure — a server with no box key
+        included — rejects its position alone with the typed error
+        object.
         """
-        if self.box_keypair is None:
-            raise ProtocolError("server has no box key configured")
         out: "list[PendingSubmission | Exception]" = [None] * len(payloads)
         opened: "list[tuple[int, ClientPacket]]" = []
         for i, data in enumerate(payloads):
@@ -267,6 +232,9 @@ class PrioServer:
             except WireError as exc:
                 out[i] = exc
                 continue
+            if self.box_keypair is None:
+                out[i] = ProtocolError("server has no box key configured")
+                continue
             if server_index != self.server_index:
                 out[i] = ProtocolError(
                     f"packet for server {server_index} delivered to "
@@ -275,10 +243,10 @@ class PrioServer:
                 continue
             # Replay pre-check on the envelope sid: a replayed upload
             # must not cost the server an ECDH.  An id that passes here
-            # is re-checked (authenticated, inside receive_batch) after
+            # is re-checked (authenticated, in the fused sweep) after
             # the box opens, so a lying envelope cannot smuggle a
             # replay through.
-            if sid in self._seen_ids or sid in self._pending_ids:
+            if sid in self._replay or sid in self._pending_ids:
                 self.n_replayed += 1
                 out[i] = ProtocolError("replayed submission id")
                 continue
@@ -304,20 +272,18 @@ class PrioServer:
                 )
                 continue
             opened.append((i, packet))
-        if opened:
-            results = self.receive_batch([pkt for _, pkt in opened])
-            for (i, _), result in zip(opened, results):
-                out[i] = result
+        self._receive_packets(opened, out)
         return out
 
-    def _receive_framed(self, packet: ClientPacket) -> PendingSubmission:
-        """Frame-validate one packet; leaves EXPLICIT bodies undecoded.
+    def _check_frame(self, packet: ClientPacket) -> PendingSubmission:
+        """Frame-validate one decoded packet; EXPLICIT bodies stay
+        undecoded.
 
-        Wrong server, replay, body-size inconsistency, and wrong
-        share-vector length all raise here.  On success the packet's id
-        is pending (replay-protected), and the caller owns the body
-        decode — per packet in :meth:`receive`, batched with offender
-        isolation in :meth:`receive_batch`.
+        Wrong server, replay, and wrong share-vector length raise here
+        (:meth:`ClientPacket.decode` already held the body size to the
+        header's claim).  On success the packet's id is pending
+        (replay-protected), and :meth:`_receive_packets` owns the body
+        decode.
         """
         if packet.server_index != self.server_index:
             raise ProtocolError(
@@ -325,89 +291,44 @@ class PrioServer:
                 f"server {self.server_index}"
             )
         if (
-            packet.submission_id in self._seen_ids
+            packet.submission_id in self._replay
             or packet.submission_id in self._pending_ids
         ):
             self.n_replayed += 1
             raise ProtocolError("replayed submission id")
-        k = self.afe.k
-        m = self.circuit.n_mul_gates if self.circuit is not None else None
-        expected = k if m is None else k + proof_num_elements(m)
-        if packet.kind is PacketKind.SEED:
-            if len(packet.body) != SEED_SIZE:
-                raise WireError("seed packet has wrong body size")
-            n = packet.n_elements
-        else:
-            size = self.field.encoded_size
-            if len(packet.body) != packet.n_elements * size:
-                raise WireError("explicit packet has wrong body size")
-            n = packet.n_elements
-        if n != expected:
-            if m is None:
+        expected = self._share_elements()
+        if packet.n_elements != expected:
+            if self.circuit is None:
                 raise WireError("share vector has wrong length")
             raise WireError(
-                f"share vector has {n} elements, expected {expected}"
+                f"share vector has {packet.n_elements} elements, "
+                f"expected {expected}"
             )
         pending = PendingSubmission(packet.submission_id)
-        pending._field = self.field
-        pending._n_inputs = k
-        pending._n_mul_gates = m
-        pending._n_elements = n
         if packet.kind is PacketKind.SEED:
             pending._seed = packet.body
         self._pending_ids.add(packet.submission_id)
         return pending
 
-    def receive(self, packet: ClientPacket) -> PendingSubmission:
-        """De-frame a packet into a (possibly latent) pending submission.
+    def _receive_packets(
+        self,
+        packets: "list[tuple[int, ClientPacket]]",
+        out: "list[PendingSubmission | Exception]",
+    ) -> None:
+        """The fused packet sweep both receive entry points share.
 
-        Framing is validated eagerly — wrong server, replay, body-size
-        inconsistency, wrong share-vector length, and (for EXPLICIT
-        bodies) out-of-range elements all raise here, so a bad upload
-        rejects alone.  The share *values* stay zero-copy: EXPLICIT
-        bodies run through the checked batch byte decoder (a batch of
-        one — the same kernel, range rejection, and wire hardening as
-        every other batch size; no unchecked scalar decode remains),
-        SEED bodies are kept as seeds and expanded in one vectorized
-        sweep per verification batch.
-        """
-        pending = self._receive_framed(packet)
-        if packet.kind is PacketKind.EXPLICIT:
-            try:
-                # Decode on the configured backend, not the tiny-batch
-                # heuristic: a numpy-decoded row joins a later batched
-                # assembly by plane copy, where a pure row would be
-                # re-encoded element by element.
-                pending._source = (
-                    decode_bytes_batch(
-                        self.field, [packet.body], self.force_pure_backend
-                    ),
-                    0,
-                )
-            except FieldError:
-                self._pending_ids.discard(packet.submission_id)
-                raise
-        return pending
-
-    def receive_batch(
-        self, packets: "list[ClientPacket]"
-    ) -> "list[PendingSubmission | Exception]":
-        """Receive a whole batch; per-packet outcomes, one fused decode.
-
-        Semantically equivalent to :meth:`receive` per packet — the
-        result list holds a :class:`PendingSubmission` where that call
-        would have succeeded and the raised exception object where it
-        would have raised — but every EXPLICIT body in the batch
-        decodes through a single checked byte-batch sweep.  An
+        ``packets`` holds ``(position, packet)`` pairs; each position of
+        ``out`` is filled with the received :class:`PendingSubmission`
+        or the exception that refused it.  Every EXPLICIT body in the
+        batch decodes through a single checked byte-batch sweep.  An
         out-of-range element only evicts the offending packet: its row
         is cut from the batch and the remainder re-decodes (honest
         batches pay exactly one sweep).
         """
-        out: "list[PendingSubmission | Exception]" = [None] * len(packets)
         explicit: "list[tuple[int, PendingSubmission, bytes]]" = []
-        for i, packet in enumerate(packets):
+        for i, packet in packets:
             try:
-                pending = self._receive_framed(packet)
+                pending = self._check_frame(packet)
             except (ProtocolError, WireError) as exc:
                 out[i] = exc
                 continue
@@ -428,9 +349,10 @@ class PrioServer:
                     # would blame an innocent upload.  Release every
                     # still-pending id of this sweep (no decision was
                     # made) and fail the whole call loudly instead.
-                    for result in out:
-                        if isinstance(result, PendingSubmission):
-                            self.abandon(result)
+                    for i, _ in packets:
+                        received = out[i]
+                        if isinstance(received, PendingSubmission):
+                            self.abandon(received)
                     raise
                 i, pending, _ = explicit.pop(row)
                 self._pending_ids.discard(pending.submission_id)
@@ -439,79 +361,38 @@ class PrioServer:
             for t, (i, pending, _) in enumerate(explicit):
                 pending._source = (decoded, t)
             break
-        return out
-
-    def receive_wire_batch(
-        self, payloads: "list[bytes]"
-    ) -> "list[PendingSubmission | Exception]":
-        """Receive a batch straight from wire bytes (the transport seam).
-
-        ``payloads`` holds one encoded :class:`ClientPacket` per
-        position, exactly as length-framed off a socket.  Header fields
-        parse per packet (a cheap fixed-offset slice — bodies are never
-        copied element-wise), and every well-framed packet joins the
-        same fused :meth:`receive_batch` sweep; a malformed header
-        rejects its position alone.
-        """
-        out: "list[PendingSubmission | Exception]" = [None] * len(payloads)
-        packets: "list[ClientPacket]" = []
-        positions: list[int] = []
-        for i, data in enumerate(payloads):
-            try:
-                packets.append(ClientPacket.decode(bytes(data), self.field))
-            except WireError as exc:
-                out[i] = exc
-            else:
-                positions.append(i)
-        if packets:
-            for i, result in zip(positions, self.receive_batch(packets)):
-                out[i] = result
-        return out
 
     # ------------------------------------------------------------------
-    # Verification rounds (lock-step with peers).  The batched plane
-    # forms are the only implementation; the per-submission entry
-    # points below them are thin batch-of-one wrappers.
+    # Verification rounds (lock-step with peers), a batch at a time
     # ------------------------------------------------------------------
 
     def _ingest_batch(self, pendings: list[PendingSubmission]) -> BatchVector:
         """Assemble the batch's ``(B, n)`` share matrix, plane-resident.
 
         All latent SEED packets expand through one vectorized PRG
-        sweep; plane-decoded EXPLICIT rows are copied limb-for-limb;
-        already-materialized submissions (the scalar fallback) are
-        re-encoded.  Each pending is re-pointed at its row of the
-        assembled matrix, so later per-submission access (scalar
-        verification, lazy ``x_share``, batched accumulation) shares
-        the same planes.
+        sweep; plane-decoded EXPLICIT rows are copied limb-for-limb.
+        Each pending is re-pointed at its row of the assembled matrix,
+        so verification and accumulation share the same planes (and a
+        second call over the same pendings is the zero-copy fast path
+        of :func:`~repro.field.batch.assemble_rows`).
         """
         force = self._batch_force(len(pendings))
-        seed_pendings = [
-            p for p in pendings
-            if p._seed is not None and p._source is None and p._x_share is None
-        ]
+        seed_pendings = [p for p in pendings if p._source is None]
         if seed_pendings:
             expanded = expand_seed_batch(
                 self.field,
                 [p._seed for p in seed_pendings],
-                seed_pendings[0]._n_elements,
+                self._share_elements(),
                 force,
             )
             for row, pending in enumerate(seed_pendings):
+                pending._seed = None
                 pending._source = (expanded, row)
-        sources: list = []
-        for pending in pendings:
-            if pending._source is not None:
-                sources.append(pending._source)
-            else:
-                row = list(pending.x_share)
-                if pending.proof_share is not None:
-                    row += pending.proof_share.flatten()
-                sources.append(row)
-        matrix = assemble_rows(self.field, sources, force)
+        matrix = assemble_rows(
+            self.field, [p._source for p in pendings], force
+        )
         for row, pending in enumerate(pendings):
-            if pending._x_share is None:
-                pending._source = (matrix, row)
+            pending._source = (matrix, row)
         return matrix
 
     def begin_verification_batch(
@@ -546,19 +427,14 @@ class PrioServer:
     def finish_verification_batch(
         self,
         party: "BatchedSnipVerifierParty | None",
-        round1_batches: "list[Round1Batch] | list[list[Round1Message]]",
+        round1_batches: "list[Round1Batch]",
     ) -> Round2Batch:
         """Round 2: one plane-form broadcast for the whole batch.
 
-        ``round1_batches`` is one :class:`Round1Batch` per server (the
-        legacy per-submission message-list layout is still accepted and
-        converted by the party).
+        ``round1_batches`` is one :class:`Round1Batch` per server.
         """
         if party is None:
-            if round1_batches and isinstance(round1_batches[0], Round1Batch):
-                n = len(round1_batches[0])       # one batch per server
-            else:
-                n = len(round1_batches)          # one message list per sub
+            n = len(round1_batches[0]) if round1_batches else 0
             return Round2Batch.zeros(
                 self.field, n, self.force_pure_backend
             )
@@ -574,30 +450,6 @@ class PrioServer:
             n = len(round2_batches[0]) if round2_batches else 0
             return [True] * n
         return Round2Batch.decide_all(round2_batches)
-
-    # ------------------------------------------------------------------
-    # Per-submission wrappers (a batch of one)
-    # ------------------------------------------------------------------
-
-    def begin_verification(
-        self, pending: PendingSubmission
-    ) -> tuple["BatchedSnipVerifierParty | None", Round1Message]:
-        party, batch = self.begin_verification_batch([pending])
-        return party, batch.at(0)
-
-    def finish_verification(
-        self,
-        party: "BatchedSnipVerifierParty | None",
-        round1_messages: list[Round1Message],
-    ) -> Round2Message:
-        return self.finish_verification_batch(
-            party, [round1_messages]
-        ).at(0)
-
-    def decide(self, round2_messages: list[Round2Message]) -> bool:
-        if self.circuit is None:
-            return True
-        return SnipVerifierParty.decide(self.field, round2_messages)
 
     # ------------------------------------------------------------------
     # Aggregate / publish
@@ -645,8 +497,8 @@ class PrioServer:
             else:
                 rows = shared.take_rows(indices)
         else:
-            # Proof-free AFEs (and scalar-materialized stragglers) skip
-            # begin_verification_batch's ingest; give them the same
+            # Proof-free AFEs skip begin_verification_batch's ingest;
+            # a caller that did not ingest them either gets the same
             # one-sweep expansion/assembly here.
             rows = self._ingest_batch(accepted_pendings)
         batch_sum = rows.slice_columns(self.afe.k_prime).sum_rows()
@@ -659,15 +511,8 @@ class PrioServer:
         for pending in accepted_pendings:
             self._note_accepted(pending)
 
-    def accumulate(self, pending: PendingSubmission) -> None:
-        """Fold the truncated share into the accumulator (step 3).
-
-        A batch of one — the identical plane-resident Aggregate sweep.
-        """
-        self.accumulate_batch([pending], [True])
-
     def _note_accepted(self, pending: PendingSubmission) -> None:
-        """Post-accumulation bookkeeping (shared by both Aggregate paths).
+        """Post-accumulation bookkeeping, per accepted submission.
 
         Order matters: the id enters the replay cache *before* leaving
         ``_pending_ids``, so a concurrent replay check (the async
@@ -692,8 +537,8 @@ class PrioServer:
 
         Used when a peer's receive failed mid-fan-out: this server's
         copy is dropped, and the id must not stay pending (which would
-        make an honest retry look like a replay) nor enter
-        ``_seen_ids`` (no decision was made).  The share sources are
+        make an honest retry look like a replay) nor enter the replay
+        cache (no decision was made).  The share sources are
         released like any other settled submission: an abandoned
         pending must not pin its seed or its row's whole ingested
         plane matrix for as long as the caller keeps the handle."""
@@ -771,9 +616,7 @@ class PrioServer:
 
         Counters and planes are absolute (the snapshotting side held
         the full state); replay ids merge as a delta — the driver-side
-        cache already holds everything from before the run.  A legacy
-        ``seen_ids`` snapshot (full set) replaces the cache contents
-        instead.
+        cache already holds everything from before the run.
 
         Drops the cached verification context: the epoch may have
         advanced elsewhere, and contexts re-derive deterministically
@@ -783,11 +626,7 @@ class PrioServer:
         self.n_accepted = state["n_accepted"]
         self.n_rejected = state["n_rejected"]
         self.n_replayed = state["n_replayed"]
-        if "seen_delta" in state:
-            self._replay.update(state["seen_delta"])
-        else:
-            self._replay.clear()
-            self._replay.update(state["seen_ids"])
+        self._replay.update(state["seen_delta"])
         self._pending_ids = set(state["pending_ids"])
         self._submissions_this_epoch = state["submissions_this_epoch"]
         self._epoch = state["epoch"]
@@ -875,7 +714,6 @@ class PrioServer:
 
         This is the aggregate's single plane -> Python-int crossing:
         the accumulator lives as a limb plane for the server's whole
-        life and decodes only here (and in the compatibility
-        :attr:`accumulator` property).
+        life and decodes only here.
         """
         return self._accumulator.to_ints()

@@ -45,13 +45,16 @@ import os
 from dataclasses import dataclass
 
 from repro.crypto.box import seal
-from repro.field.prime_field import FieldError, PrimeField
+from repro.field.prime_field import PrimeField
 from repro.sharing.prg import SEED_SIZE
 
 MAGIC = b"PR"
 VERSION = 1
 SUBMISSION_ID_SIZE = 16
 _HEADER_SIZE = 2 + 1 + 1 + SUBMISSION_ID_SIZE + 2 + 4
+#: offsets of the submission id inside an encoded packet header
+PACKET_SID_START = 4
+PACKET_SID_END = PACKET_SID_START + SUBMISSION_ID_SIZE
 
 #: sealed-packet envelope: magic(2) | version(1) | sid(16) | index(2)
 ENVELOPE_MAGIC = b"PS"
@@ -128,7 +131,7 @@ class ClientPacket:
             kind = PacketKind(data[3])
         except ValueError as exc:
             raise WireError(f"unknown packet kind {data[3]}") from exc
-        submission_id = data[4:20]
+        submission_id = data[PACKET_SID_START:PACKET_SID_END]
         server_index = int.from_bytes(data[20:22], "big")
         n_elements = int.from_bytes(data[22:26], "big")
         if n_elements > MAX_N_ELEMENTS:
@@ -201,92 +204,37 @@ def parse_envelope(data: bytes) -> "tuple[bytes, int, bytes]":
     return submission_id, server_index, bytes(data[ENVELOPE_SIZE:])
 
 
+def is_sealed_payload(payload: bytes) -> bool:
+    """True when ``payload`` opens with the sealed-envelope magic."""
+    return bytes(payload[:2]) == ENVELOPE_MAGIC
+
+
+def routing_id(payload: bytes) -> bytes:
+    """Submission id of one uploaded payload, raw or sealed.
+
+    The one owner of the header offsets routing infrastructure needs
+    (the transport's response frames, the sharded fan-out's id
+    partition): raw packets carry the id in the :class:`ClientPacket`
+    header, sealed packets in their cleartext envelope — a fixed-offset
+    slice either way, the box is never touched.  The id is a routing
+    hint only; the receiving server re-validates everything.  Raises
+    :class:`WireError` when the bytes are too short to hold the id.
+    """
+    if is_sealed_payload(payload):
+        sid = bytes(payload[ENVELOPE_SID_START:ENVELOPE_SID_END])
+    else:
+        sid = bytes(payload[PACKET_SID_START:PACKET_SID_END])
+    if len(sid) != SUBMISSION_ID_SIZE:
+        raise WireError("payload too short to carry a submission id")
+    return sid
+
+
 def seal_packet(recipient_public, packet: ClientPacket, rng=None) -> bytes:
     """Seal one packet to its server: ``envelope || box(.., ad=env)``."""
     envelope = encode_envelope(packet.submission_id, packet.server_index)
     return envelope + seal(
         recipient_public, packet.encode(), rng, associated_data=envelope
     )
-
-
-def share_vectors_batch(field: PrimeField, packets, force_pure=None):
-    """Materialize many packets' share vectors as one ``(B, n)`` batch.
-
-    The zero-copy ingest entry point: SEED bodies expand through the
-    vectorized PRG (:func:`repro.sharing.prg.expand_seed_batch`) and
-    EXPLICIT bodies decode straight from wire bytes to limb planes
-    (:func:`repro.field.batch.decode_bytes_batch`), then both merge —
-    plane copies, no per-element Python ints — into a single
-    :class:`~repro.field.batch.BatchVector` whose row order matches
-    ``packets``.  Row ``i`` is bit-identical to
-    ``packets[i].share_vector(field)``.
-
-    All packets must agree on ``n_elements`` (one verification batch
-    shares one AFE).  Malformed bodies raise :class:`WireError`;
-    out-of-range explicit elements raise
-    :class:`~repro.field.prime_field.FieldError` naming the batch
-    position.
-
-    This is the one-call entry point for callers that hold a whole
-    batch of packets at once (benchmarks, offline re-verification,
-    custom transports).  :class:`~repro.protocol.server.PrioServer`
-    builds its share matrix from the same three kernels but splits the
-    dispatch across its receive/verify phases — EXPLICIT bodies decode
-    (checked) per packet at ``receive`` time so an out-of-range upload
-    rejects *alone*, while SEED expansion and row assembly happen in
-    the per-batch ``_ingest_batch`` sweep; a whole-batch raise here
-    could not express that isolation.
-    """
-    from repro.field.batch import (
-        _out_of_range_error,
-        assemble_rows,
-        decode_bytes_batch,
-    )
-    from repro.sharing.prg import expand_seed_batch
-
-    packets = list(packets)
-    if not packets:
-        raise WireError("share_vectors_batch needs at least one packet")
-    n = packets[0].n_elements
-    for packet in packets:
-        if packet.n_elements != n:
-            raise WireError("mixed share-vector lengths in batch")
-        if packet.kind is PacketKind.SEED and len(packet.body) != SEED_SIZE:
-            raise WireError("seed packet has wrong body size")
-        if packet.kind is PacketKind.EXPLICIT and (
-            len(packet.body) != n * field.encoded_size
-        ):
-            raise WireError("explicit packet has wrong body size")
-    seed_idx = [
-        i for i, p in enumerate(packets) if p.kind is PacketKind.SEED
-    ]
-    expl_idx = [
-        i for i, p in enumerate(packets) if p.kind is PacketKind.EXPLICIT
-    ]
-    sources: list = [None] * len(packets)
-    if seed_idx:
-        expanded = expand_seed_batch(
-            field, [packets[i].body for i in seed_idx], n, force_pure
-        )
-        for t, i in enumerate(seed_idx):
-            sources[i] = (expanded, t)
-    if expl_idx:
-        try:
-            decoded = decode_bytes_batch(
-                field, [packets[i].body for i in expl_idx], force_pure
-            )
-        except FieldError as exc:
-            # Remap the EXPLICIT-subset position to the caller's
-            # packet order before reporting.
-            row = getattr(exc, "batch_row", None)
-            if row is None:
-                raise
-            raise _out_of_range_error(
-                expl_idx[row], exc.batch_element
-            ) from exc
-        for t, i in enumerate(expl_idx):
-            sources[i] = (decoded, t)
-    return assemble_rows(field, sources, force_pure)
 
 
 def new_submission_id(rng=None) -> bytes:

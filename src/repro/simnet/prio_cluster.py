@@ -1,33 +1,35 @@
 """Run the full Prio verification protocol over the simulated WAN.
 
-The in-process runner (:mod:`repro.protocol.runner`) executes servers
-lock-step, which hides message timing entirely.  This module instead
-drives real :class:`~repro.protocol.server.PrioServer` instances as
-asynchronous nodes of a :class:`~repro.simnet.network.SimNetwork`:
-upload packets, round-1 and round-2 broadcasts are all delivered by the
-event queue with topology latencies, and servers make progress purely
-by reacting to messages — submissions interleave exactly as they would
-across a real WAN.
+The in-memory drivers (:mod:`repro.protocol.pipeline`) sweep every
+server in lock-step, which hides message timing entirely.  This module
+instead drives real :class:`~repro.protocol.server.PrioServer`
+instances as asynchronous nodes of a
+:class:`~repro.simnet.network.SimNetwork`: upload packets, round-1 and
+round-2 broadcasts are all delivered by the event queue with topology
+latencies, and servers make progress purely by reacting to messages —
+submissions interleave exactly as they would across a real WAN.
 
 Verification is *group-granular*: each server buffers arriving uploads
-into groups of ``batch_size`` (1 by default — one submission per
-group, the paper's baseline) and runs the vectorized
-``begin_verification_batch``/``finish_verification_batch`` path once
-per group, so one round-1/round-2 broadcast carries a whole group's
-messages.  Upload order is deterministic per link, so every server
-forms identical groups; group membership is carried in the broadcasts
-and cross-checked.  Decisions, accumulation, and replay protection
-remain per submission.
+(wire bytes) into groups of ``batch_size`` (1 by default — one
+submission per group, the paper's baseline) and, once a group is full,
+runs it through the same batch-id-keyed ops every other driver uses
+(:class:`~repro.protocol.fanout._ServerOps`, the group id as batch id):
+``receive_wire`` + ``ingest`` + ``round1`` at group formation,
+``round2`` when every peer's round-1 broadcast is in, ``accumulate``
+when every round-2 broadcast is in — so one broadcast carries a whole
+group's messages.  Only the *schedule* is this module's own; there is
+no driver to intersect survivors across servers, so a refusal every
+server shares (a replayed id) drops its position from the group, while
+one they disagree on fails the run loudly through the group-membership
+cross-check the broadcasts carry.
 
-Server-side CPU work executes through the same backend seam as the
-async pipeline (:mod:`repro.protocol.fanout`): ``executor="inline"``
-(default) runs it on the event loop's thread, ``executor="process"``
-gives every simulated server a dedicated worker process that owns its
-state — the single-host stand-in for the paper's
-one-server-per-machine deployment.  The event schedule, group
-membership, and decisions are identical either way (asserted by the
-integration tests); the node adapters only ever exchange ids and
-plane-form round batches with the backend.
+Server-side CPU work executes through the fan-out seam
+(:mod:`repro.protocol.fanout`): ``executor="inline"`` (default) runs it
+on the event loop's thread, ``executor="process"`` gives every
+simulated server a dedicated worker process that owns its state — the
+single-host stand-in for the paper's one-server-per-machine
+deployment.  The event schedule, group membership, and decisions are
+identical either way (asserted by the integration tests).
 
 Used by the integration tests (correctness must be independent of
 message timing and of ``batch_size``) and by latency experiments (how
@@ -43,6 +45,7 @@ from repro.afe.base import Afe
 from repro.protocol.client import PrioClient
 from repro.protocol.fanout import ServerFanout, resolve_fanout
 from repro.protocol.server import PrioServer
+from repro.protocol.wire import routing_id
 from repro.simnet.network import SimError, SimNetwork
 from repro.simnet.regions import Topology
 from repro.snip.verifier import Round1Batch, Round2Batch, ServerRandomness
@@ -81,10 +84,10 @@ class ClusterReport:
 class _ServerNode:
     """Adapter: a PrioServer reacting to simulated network messages.
 
-    The node owns only bookkeeping (group membership, arrival buffers,
-    decision log); the server's actual state — pendings, verifier
-    parties, accumulator — lives behind the fan-out backend, which may
-    be this process or a dedicated worker per server.
+    The node owns only bookkeeping (group membership, arrival buffers
+    of wire bytes, decision log); the server's actual state — pendings,
+    verifier parties, accumulator — lives behind the fan-out backend,
+    which may be this process or a dedicated worker per server.
     """
 
     def __init__(
@@ -103,6 +106,7 @@ class _ServerNode:
         self.batch_size = batch_size
         self.expected_uploads = expected_uploads
         self.uploads_received = 0
+        #: arrived, not yet grouped: one encoded packet per upload
         self._buffer: list[bytes] = []
         self._next_group = 0
         self.groups: dict[int, _GroupState] = {}
@@ -120,10 +124,9 @@ class _ServerNode:
 
     # ------------------------------------------------------------------
 
-    async def _on_upload(self, net: SimNetwork, packet) -> None:
-        sid = await self.fanout.call(self.index, "receive_one", packet)
+    async def _on_upload(self, net: SimNetwork, payload: bytes) -> None:
         self.uploads_received += 1
-        self._buffer.append(sid)
+        self._buffer.append(payload)
         # Close the group when full — or when no further uploads can
         # arrive (the final, possibly partial, group).
         if (
@@ -133,10 +136,18 @@ class _ServerNode:
             await self._form_group(net)
 
     async def _form_group(self, net: SimNetwork) -> None:
-        sids = tuple(self._buffer)
+        payloads = list(self._buffer)
         self._buffer.clear()
         gid = self._next_group
         self._next_group += 1
+        verdicts = await self.fanout.call(
+            self.index, "receive_wire", gid, payloads
+        )
+        keep = [pos for pos, v in enumerate(verdicts) if v is None]
+        await self.fanout.call(self.index, "ingest", gid, keep)
+        sids = tuple(routing_id(payloads[pos]) for pos in keep)
+        if not sids:
+            return  # every upload refused (replays): nothing to verify
         state = self.groups.get(gid)
         if state is None:
             state = self.groups[gid] = _GroupState(sids=sids)
@@ -147,7 +158,7 @@ class _ServerNode:
                 raise SimError(f"group {gid} membership disagreement")
             state.sids = sids
         state.formed = True
-        round1 = await self.fanout.call(self.index, "begin_group", gid, sids)
+        round1 = await self.fanout.call(self.index, "round1", gid)
         state.round1[self.index] = round1
         # The broadcast carries the plane-form batch; the byte cost on
         # the simulated wire is unchanged (two elements per submission).
@@ -190,7 +201,7 @@ class _ServerNode:
             state.round1[s] for s in range(self.n_servers)
         ]
         round2 = await self.fanout.call(
-            self.index, "finish_group", gid, round1_batches
+            self.index, "round2", gid, round1_batches
         )
         state.round2_sent = True
         state.round2[self.index] = round2
@@ -221,7 +232,7 @@ class _ServerNode:
             state.round2[s] for s in range(self.n_servers)
         ]
         decisions = self.server.decide_batch(round2_batches)
-        await self.fanout.call(self.index, "settle_group", gid, decisions)
+        await self.fanout.call(self.index, "accumulate", gid, decisions)
         for sid, accepted in zip(state.sids, decisions):
             self.decisions[sid] = accepted
             self.decision_times.append(net.clock)
@@ -237,7 +248,6 @@ def run_cluster(
     mutate=None,
     batch_size: int = 1,
     executor: "str | None" = "inline",
-    client_batch_size: int = 1,
 ) -> ClusterReport:
     """Submit ``values`` through a simulated cluster; fully verify all.
 
@@ -251,18 +261,12 @@ def run_cluster(
     backend-independent.  Server handlers execute through the network's
     latency-window concurrency (:meth:`SimNetwork.run_async`), so with
     a thread/process/sharded backend distinct servers' CPU work
-    genuinely overlaps instead of serializing through ``call_sync``.
-    ``client_batch_size > 1`` prepares uploads through the batched
-    plane-resident client prover in chunks of that size — end-to-end
-    cluster runs are then batched on *both* halves of the protocol;
-    the batched prover is bit-identical to the scalar client, so the
-    report (decisions, bytes, schedule) is unchanged (asserted by the
-    integration tests).
+    genuinely overlaps.  Uploads come from the batched plane-resident
+    client prover; ``mutate(index, submission)`` may corrupt each one
+    before it is sent.
     """
     if batch_size < 1:
         raise SimError("batch_size must be >= 1")
-    if client_batch_size < 1:
-        raise SimError("client_batch_size must be >= 1")
     if not (executor is None or isinstance(executor, str)):
         # The cluster constructs its own fresh servers below; a caller
         # fanout is bound to *its* servers, so its ops would mutate
@@ -294,26 +298,17 @@ def run_cluster(
             net.register(node.index, node.handle)
 
         client = PrioClient(afe, n_servers, rng=rng)
-        for start in range(0, len(values), client_batch_size):
-            chunk = values[start:start + client_batch_size]
-            if client_batch_size > 1:
-                submissions = client.prepare_submissions(chunk, batched=True)
-            else:
-                submissions = [client.prepare_submission(v) for v in chunk]
-            for offset, submission in enumerate(submissions):
-                index = start + offset
-                if mutate is not None:
-                    mutate(index, submission)
-                # Clients are modelled at the leader's site (site 0):
-                # upload packets fan out from there with the topology's
-                # latencies.
-                for packet in submission.packets:
-                    net.send(
-                        0,
-                        packet.server_index,
-                        ("upload", packet),
-                        packet.encoded_size(),
-                    )
+        submissions = client.prepare_submissions(values)
+        for index, submission in enumerate(submissions):
+            if mutate is not None:
+                mutate(index, submission)
+            # Clients are modelled at the leader's site (site 0): upload
+            # packets fan out from there with the topology's latencies.
+            for packet in submission.packets:
+                payload = packet.encode()
+                net.send(
+                    0, packet.server_index, ("upload", payload), len(payload)
+                )
         # Latency-window concurrency: handlers at distinct servers run
         # through asyncio.gather, so per-server worker pools (thread,
         # process, sharded) genuinely overlap — the event schedule and

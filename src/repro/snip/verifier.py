@@ -606,7 +606,7 @@ class BatchedSnipVerifierParty:
 
         ``matrix`` rows are the flattened uploads ``z = x_share ||
         proof_share.flatten()`` exactly as they crossed the wire
-        (:func:`repro.protocol.wire.share_vectors_batch`).  No
+        (``PrioServer.receive_wire_batch`` -> ``_ingest_batch``).  No
         per-element Python ints are materialized anywhere — the
         Beaver-triple columns are plane views of the matrix.
         """

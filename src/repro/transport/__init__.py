@@ -1,23 +1,21 @@
 """Real socket transport for Prio uploads.
 
-The in-memory pipeline (:mod:`repro.protocol.pipeline`) moves
-submissions as Python packet objects; this package puts the same
-batched verification core behind real sockets:
+This package puts the batch protocol (:mod:`repro.protocol.pipeline`)
+behind real sockets:
 
 * :mod:`repro.transport.framing` — the length-framed stream format
   (one upload frame per submission, one response frame per decision)
   and an incremental, bounded frame parser.
 * :mod:`repro.transport.server` — an asyncio TCP / unix-socket front
   end that frames uploads off the wire into per-server byte batches
-  and drives the fan-out op seam (receive -> ingest -> rounds ->
-  accumulate), with watermark backpressure, per-connection rate
-  limiting, load shedding, and graceful drain.
+  and runs the shared batch protocol on them, with watermark
+  backpressure, per-connection rate limiting, load shedding, and
+  graceful drain.
 * :mod:`repro.transport.client` — the matching framing client (used
-  by the soak benchmark's client processes and the tests).
+  by the end-to-end benchmark's load generator and the tests).
 
-Decisions are bit-identical to the in-memory paths by construction:
-the transport executes the same :class:`~repro.protocol.fanout._ServerOps`
-implementation every other entry point uses.
+Decisions are bit-identical to the in-memory drivers by construction:
+the same wire bytes enter the same two protocol coroutines.
 """
 
 from repro.transport.framing import (

@@ -12,7 +12,7 @@ Upload frame (client -> server)::
 Each ``pkt_bytes`` is one encoded :class:`~repro.protocol.wire
 .ClientPacket` — or, when the deployment encrypts uploads, one sealed
 packet (``envelope || box``; the envelope's ``b"PS"`` magic
-distinguishes the two, see :func:`packet_submission_id`) — one per
+distinguishes the two, see :func:`repro.protocol.wire.routing_id`) — one per
 logical Prio server, in server order.  The frame is the unit of
 submission: all of one client value's packets travel together so the
 front end can fan them out to every logical server as one batch
@@ -39,11 +39,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.protocol.wire import (
-    ENVELOPE_MAGIC,
-    ENVELOPE_SID_END,
-    ENVELOPE_SID_START,
-)
+from repro.protocol.wire import WireError, routing_id
 
 __all__ = [
     "FrameAssembler",
@@ -53,7 +49,6 @@ __all__ = [
     "decode_response",
     "encode_response",
     "encode_upload",
-    "is_sealed_packet",
     "packet_submission_id",
     "split_upload",
 ]
@@ -127,35 +122,16 @@ def split_upload(payload: bytes) -> "list[bytes]":
     return packets
 
 
-#: offsets of the submission id inside a raw encoded ClientPacket
-#: (mirrors ``repro.protocol.wire``: magic(2) | version(1) | kind(1) |
-#: id(16))
-_PACKET_SID_START, _PACKET_SID_END = 4, 20
-
-
-def is_sealed_packet(pkt: bytes) -> bool:
-    """True when ``pkt`` opens with the sealed-envelope magic."""
-    return bytes(pkt[:2]) == ENVELOPE_MAGIC
-
-
 def packet_submission_id(pkt: bytes) -> bytes:
-    """Submission id of one uploaded packet, raw or sealed.
-
-    Raw packets carry the id in the :class:`~repro.protocol.wire
-    .ClientPacket` header; sealed packets carry it in their cleartext
-    envelope.  Either way it is a fixed-offset slice — the box itself
-    is never touched here.  Raises :class:`FrameError` when the bytes
-    are too short to hold the id.
+    """Submission id of one uploaded packet, raw or sealed
+    (:func:`repro.protocol.wire.routing_id`).  Raises
+    :class:`FrameError` — the connection-poisoning error — when the
+    bytes are too short to hold the id.
     """
-    if is_sealed_packet(pkt):
-        if len(pkt) < ENVELOPE_SID_END:
-            raise FrameError(
-                "sealed packet too short to carry a submission id"
-            )
-        return bytes(pkt[ENVELOPE_SID_START:ENVELOPE_SID_END])
-    if len(pkt) < _PACKET_SID_END:
-        raise FrameError("packet too short to carry a submission id")
-    return bytes(pkt[_PACKET_SID_START:_PACKET_SID_END])
+    try:
+        return routing_id(pkt)
+    except WireError as exc:
+        raise FrameError(str(exc)) from exc
 
 
 def encode_response(submission_id: bytes, status: Status) -> bytes:

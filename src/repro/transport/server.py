@@ -3,11 +3,12 @@
 :class:`PrioTransportServer` hosts a full logical server set behind
 real TCP and/or unix-domain listeners.  Clients stream length-framed
 uploads (:mod:`repro.transport.framing`); the front end groups them
-into verification batches and drives the same batch-id-keyed op seam
-(:class:`~repro.protocol.fanout._ServerOps`) the in-memory pipeline
-uses — receive straight from wire bytes, plane ingest, the two SNIP
-rounds, accumulate — so decisions are bit-identical to
-:func:`~repro.protocol.pipeline.run_pipelined` on the same uploads.
+into verification batches and hands each batch to the one batch
+protocol (:func:`~repro.protocol.pipeline.receive_and_ingest` then
+:func:`~repro.protocol.pipeline.verify_and_accumulate`) the in-memory
+pipeline runs — so decisions, and what happens when a worker crashes,
+are identical to :func:`~repro.protocol.pipeline.run_pipelined` on the
+same uploads.
 Packet bytes go from the socket buffer to the fused batch decode with
 no intermediate per-packet materialization: frames split into byte
 slices, headers parse as fixed-offset views, and every body joins one
@@ -54,14 +55,15 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.protocol.fanout import ServerFanout, resolve_fanout
+from repro.protocol.pipeline import receive_and_ingest, verify_and_accumulate
 from repro.protocol.server import PrioServer
+from repro.protocol.wire import is_sealed_payload
 from repro.transport.framing import (
     DEFAULT_MAX_FRAME,
     FrameAssembler,
     FrameError,
     Status,
     encode_response,
-    is_sealed_packet,
     packet_submission_id,
     split_upload,
 )
@@ -93,15 +95,10 @@ class TransportConfig:
     #: (optionally with a ":K" shard suffix, e.g. "process:4"), a
     #: ready ServerFanout, or None for the host-sized default
     executor: object = None
-    #: shard each logical server across this many workers of the
-    #: selected executor kind (equivalent to the ":K" suffix)
-    n_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
         if self.high_watermark is None:
             self.high_watermark = 4 * self.batch_size
         if self.low_watermark is None:
@@ -315,6 +312,8 @@ class PrioTransportServer:
         self._next_batch_id = 0
         #: test/ops hook: clear to stall the verify worker mid-stream
         self._verify_gate: "asyncio.Event | None" = None
+        #: first accumulate-sweep failure; re-raised by :meth:`stop`
+        self._commit_failure: "Exception | None" = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -332,8 +331,7 @@ class PrioTransportServer:
         self._verify_gate = asyncio.Event()
         self._verify_gate.set()
         self._fanout, self._owned_fanout = resolve_fanout(
-            self.servers, self.config.executor, self.config.batch_size,
-            self.config.n_shards,
+            self.servers, self.config.executor, self.config.batch_size
         )
         self.stats.executor = self._fanout.kind
         if not self._owned_fanout:
@@ -377,7 +375,9 @@ class PrioTransportServer:
         arriving on live connections answer ``BUSY``, the partial
         batch flushes, and the call returns only after every queued
         batch has been decided and responded to.  No submission id is
-        left pending at any logical server.
+        left pending at any logical server.  Raises the first
+        commit-point (accumulate) failure of the serve, if any — the
+        published aggregate cannot be trusted after one.
         """
         if not self._started:
             return
@@ -420,6 +420,9 @@ class PrioTransportServer:
             if conn.transport is not None:
                 conn.transport.close()
         self._started = False
+        failure, self._commit_failure = self._commit_failure, None
+        if failure is not None:
+            raise failure
 
     async def __aenter__(self) -> "PrioTransportServer":
         await self.start()
@@ -475,7 +478,7 @@ class PrioTransportServer:
         except FrameError:
             conn.poison()
             return False
-        sealed = is_sealed_packet(payloads[0])
+        sealed = is_sealed_payload(payloads[0])
         self.stats.n_submissions += 1
         if self._draining or self._pending >= self.config.shed_limit:
             self.stats.n_shed += 1
@@ -533,28 +536,15 @@ class PrioTransportServer:
             try:
                 await self._verify_gate.wait()
                 await self._process_batch(batch)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - isolate to the batch
-                # Backend failure after receive may have left ids
-                # pending at some servers; abandon so retries work.
-                await self._cleanup_batch(self._next_batch_id - 1,
-                                          "abandon_all")
-                self.stats.n_worker_failures += len(batch)
-                for upload in batch:
-                    upload.conn.send_response(
-                        upload.submission_id, Status.BUSY
-                    )
-                self._settle(len(batch))
+            except Exception as exc:  # noqa: BLE001 - the commit point
+                # Only a failed accumulate sweep gets here: servers that
+                # folded the batch cannot roll back, so the aggregate may
+                # be divergent.  Stop admitting (uploads answer BUSY),
+                # keep the drain alive, and fail the serve at stop().
+                self._draining = True
+                self._commit_failure = self._commit_failure or exc
             finally:
                 self._batch_q.task_done()
-
-    async def _cleanup_batch(self, batch_id: int, op: str) -> None:
-        for s in range(len(self.servers)):
-            try:
-                await self._fanout.call(s, op, batch_id)
-            except Exception:  # noqa: BLE001 - backend may be gone
-                continue
 
     def _payloads_for(self, server_slot: int, batch) -> "list[bytes]":
         """One server's packet bytes, routed by *protocol* index (a
@@ -563,81 +553,50 @@ class PrioTransportServer:
         index = self.servers[server_slot].server_index
         return [upload.payloads[index] for upload in batch]
 
+    def _respond(self, uploads, statuses) -> None:
+        """Answer ``uploads`` and account them as decided."""
+        for upload, status in zip(uploads, statuses):
+            upload.conn.send_response(upload.submission_id, status)
+        self._settle(len(uploads))
+
     async def _process_batch(self, batch: "list[_PendingUpload]") -> None:
-        fanout = self._fanout
-        n_servers = len(self.servers)
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         self.stats.n_batches += 1
-        receive_op = "receive_sealed" if batch[0].sealed else "receive_wire"
-        received = await fanout.sweep(receive_op, [
-            (batch_id, self._payloads_for(s, batch))
-            for s in range(n_servers)
-        ])
-        survivors: "list[_PendingUpload]" = []
-        keep: "list[int]" = []
-        for pos, upload in enumerate(batch):
-            if any(received[s][pos] is not None for s in range(n_servers)):
-                # At least one server refused the frame (replay, bad
-                # range, wrong length...): reject this upload alone.
-                # The ingest sweep below abandons it wherever receive
-                # succeeded.
-                self.stats.n_rejected += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-            else:
-                survivors.append(upload)
-                keep.append(pos)
-        self._settle(len(batch) - len(survivors))
-        if not survivors:
-            await fanout.sweep("ingest", [(batch_id, keep)] * n_servers)
-            return
-        try:
-            await fanout.sweep("ingest", [(batch_id, keep)] * n_servers)
-            round1 = await fanout.sweep(
-                "round1", [(batch_id,)] * n_servers
-            )
-            round2 = await fanout.sweep(
-                "round2", [(batch_id, round1)] * n_servers
-            )
-            decisions = self.servers[0].decide_batch(round2)
-        except asyncio.CancelledError:
-            raise
-        except ValueError:
-            # Defensive mirror of the in-memory pipeline: shapes were
-            # validated at receive time, so reject the whole batch
-            # rather than mis-credit any of it.
-            await self._cleanup_batch(batch_id, "reject_all")
-            self.stats.n_rejected += len(survivors)
-            for upload in survivors:
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-            self._settle(len(survivors))
-            return
-        except Exception:
-            # Worker/backend crash mid-rounds: nothing committed yet.
-            await self._cleanup_batch(batch_id, "abandon_all")
-            self.stats.n_worker_failures += len(survivors)
-            for upload in survivors:
-                upload.conn.send_response(upload.submission_id, Status.BUSY)
-            self._settle(len(survivors))
-            return
-        # The commit point: accumulate must not be caught per batch —
-        # a partial commit would leave the server set divergent.
-        await fanout.sweep(
-            "accumulate", [(batch_id, decisions)] * n_servers
+        ingested = await receive_and_ingest(
+            self._fanout,
+            batch_id,
+            [
+                self._payloads_for(s, batch)
+                for s in range(len(self.servers))
+            ],
+            sealed=batch[0].sealed,
         )
-        for upload, accepted in zip(survivors, decisions):
-            if accepted:
-                self.stats.n_accepted += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.ACCEPTED
+        # At least one server refused the frame (replay, bad range,
+        # wrong length...): reject those uploads alone, right away.
+        refused = [
+            upload for upload, refusal in zip(batch, ingested.refusals)
+            if refusal is not None
+        ]
+        self.stats.n_rejected += len(refused)
+        self._respond(refused, [Status.REJECTED] * len(refused))
+        survivors = [batch[pos] for pos in ingested.keep]
+        decisions = None
+        try:
+            if not ingested.abandoned:
+                decisions = await verify_and_accumulate(
+                    self._fanout, self.servers, ingested
                 )
-            else:
-                self.stats.n_rejected += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-        self._settle(len(survivors))
+        finally:
+            if decisions is None:
+                # A worker failed: nothing was decided, the ids are
+                # released, the client may retry.
+                self.stats.n_worker_failures += len(survivors)
+                self._respond(survivors, [Status.BUSY] * len(survivors))
+        if decisions is not None:
+            self.stats.n_accepted += sum(decisions)
+            self.stats.n_rejected += len(decisions) - sum(decisions)
+            self._respond(survivors, [
+                Status.ACCEPTED if accepted else Status.REJECTED
+                for accepted in decisions
+            ])

@@ -28,7 +28,7 @@ from repro.circuit import (
 )
 from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
 from repro.field.batch import BatchVector
-from repro.protocol import PrioClient, PrioServer
+from repro.protocol import PrioClient, PrioServer, run_pipelined
 from repro.snip import ServerRandomness
 from repro.workloads.scenarios import all_scenarios, scenario_by_name
 
@@ -225,41 +225,11 @@ def _corrupt_element(field, packet, element, delta=1):
 
 
 def _run_batch(servers, submissions):
-    """receive_batch → plane rounds → accumulate; per-submission results."""
-    n_servers = len(servers)
-    outs = [
-        server.receive_batch([sub.packets[s] for sub in submissions])
-        for s, server in enumerate(servers)
-    ]
-    results = [None] * len(submissions)
-    survivors = []
-    for pos in range(len(submissions)):
-        if any(isinstance(outs[s][pos], Exception) for s in range(n_servers)):
-            for s, server in enumerate(servers):
-                if not isinstance(outs[s][pos], Exception):
-                    server.abandon(outs[s][pos])
-            results[pos] = False
-        else:
-            survivors.append(pos)
-    parties, round1 = [], []
-    for s, server in enumerate(servers):
-        party, batch = server.begin_verification_batch(
-            [outs[s][pos] for pos in survivors]
-        )
-        parties.append(party)
-        round1.append(batch)
-    round2 = [
-        server.finish_verification_batch(party, round1)
-        for server, party in zip(servers, parties)
-    ]
-    decisions = servers[0].decide_batch(round2)
-    for s, server in enumerate(servers):
-        server.accumulate_batch(
-            [outs[s][pos] for pos in survivors], decisions
-        )
-    for pos, accepted in zip(survivors, decisions):
-        results[pos] = accepted
-    return results
+    """One batch through the batch protocol; per-submission results."""
+    decisions, _ = run_pipelined(
+        servers, submissions, batch_size=len(submissions), executor="inline"
+    )
+    return decisions
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
@@ -272,7 +242,7 @@ def test_scenario_corrupted_row_rejects_alone(force_pure):
     client = PrioClient(afe, 3, rng=random.Random(93))
     values = [scenario.generate(rng) for _ in range(5)]
     submissions = client.prepare_submissions(
-        values, batched=True, force_pure=force_pure
+        values, force_pure=force_pure
     )
     bad = rng.randrange(len(submissions))
     # Shift one input-share element in the explicit (last) packet.

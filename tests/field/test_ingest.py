@@ -1,13 +1,13 @@
 """Randomized equivalence tests for the zero-copy ingest pipeline.
 
 The fast path — wire bytes / PRG streams straight into limb planes
-(``decode_bytes_batch`` / ``expand_seed_batch`` /
-``share_vectors_batch``) — must be *bit-exact* with the scalar path
-(``field.decode_vector`` / ``expand_seed`` /
+(``decode_bytes_batch`` / ``expand_seed_batch`` / the server's
+``receive_wire_batch`` -> ``_ingest_batch``) — must be *bit-exact* with
+the scalar path (``field.decode_vector`` / ``expand_seed`` /
 ``ClientPacket.share_vector``) across every shipped modulus, on both
 backends, for SEED and EXPLICIT packets alike.  Adversarial bodies
 (out-of-range elements, truncated/padded bodies) are planted at random
-batch positions and must be rejected with the position identified.
+batch positions and must be rejected at exactly that position.
 """
 
 import random
@@ -32,7 +32,7 @@ from repro.field import (
     poly_mul_ntt,
     use_numpy,
 )
-from repro.protocol import PrioDeployment, share_vectors_batch
+from repro.protocol import PendingSubmission, PrioDeployment, PrioServer
 from repro.protocol.wire import (
     MAX_N_ELEMENTS,
     ClientPacket,
@@ -42,6 +42,7 @@ from repro.protocol.wire import (
 )
 from repro.sharing import expand_seed, expand_seed_batch, new_seed
 from repro.sharing.prg import SEED_SIZE
+from repro.snip import ServerRandomness
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 
@@ -162,8 +163,42 @@ def test_expand_seed_batch_rejects_bad_seed():
 
 
 # ----------------------------------------------------------------------
-# share_vectors_batch (SEED + EXPLICIT dispatch)
+# receive_wire_batch -> ingested share matrix (SEED + EXPLICIT dispatch)
 # ----------------------------------------------------------------------
+
+
+class _RawShareAfe:
+    """Proof-free stand-in AFE: any ``k``-vector over ``field`` is a
+    valid share, so the server ingests arbitrary packet bodies."""
+
+    def __init__(self, field, k):
+        self.field, self.k, self.k_prime = field, k, k
+
+    def valid_circuit(self):
+        return None
+
+
+def _receive(field, packets, force_pure, width=None):
+    """One server's receive of ``packets`` (encoded to wire bytes)."""
+    width = packets[0].n_elements if width is None else width
+    server = PrioServer(
+        _RawShareAfe(field, width), 0, 2, ServerRandomness(b"ingest"),
+        force_pure_backend=force_pure,
+    )
+    return server, server.receive_wire_batch([p.encode() for p in packets])
+
+
+def _assert_ingests_like_scalar(field, server, packets, received, bad=()):
+    """Every position outside ``bad`` was received, and the ingested
+    share matrix is bit-exact with the scalar materialization."""
+    kept = [i for i in range(len(packets)) if i not in bad]
+    assert all(isinstance(received[i], PendingSubmission) for i in kept)
+    matrix = server._ingest_batch([received[i] for i in kept])
+    assert matrix.to_ints() == [
+        packets[i].share_vector(field) for i in kept
+    ]
+    # refused positions hold no id; received ones are replay-protected
+    assert server._pending_ids == {packets[i].submission_id for i in kept}
 
 
 def _random_packets(field, n_packets, width, rng, kinds=None):
@@ -196,29 +231,28 @@ def _random_packets(field, n_packets, width, rng, kinds=None):
     "field", [FIELD87, FIELD265, FIELD_SMALL, GF2], ids=lambda f: f.name
 )
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_share_vectors_batch_matches_scalar(field, force_pure, rng):
+def test_ingested_matrix_matches_scalar(field, force_pure, rng):
     for kinds in (
         None,  # random mix at random positions
         [PacketKind.SEED] * 5,
         [PacketKind.EXPLICIT] * 5,
     ):
         packets = _random_packets(field, 5, 21, rng, kinds)
-        batch = share_vectors_batch(field, packets, force_pure)
-        assert batch.to_ints() == [
-            packet.share_vector(field) for packet in packets
-        ]
+        server, received = _receive(field, packets, force_pure)
+        _assert_ingests_like_scalar(field, server, packets, received)
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_share_vectors_batch_rejects_mixed_lengths(force_pure, rng):
+def test_receive_rejects_mixed_lengths_alone(force_pure, rng):
     packets = _random_packets(FIELD87, 3, 8, rng)
-    bad = _random_packets(FIELD87, 1, 9, rng)
-    with pytest.raises(WireError):
-        share_vectors_batch(FIELD87, packets + bad, force_pure)
+    packets += _random_packets(FIELD87, 1, 9, rng)
+    server, received = _receive(FIELD87, packets, force_pure)
+    assert isinstance(received[3], WireError)
+    _assert_ingests_like_scalar(FIELD87, server, packets, received, bad={3})
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_share_vectors_batch_rejects_adversarial_bodies(force_pure, rng):
+def test_receive_rejects_adversarial_bodies_alone(force_pure, rng):
     """Truncated or out-of-range bodies at a random batch position."""
     f = FIELD87
     packets = _random_packets(f, 6, 10, rng)
@@ -233,8 +267,9 @@ def test_share_vectors_batch_rejects_adversarial_bodies(force_pure, rng):
         n_elements=victim.n_elements,
         body=victim.body[:-1],
     )
-    with pytest.raises(WireError):
-        share_vectors_batch(f, mangled, force_pure)
+    server, received = _receive(f, mangled, force_pure)
+    assert isinstance(received[pos], WireError)
+    _assert_ingests_like_scalar(f, server, mangled, received, bad={pos})
     # Out-of-range explicit element.
     mangled = list(packets)
     body = bytearray(f.encode_vector([0] * 10))
@@ -246,15 +281,18 @@ def test_share_vectors_batch_rejects_adversarial_bodies(force_pure, rng):
         n_elements=10,
         body=bytes(body),
     )
-    # The reported position is in the caller's packet order, even
-    # though EXPLICIT bodies decode as a subset of a mixed batch.
-    with pytest.raises(FieldError, match=f"row {pos}, element 0"):
-        share_vectors_batch(f, mangled, force_pure)
+    # The refusal lands at the caller's position, even though EXPLICIT
+    # bodies decode as a subset of a mixed batch.
+    server, received = _receive(f, mangled, force_pure)
+    assert isinstance(received[pos], FieldError)
+    assert "element 0" in str(received[pos])
+    _assert_ingests_like_scalar(f, server, mangled, received, bad={pos})
 
 
-def test_share_vectors_batch_needs_packets():
-    with pytest.raises(WireError):
-        share_vectors_batch(FIELD87, [])
+def test_receive_of_nothing_is_nothing():
+    server, received = _receive(FIELD87, [], None, width=4)
+    assert received == []
+    assert not server._pending_ids
 
 
 # ----------------------------------------------------------------------
@@ -396,8 +434,10 @@ def test_pipeline_batched_ingest_equivalence(force_pure, encrypt):
                 n_elements=packet.n_elements,
                 body=FIELD87.encode_vector(vec),
             )
-        results = deployment.submit_batch(values, mutate=mutate)
-        return results, deployment.publish()
+        submissions = deployment.client.prepare_submissions(values)
+        for index, submission in enumerate(submissions):
+            mutate(index, submission)
+        return deployment.deliver(submissions), deployment.publish()
 
     batched_results, batched_total = run(batch_size=len(values))
     scalar_results, scalar_total = run(batch_size=1)
@@ -435,6 +475,8 @@ def test_out_of_range_explicit_body_rejects_alone(force_pure):
             body=bytes(body),
         )
 
-    results = deployment.submit_batch([1, 2, 3, 4], mutate=mutate)
-    assert results == [True, True, False, True]
+    submissions = deployment.client.prepare_submissions([1, 2, 3, 4])
+    for index, submission in enumerate(submissions):
+        mutate(index, submission)
+    assert deployment.deliver(submissions) == [True, True, False, True]
     assert deployment.publish() == 1 + 2 + 4

@@ -310,6 +310,25 @@ def test_sealed_truncated_envelope_rejects_offender_only():
     _assert_offender_only(out, {2}, WireError)
 
 
+def test_sealed_to_keyless_server_rejects_per_position():
+    """A sealed packet sent to a deployment without box keys is a typed
+    per-position refusal like every other receive failure — never a
+    whole-call raise, which the drivers would count as a backend crash
+    (retryable forever) and which would take batchmates down with it."""
+    from repro.protocol.wire import WireError
+
+    subs = _sealed_deployment().client.prepare_submissions([1, 2])
+    keyless = _deployment().servers[0]
+    payloads = _sealed_payloads_for(subs, 0)
+    payloads.append(payloads[0][:10])  # truncated envelope: still WireError
+
+    out = keyless.receive_sealed_batch(payloads)
+    assert [type(r) for r in out] == [ProtocolError, ProtocolError, WireError]
+    assert "no box key" in str(out[0])
+    assert not keyless._pending_ids
+    assert keyless.n_replayed == 0
+
+
 def test_sealed_replay_precheck_never_opens_the_box(monkeypatch):
     """A replayed envelope sid is refused before the two scalar
     multiplications of open_box are paid."""

@@ -1,4 +1,5 @@
-"""The asyncio pipeline front end must match the synchronous path."""
+"""The asyncio pipeline: decisions must not depend on how a stream is
+chunked, staged, or produced."""
 
 import random
 from dataclasses import replace
@@ -29,14 +30,17 @@ def _twin_deployments(afe, n_servers=3, batch_size=4, **kwargs):
     )
 
 
-def test_pipeline_matches_synchronous_decisions(rng):
+def test_one_run_matches_batch_of_one_submits(rng):
+    """One pipelined ``submit_many`` run decides and aggregates exactly
+    like one ``submit`` (a batch of one) per value."""
     afe = IntegerSumAfe(FIELD87, 8)
-    sync_dep, pipe_dep = _twin_deployments(afe)
+    one_dep, pipe_dep = _twin_deployments(afe)
     values = [rng.randrange(256) for _ in range(19)]
-    accepted_sync = sync_dep.submit_many(values)
-    accepted_pipe = pipe_dep.submit_many_pipelined(values)
-    assert accepted_sync == accepted_pipe == 19
-    assert sync_dep.publish() == pipe_dep.publish() == sum(values)
+    accepted_one = sum(one_dep.submit(v) for v in values)
+    accepted_pipe = pipe_dep.submit_many(values)
+    assert accepted_one == accepted_pipe == 19
+    assert one_dep.publish() == pipe_dep.publish() == sum(values)
+    assert one_dep.publish_shares() == pipe_dep.publish_shares()
     assert (
         pipe_dep.stats.n_submitted,
         pipe_dep.stats.n_accepted,
@@ -50,8 +54,8 @@ def test_client_producer_stage_matches_prepared_stream(rng):
     afe = IntegerSumAfe(FIELD87, 8)
     pre_dep, prod_dep = _twin_deployments(afe)
     values = [rng.randrange(256) for _ in range(11)]
-    submissions = pre_dep.client.prepare_submissions(values, batched=False)
-    pre_results = pre_dep.deliver_pipelined(submissions)
+    submissions = [pre_dep.client.prepare_submission(v) for v in values]
+    pre_results = pre_dep.deliver(submissions)
 
     pipeline = AsyncPrioPipeline(prod_dep.servers, batch_size=4)
     prod_results = pipeline.run_values(prod_dep.client, values)
@@ -65,15 +69,33 @@ def test_client_producer_stage_matches_prepared_stream(rng):
     )
 
 
-def test_submit_many_pipelined_client_batched_flag(rng):
-    """Both client modes of submit_many_pipelined agree end to end."""
+def test_submit_many_is_one_pipeline_run(rng, monkeypatch):
+    """Even at ``batch_size=1`` the values share ONE pipeline run (one
+    event loop, one fan-out sync), never one run per value."""
+    runs = []
+    run_values = AsyncPrioPipeline.run_values
+
+    def counting(self, client, values):
+        runs.append(len(values))
+        return run_values(self, client, values)
+
+    monkeypatch.setattr(AsyncPrioPipeline, "run_values", counting)
+    deployment = PrioDeployment.create(IntegerSumAfe(FIELD87, 4), 2, rng=rng)
+    assert deployment.submit_many(range(7)) == 7
+    assert runs == [7]
+    assert deployment.publish() == 21
+
+
+def test_submit_many_matches_scalar_client_uploads(rng):
+    """The pipeline's batched producer and the scalar client oracle
+    agree end to end (decisions, aggregate, upload bytes)."""
     afe = IntegerSumAfe(FIELD87, 8)
     batched_dep, scalar_dep = _twin_deployments(afe)
     values = [rng.randrange(256) for _ in range(9)]
-    assert batched_dep.submit_many_pipelined(values) == 9
-    assert scalar_dep.submit_many_pipelined(
-        values, client_batched=False
-    ) == 9
+    assert batched_dep.submit_many(values) == 9
+    assert scalar_dep.deliver(
+        [scalar_dep.client.prepare_submission(v) for v in values]
+    ) == [True] * 9
     assert batched_dep.publish() == scalar_dep.publish() == sum(values)
     assert (
         batched_dep.stats.upload_bytes_total
@@ -82,8 +104,7 @@ def test_submit_many_pipelined_client_batched_flag(rng):
 
 
 def test_pipeline_bad_submission_rejects_alone(rng):
-    """A corrupted share hidden mid-stream rejects alone, like the
-    synchronous batch path."""
+    """A corrupted share hidden mid-stream rejects alone."""
     afe = IntegerSumAfe(FIELD87, 8)
     deployment = PrioDeployment.create(
         afe, 2, batch_size=4, rng=rng, seed=b"pipe"
@@ -96,7 +117,7 @@ def test_pipeline_bad_submission_rejects_alone(rng):
     body[0] ^= 1
     submissions[bad].packets[1] = replace(packet, body=bytes(body))
 
-    results = deployment.deliver_pipelined(submissions)
+    results = deployment.deliver(submissions)
     assert results == [True] * bad + [False] + [True] * 3
     honest = sum(v for i, v in enumerate(values) if i != bad)
     assert deployment.publish() == honest
@@ -114,10 +135,27 @@ def test_pipeline_framing_failure_releases_other_servers(rng):
         good_packet, n_elements=good_packet.n_elements - 1,
         body=good_packet.body[: -FIELD87.encoded_size],
     )
-    assert deployment.deliver_pipelined([submission]) == [False]
+    assert deployment.deliver([submission]) == [False]
     submission.packets[1] = good_packet
-    assert deployment.deliver_pipelined([submission]) == [True]
+    assert deployment.deliver([submission]) == [True]
     assert deployment.publish() == 9
+    assert deployment.servers[0].n_replayed == 0
+
+
+def test_unencodable_packet_is_that_submissions_receive_failure(rng):
+    """A mutated packet its header cannot represent (``encode()``
+    raises ``WireError``) fails its own submission at receive — the
+    stream is not aborted, batchmates verify, peers release the id."""
+    afe = IntegerSumAfe(FIELD87, 4)
+    deployment = PrioDeployment.create(afe, 2, batch_size=3, rng=rng)
+    subs = deployment.client.prepare_submissions([1, 2, 3])
+    good_packet = subs[1].packets[0]
+    subs[1].packets[0] = replace(good_packet, n_elements=-1)
+    assert deployment.deliver(subs) == [True, False, True]
+    assert all(not s._pending_ids for s in deployment.servers)
+    subs[1].packets[0] = good_packet
+    assert deployment.deliver([subs[1]]) == [True]
+    assert deployment.publish() == 6
     assert deployment.servers[0].n_replayed == 0
 
 
@@ -125,7 +163,7 @@ def test_pipeline_replay_within_stream_rejected(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, batch_size=4, rng=rng)
     subs = deployment.client.prepare_submissions([5, 9])
-    results = deployment.deliver_pipelined([subs[0], subs[1], subs[0]])
+    results = deployment.deliver([subs[0], subs[1], subs[0]])
     assert results == [True, True, False]
     assert deployment.publish() == 14
     assert deployment.servers[0].n_replayed == 1
@@ -135,7 +173,7 @@ def test_pipeline_proof_free_afe(rng):
     deployment = PrioDeployment.create(
         BoolOrAfe(lambda_bits=32), 3, batch_size=2, rng=rng
     )
-    assert deployment.submit_many_pipelined(
+    assert deployment.submit_many(
         [False, False, True, False, False]
     ) == 5
     assert deployment.publish() is True
@@ -146,7 +184,7 @@ def test_pipeline_encrypted_transport(rng):
     deployment = PrioDeployment.create(
         afe, 2, encrypt=True, batch_size=2, rng=rng
     )
-    assert deployment.submit_many_pipelined([3, 7, 11]) == 3
+    assert deployment.submit_many([3, 7, 11]) == 3
     assert deployment.publish() == 21
 
 
@@ -158,7 +196,7 @@ def test_pipeline_histogram_many_batches(rng):
         afe, 2, batch_size=8, rng=rng, seed=b"hist"
     )
     values = [rng.randrange(5) for _ in range(41)]  # final partial batch
-    assert deployment.submit_many_pipelined(values) == 41
+    assert deployment.submit_many(values) == 41
     counts = Counter(values)
     assert deployment.publish() == [counts.get(i, 0) for i in range(5)]
 
@@ -253,6 +291,6 @@ def test_pipeline_epoch_rotation(rng):
         afe, 2, epoch_size=3, batch_size=4, rng=rng
     )
     values = [rng.randrange(4) for _ in range(10)]
-    assert deployment.submit_many_pipelined(values) == 10
+    assert deployment.submit_many(values) == 10
     assert deployment.publish() == sum(values)
     assert deployment.servers[0]._epoch >= 1

@@ -4,9 +4,9 @@ Each test fails on the pre-fix code:
 
 * ``PrioServer.abandon`` dropped the id but never released the share
   sources, pinning seeds / plane matrices via the caller's handle.
-* ``PrioServer.receive_batch`` guessed row 0 for a ``FieldError``
-  without ``batch_row`` attribution, silently evicting an innocent
-  packet instead of failing loudly.
+* the fused receive sweep guessed row 0 for a ``FieldError`` without
+  ``batch_row`` attribution, silently evicting an innocent packet
+  instead of failing loudly.
 * ``AsyncPrioPipeline`` carried ``stats`` / ``_next_batch_id`` /
   ``_verifying`` across ``run()`` calls, so a reused pipeline reported
   cumulative nonsense.
@@ -49,23 +49,21 @@ def test_abandon_releases_share_sources():
     dep = _deployment()
     packet = _explicit_packet(dep.client.prepare_submission(1))
     server = dep.servers[packet.server_index]
-    pending = server.receive(packet)
+    [pending] = server.receive_wire_batch([packet.encode()])
     # receive left a live source (the whole decoded batch matrix for
     # an EXPLICIT share) hanging off the handle
-    assert pending._source is not None or pending._x_share is not None
+    assert pending._source is not None
 
     server.abandon(pending)
 
     # the leak probe: every source slot must be dropped, so a held
     # handle pins nothing
-    assert pending._x_share is None
-    assert pending._proof_share is None
     assert pending._seed is None
     assert pending._source is None
     # and the id is free again: an honest retry is not a replay
     assert packet.submission_id not in server._pending_ids
-    assert packet.submission_id not in server._seen_ids
-    retried = server.receive(packet)
+    assert packet.submission_id not in server._replay
+    [retried] = server.receive_wire_batch([packet.encode()])
     assert retried.submission_id == packet.submission_id
 
 
@@ -76,24 +74,25 @@ def test_abandon_releases_seed_source():
         p for p in submission.packets if p.kind is PacketKind.SEED
     )
     server = dep.servers[seed_packet.server_index]
-    pending = server.receive(seed_packet)
+    [pending] = server.receive_wire_batch([seed_packet.encode()])
     assert pending._seed is not None
     server.abandon(pending)
     assert pending._seed is None
 
 
 # ---------------------------------------------------------------------
-# receive_batch must not guess the culprit of an unattributed error
+# the receive sweep must not guess the culprit of an unattributed error
 # ---------------------------------------------------------------------
 
 
 def test_receive_batch_unattributed_field_error_raises(monkeypatch):
     dep = _deployment()
-    packets = [
+    explicit = [
         _explicit_packet(dep.client.prepare_submission(1))
         for _ in range(4)
     ]
-    server = dep.servers[packets[0].server_index]
+    server = dep.servers[explicit[0].server_index]
+    packets = [packet.encode() for packet in explicit]
 
     def unattributed_decode(*args, **kwargs):
         raise FieldError("decode failed with no row attribution")
@@ -105,12 +104,12 @@ def test_receive_batch_unattributed_field_error_raises(monkeypatch):
     # then 2...) and the call "succeeded" with every honest packet
     # marked as the offender.  It must raise instead.
     with pytest.raises(FieldError):
-        server.receive_batch(packets)
+        server.receive_wire_batch(packets)
 
     # the failed sweep released every id: retries are not replays
     assert not server._pending_ids
     monkeypatch.undo()
-    out = server.receive_batch(packets)
+    out = server.receive_wire_batch(packets)
     assert all(not isinstance(r, Exception) for r in out)
 
 
@@ -131,7 +130,9 @@ def test_receive_batch_attributed_field_error_still_per_packet():
         n_elements=packets[1].n_elements,
         body=b"\xff" * len(packets[1].body),
     )
-    out = server.receive_batch([packets[0], bad, packets[2]])
+    out = server.receive_wire_batch(
+        [p.encode() for p in (packets[0], bad, packets[2])]
+    )
     assert isinstance(out[1], FieldError)
     assert not isinstance(out[0], Exception)
     assert not isinstance(out[2], Exception)

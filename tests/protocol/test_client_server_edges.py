@@ -8,7 +8,12 @@ from repro.afe import BoolOrAfe, IntegerSumAfe
 from repro.crypto import BoxKeyPair
 from repro.field import FIELD87
 from repro.protocol import PrioClient, PrioServer, ProtocolError
-from repro.protocol.wire import ClientPacket, PacketKind, WireError
+from repro.protocol.wire import (
+    ClientPacket,
+    PacketKind,
+    WireError,
+    encode_envelope,
+)
 from repro.snip import ServerRandomness, SnipError, SnipVerifierParty
 from repro.snip.verifier import Round1Message, VerificationContext
 
@@ -47,8 +52,10 @@ def test_server_rejects_misdelivered_packet(rng):
     client = PrioClient(afe, 2, rng=rng)
     submission = client.prepare_submission(3)
     server1 = make_server(afe, index=1, n=2)
-    with pytest.raises(ProtocolError):
-        server1.receive(submission.packets[0])  # packet for server 0
+    # packet for server 0
+    [refusal] = server1.receive_wire_batch([submission.packets[0].encode()])
+    assert isinstance(refusal, ProtocolError)
+    assert not server1._pending_ids
 
 
 def test_server_rejects_wrong_length_vector(rng):
@@ -61,15 +68,19 @@ def test_server_rejects_wrong_length_vector(rng):
         n_elements=3,
         body=FIELD87.encode_vector([1, 2, 3]),
     )
-    with pytest.raises(WireError):
-        server.receive(packet)
+    [refusal] = server.receive_wire_batch([packet.encode()])
+    assert isinstance(refusal, WireError)
 
 
 def test_server_without_box_key_rejects_sealed(rng):
+    """A keyless server refuses a sealed packet as a typed per-position
+    verdict (it never raises for the whole batch)."""
     afe = IntegerSumAfe(FIELD87, 4)
     server = make_server(afe)
-    with pytest.raises(ProtocolError):
-        server.receive_sealed(b"\x00" * 64)
+    sealed = encode_envelope(b"\x01" * 16, 0) + b"\x00" * 64
+    [refusal] = server.receive_sealed_batch([sealed])
+    assert isinstance(refusal, ProtocolError)
+    assert "no box key" in str(refusal)
 
 
 def test_verifier_party_needs_two_servers(rng):

@@ -4,7 +4,8 @@ The executor knob must not be observable in any protocol outcome:
 decisions, aggregates, statistics, and replay protection are asserted
 bit-identical across the ``inline``/``thread``/``process`` backends.
 Failure paths get the adversarial treatment — a worker that dies
-mid-batch (thread or process) must reject that batch alone, keep the
+mid-batch (thread or process) must fail that batch alone (abandoned:
+nothing decided, ids released, an honest retry accepted), keep the
 stream flowing, and leave no leaked executors or child processes.
 """
 
@@ -70,13 +71,11 @@ def test_backends_bit_identical_decisions_and_aggregate(rng):
     three backends: decisions, aggregate, and stats must be identical."""
     outcomes = []
     for backend in BACKENDS:
-        deployment = _twin_deployment()
+        deployment = _twin_deployment(executor=backend)
         values, submissions = _prepared_stream(
             deployment, random.Random(17), n=13, corrupt=6
         )
-        decisions = deployment.deliver_pipelined(
-            submissions, executor=backend
-        )
+        decisions = deployment.deliver(submissions)
         honest = sum(v for i, v in enumerate(values) if i != 6)
         outcomes.append(
             (
@@ -88,6 +87,7 @@ def test_backends_bit_identical_decisions_and_aggregate(rng):
             )
         )
         assert deployment.publish() == honest
+        deployment.close()
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0] == [True] * 6 + [False] + [True] * 6
 
@@ -107,12 +107,13 @@ def test_backend_stats_and_batching(backend, rng):
 
 
 def test_process_backend_encrypted_transport(rng):
-    deployment = _twin_deployment(batch_size=2, encrypt=True)
+    deployment = _twin_deployment(
+        batch_size=2, encrypt=True, executor="process"
+    )
     submissions = deployment.client.prepare_submissions([3, 7, 11])
-    assert deployment.deliver_pipelined(
-        submissions, executor="process"
-    ) == [True] * 3
-    assert deployment.publish() == 21
+    with deployment:
+        assert deployment.deliver(submissions) == [True] * 3
+        assert deployment.publish() == 21
 
 
 def test_process_state_syncs_back_for_replay_protection(rng):
@@ -120,11 +121,12 @@ def test_process_state_syncs_back_for_replay_protection(rng):
     replay-protected afterward in the driver process (state merge)."""
     deployment = _twin_deployment(batch_size=4)
     values, submissions = _prepared_stream(deployment, rng, n=4)
-    assert deployment.deliver_pipelined(
-        submissions, executor="process"
-    ) == [True] * 4
-    # Replay through the synchronous driver-side path: must reject.
-    assert deployment.deliver(submissions[0]) is False
+    decisions, _ = run_pipelined(
+        deployment.servers, submissions, batch_size=4, executor="process"
+    )
+    assert decisions == [True] * 4
+    # Replay against the driver-side servers (inline): must reject.
+    assert deployment.deliver([submissions[0]]) == [False]
     assert deployment.servers[0].n_replayed >= 1
     assert deployment.publish() == sum(values)
 
@@ -133,12 +135,14 @@ def test_replay_across_runs_and_backends(rng):
     """Replay protection spans runs executed on different backends."""
     deployment = _twin_deployment(batch_size=2)
     values, submissions = _prepared_stream(deployment, rng, n=3)
-    assert deployment.deliver_pipelined(
-        submissions, executor="thread"
-    ) == [True] * 3
-    assert deployment.deliver_pipelined(
-        submissions, executor="process"
-    ) == [False] * 3
+    first, _ = run_pipelined(
+        deployment.servers, submissions, batch_size=2, executor="thread"
+    )
+    second, _ = run_pipelined(
+        deployment.servers, submissions, batch_size=2, executor="process"
+    )
+    assert first == [True] * 3
+    assert second == [False] * 3
     assert deployment.publish() == sum(values)
 
 
@@ -151,13 +155,14 @@ def test_persistent_process_fanout_reuse(rng):
         total = 0
         for round_index in range(3):
             values, submissions = _prepared_stream(deployment, rng, n=5)
-            decisions = deployment.deliver_pipelined(
-                submissions, executor=fanout
+            decisions, _ = run_pipelined(
+                deployment.servers, submissions, batch_size=4,
+                executor=fanout,
             )
             assert decisions == [True] * 5
             total += sum(values)
         assert deployment.publish() == total
-        assert deployment.stats.n_accepted == 15
+        assert deployment.servers[0].n_accepted == 15
     finally:
         fanout.close()
     assert multiprocessing.active_children() == []
@@ -170,29 +175,29 @@ def test_failed_state_push_fails_run_without_clobbering_state(rng):
     server state with a stale snapshot afterward."""
     deployment = _twin_deployment(batch_size=4)
     fanout = ProcessFanout(deployment.servers)
+
+    def run(submissions):
+        return run_pipelined(
+            deployment.servers, submissions, batch_size=4, executor=fanout
+        )[0]
+
     try:
         values1, subs1 = _prepared_stream(deployment, rng, n=4)
-        assert deployment.deliver_pipelined(
-            subs1, executor=fanout
-        ) == [True] * 4
-        # Advance driver-side state between runs via the sync path.
+        assert run(subs1) == [True] * 4
+        # Advance driver-side state between runs (inline deployment).
         values2, subs2 = _prepared_stream(deployment, rng, n=2)
-        assert deployment.deliver_batch(subs2) == [True] * 2
+        assert deployment.deliver(subs2) == [True] * 2
         accepted_before = deployment.servers[0].n_accepted
         shares_before = deployment.publish_shares()
         deployment.servers[0].poison = lambda: None  # unpicklable
         values3, subs3 = _prepared_stream(deployment, rng, n=4)
-        assert deployment.deliver_pipelined(
-            subs3, executor=fanout
-        ) == [False] * 4
+        assert run(subs3) == [False] * 4
         assert deployment.servers[0].n_accepted == accepted_before
         assert deployment.publish_shares() == shares_before
         # The backend recovers once the server pickles again.
         del deployment.servers[0].poison
         values4, subs4 = _prepared_stream(deployment, rng, n=3)
-        assert deployment.deliver_pipelined(
-            subs4, executor=fanout
-        ) == [True] * 3
+        assert run(subs4) == [True] * 3
     finally:
         fanout.close()
 
@@ -241,15 +246,19 @@ def test_shuffled_server_list_routes_by_protocol_index(rng):
 
 
 def test_deployment_level_process_executor_caches_pools(rng):
-    """A string executor on the deployment resolves to one fan-out,
-    reused across pipelined calls, and released by close()."""
+    """The deployment's executor resolves to one fan-out on first use,
+    reused by every way in, and released by close()."""
     deployment = _twin_deployment(batch_size=4, executor="process")
     with deployment:
+        assert deployment._fanout is None  # lazy: nothing spawned yet
         total = 0
         for round_index in range(2):
             values, submissions = _prepared_stream(deployment, rng, n=5)
-            assert deployment.deliver_pipelined(submissions) == [True] * 5
+            assert deployment.deliver(submissions) == [True] * 5
             total += sum(values)
+        assert deployment.submit(7) is True
+        assert deployment.submit_many([1, 2, 3]) == 3
+        total += 7 + 6
         fanout = deployment._fanout
         assert fanout is not None and fanout.kind == "process"
         assert deployment._fanout is fanout  # reused, not rebuilt
@@ -319,6 +328,10 @@ def _crashy_setup(server_cls, crash_batch, rng, n=12, batch=4, n_servers=3):
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
+    """The one crash policy: a mid-round worker crash *abandons* the
+    batch — nobody verified those submissions, so their ids are
+    released, not burned — exactly like an ingest-stage crash and like
+    the socket front end (which answers BUSY)."""
     before_threads, _ = _no_leaks()
     servers, values, submissions = _crashy_setup(
         CrashOnRound1Server, crash_batch=1, rng=rng
@@ -328,10 +341,19 @@ def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
     )
     assert decisions == [True] * 4 + [False] * 4 + [True] * 4
     assert stats.n_worker_failures == 4
-    # The crashed batch was rejected, not lost: every server decided it.
-    assert servers[0].n_accepted == 8
-    assert servers[0].n_rejected == 4
-    assert servers[0]._pending_ids == set()
+    # The crashed batch was abandoned, not decided, at every server.
+    for server in servers:
+        assert server.n_accepted == 8
+        assert server.n_rejected == 0
+        assert server._pending_ids == set()
+    # Clear the fault and re-run the crashed four: accepted, no replay.
+    servers[1].crash_sids = frozenset()
+    retry, _ = run_pipelined(
+        servers, submissions[4:8], batch_size=4, executor=backend
+    )
+    assert retry == [True] * 4
+    assert servers[0].n_accepted == 12
+    assert servers[0].n_replayed == 0
     after_threads, children = _no_leaks()
     assert after_threads <= before_threads
     assert children == []
@@ -383,8 +405,8 @@ def test_dead_worker_process_fails_batches_without_hanging(rng):
     try:
         for child in multiprocessing.active_children():
             child.kill()
-        decisions = deployment.deliver_pipelined(
-            submissions, executor=fanout
+        decisions, _ = run_pipelined(
+            deployment.servers, submissions, batch_size=4, executor=fanout
         )
         assert decisions == [False] * 8
     finally:

@@ -110,8 +110,8 @@ def test_replay_rejected(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, rng=rng)
     submission = deployment.client.prepare_submission(5)
-    assert deployment.deliver(submission)
-    assert not deployment.deliver(submission)  # replay
+    assert deployment.deliver([submission]) == [True]
+    assert deployment.deliver([submission]) == [False]  # replay
     assert deployment.publish() == 5
     assert deployment.servers[0].n_replayed == 1
 
@@ -185,8 +185,8 @@ def test_batched_stats_counted_per_submission(rng):
         body=packet.body[: -FIELD87.encoded_size],
     )
 
-    results = deployment.deliver_batch(submissions[:5])
-    results += deployment.deliver_batch(submissions[5:])
+    results = deployment.deliver(submissions[:5])
+    results += deployment.deliver(submissions[5:])
     assert results == [True, False, True, False] + [True] * 6
 
     stats = deployment.stats
@@ -218,9 +218,9 @@ def test_retry_after_partial_receive_failure(rng):
         good_packet, n_elements=good_packet.n_elements - 1,
         body=good_packet.body[: -FIELD87.encoded_size],
     )
-    assert not deployment.deliver(submission)    # server 1 rejects frame
+    assert deployment.deliver([submission]) == [False]  # server 1 refuses
     submission.packets[1] = good_packet          # honest retry, same id
-    assert deployment.deliver(submission)
+    assert deployment.deliver([submission]) == [True]
     assert deployment.publish() == 9
     assert deployment.servers[0].n_replayed == 0
 
@@ -231,7 +231,7 @@ def test_batched_replay_within_batch_rejected(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, batch_size=4, rng=rng)
     subs = deployment.client.prepare_submissions([5, 9])
-    results = deployment.deliver_batch([subs[0], subs[1], subs[0]])
+    results = deployment.deliver([subs[0], subs[1], subs[0]])
     assert results == [True, True, False]
     assert deployment.publish() == 14
     assert deployment.stats.n_rejected == 1

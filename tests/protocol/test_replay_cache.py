@@ -208,11 +208,12 @@ def test_replay_inside_a_batch_rejects(kind):
     deployment = _deployment(kind)
     try:
         submission = deployment.client.prepare_submission(7)
-        first, second = deployment.deliver_batch([submission, submission])
+        first, second = deployment.deliver([submission, submission])
         assert first is True and second is False
-        # The copy dies at server 0's receive; later servers never see
-        # it (and must not — their ids would leak into pending).
-        assert deployment.servers[0].n_replayed == 1
+        # Every server refuses the copy at receive: the first one's id
+        # is still pending there.
+        assert all(s.n_replayed == 1 for s in deployment.servers)
+        assert all(not s._pending_ids for s in deployment.servers)
     finally:
         for server in deployment.servers:
             server._replay.close()
@@ -223,8 +224,8 @@ def test_replay_across_runs_rejects(kind):
     deployment = _deployment(kind)
     try:
         submissions = deployment.client.prepare_submissions([1, 2, 3])
-        assert deployment.deliver_pipelined(submissions) == [True] * 3
-        assert deployment.deliver_pipelined(submissions) == [False] * 3
+        assert deployment.deliver(submissions) == [True] * 3
+        assert deployment.deliver(submissions) == [False] * 3
         assert all(s.n_replayed == 3 for s in deployment.servers)
     finally:
         for server in deployment.servers:
@@ -246,8 +247,8 @@ def test_abandon_then_retry_is_not_a_replay(kind):
             submission_id=submission.submission_id,
             packets=[submission.packets[0], submission.packets[0]],
         )
-        assert deployment.deliver(sabotaged) is False
-        assert deployment.deliver(submission) is True
+        assert deployment.deliver([sabotaged]) == [False]
+        assert deployment.deliver([submission]) == [True]
         assert all(s.n_replayed == 0 for s in deployment.servers)
     finally:
         for server in deployment.servers:

@@ -94,8 +94,8 @@ def test_sealed_matches_cleartext(n_shards, force_pure):
     # opens a box, so box keys are irrelevant there
     clear_dep = _deployment(force_pure, executor=executor, encrypt=False)
 
-    clear = clear_dep.deliver_pipelined(copy.deepcopy(submissions))
-    sealed = sealed_dep.deliver_pipelined(submissions)
+    clear = clear_dep.deliver(copy.deepcopy(submissions))
+    sealed = sealed_dep.deliver(submissions)
     assert sealed == clear
     assert all(sealed[i] is False for i in corrupt)
     assert sum(sealed) == len(submissions) - len(corrupt)
@@ -104,8 +104,8 @@ def test_sealed_matches_cleartext(n_shards, force_pure):
 
     # replay behavior: the same stream again decides all-False on both
     # paths, counted identically per server
-    clear2 = clear_dep.deliver_pipelined(copy.deepcopy(submissions))
-    sealed2 = sealed_dep.deliver_pipelined(submissions)
+    clear2 = clear_dep.deliver(copy.deepcopy(submissions))
+    sealed2 = sealed_dep.deliver(submissions)
     assert sealed2 == clear2 == [False] * len(submissions)
     assert _server_stats(sealed_dep) == _server_stats(clear_dep)
 
@@ -148,7 +148,7 @@ def test_sealed_over_tcp_matches_sealed_in_memory():
     # same creation rng -> the transport twin holds identical box
     # keypairs, so the same sealed bytes open on both
     tx_dep = _deployment(executor="inline")
-    mem_decisions = mem_dep.deliver_pipelined(copy.deepcopy(submissions))
+    mem_decisions = mem_dep.deliver(copy.deepcopy(submissions))
 
     statuses, server = asyncio.run(_serve_sealed(tx_dep, submissions))
     tx_decisions = [s is Status.ACCEPTED for s in statuses]
@@ -168,7 +168,7 @@ def test_sealed_over_tcp_process4_spreads_all_shards():
     mem_dep = _deployment(executor="inline", encrypt=False)
     tx_dep = _deployment(executor="inline")
     submissions = _stream(tx_dep, n=24, corrupt=(5, 13))
-    mem_decisions = mem_dep.deliver_pipelined(copy.deepcopy(submissions))
+    mem_decisions = mem_dep.deliver(copy.deepcopy(submissions))
 
     # pre-built fan-out so the driver-side shard state stays
     # inspectable after the transport server stops

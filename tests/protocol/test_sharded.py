@@ -55,7 +55,7 @@ def _stream(deployment, n=30, corrupt=(), seed=7):
 
 
 def _outcome(deployment, submissions):
-    decisions = deployment.deliver_pipelined(submissions)
+    decisions = deployment.deliver(submissions)
     aggregate = deployment.publish()
     stats = [
         (s.n_accepted, s.n_rejected, s.n_replayed, s._pending_ids == set())
@@ -96,13 +96,7 @@ def test_executor_spec_parsing():
     with pytest.raises(FanoutError):
         resolve_fanout(deployment.servers, "inline:x")
     with pytest.raises(FanoutError):
-        resolve_fanout(deployment.servers, "inline:2", n_shards=3)
-    ready, _ = resolve_fanout(deployment.servers, "inline")
-    try:
-        with pytest.raises(FanoutError):
-            resolve_fanout(deployment.servers, ready, n_shards=2)
-    finally:
-        ready.close()
+        resolve_fanout(deployment.servers, "inline:0")
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +176,7 @@ def test_process_backed_shards_smoke():
 
 def test_replay_across_runs_on_reused_fanout():
     deployment = _deployment()
-    fanout, owned = resolve_fanout(deployment.servers, "inline", n_shards=3)
+    fanout, owned = resolve_fanout(deployment.servers, "inline:3")
     assert owned
     try:
         _, submissions = _stream(deployment, n=15)
@@ -204,7 +198,7 @@ def test_replay_across_runs_on_reused_fanout():
     for server in deployment.servers:
         assert server.n_accepted == 21
         assert server.n_replayed == 15
-        assert len(server._seen_ids) == 21
+        assert len(server._replay) == 21
 
 
 def test_fold_back_keeps_logical_server_authoritative():
@@ -214,7 +208,7 @@ def test_fold_back_keeps_logical_server_authoritative():
     accepted contribution."""
     deployment = _deployment()
     _, submissions = _stream(deployment, n=10)
-    fanout, _ = resolve_fanout(deployment.servers, "inline", n_shards=2)
+    fanout, _ = resolve_fanout(deployment.servers, "inline:2")
     try:
         first, _ = run_pipelined(
             deployment.servers, submissions, batch_size=8, executor=fanout
@@ -240,7 +234,7 @@ def test_preexisting_seen_ids_partition_to_shards():
         deployment.servers, submissions, batch_size=8, executor="inline"
     )
     assert first == [True] * 8
-    fanout, _ = resolve_fanout(deployment.servers, "inline", n_shards=4)
+    fanout, _ = resolve_fanout(deployment.servers, "inline:4")
     try:
         replayed, _ = run_pipelined(
             deployment.servers, submissions, batch_size=8, executor=fanout
@@ -257,7 +251,7 @@ def test_end_run_fold_is_idempotent():
     servers."""
     deployment = _deployment()
     _, submissions = _stream(deployment, n=6)
-    fanout, _ = resolve_fanout(deployment.servers, "inline", n_shards=2)
+    fanout, _ = resolve_fanout(deployment.servers, "inline:2")
     try:
         run_pipelined(
             deployment.servers, submissions, batch_size=8, executor=fanout
@@ -281,7 +275,7 @@ def test_tiered_cache_behind_sharded_fanout():
         server._replay.close()
         server._replay = TieredReplayCache(l1_capacity=4)
     _, submissions = _stream(deployment, n=10)
-    fanout, _ = resolve_fanout(deployment.servers, "inline", n_shards=2)
+    fanout, _ = resolve_fanout(deployment.servers, "inline:2")
     shard_paths = [
         shard._replay.path
         for row in fanout.shards for shard in row
@@ -301,5 +295,5 @@ def test_tiered_cache_behind_sharded_fanout():
 
     assert all(not os.path.exists(p) for p in shard_paths)
     for server in deployment.servers:
-        assert len(server._seen_ids) == 10
+        assert len(server._replay) == 10
         server._replay.close()

@@ -37,25 +37,54 @@ def test_same_datacenter_cluster(rng):
     assert sum(report.aggregate) == 10
 
 
-def test_client_batching_leaves_cluster_report_unchanged():
-    """The batched client prover is bit-identical to the scalar client,
-    so batching the *client* half changes nothing in the cluster run —
-    not decisions, not bytes, not the message schedule."""
+def test_cluster_uploads_match_the_scalar_client_oracle():
+    """The cluster always proves through the batched client; its
+    uploads are bit-identical to the scalar client's under the same
+    rng, so the client half changes nothing in the cluster run."""
+    from repro.protocol import PrioClient
+
     afe = IntegerSumAfe(FIELD87, 6)
     values_rng = random.Random(7)
     values = [values_rng.randrange(64) for _ in range(9)]
-    scalar = run_cluster(
-        afe, paper_wan_topology(), values, random.Random(31), batch_size=4
-    )
-    batched = run_cluster(
+    oracle = PrioClient(afe, 5, rng=random.Random(31))
+    expected = [oracle.prepare_submission(v) for v in values]
+    checked = []
+
+    def check(index, submission):
+        assert [p.encode() for p in submission.packets] == [
+            p.encode() for p in expected[index].packets
+        ]
+        checked.append(index)
+
+    report = run_cluster(
         afe, paper_wan_topology(), values, random.Random(31), batch_size=4,
-        client_batch_size=4,
+        mutate=check,
     )
-    assert batched.n_accepted == scalar.n_accepted == 9
-    assert batched.aggregate == scalar.aggregate
-    assert batched.wall_clock_s == scalar.wall_clock_s
-    assert batched.server_tx_bytes == scalar.server_tx_bytes
-    assert batched.first_decision_s == scalar.first_decision_s
+    assert checked == list(range(9))
+    assert report.n_accepted == 9
+    assert report.aggregate == sum(values)
+
+
+def test_replayed_upload_is_refused_by_every_server(rng):
+    """A replayed id is refused at group formation everywhere (the
+    servers agree, so the group just loses that position); it is
+    neither verified again nor counted twice."""
+    afe = IntegerSumAfe(FIELD87, 4)
+    first = {}
+
+    def replay_last(index, submission):
+        if index == 0:
+            first["packets"] = list(submission.packets)
+        elif index == 3:
+            submission.packets[:] = first["packets"]
+
+    report = run_cluster(
+        afe, same_datacenter(3), [5, 9, 2, 7], rng, mutate=replay_last,
+        batch_size=2,
+    )
+    assert report.n_accepted == 3
+    assert report.n_rejected == 0
+    assert report.aggregate == 5 + 9 + 2
 
 
 def test_wan_latency_dominates_wall_clock(rng):

@@ -141,9 +141,13 @@ def test_deployment_batch_publishes_honest_only_aggregate(
 
     results = []
     for start in range(0, 16, 8):
-        chunk = values[start:start + 8]
-        hook = corrupt if start <= bad < start + 8 else None
-        results.extend(deployment.submit_batch(chunk, mutate=hook))
+        submissions = deployment.client.prepare_submissions(
+            values[start:start + 8]
+        )
+        if start <= bad < start + 8:
+            for index, submission in enumerate(submissions):
+                corrupt(index, submission)
+        results.extend(deployment.deliver(submissions))
 
     assert results == [i != bad for i in range(16)]
     honest = [v for i, v in enumerate(values) if i != bad]

@@ -1,6 +1,6 @@
 """Client↔server differential suite for the batched plane prover.
 
-The batched client path (``PrioClient.prepare_submissions(batched=True)``
+The batched client path (``PrioClient.prepare_submissions``
 → ``repro.snip.batch_prover`` → ``share_vectors_client_batch`` →
 ``encode_bytes_batch``) must be *bit-identical* to the scalar
 ``prepare_submission`` loop under a shared rng: same submission ids,
@@ -12,8 +12,8 @@ points (``prove_and_share_many`` / ``prove_and_share_planes`` /
 ``share_proof_batch`` vs their scalar counterparts).
 
 The adversarial half round-trips batched uploads through real
-``PrioServer`` instances (``receive_batch`` → plane verification →
-``accumulate_batch``) with exactly one corrupted plane row — an input
+``PrioServer`` instances (the batch protocol: wire-bytes receive →
+plane verification → accumulate) with exactly one corrupted plane row — an input
 share, a proof share, or a raw wire byte — and asserts that exactly
 that submission is rejected while the rest of the batch accepts and
 aggregates to the right answer.
@@ -49,7 +49,7 @@ from repro.afe import (
     VectorSumAfe,
 )
 from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
-from repro.protocol import PrioClient, PrioServer
+from repro.protocol import PrioClient, PrioServer, run_pipelined
 from repro.snip import (
     ServerRandomness,
     build_proof,
@@ -111,7 +111,7 @@ def test_batched_client_bit_identical(field, force_pure, compress, batch):
     )
     scalar_subs = [scalar_client.prepare_submission(v) for v in values]
     batched_subs = batched_client.prepare_submissions(
-        values, batched=True, force_pure=force_pure
+        values, force_pure=force_pure
     )
     _assert_same_submissions(scalar_subs, batched_subs)
     # Both clients end at the same rng state: the draw sequences match.
@@ -137,7 +137,7 @@ def test_batched_client_bit_identical_sweep(field, force_pure):
         _assert_same_submissions(
             [scalar_client.prepare_submission(v) for v in values],
             batched_client.prepare_submissions(
-                values, batched=True, force_pure=force_pure
+                values, force_pure=force_pure
             ),
         )
 
@@ -157,7 +157,7 @@ def test_batched_client_proof_free_afe(force_pure):
         _assert_same_submissions(
             [scalar_client.prepare_submission(v) for v in values],
             batched_client.prepare_submissions(
-                values, batched=True, force_pure=force_pure
+                values, force_pure=force_pure
             ),
         )
 
@@ -178,7 +178,7 @@ def test_vec256_uploads_pinned_bytes(force_pure):
     client = PrioClient(afe, 2, rng=random.Random(0xF1DE))
     digest = hashlib.sha256()
     for sub in client.prepare_submissions(
-        values, batched=True, force_pure=force_pure
+        values, force_pure=force_pure
     ):
         digest.update(TransportClient.frame_submission(sub))
     assert digest.hexdigest() == VEC256_UPLOADS_SHA256
@@ -203,24 +203,13 @@ def test_highres_sized_proofs_bit_identical_to_scalar_build_proof():
         assert scalar_proof.flatten() == batch_proof.flatten()
 
 
-def test_batched_false_falls_back_to_scalar_loop():
-    afe = _afe_for(FIELD87)
-    values = _values(3, random.Random(4))
-    a = PrioClient(afe, 3, rng=random.Random(11))
-    b = PrioClient(afe, 3, rng=random.Random(11))
-    _assert_same_submissions(
-        a.prepare_submissions(values, batched=False),
-        b.prepare_submissions(values, batched=True),
-    )
-
-
 def test_batched_client_rejects_invalid_value_at_scalar_rng_point():
     """An invalid input raises from the same per-submission draw point."""
     afe = IntegerSumAfe(FIELD87, 4)
     client = PrioClient(afe, 3, rng=random.Random(5))
     good_then_bad = [3, 2**4]  # second value does not fit 4 bits
     with pytest.raises(Exception) as batched_exc:
-        client.prepare_submissions(good_then_bad, batched=True)
+        client.prepare_submissions(good_then_bad)
     scalar = PrioClient(afe, 3, rng=random.Random(5))
     with pytest.raises(Exception) as scalar_exc:
         [scalar.prepare_submission(v) for v in good_then_bad]
@@ -314,41 +303,11 @@ def _servers(afe, n_servers=3, force_pure=None):
 
 
 def _run_batch(servers, submissions):
-    """receive_batch → plane rounds → accumulate; per-submission results."""
-    n_servers = len(servers)
-    outs = [
-        server.receive_batch([sub.packets[s] for sub in submissions])
-        for s, server in enumerate(servers)
-    ]
-    results = [None] * len(submissions)
-    survivors = []
-    for pos in range(len(submissions)):
-        if any(isinstance(outs[s][pos], Exception) for s in range(n_servers)):
-            for s, server in enumerate(servers):
-                if not isinstance(outs[s][pos], Exception):
-                    server.abandon(outs[s][pos])
-            results[pos] = False
-        else:
-            survivors.append(pos)
-    parties, round1 = [], []
-    for s, server in enumerate(servers):
-        party, batch = server.begin_verification_batch(
-            [outs[s][pos] for pos in survivors]
-        )
-        parties.append(party)
-        round1.append(batch)
-    round2 = [
-        server.finish_verification_batch(party, round1)
-        for server, party in zip(servers, parties)
-    ]
-    decisions = servers[0].decide_batch(round2)
-    for s, server in enumerate(servers):
-        server.accumulate_batch(
-            [outs[s][pos] for pos in survivors], decisions
-        )
-    for pos, accepted in zip(survivors, decisions):
-        results[pos] = accepted
-    return results
+    """One batch through the batch protocol; per-submission results."""
+    decisions, _ = run_pipelined(
+        servers, submissions, batch_size=len(submissions), executor="inline"
+    )
+    return decisions
 
 
 def _corrupt_element(field, packet, element, delta=1):
@@ -385,7 +344,7 @@ def test_one_corrupted_row_rejects_alone(force_pure, region):
     client = PrioClient(afe, 3, rng=random.Random(61))
     values = _values(6, rng)
     submissions = client.prepare_submissions(
-        values, batched=True, force_pure=force_pure
+        values, force_pure=force_pure
     )
     bad = rng.randrange(len(submissions))
     sub = submissions[bad]
@@ -424,13 +383,13 @@ def test_one_corrupted_row_rejects_alone(force_pure, region):
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_one_corrupted_wire_byte_rejects_at_receive(force_pure):
     """An out-of-range wire element evicts only its submission, at
-    receive time (``receive_batch`` offender isolation)."""
+    receive time (the fused receive sweep's offender isolation)."""
     afe = _afe_for(FIELD87)
     client = PrioClient(afe, 3, rng=random.Random(71))
     rng = random.Random(72)
     values = _values(5, rng)
     submissions = client.prepare_submissions(
-        values, batched=True, force_pure=force_pure
+        values, force_pure=force_pure
     )
     bad = rng.randrange(len(submissions))
     packet = submissions[bad].packets[-1]
@@ -446,9 +405,9 @@ def test_one_corrupted_wire_byte_rejects_at_receive(force_pure):
         body=bytes(body),
     )
     servers = _servers(afe, force_pure=force_pure)
-    # The corrupted server's receive_batch rejects exactly that packet.
-    outs = servers[-1].receive_batch(
-        [sub.packets[-1] for sub in submissions]
+    # The corrupted server's receive rejects exactly that packet.
+    outs = servers[-1].receive_wire_batch(
+        [sub.packets[-1].encode() for sub in submissions]
     )
     assert [isinstance(o, Exception) for o in outs] == [
         pos == bad for pos in range(len(submissions))
@@ -515,7 +474,7 @@ def test_upload_bytes_matches_encoded_length_every_afe(afe, values):
         scalar_client = PrioClient(
             afe, 3, use_prg_compression=compress, rng=random.Random(83)
         )
-        batched = batched_client.prepare_submissions(values, batched=True)
+        batched = batched_client.prepare_submissions(values)
         scalar = [scalar_client.prepare_submission(v) for v in values]
         for sub, ref in zip(batched, scalar):
             actual = sum(len(p.encode()) for p in sub.packets)

@@ -323,7 +323,7 @@ def test_deployment_equivalence_randomized(field, force_pure, rng):
         body = bytearray(packet.body)
         body[-1] ^= 1
         submissions[bad].packets[0] = replace(packet, body=bytes(body))
-        results = deployment.deliver_pipelined(submissions)
+        results = deployment.deliver(submissions)
         assert [r for i, r in enumerate(results) if i != bad] == [True] * 10
         assert not results[bad]
         honest = sum(v for i, v in enumerate(values) if i != bad)

@@ -156,6 +156,133 @@ def test_corrupt_share_rejects_submission_not_connection():
     assert dep.publish() == 5
 
 
+def test_sealed_frames_to_keyless_deployment_reject_not_busy():
+    """Sealed uploads sent to a deployment without box keys are
+    REJECTED per upload (a protocol verdict, counted in n_rejected) —
+    not BUSY (retryable forever, counted as a backend crash) — and the
+    cleartext upload in the same stream is unaffected."""
+    dep = _deployment()
+    sealing = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 4), 2, seed=b"advs", encrypt=True,
+        rng=random.Random(14),
+    )
+    sealed = sealing.client.prepare_submissions([1, 2, 3])
+    honest = dep.client.prepare_submission(5)
+
+    async def scenario():
+        async with PrioTransportServer(dep.servers, _config()) as server:
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) \
+                    as client:
+                frames = [
+                    (s.submission_id, client.frame_submission(s, sealed=True))
+                    for s in sealed
+                ]
+                frames.append(
+                    (honest.submission_id, client.frame_submission(honest))
+                )
+                statuses = await client.submit_many(frames, window=4)
+            return statuses, server.stats
+
+    statuses, stats = asyncio.run(scenario())
+    assert statuses == [Status.REJECTED] * 3 + [Status.ACCEPTED]
+    assert stats.n_rejected == 3
+    assert stats.n_accepted == 1
+    assert stats.n_worker_failures == 0
+    assert dep.publish() == 5
+    assert all(not s._pending_ids for s in dep.servers)
+
+
+def test_worker_crash_mid_round_answers_busy_and_retry_is_accepted():
+    """The one crash policy over TCP: a worker failing mid-round
+    abandons the batch — BUSY, ids released — and the same uploads are
+    accepted once the fault clears (as in the in-memory pipeline, see
+    ``tests/protocol/test_fanout.py``)."""
+    from repro.protocol import PrioClient, PrioServer
+    from repro.snip import ServerRandomness
+
+    class CrashOnRound1Server(PrioServer):
+        crashing = True
+
+        def begin_verification_batch(self, pendings):
+            if self.crashing:
+                raise RuntimeError("injected round-1 crash")
+            return super().begin_verification_batch(pendings)
+
+    afe = IntegerSumAfe(FIELD87, 4)
+    randomness = ServerRandomness(b"advs-crash")
+    servers = [PrioServer(afe, 0, 2, randomness),
+               CrashOnRound1Server(afe, 1, 2, randomness)]
+    submissions = PrioClient(
+        afe, 2, rng=random.Random(15)
+    ).prepare_submissions([1, 2, 3, 4])
+
+    async def scenario():
+        async with PrioTransportServer(servers, _config()) as server:
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) \
+                    as client:
+                frames = [
+                    (s.submission_id, client.frame_submission(s))
+                    for s in submissions
+                ]
+                crashed = await client.submit_many(frames, window=4)
+                servers[1].crashing = False
+                retried = await client.submit_many(frames, window=4)
+            return crashed, retried, server.stats
+
+    crashed, retried, stats = asyncio.run(scenario())
+    assert crashed == [Status.BUSY] * 4
+    assert retried == [Status.ACCEPTED] * 4
+    assert stats.n_worker_failures == 4
+    assert stats.n_rejected == 0
+    assert all(s.n_replayed == 0 for s in servers)
+    assert all(not s._pending_ids for s in servers)
+    assert FIELD87.vec_sum([s.publish() for s in servers]) == [10]
+
+
+def test_commit_point_failure_fails_the_serve_not_silently():
+    """An accumulate-sweep failure cannot be isolated to its batch
+    (peers already folded it in), so the front end must not keep
+    serving as if nothing happened: the batch's uploads and every later
+    one answer BUSY, the drain still completes, and ``stop()`` raises —
+    the same "fails loudly" rule the in-memory pipeline applies."""
+    import pytest
+
+    from repro.protocol import PrioClient, PrioServer
+    from repro.snip import ServerRandomness
+
+    class CrashOnAccumulateServer(PrioServer):
+        def accumulate_batch(self, pendings, decisions):
+            raise RuntimeError("injected accumulate crash")
+
+    afe = IntegerSumAfe(FIELD87, 4)
+    randomness = ServerRandomness(b"advs-commit")
+    servers = [PrioServer(afe, 0, 2, randomness),
+               CrashOnAccumulateServer(afe, 1, 2, randomness)]
+    first, later = PrioClient(
+        afe, 2, rng=random.Random(16)
+    ).prepare_submissions([1, 2])
+    seen = {}
+
+    async def scenario():
+        async with PrioTransportServer(servers, _config()) as server:
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) \
+                    as client:
+                seen["first"] = await client.submit(first)
+                seen["later"] = await client.submit(later)
+            seen["stats"] = server.stats
+
+    with pytest.raises(RuntimeError, match="accumulate crash"):
+        asyncio.run(scenario())
+    assert seen["first"] is Status.BUSY
+    assert seen["later"] is Status.BUSY
+    assert seen["stats"].n_accepted == 0
+    assert seen["stats"].n_shed == 1  # the later upload never ran
+    assert all(not s._pending_ids for s in servers)
+
+
 def test_stalled_verification_hits_watermark_and_recovers():
     """The acceptance drill: verification stalls, uploads keep coming.
 

@@ -79,7 +79,7 @@ def test_tcp_decisions_match_in_memory(tmp_path):
         _corrupt(s) if i % 5 == 2 else s
         for i, s in enumerate(submissions)
     ]
-    mem_decisions = mem_dep.deliver_pipelined(submissions)
+    mem_decisions = mem_dep.deliver(submissions)
 
     statuses, server = asyncio.run(_serve_and_submit(tx_dep, submissions))
     tx_decisions = [s is Status.ACCEPTED for s in statuses]
@@ -96,7 +96,7 @@ def test_unix_socket_matches_tcp_semantics(tmp_path):
     mem_dep, tx_dep = _twin_deployments(afe, n_servers=2)
     values = [0, 1, 2, 3, 1]
     submissions = mem_dep.client.prepare_submissions(values)
-    mem_decisions = mem_dep.deliver_pipelined(submissions)
+    mem_decisions = mem_dep.deliver(submissions)
 
     statuses, _ = asyncio.run(_serve_and_submit(
         tx_dep, submissions, unix_path=str(tmp_path / "prio.sock")
