@@ -15,9 +15,19 @@ travel alongside the box (the wire envelope of
 encrypted.  The tag binds ``len(ad) || ad || ciphertext``, so grafting
 one box onto another message's associated data fails authentication.
 
-One scalar multiplication per seal on the sender side (plus one to
-make the ephemeral key) — the "single public-key encryption" per
-client submission that Figure 7's analysis counts.
+Cost.  A seal is two scalar multiplications, ``k * G`` for the
+ephemeral key and ``k * Pub`` for the shared secret — the "single
+public-key encryption" per packet that Figure 7's analysis counts.
+Both bases recur (the generator; a server's long-term key), so the
+sender goes through :func:`repro.ec.p256.fixed_base_mult`'s cached
+tables and the two results share one field inversion.  The first seal
+to a recipient builds that recipient's table, which is also where the
+key is validated: the identity, an off-curve point or an out-of-range
+coordinate raises :class:`CryptoError` (``k`` times such a "key" is a
+constant any eavesdropper can compute).  An open is one variable-base
+multiplication by the server's secret; ``open_box`` and key generation
+never build a table.  Neither kernel is constant-time (see
+:mod:`repro.ec.p256`).
 """
 
 from __future__ import annotations
@@ -34,7 +44,15 @@ from repro.crypto.primitives import (
     mac_verify,
     stream_xor,
 )
-from repro.ec.p256 import GENERATOR, Point, random_scalar, scalar_mult
+from repro.ec.p256 import (
+    GENERATOR,
+    EcError,
+    Point,
+    _affine_many,
+    _fixed_base_jacobian,
+    random_scalar,
+    scalar_mult,
+)
 
 
 @dataclass(frozen=True)
@@ -87,12 +105,21 @@ def seal(
 
     ``associated_data`` is authenticated but not encrypted (and not
     included in the output): the opener must present the same bytes.
+    Raises :class:`CryptoError` for an invalid ``recipient_public``.
     """
     if rng is None:
         rng = _random.SystemRandom()
     ephemeral_secret = random_scalar(rng)
-    ephemeral_pub = scalar_mult(ephemeral_secret, GENERATOR)
-    shared = scalar_mult(ephemeral_secret, recipient_public)
+    try:
+        jacobian = [
+            _fixed_base_jacobian(ephemeral_secret, GENERATOR),
+            _fixed_base_jacobian(ephemeral_secret, recipient_public),
+        ]
+    except EcError as exc:
+        raise CryptoError("invalid recipient public key") from exc
+    # a nonzero scalar times a point of prime order: neither is the
+    # identity, so one shared inversion converts both
+    ephemeral_pub, shared = (Point(*xy) for xy in _affine_many(jacobian))
     enc_key, mac_key = _derive_keys(shared, ephemeral_pub)
     nonce = ephemeral_pub.encode()[:16]
     ciphertext = stream_xor(enc_key, nonce, plaintext)

@@ -6,6 +6,7 @@ from repro.ec.p256 import (
     ORDER,
     EcError,
     Point,
+    fixed_base_mult,
     multi_scalar_mult,
     random_scalar,
     reset_op_counter,
@@ -19,6 +20,7 @@ __all__ = [
     "ORDER",
     "EcError",
     "Point",
+    "fixed_base_mult",
     "multi_scalar_mult",
     "random_scalar",
     "reset_op_counter",

@@ -1,5 +1,6 @@
 """Tests for the crypto substrate (stream, HKDF, box, signatures)."""
 
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.crypto import (
     verify,
     verify_or_raise,
 )
+from repro.ec import GENERATOR, INFINITY, Point, p256
 
 
 @pytest.fixture
@@ -62,6 +64,26 @@ def test_stream_xor_roundtrip():
     ct = stream_xor(key, b"nonce-1", data)
     assert ct != data
     assert stream_xor(key, b"nonce-1", ct) == data
+
+
+def test_stream_xor_known_answer():
+    # taken from the per-byte XOR this replaced: the cipher's bytes
+    # are pinned, whatever computes them
+    key = bytes(range(32))
+    assert stream_xor(key, b"nonce-1", b"") == b""
+    assert stream_xor(key, b"nonce-1", b"the quick brown fox").hex() == (
+        "7a168bbf73eca42fff60742c28a133e24d6efb"
+    )
+    # leading zero bytes of data and of the result survive the integer
+    # round trip
+    assert hashlib.sha256(
+        stream_xor(key, b"nonce-1", bytes(1000))
+    ).hexdigest() == (
+        "cac6ff073aed624b627eba237d3cd0ac813e9ac6966b3e6cc65e4a09e54f85fa"
+    )
+    stream = keystream(key, b"nonce-1", 6)
+    assert stream_xor(key, b"nonce-1", stream[:2] + b"rest")[:2] == bytes(2)
+    assert stream_xor(key, b"nonce-1", bytes(6)) == stream
 
 
 def test_stream_nonce_separation():
@@ -138,6 +160,42 @@ def test_box_malformed_ephemeral_point_is_typed(rng):
     off_curve = b"\x02" + b"\xff" * 32 + bytes(sealed[33:])
     with pytest.raises(CryptoError, match="ephemeral point"):
         open_box(keypair, off_curve)
+
+
+@pytest.mark.parametrize(
+    "recipient",
+    [
+        INFINITY,
+        Point(GENERATOR.x, GENERATOR.y + 1),
+        Point(GENERATOR.x + p256.P, GENERATOR.y),
+        Point(GENERATOR.x, GENERATOR.y + p256.P),
+    ],
+    ids=["identity", "off-curve", "x>=p", "y>=p"],
+)
+def test_seal_rejects_invalid_recipient(rng, recipient):
+    # k * identity is the identity and k * (off-curve point) lives in
+    # some other, possibly tiny, group: either way both box keys would
+    # derive from something an eavesdropper can compute
+    with pytest.raises(CryptoError, match="recipient"):
+        seal(recipient, b"hello", rng)
+    with pytest.raises(CryptoError, match="recipient"):
+        seal(recipient, b"hello", rng)  # and nothing bad was cached
+
+
+def test_only_the_sender_builds_fixed_base_tables(rng):
+    # seal caches a table for the generator and the recipient; key
+    # generation, opening, signing and verifying (what a server
+    # process does) never touch the cache
+    keypair = BoxKeyPair.generate(rng)
+    sealed = seal(keypair.public, b"payload", rng)
+    assert {GENERATOR, keypair.public} <= set(p256._TABLE_CACHE)
+    before = list(p256._TABLE_CACHE)
+    other = BoxKeyPair.generate(rng)
+    assert open_box(keypair, sealed) == b"payload"
+    signer = SigningKeyPair.generate(rng)
+    assert verify(signer.public, b"m", sign(signer, b"m", rng))
+    assert list(p256._TABLE_CACHE) == before
+    assert other.public not in p256._TABLE_CACHE
 
 
 def test_box_tamper_detected(rng):

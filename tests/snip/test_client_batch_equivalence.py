@@ -49,7 +49,12 @@ from repro.afe import (
     VectorSumAfe,
 )
 from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
-from repro.protocol import PrioClient, PrioServer, run_pipelined
+from repro.protocol import (
+    PrioClient,
+    PrioDeployment,
+    PrioServer,
+    run_pipelined,
+)
 from repro.snip import (
     ServerRandomness,
     build_proof,
@@ -182,6 +187,37 @@ def test_vec256_uploads_pinned_bytes(force_pure):
     ):
         digest.update(TransportClient.frame_submission(sub))
     assert digest.hexdigest() == VEC256_UPLOADS_SHA256
+
+
+#: SHA-256 over the framed *sealed* uploads below, by batch size, taken
+#: on the commit before the fixed-base tables and the wNAF ladder
+#: replaced the 4-bit ladder: an EC kernel swap must not move a sealed
+#: byte (same ephemeral scalars drawn, same points, same keystream).
+SEALED_UPLOADS_SHA256 = {
+    8: "571471331494de97d058ffc396d1a539da0bf4551e3acbb84dc2b1a8d1159cbc",
+    1: "5cbdd4a35959ad1808a2707eb80c1474bf66acf95a37c4867c01dd5db61e71e2",
+}
+
+
+@pytest.mark.parametrize("n_values", sorted(SEALED_UPLOADS_SHA256))
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_sealed_uploads_pinned_bytes(force_pure, n_values):
+    afe = VectorSumAfe(FIELD87, 8, n_bits=1)
+    deployment = PrioDeployment.create(
+        afe, n_servers=2, seed=b"sealed-pin-seed",
+        rng=random.Random(0x5EA1ED), encrypt=True,
+    )
+    rng = random.Random(0xB0C5)
+    values = [[rng.randrange(2) for _ in range(8)] for _ in range(n_values)]
+    digest = hashlib.sha256()
+    try:
+        for sub in deployment.client.prepare_submissions(
+            values, force_pure=force_pure
+        ):
+            digest.update(TransportClient.frame_submission(sub, sealed=True))
+    finally:
+        deployment.close()
+    assert digest.hexdigest() == SEALED_UPLOADS_SHA256[n_values]
 
 
 @pytest.mark.slow
