@@ -4,11 +4,11 @@ The batch/scalar equivalence contract (PR 5's bug class) says a batched
 function must consume randomness in exactly the per-submission order
 its scalar counterpart would — which is only guaranteed when all draws
 go through the order-preserving primitives (``expand_seed_batch``,
-``draw_proof_randomness``, ``generate_triple``, ``new_seed`` per
-submission).  A raw ``rng.randrange`` / scalar ``expand_seed`` /
-``PrgStream`` constructed mid-way through a ``*_batch``/``*_many``
-function draws in whatever order the surrounding loop happens to run,
-silently diverging from the scalar path.
+``generate_triple``, ``new_seed`` per submission).  A raw
+``rng.randrange`` / scalar ``expand_seed`` / ``PrgStream`` constructed
+mid-way through a ``*_batch``/``*_many`` function draws in whatever
+order the surrounding loop happens to run, silently diverging from the
+scalar path.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class RngDrawOrder(Checker):
                 ctx, node,
                 f"batched function '{scope}' {message}; draw order must "
                 "come from the order-preserving primitives "
-                "(expand_seed_batch/draw_proof_randomness/new_seed per "
+                "(expand_seed_batch/generate_triple/new_seed per "
                 "submission)",
             )
 

@@ -5,14 +5,38 @@ Everything in Prio — secret sharing, SNIPs, and AFEs — is arithmetic
 over a prime field.  This subpackage is self-contained and has no
 dependencies on the rest of the library.
 
+Public surface
+--------------
+
+This docstring is the one place the exports are listed
+(``tests/test_package_surface.py`` compares it with ``__all__`` and
+checks that every name in the first list is used by code elsewhere in
+``src/``, so a batch entry point only tests call cannot accumulate
+unnoticed).
+
+Used in ``src/``: ``FieldError``, ``PrimeField``, ``FIELD64``,
+``FIELD87``, ``FIELD265``, ``GF2``, ``EvaluationDomain``,
+``next_power_of_two``, ``lagrange_coefficients_at``,
+``lagrange_interpolate``, ``poly_eval``, ``poly_mul``,
+``poly_mul_ntt``, ``BatchVector``, ``PreparedWeights``,
+``assemble_rows``, ``concat_columns``, ``decode_bytes_batch``,
+``encode_bytes_batch``, ``rejection_sample_batch``, ``use_numpy``.
+
+Scalar oracles (the references every batch kernel is tested
+against): ``ntt``, ``intt``, ``batch_inverse``, ``poly_add``,
+``poly_sub``, ``poly_scale``, ``poly_degree``, ``poly_normalize``.
+
+Test fields and backend probes: ``FIELD_SMALL``, ``FIELD_TINY``,
+``STANDARD_FIELDS``, ``backend_name``, ``numpy_available``.
+
 Batched verification
 --------------------
 
 The scalar :class:`PrimeField` API performs one Python bigint call per
 element.  :mod:`repro.field.batch` provides the same arithmetic over
 whole vectors (or batches of vectors) at once, which is what the
-server-side batched SNIP pipeline (``verify_batch`` /
-``prove_many`` / the deployment ``batch_size`` knob) is built on:
+client's ``prepare_submissions`` and the servers' batched SNIP
+verification (the deployment ``batch_size`` knob) are built on:
 
 * **Limb scheme** — the 87-/265-bit moduli don't fit 64-bit lanes, so
   each element is split into base-``2^24`` limbs stored as parallel
@@ -31,10 +55,10 @@ server-side batched SNIP pipeline (``verify_batch`` /
 
 * **The ``batch_size`` knob** — ``PrioDeployment.create(...,
   batch_size=64)`` makes servers verify submissions in batches of 64:
-  one fused limb matmul covers every (challenge-weights, submission)
-  pair, amortizing fixed costs that the one-at-a-time path pays per
-  submission.  Acceptance decisions, statistics, and replay protection
-  remain per submission.
+  one fused limb matmul (:func:`~repro.field.batch.dot_batch_planes`)
+  covers every (challenge-weights, submission) pair, amortizing fixed
+  costs that the one-at-a-time path pays per submission.  Acceptance
+  decisions, statistics, and replay protection remain per submission.
 """
 
 from repro.field.prime_field import FieldError, PrimeField
@@ -53,7 +77,6 @@ from repro.field.poly import (
     poly_add,
     poly_degree,
     poly_eval,
-    poly_eval_batch,
     poly_mul,
     poly_normalize,
     poly_scale,
@@ -63,29 +86,19 @@ from repro.field.ntt import (
     EvaluationDomain,
     batch_inverse,
     intt,
-    intt_batch,
     next_power_of_two,
     ntt,
-    ntt_batch,
     poly_mul_ntt,
 )
 from repro.field.batch import (
     BatchVector,
     PreparedWeights,
-    accumulate_rows,
     assemble_rows,
     backend_name,
-    butterfly,
     concat_columns,
     decode_bytes_batch,
-    dot_batch_multi,
-    dot_rows,
-    dot_rows_multi,
-    elementwise_mul_rows,
     encode_bytes_batch,
     numpy_available,
-    poly_eval_rows,
-    prepare_weights,
     rejection_sample_batch,
     use_numpy,
 )
@@ -105,7 +118,6 @@ __all__ = [
     "poly_add",
     "poly_degree",
     "poly_eval",
-    "poly_eval_batch",
     "poly_mul",
     "poly_normalize",
     "poly_scale",
@@ -113,27 +125,17 @@ __all__ = [
     "EvaluationDomain",
     "batch_inverse",
     "intt",
-    "intt_batch",
     "next_power_of_two",
     "ntt",
-    "ntt_batch",
     "poly_mul_ntt",
     "BatchVector",
     "PreparedWeights",
-    "accumulate_rows",
     "assemble_rows",
     "backend_name",
-    "butterfly",
     "concat_columns",
     "decode_bytes_batch",
-    "dot_batch_multi",
-    "dot_rows",
-    "dot_rows_multi",
-    "elementwise_mul_rows",
     "encode_bytes_batch",
     "numpy_available",
-    "poly_eval_rows",
-    "prepare_weights",
     "rejection_sample_batch",
     "use_numpy",
 ]

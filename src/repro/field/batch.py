@@ -34,10 +34,7 @@ Backend selection happens at call time via :func:`use_numpy`; every
 public entry point also takes ``force_pure`` for explicit control.
 
 The high-level entry point is :class:`BatchVector` (elementwise
-add/sub/mul/scale, dot products, NTT butterflies over whole vectors);
-the SNIP/protocol layers use the row-oriented helpers
-(:func:`dot_rows`, :func:`dot_rows_multi`, :func:`ntt_rows`, ...)
-that take and return plain ``list[int]`` rows.
+add/sub/mul/scale, row sums, NTTs over whole vectors).
 
 Plane-resident ingest
 ---------------------
@@ -59,7 +56,7 @@ bytes, which lets both directions run as pure numpy reshapes:
   sampler in :mod:`repro.sharing.prg`,
 * :func:`assemble_rows` stacks rows of existing batches (plane copies,
   no re-encode) into the per-server ``(B, z_len)`` share matrix, and
-* :func:`dot_batch_multi` applies prepared weight functionals to an
+* :func:`dot_batch_planes` applies prepared weight functionals to an
   already-ingested batch.
 
 Together these keep a verification batch in limb-plane form from the
@@ -882,19 +879,6 @@ class BatchVector:
             return _decode(_ctx(self.field), self._data[:, i, :])
         return list(self._data[i])
 
-    def column_ints(self, j: int) -> list[int]:
-        """One column of a 2-D batch as plain Python ints.
-
-        This is the batched verifier's escape hatch for per-submission
-        scalars (e.g. the Beaver-triple columns): B ints decoded from
-        one plane slice instead of materializing whole rows.
-        """
-        if len(self.shape) != 2:
-            raise FieldError("column_ints needs a 2-D batch")
-        if self._numpy:
-            return _decode(_ctx(self.field), self._data[:, :, j])
-        return [row[j] for row in self._data]
-
     def set_row_ints(self, i: int, values: Sequence[int]) -> None:
         """Overwrite row ``i`` of a 2-D batch with canonical ints."""
         if len(self.shape) != 2:
@@ -919,9 +903,8 @@ class BatchVector:
     def column(self, j: int) -> "BatchVector":
         """Column ``j`` of a 2-D batch as a 1-D batch (plane view).
 
-        The plane-resident replacement for :meth:`column_ints`: the
-        batched verifier reads its per-submission Beaver-triple columns
-        this way without ever decoding them to Python ints.
+        The batched verifier reads its per-submission Beaver-triple
+        columns this way without ever decoding them to Python ints.
         """
         if len(self.shape) != 2:
             raise FieldError("column needs a 2-D batch")
@@ -1227,28 +1210,6 @@ class BatchVector:
 
     # -- reductions -----------------------------------------------------
 
-    def dot(self, weights: Sequence[int]):
-        """Inner product of each row with ``weights``.
-
-        2-D batches return ``list[int]`` (one per row); 1-D vectors
-        return a single ``int``.
-        """
-        if len(self.shape) == 2:
-            if self._numpy:
-                ctx = _ctx(self.field)
-                w = _encode_checked(ctx, list(weights))
-                out = _np_matvec(ctx, w[:, None, :], self._data)  # (L,1,B)
-                return _decode(ctx, out[:, 0, :])
-            return [
-                self.field.inner_product(weights, row) for row in self._data
-            ]
-        if self._numpy:
-            ctx = _ctx(self.field)
-            w = _encode_checked(ctx, list(weights))
-            out = _np_matvec(ctx, w[:, None, :], self._data[:, None, :])
-            return _decode(ctx, out[:, 0, :])[0]
-        return self.field.inner_product(weights, self._data)
-
     def sum_rows(self) -> "BatchVector":
         """Column-wise sum of a 2-D batch (the Aggregate step)."""
         if len(self.shape) != 2:
@@ -1260,28 +1221,6 @@ class BatchVector:
             self.field, (self.shape[1],),
             self.field.vec_sum(self._data), False,
         )
-
-    # -- structure ------------------------------------------------------
-
-    def pad_rows(self, width: int) -> "BatchVector":
-        """Zero-pad the last axis out to ``width`` columns."""
-        old = self.shape[-1]
-        if width < old:
-            raise FieldError("pad width smaller than current width")
-        if width == old:
-            return self
-        shape = self.shape[:-1] + (width,)
-        if self._numpy:
-            data = _np.zeros(
-                (self._data.shape[0],) + shape, dtype=_np.int64
-            )
-            data[..., :old] = self._data
-            return BatchVector(self.field, shape, data, True)
-        if len(self.shape) == 2:
-            data = [row + [0] * (width - old) for row in self._data]
-        else:
-            data = self._data + [0] * (width - old)
-        return BatchVector(self.field, shape, data, False)
 
     # -- NTT ------------------------------------------------------------
 
@@ -1311,15 +1250,6 @@ class BatchVector:
         p = self.field.modulus
         out = self.ntt(pow(root, -1, p))
         return out.scale(pow(n, -1, p))
-
-
-def butterfly(
-    lo: BatchVector, hi: BatchVector, twiddle: int
-) -> tuple[BatchVector, BatchVector]:
-    """One radix-2 NTT butterfly over whole vectors:
-    ``(lo + w*hi, lo - w*hi)`` elementwise."""
-    t = hi.scale(twiddle)
-    return lo + t, lo - t
 
 
 # ----------------------------------------------------------------------
@@ -2119,25 +2049,6 @@ def dot_batch_planes(
     )
 
 
-def dot_batch_multi(
-    field: PrimeField,
-    weights_list: "Sequence[Sequence[int]] | PreparedWeights",
-    batch: BatchVector,
-) -> list[list[int]]:
-    """:func:`dot_rows_multi` over an already-ingested ``(B, D)`` batch.
-
-    Int-returning wrapper over :func:`dot_batch_planes` for callers
-    that want the per-submission scalars as Python ints.
-    """
-    return dot_batch_planes(field, weights_list, batch).to_ints()
-
-
-# ----------------------------------------------------------------------
-# Row-oriented helpers (list[int] in, list[int] out) — what the SNIP
-# and protocol layers call.
-# ----------------------------------------------------------------------
-
-
 class PreparedWeights:
     """Weight vectors pre-validated (and pre-encoded) for reuse.
 
@@ -2170,127 +2081,3 @@ class PreparedWeights:
                 ctx.n_limbs, self.n_weights, self.width
             )
         return self._planes
-
-
-def prepare_weights(
-    field: PrimeField, weights_list: Sequence[Sequence[int]]
-) -> PreparedWeights:
-    """Pre-validate weight vectors for repeated :func:`dot_rows_multi`."""
-    return PreparedWeights(field, weights_list)
-
-
-def dot_rows(
-    field: PrimeField,
-    weights: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    force_pure: bool | None = None,
-) -> list[int]:
-    """``[inner_product(weights, row) for row in rows]``, vectorized."""
-    return dot_rows_multi(field, [weights], rows, force_pure)[0]
-
-
-def dot_rows_multi(
-    field: PrimeField,
-    weights_list: "Sequence[Sequence[int]] | PreparedWeights",
-    rows: Sequence[Sequence[int]],
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Inner products of every row against several weight vectors.
-
-    Returns ``out[k][b] = inner_product(weights_list[k], rows[b])``.
-    This is the batched-verification workhorse: one fused limb matmul
-    covers every (weights, submission) pair.  ``weights_list`` may be
-    a :class:`PreparedWeights` to amortize its conversion across calls.
-    """
-    if not isinstance(weights_list, PreparedWeights):
-        weights_list = PreparedWeights(field, weights_list)
-    if not rows:
-        return [[] for _ in range(weights_list.n_weights)]
-    D = weights_list.width
-    if use_numpy(force_pure):
-        ctx = _ctx(field)
-        flat_m: list[int] = []
-        for row in rows:
-            if len(row) != D:
-                raise FieldError("ragged rows")
-            flat_m.extend(row)
-        K, B = weights_list.n_weights, len(rows)
-        w_planes = weights_list.planes(ctx)
-        m_planes = _encode_checked(ctx, flat_m).reshape(ctx.n_limbs, B, D)
-        out = _np_matvec(ctx, w_planes, m_planes)        # (L, K, B)
-        flat = _decode(ctx, out)
-        return [flat[k * B:(k + 1) * B] for k in range(K)]
-    for row in rows:
-        if len(row) != D:
-            raise FieldError("ragged rows")
-    return [
-        [field.inner_product(w, row) for row in rows]
-        for w in weights_list.weights_list
-    ]
-
-
-def elementwise_mul_rows(
-    field: PrimeField,
-    a_rows: Sequence[Sequence[int]],
-    b_rows: Sequence[Sequence[int]],
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Rowwise Hadamard products (the prover's ``h = f * g`` sweep)."""
-    a = BatchVector.from_ints(field, a_rows, force_pure)
-    b = BatchVector.from_ints(field, b_rows, force_pure)
-    return (a * b).to_ints()
-
-
-def accumulate_rows(
-    field: PrimeField,
-    rows: Sequence[Sequence[int]],
-    force_pure: bool | None = None,
-) -> list[int]:
-    """Column-wise sum of many equal-length vectors (vec_sum, batched)."""
-    if not rows:
-        raise FieldError("accumulate_rows of no rows")
-    return BatchVector.from_ints(field, rows, force_pure).sum_rows().to_ints()
-
-
-def ntt_rows(
-    field: PrimeField,
-    rows: Sequence[Sequence[int]],
-    root: int,
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Forward NTT of every row (shared root/domain)."""
-    return BatchVector.from_ints(field, rows, force_pure).ntt(root).to_ints()
-
-
-def intt_rows(
-    field: PrimeField,
-    rows: Sequence[Sequence[int]],
-    root: int,
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Inverse NTT of every row (shared root/domain)."""
-    return BatchVector.from_ints(field, rows, force_pure).intt(root).to_ints()
-
-
-def poly_eval_rows(
-    field: PrimeField,
-    coeff_rows: Sequence[Sequence[int]],
-    x: int,
-    force_pure: bool | None = None,
-) -> list[int]:
-    """Evaluate many coefficient-form polynomials at one point ``x``.
-
-    Evaluation at a fixed point is an inner product against the power
-    basis ``[1, x, x^2, ...]`` — one batched dot, not B Horner loops.
-    """
-    if not coeff_rows:
-        return []
-    width = max(len(r) for r in coeff_rows)
-    if width == 0:
-        return [0] * len(coeff_rows)
-    p = field.modulus
-    powers = [1] * width
-    for i in range(1, width):
-        powers[i] = powers[i - 1] * x % p
-    rows = [list(r) + [0] * (width - len(r)) for r in coeff_rows]
-    return dot_rows(field, powers, rows, force_pure)

@@ -88,36 +88,6 @@ def intt(field: PrimeField, values: Sequence[int], root: int) -> list[int]:
     return [(v * n_inv) % p for v in out]
 
 
-def ntt_batch(
-    field: PrimeField,
-    rows: Sequence[Sequence[int]],
-    root: int,
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Forward-transform many equal-length rows over a shared domain.
-
-    The batched SNIP prover interpolates/evaluates every submission's
-    f and g polynomials in one sweep; each stage's butterflies run over
-    the whole ``(batch, n)`` matrix at once via the vectorized backend
-    in :mod:`repro.field.batch` (pure-Python fallback: scalar NTTs).
-    """
-    from repro.field.batch import ntt_rows
-
-    return ntt_rows(field, rows, root, force_pure)
-
-
-def intt_batch(
-    field: PrimeField,
-    rows: Sequence[Sequence[int]],
-    root: int,
-    force_pure: bool | None = None,
-) -> list[list[int]]:
-    """Inverse-transform many equal-length rows over a shared domain."""
-    from repro.field.batch import intt_rows
-
-    return intt_rows(field, rows, root, force_pure)
-
-
 class EvaluationDomain:
     """The order-``size`` multiplicative subgroup used as an NTT domain.
 
@@ -156,35 +126,6 @@ class EvaluationDomain:
                 f"expected {self.size} evaluations, got {len(evals)}"
             )
         return intt(self.field, evals, self.root)
-
-    def evaluate_batch(
-        self,
-        coeff_rows: Sequence[Sequence[int]],
-        force_pure: bool | None = None,
-    ) -> list[list[int]]:
-        """Evaluate many polynomials at every domain point in one sweep."""
-        padded = []
-        for coeffs in coeff_rows:
-            if len(coeffs) > self.size:
-                raise FieldError(
-                    f"polynomial degree {len(coeffs) - 1} too large for "
-                    f"domain of size {self.size}"
-                )
-            padded.append(list(coeffs) + [0] * (self.size - len(coeffs)))
-        return ntt_batch(self.field, padded, self.root, force_pure)
-
-    def interpolate_batch(
-        self,
-        eval_rows: Sequence[Sequence[int]],
-        force_pure: bool | None = None,
-    ) -> list[list[int]]:
-        """Interpolate many point-value rows in one sweep."""
-        for evals in eval_rows:
-            if len(evals) != self.size:
-                raise FieldError(
-                    f"expected {self.size} evaluations, got {len(evals)}"
-                )
-        return intt_batch(self.field, list(eval_rows), self.root, force_pure)
 
     def contains_point(self, r: int) -> bool:
         return r % self.field.modulus in self._point_set

@@ -39,24 +39,6 @@ def poly_eval(field: PrimeField, coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def poly_eval_batch(
-    field: PrimeField,
-    coeff_rows: Sequence[Sequence[int]],
-    x: int,
-    force_pure: bool | None = None,
-) -> list[int]:
-    """Evaluate many polynomials at one point, vectorized.
-
-    Evaluation at a fixed ``x`` is an inner product against the power
-    basis — one batched dot over the whole coefficient matrix instead
-    of one Horner loop per polynomial (the same fixed-point trick the
-    verifier's Appendix I optimization exploits).
-    """
-    from repro.field.batch import poly_eval_rows
-
-    return poly_eval_rows(field, coeff_rows, x, force_pure)
-
-
 def poly_add(
     field: PrimeField, a: Sequence[int], b: Sequence[int]
 ) -> list[int]:

@@ -585,24 +585,29 @@ class ShardedFanout(ServerFanout):
         #: per logical server: its K shard servers (driver-side objects;
         #: persistent across runs — they hold the shard replay slices)
         self.shards: "list[list[PrioServer]]" = []
-        flat: "list[PrioServer]" = []
-        for server in servers:
-            shard_row = [server.make_shard() for _ in range(n_shards)]
-            # One-time partition of pre-existing replay ids, so replays
-            # of submissions seen before this fan-out existed are still
-            # caught at the shard that now owns their slice.
-            for sid in server._replay:
-                shard_row[shard_of(sid, n_shards)]._replay.add(sid)
-            self.shards.append(shard_row)
-            flat.extend(shard_row)
-        self.inner, self._own_inner = resolve_fanout(
-            flat, executor, batch_size
-        )
-        self.kind = f"sharded({self.inner.kind}x{n_shards})"
         #: per logical server: batch_id -> plan
         self._plans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
         self._run_open = False
+        self._own_inner = False
+        # Every shard spawns its own replay cache (a temp SQLite file
+        # on the tiered tier), so any failure below — a bad inner
+        # executor kind included — must close the shards built so far.
         try:
+            flat: "list[PrioServer]" = []
+            for server in servers:
+                shard_row = [server.make_shard() for _ in range(n_shards)]
+                self.shards.append(shard_row)
+                # One-time partition of pre-existing replay ids, so
+                # replays of submissions seen before this fan-out
+                # existed are still caught at the shard that now owns
+                # their slice.
+                for sid in server._replay:
+                    shard_row[shard_of(sid, n_shards)]._replay.add(sid)
+                flat.extend(shard_row)
+            self.inner, self._own_inner = resolve_fanout(
+                flat, executor, batch_size
+            )
+            self.kind = f"sharded({self.inner.kind}x{n_shards})"
             self.begin_run()
         except BaseException:
             self.close()

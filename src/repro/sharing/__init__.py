@@ -12,7 +12,6 @@ from repro.sharing.additive import (
 from repro.sharing.prg import (
     SEED_SIZE,
     PrgStream,
-    compressed_upload_elements,
     expand_seed,
     expand_seed_batch,
     new_seed,
@@ -36,7 +35,6 @@ __all__ = [
     "share_vectors_explicit_batch",
     "SEED_SIZE",
     "PrgStream",
-    "compressed_upload_elements",
     "expand_seed",
     "expand_seed_batch",
     "new_seed",

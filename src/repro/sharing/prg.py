@@ -213,15 +213,3 @@ def prg_reconstruct_vector(
         expanded = expand_seed(field, seed, len(total))
         total = [(a + b) % p for a, b in zip(total, expanded)]
     return total
-
-
-def compressed_upload_elements(length: int, n_shares: int) -> int:
-    """Field-element upload cost with PRG compression (for Fig 6 accounting).
-
-    ``length`` explicit elements plus one seed per other server; seeds
-    are charged as a constant ~1.5 elements' worth of bytes at the
-    87-bit field size, reported separately by the wire format, so this
-    returns just the element count.
-    """
-    del n_shares  # bandwidth is independent of s with compression
-    return length

@@ -1,4 +1,39 @@
-"""Secret-shared non-interactive proofs — the paper's core contribution."""
+"""Secret-shared non-interactive proofs — the paper's core contribution.
+
+Public surface
+--------------
+
+This docstring is the one place the exports are listed
+(``tests/test_package_surface.py`` compares it with ``__all__`` and
+checks that every name in the first list is used by code elsewhere in
+``src/``, so a batch entry point only tests call cannot accumulate
+unnoticed).  The deployment proves through one batched prover —
+``PrioClient.prepare_submissions`` over ``h_planes_batch`` /
+``submission_planes`` — and verifies through one batched party,
+``BatchedSnipVerifierParty``.
+
+Used in ``src/``: ``SnipError``, ``SnipProof``, ``SnipProofShare``,
+``proof_num_elements``, ``snip_domain_sizes``, ``ProofRandomness``,
+``h_planes_batch``, ``submission_planes``,
+``BatchedSnipVerifierParty``, ``Round1Batch``, ``Round1Message``,
+``Round2Batch``, ``Round2Message``, ``ServerRandomness``,
+``SnipVerifierParty``, ``VerificationChallenge``,
+``VerificationContext``, ``VerificationOutcome``.
+
+Scalar oracles (the references the batched paths are tested
+against): ``build_proof``, ``share_proof``, ``prove_and_share``,
+``verify_snip``, ``verify_snip_batch`` (the lock-step core the
+scalar verifier runs as a batch of one).
+
+Paper experiments (driven by tests and the figure benchmarks):
+``ReferenceProof``, ``ReferenceProofShare``, ``build_reference_proof``,
+``share_reference_proof``, ``verify_reference_snip``,
+``MpcSubmissionShare``, ``MpcVerificationOutcome``,
+``build_mpc_submission``, ``build_triple_validity_circuit``,
+``mpc_upload_elements``, ``verify_mpc_submission``,
+``SoundnessReport``, ``run_soundness_experiment``, ``AdversaryView``,
+``SnipSimulator``, ``real_adversary_view``.
+"""
 
 from repro.snip.proof import (
     SnipError,
@@ -9,19 +44,10 @@ from repro.snip.proof import (
 )
 from repro.snip.batch_prover import (
     ProofRandomness,
-    draw_proof_randomness,
     h_planes_batch,
     submission_planes,
 )
-from repro.snip.prover import (
-    build_proof,
-    prove_and_share,
-    prove_and_share_many,
-    prove_and_share_planes,
-    prove_many,
-    share_proof,
-    share_proof_batch,
-)
+from repro.snip.prover import build_proof, prove_and_share, share_proof
 from repro.snip.reference import (
     ReferenceProof,
     ReferenceProofShare,
@@ -61,16 +87,11 @@ __all__ = [
     "proof_num_elements",
     "snip_domain_sizes",
     "ProofRandomness",
-    "draw_proof_randomness",
     "h_planes_batch",
     "submission_planes",
     "build_proof",
     "prove_and_share",
-    "prove_and_share_many",
-    "prove_and_share_planes",
-    "prove_many",
     "share_proof",
-    "share_proof_batch",
     "ReferenceProof",
     "ReferenceProofShare",
     "build_reference_proof",

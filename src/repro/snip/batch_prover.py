@@ -46,12 +46,11 @@ from repro.field.batch import (
     coset_extend_product,
 )
 from repro.field.prime_field import PrimeField
-from repro.mpc.beaver import BeaverTriple, generate_triple
-from repro.snip.proof import SnipError, snip_domain_sizes
+from repro.mpc.beaver import BeaverTriple
+from repro.snip.proof import snip_domain_sizes
 
 __all__ = [
     "ProofRandomness",
-    "draw_proof_randomness",
     "h_planes_batch",
     "submission_planes",
 ]
@@ -69,36 +68,6 @@ class ProofRandomness:
     u0: int
     v0: int
     triple: BeaverTriple
-
-
-def draw_proof_randomness(
-    field: PrimeField,
-    circuit: Circuit,
-    x: Sequence[int],
-    rng,
-    check_valid: bool = True,
-):
-    """Evaluate ``Valid(x)`` and draw one proof's randomness, scalar order.
-
-    Returns ``(trace, ProofRandomness | None)`` — ``None`` for
-    multiplication-free circuits, which need no polynomial identity
-    test (and whose :func:`build_proof` draws nothing).  Raising on an
-    invalid input happens *before* any draw, so a batched caller that
-    loops this per submission leaves the rng at exactly the state a
-    failing scalar :func:`build_proof` call would.
-    """
-    trace = circuit.evaluate(field, x)
-    if check_valid and not trace.is_valid:
-        raise SnipError(
-            f"input does not satisfy {circuit.name}; refusing to prove"
-        )
-    if circuit.n_mul_gates == 0:
-        return trace, None
-    u0 = field.rand(rng)
-    v0 = field.rand(rng)
-    return trace, ProofRandomness(
-        u0=u0, v0=v0, triple=generate_triple(field, rng)
-    )
 
 
 def h_planes_batch(

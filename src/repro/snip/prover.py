@@ -13,6 +13,10 @@ every wire value.  It then:
 
 Cost: one circuit evaluation plus O(M log M) field multiplications for
 the three NTTs — the "Muls" column of Table 2.
+
+These functions are the scalar oracle.  The one batched prover is
+``PrioClient.prepare_submissions`` over :mod:`repro.snip.batch_prover`,
+bit-identical to per-value :func:`build_proof` under the same rng.
 """
 
 from __future__ import annotations
@@ -20,15 +24,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.circuit.circuit import Circuit
-from repro.field.batch import BatchVector
 from repro.field.ntt import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.mpc.beaver import BeaverTriple, generate_triple, share_triple
-from repro.sharing.additive import (
-    share_scalar,
-    share_vector,
-    share_vectors_explicit_batch,
-)
+from repro.sharing.additive import share_scalar, share_vector
 from repro.snip.proof import SnipError, SnipProof, SnipProofShare, snip_domain_sizes
 
 
@@ -78,61 +77,6 @@ def build_proof(
     )
 
 
-def prove_many(
-    field: PrimeField,
-    circuit: Circuit,
-    xs: Sequence[Sequence[int]],
-    rng,
-    check_valid: bool = True,
-    force_pure: bool | None = None,
-) -> list[SnipProof]:
-    """Construct SNIP proofs for many inputs in one vectorized sweep.
-
-    The per-submission randomness (f(0), g(0), the Beaver triple) is
-    drawn in exactly the order sequential :func:`build_proof` calls
-    would draw it, so ``prove_many(field, c, xs, rng)`` produces
-    bit-identical proofs to ``[build_proof(field, c, x, rng) for x in
-    xs]`` — even on a mid-batch invalid input, because the circuit
-    traces come from one compiled-plan sweep *before* the draw loop
-    (evaluation consumes no randomness) and the per-value validity
-    check still raises at the scalar draw point.  The deterministic
-    polynomial work (the f/g/h double-domain sweep) is batched via
-    :func:`repro.snip.batch_prover.h_planes_batch`.
-    """
-    from repro.circuit.compiled import compile_circuit
-    from repro.snip.batch_prover import ProofRandomness, h_planes_batch
-
-    xs = [list(x) for x in xs]
-    if not xs:
-        return []
-    m = circuit.n_mul_gates
-    trace = compile_circuit(field, circuit).evaluate_batch(xs, force_pure)
-    randoms: list[ProofRandomness] = []
-    for i in range(len(xs)):
-        if check_valid and not trace.valid[i]:
-            raise SnipError(
-                f"input does not satisfy {circuit.name}; refusing to prove"
-            )
-        if m:
-            u0 = field.rand(rng)
-            v0 = field.rand(rng)
-            randoms.append(
-                ProofRandomness(
-                    u0=u0, v0=v0, triple=generate_triple(field, rng)
-                )
-            )
-    if m == 0:
-        return [
-            SnipProof(f0=0, g0=0, h_evals=[], triple=BeaverTriple(0, 0, 0))
-            for _ in xs
-        ]
-    h = h_planes_batch(field, circuit, trace, randoms, force_pure)
-    return [
-        SnipProof(f0=r.u0, g0=r.v0, h_evals=h_row, triple=r.triple)
-        for r, h_row in zip(randoms, h.to_ints())
-    ]
-
-
 def share_proof(
     field: PrimeField,
     proof: SnipProof,
@@ -177,190 +121,3 @@ def prove_and_share(
     proof = build_proof(field, circuit, x, rng)
     proof_shares = share_proof(field, proof, n_servers, rng)
     return x_shares, proof_shares
-
-
-def _draw_proof_share_randoms(
-    field: PrimeField, h_len: int, n_servers: int, rng
-) -> list[list[int]]:
-    """One proof's sharing randomness, in exact :func:`share_proof` order.
-
-    Scalar sharing draws f0 shares across servers, then g0, then each
-    server's h vector, then the triple's a/b/c — *not* server-major
-    over the flattened proof.  Returns one flatten-layout random row
-    per non-final server, so the batched last-share subtraction
-    reproduces scalar sharing bit for bit.
-    """
-    p = field.modulus
-    randrange = rng.randrange
-    s1 = n_servers - 1
-    f0_r = [randrange(p) for _ in range(s1)]
-    g0_r = [randrange(p) for _ in range(s1)]
-    if h_len:
-        h_r = [[randrange(p) for _ in range(h_len)] for _ in range(s1)]
-    else:
-        h_r = [[] for _ in range(s1)]
-    a_r = [randrange(p) for _ in range(s1)]
-    b_r = [randrange(p) for _ in range(s1)]
-    c_r = [randrange(p) for _ in range(s1)]
-    return [
-        [f0_r[j], g0_r[j]] + h_r[j] + [a_r[j], b_r[j], c_r[j]]
-        for j in range(s1)
-    ]
-
-
-def share_proof_batch(
-    field: PrimeField,
-    proofs: Sequence[SnipProof],
-    n_servers: int,
-    rng,
-    force_pure: bool | None = None,
-) -> list[BatchVector]:
-    """Share many proofs at once, plane-resident.
-
-    Returns one ``(B, proof_len)`` :class:`~repro.field.batch.BatchVector`
-    per server; row ``i`` of server ``j``'s batch is bit-identical to
-    ``share_proof(field, proofs[i], n_servers, rng)[j].flatten()``
-    under the same rng — the sharing randomness is drawn per proof in
-    scalar order, and the only share arithmetic (the last server's
-    ``proof - sum(randoms)``) runs as one plane subtraction per server.
-    """
-    if n_servers < 2:
-        raise SnipError("a SNIP needs at least two verifiers")
-    proofs = list(proofs)
-    if not proofs:
-        return [
-            BatchVector.zeros(field, (0, 0), force_pure)
-            for _ in range(n_servers)
-        ]
-    h_len = len(proofs[0].h_evals)
-    for proof in proofs:
-        if len(proof.h_evals) != h_len:
-            raise SnipError("mixed h_evals lengths in proof batch")
-    random_rows = [
-        _draw_proof_share_randoms(field, h_len, n_servers, rng)
-        for _ in proofs
-    ]
-    return share_vectors_explicit_batch(
-        field,
-        [proof.flatten() for proof in proofs],
-        n_servers,
-        random_rows=random_rows,
-        force_pure=force_pure,
-    )
-
-
-def prove_and_share_planes(
-    field: PrimeField,
-    circuit: Circuit,
-    xs: Sequence[Sequence[int]],
-    n_servers: int,
-    rng,
-    check_valid: bool = True,
-    force_pure: bool | None = None,
-) -> list[BatchVector]:
-    """Batched full client uploads, plane-resident end to end.
-
-    Returns one ``(B, k + proof_len)`` batch per server; row ``i`` of
-    server ``j``'s batch is bit-identical to ``x_shares[j] +
-    proof_shares[j].flatten()`` from ``prove_and_share(field, circuit,
-    xs[i], n_servers, rng)`` under the same rng.  The per-submission
-    randomness — input-share randoms, then f(0)/g(0)/triple, then
-    proof-share randoms — is drawn submission by submission in exactly
-    scalar order; everything deterministic (the f/g/h NTT sweep via
-    :mod:`repro.snip.batch_prover`, the ``x || proof`` assembly, the
-    last-share subtraction) is batched across all submissions and
-    never crosses to per-element Python ints.
-    """
-    from repro.circuit.compiled import compile_circuit
-    from repro.snip.batch_prover import (
-        ProofRandomness,
-        h_planes_batch,
-        submission_planes,
-    )
-
-    if n_servers < 2:
-        raise SnipError("a SNIP needs at least two verifiers")
-    xs = [list(x) for x in xs]
-    if not xs:
-        return [
-            BatchVector.zeros(field, (0, 0), force_pure)
-            for _ in range(n_servers)
-        ]
-    m = circuit.n_mul_gates
-    _, size_2n = snip_domain_sizes(m)
-    # One compiled-plan sweep traces the whole batch; it consumes no
-    # randomness, so hoisting it out of the draw loop leaves the rng
-    # sequence — including the failure point of a mid-batch invalid
-    # input — exactly scalar.
-    trace = compile_circuit(field, circuit).evaluate_batch(xs, force_pure)
-    randoms: list[ProofRandomness | None] = []
-    random_rows: list[list[list[int]]] = []
-    for i, x in enumerate(xs):
-        x_rand = [
-            field.rand_vector(len(x), rng) for _ in range(n_servers - 1)
-        ]
-        if check_valid and not trace.valid[i]:
-            raise SnipError(
-                f"input does not satisfy {circuit.name}; refusing to prove"
-            )
-        if m:
-            u0 = field.rand(rng)
-            v0 = field.rand(rng)
-            randoms.append(
-                ProofRandomness(
-                    u0=u0, v0=v0, triple=generate_triple(field, rng)
-                )
-            )
-        else:
-            randoms.append(None)
-        share_rand = _draw_proof_share_randoms(field, size_2n, n_servers, rng)
-        random_rows.append(
-            [x_rand[j] + share_rand[j] for j in range(n_servers - 1)]
-        )
-    h = h_planes_batch(field, circuit, trace, randoms, force_pure)
-    full = submission_planes(field, circuit, xs, randoms, h, force_pure)
-    return share_vectors_explicit_batch(
-        field, full, n_servers, random_rows=random_rows,
-        force_pure=force_pure,
-    )
-
-
-def prove_and_share_many(
-    field: PrimeField,
-    circuit: Circuit,
-    xs: Sequence[Sequence[int]],
-    n_servers: int,
-    rng,
-    force_pure: bool | None = None,
-) -> list[tuple[list[list[int]], list[SnipProofShare]]]:
-    """Batched client uploads: one ``(x_shares, proof_shares)`` per input.
-
-    Bit-identical to sequential :func:`prove_and_share` calls under the
-    same rng: all per-submission randomness (input sharing, then the
-    proof's f(0)/g(0)/triple, then proof sharing) is drawn in exactly
-    scalar order, and only the deterministic polynomial work and the
-    final-share arithmetic are batched
-    (:func:`prove_and_share_planes`, which this wraps with an int-level
-    decode).  Earlier revisions drew all input sharings before any
-    proof randomness, which made the batch equivalent only in
-    distribution; the order guarantee is now pinned by
-    ``tests/snip/test_client_batch_equivalence.py``.
-    """
-    xs = [list(x) for x in xs]
-    if not xs:
-        return []
-    per_server = prove_and_share_planes(
-        field, circuit, xs, n_servers, rng, force_pure=force_pure
-    )
-    server_rows = [batch.to_ints() for batch in per_server]
-    m = circuit.n_mul_gates
-    out = []
-    for i, x in enumerate(xs):
-        k = len(x)
-        x_shares = [server_rows[j][i][:k] for j in range(n_servers)]
-        proof_shares = [
-            SnipProofShare.unflatten(field, server_rows[j][i][k:], m)
-            for j in range(n_servers)
-        ]
-        out.append((x_shares, proof_shares))
-    return out

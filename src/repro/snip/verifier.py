@@ -212,9 +212,8 @@ class Round1Batch:
     ``d``/``e`` are 1-D ``(B,)`` :class:`~repro.field.batch.BatchVector`
     columns — one per-round plane instead of ``B`` per-submission int
     pairs.  Cross-server combination (the ``sum_i d_i`` of Step 3) is a
-    plane add; :meth:`messages`/:meth:`from_messages` are the
-    scalar-wire seam for callers that ship individual
-    :class:`Round1Message` objects.
+    plane add; :meth:`messages` is the scalar-wire seam for callers
+    that ship individual :class:`Round1Message` objects.
     """
 
     d: BatchVector
@@ -231,18 +230,6 @@ class Round1Batch:
             Round1Message(d=d, e=e)
             for d, e in zip(self.d.to_ints(), self.e.to_ints())
         ]
-
-    @classmethod
-    def from_messages(
-        cls,
-        field: PrimeField,
-        messages: Sequence[Round1Message],
-        force_pure: bool | None = None,
-    ) -> "Round1Batch":
-        return cls(
-            d=BatchVector.from_ints(field, [m.d for m in messages], force_pure),
-            e=BatchVector.from_ints(field, [m.e for m in messages], force_pure),
-        )
 
     @classmethod
     def zeros(
@@ -282,22 +269,6 @@ class Round2Batch:
             Round2Message(sigma=s, assertion=a)
             for s, a in zip(self.sigma.to_ints(), self.assertion.to_ints())
         ]
-
-    @classmethod
-    def from_messages(
-        cls,
-        field: PrimeField,
-        messages: Sequence[Round2Message],
-        force_pure: bool | None = None,
-    ) -> "Round2Batch":
-        return cls(
-            sigma=BatchVector.from_ints(
-                field, [m.sigma for m in messages], force_pure
-            ),
-            assertion=BatchVector.from_ints(
-                field, [m.assertion for m in messages], force_pure
-            ),
-        )
 
     @classmethod
     def zeros(
@@ -777,9 +748,9 @@ def verify_snip_batch(
     """Verify many submissions lock-step, one vectorized sweep per server.
 
     ``submissions`` holds one ``(x_shares, proof_shares)`` pair per
-    client (as produced by :func:`repro.snip.prover.prove_and_share` /
-    ``prove_and_share_many``).  Each outcome is decided independently:
-    a bad submission in the batch rejects alone.
+    client (as produced by :func:`repro.snip.prover.prove_and_share`).
+    Each outcome is decided independently: a bad submission in the
+    batch rejects alone.
     """
     if not submissions:
         return []

@@ -20,21 +20,15 @@ from repro.field import (
     FIELD_TINY,
     GF2,
     BatchVector,
-    accumulate_rows,
-    butterfly,
-    dot_rows,
-    dot_rows_multi,
-    elementwise_mul_rows,
+    EvaluationDomain,
+    PreparedWeights,
     intt,
-    intt_batch,
     ntt,
-    ntt_batch,
     numpy_available,
     poly_eval,
-    poly_eval_batch,
     use_numpy,
 )
-from repro.field.ntt import EvaluationDomain
+from repro.field.batch import dot_batch_planes
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 NTT_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY]
@@ -91,23 +85,30 @@ def test_dot_matches_scalar(field, force_pure, rng):
     for n in LENGTHS:
         a = random_vector(field, n, rng)
         b = random_vector(field, n, rng)
-        va = BatchVector.from_ints(field, a, force_pure=force_pure)
-        assert va.dot(b) == field.inner_product(a, b)
+        va = BatchVector.from_ints(field, [a], force_pure=force_pure)
+        assert dot_batch_planes(field, [b], va).to_ints() == [
+            [field.inner_product(a, b)]
+        ]
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_dot_rows_multi_matches_scalar(field, force_pure, rng):
+    """The verifier's round-1 core: K functionals over a (B, D) batch,
+    with raw and prepared (cached-plane) weights."""
     n_rows, width = 9, 41
     rows = [random_vector(field, width, rng) for _ in range(n_rows)]
     weights = [random_vector(field, width, rng) for _ in range(3)]
     expected = [
         [field.inner_product(w, row) for row in rows] for w in weights
     ]
-    got = dot_rows_multi(field, weights, rows, force_pure=force_pure)
-    assert got == expected
-    assert dot_rows(field, weights[0], rows, force_pure=force_pure) == \
-        expected[0]
+    batch = BatchVector.from_ints(field, rows, force_pure=force_pure)
+    got = dot_batch_planes(field, weights, batch)
+    assert got.backend == backend_id(force_pure)
+    assert got.to_ints() == expected
+    prepared = PreparedWeights(field, weights)
+    for _ in range(2):  # the second call reuses the cached planes
+        assert dot_batch_planes(field, prepared, batch).to_ints() == expected
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
@@ -116,12 +117,13 @@ def test_rowwise_helpers_match_scalar(field, force_pure, rng):
     p = field.modulus
     rows_a = [random_vector(field, 17, rng) for _ in range(6)]
     rows_b = [random_vector(field, 17, rng) for _ in range(6)]
-    assert elementwise_mul_rows(field, rows_a, rows_b, force_pure) == [
+    a = BatchVector.from_ints(field, rows_a, force_pure=force_pure)
+    b = BatchVector.from_ints(field, rows_b, force_pure=force_pure)
+    assert (a * b).to_ints() == [
         [x * y % p for x, y in zip(ra, rb)]
         for ra, rb in zip(rows_a, rows_b)
     ]
-    assert accumulate_rows(field, rows_a, force_pure) == \
-        field.vec_sum(rows_a)
+    assert a.sum_rows().to_ints() == field.vec_sum(rows_a)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
@@ -132,8 +134,10 @@ def test_non_canonical_inputs_are_canonicalized(field, force_pure):
     expected = [v % p for v in weird]
     vec = BatchVector.from_ints(field, weird, force_pure=force_pure)
     assert vec.to_ints() == expected
-    assert dot_rows(field, [1] * len(weird), [weird],
-                    force_pure=force_pure) == [sum(expected) % p]
+    batch = BatchVector.from_ints(field, [weird], force_pure=force_pure)
+    assert dot_batch_planes(field, [[1] * len(weird)], batch).to_ints() == [
+        [sum(expected) % p]
+    ]
 
 
 @pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
@@ -145,23 +149,30 @@ def test_ntt_roundtrip_matches_scalar(field, force_pure, rng):
         root = field.root_of_unity(size)
         rows = [random_vector(field, size, rng) for _ in range(5)]
         expected = [ntt(field, row, root) for row in rows]
-        got = ntt_batch(field, rows, root, force_pure=force_pure)
-        assert got == expected
-        back = intt_batch(field, got, root, force_pure=force_pure)
+        got = BatchVector.from_ints(field, rows, force_pure=force_pure).ntt(
+            root
+        )
+        assert got.to_ints() == expected
+        back = got.intt(root).to_ints()
         assert back == rows
         assert back == [intt(field, e, root) for e in expected]
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_evaluation_domain_batch_entry_points(force_pure, rng):
+    """Batch transforms at a domain's root agree with the domain's
+    scalar evaluate/interpolate, short coefficient rows zero-padded."""
     field = FIELD87
     domain = EvaluationDomain(field, 16)
     coeff_rows = [random_vector(field, rng.randrange(1, 17), rng)
                   for _ in range(7)]
     expected = [domain.evaluate(c) for c in coeff_rows]
-    got = domain.evaluate_batch(coeff_rows, force_pure=force_pure)
-    assert got == expected
-    assert domain.interpolate_batch(got, force_pure=force_pure) == [
+    padded = [c + [0] * (domain.size - len(c)) for c in coeff_rows]
+    got = BatchVector.from_ints(field, padded, force_pure=force_pure).ntt(
+        domain.root
+    )
+    assert got.to_ints() == expected
+    assert got.intt(domain.root).to_ints() == [
         domain.interpolate(e) for e in expected
     ]
 
@@ -176,7 +187,8 @@ def test_butterfly_matches_scalar(field, force_pure, rng):
     w = rng.randrange(1, p)
     vlo = BatchVector.from_ints(field, lo, force_pure=force_pure)
     vhi = BatchVector.from_ints(field, hi, force_pure=force_pure)
-    out_lo, out_hi = butterfly(vlo, vhi, w)
+    t = vhi.scale(w)
+    out_lo, out_hi = vlo + t, vlo - t
     assert out_lo.to_ints() == [(x + w * y) % p for x, y in zip(lo, hi)]
     assert out_hi.to_ints() == [(x - w * y) % p for x, y in zip(lo, hi)]
 
@@ -184,12 +196,21 @@ def test_butterfly_matches_scalar(field, force_pure, rng):
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_poly_eval_batch_matches_scalar(field, force_pure, rng):
+    """Evaluation at a fixed point is one functional — the power basis —
+    which is how the verifier evaluates every submission's polynomials
+    at its challenge point: one dot_batch_planes pass against Horner."""
+    width = 12
     coeff_rows = [
-        random_vector(field, rng.randrange(1, 12), rng) for _ in range(8)
+        random_vector(field, rng.randrange(1, width), rng) for _ in range(8)
     ]
     x = rng.randrange(field.modulus)
-    assert poly_eval_batch(field, coeff_rows, x, force_pure=force_pure) == [
-        poly_eval(field, c, x) for c in coeff_rows
+    basis = [pow(x, i, field.modulus) for i in range(width)]
+    batch = BatchVector.from_ints(
+        field, [c + [0] * (width - len(c)) for c in coeff_rows],
+        force_pure=force_pure,
+    )
+    assert dot_batch_planes(field, [basis], batch).to_ints() == [
+        [poly_eval(field, c, x) for c in coeff_rows]
     ]
 
 
@@ -200,8 +221,10 @@ def test_long_dot_exercises_chunking(force_pure, rng):
     n = 70_001      # odd, and far beyond one chunk
     a = random_vector(field, n, rng)
     b = random_vector(field, n, rng)
-    va = BatchVector.from_ints(field, a, force_pure=force_pure)
-    assert va.dot(b) == field.inner_product(a, b)
+    va = BatchVector.from_ints(field, [a], force_pure=force_pure)
+    assert dot_batch_planes(field, [b], va).to_ints() == [
+        [field.inner_product(a, b)]
+    ]
 
 
 def test_two_backends_agree_when_both_available(rng):
@@ -210,8 +233,10 @@ def test_two_backends_agree_when_both_available(rng):
     for field in ALL_FIELDS:
         rows = [random_vector(field, 37, rng) for _ in range(5)]
         w = random_vector(field, 37, rng)
-        assert dot_rows(field, w, rows, force_pure=False) == \
-            dot_rows(field, w, rows, force_pure=True)
+        numpy_rows = BatchVector.from_ints(field, rows, force_pure=False)
+        pure_rows = BatchVector.from_ints(field, rows, force_pure=True)
+        assert dot_batch_planes(field, [w], numpy_rows).to_ints() == \
+            dot_batch_planes(field, [w], pure_rows).to_ints()
 
 
 def test_force_pure_env_var(rng):

@@ -25,13 +25,12 @@ from repro.field import (
     FieldError,
     assemble_rows,
     decode_bytes_batch,
-    dot_batch_multi,
-    dot_rows_multi,
     encode_bytes_batch,
     poly_mul,
     poly_mul_ntt,
     use_numpy,
 )
+from repro.field.batch import dot_batch_planes
 from repro.protocol import PendingSubmission, PrioDeployment, PrioServer
 from repro.protocol.wire import (
     MAX_N_ELEMENTS,
@@ -340,7 +339,7 @@ def test_decode_distinguishes_seed_body_errors():
 
 
 # ----------------------------------------------------------------------
-# assemble_rows / dot_batch_multi (the plane-resident verify path)
+# assemble_rows / dot_batch_planes (the plane-resident verify path)
 # ----------------------------------------------------------------------
 
 
@@ -359,12 +358,17 @@ def test_assemble_rows_mixes_sources(field, force_pure, rng):
 @pytest.mark.parametrize("field", [FIELD87, FIELD265], ids=lambda f: f.name)
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_dot_batch_multi_matches_dot_rows_multi(field, force_pure, rng):
+    """Functionals over an assembled (not freshly encoded) share matrix
+    — the verifier's real input — against scalar inner products."""
     rows = random_rows(field, 5, 40, rng)
     weights = random_rows(field, 3, 40, rng)
-    batch = BatchVector.from_ints(field, rows, force_pure)
-    assert dot_batch_multi(field, weights, batch) == dot_rows_multi(
-        field, weights, rows, force_pure
+    first = BatchVector.from_ints(field, rows[:2], force_pure)
+    batch = assemble_rows(
+        field, [(first, 0), (first, 1), *rows[2:]], force_pure
     )
+    assert dot_batch_planes(field, weights, batch).to_ints() == [
+        [field.inner_product(w, row) for row in rows] for w in weights
+    ]
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
@@ -373,7 +377,7 @@ def test_batchvector_row_column_helpers(force_pure, rng):
     rows = random_rows(f, 4, 9, rng)
     batch = BatchVector.from_ints(f, rows, force_pure)
     assert batch.row_ints(2) == rows[2]
-    assert batch.column_ints(5) == [row[5] for row in rows]
+    assert batch.column(5).to_ints() == [row[5] for row in rows]
     assert batch.take_rows([3, 1]).to_ints() == [rows[3], rows[1]]
     assert batch.slice_columns(4).to_ints() == [row[:4] for row in rows]
     sub = [9, 8, 7, 6, 5, 4, 3, 2, 1]

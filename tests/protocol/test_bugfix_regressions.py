@@ -12,6 +12,8 @@ Each test fails on the pre-fix code:
   cumulative nonsense.
 * ``ClientPacket.encode`` let out-of-range header fields escape as a
   bare ``OverflowError`` from ``to_bytes``.
+* ``ShardedFanout`` leaked every shard's replay cache when its inner
+  executor failed to resolve.
 """
 
 import random
@@ -266,3 +268,43 @@ def test_transport_batch_queue_is_bounded():
     maxsize = asyncio.run(scenario())
     assert maxsize == config.shed_limit
     assert maxsize > 0
+
+
+# ---------------------------------------------------------------------
+# ShardedFanout spawned K shard replay caches per server before it
+# resolved the inner executor, outside its cleanup guard: a bad inner
+# kind leaked every shard's temp SQLite file and open connection
+# ---------------------------------------------------------------------
+
+
+def test_sharded_fanout_bad_inner_kind_closes_shard_replay_caches(
+    monkeypatch,
+):
+    import os
+    import tempfile
+
+    from repro.protocol import FanoutError, resolve_fanout
+
+    created = []
+    mkstemp = tempfile.mkstemp
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        created.append(path)
+        return fd, path
+
+    monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+    dep = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 1), 2, replay_cache="tiered"
+    )
+    try:
+        own_caches = list(created)
+        assert len(own_caches) == 2
+        with pytest.raises(FanoutError):
+            resolve_fanout(dep.servers, "bogus:2")
+        shard_caches = created[len(own_caches):]
+        assert len(shard_caches) == 4  # K = 2 shards per server
+        leaked = [path for path in shard_caches if os.path.exists(path)]
+        assert leaked == []
+    finally:
+        dep.close()

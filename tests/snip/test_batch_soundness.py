@@ -20,7 +20,9 @@ from repro.protocol import PrioDeployment
 from repro.snip import (
     ServerRandomness,
     VerificationContext,
-    prove_and_share_many,
+    build_proof,
+    prove_and_share,
+    share_proof,
     verify_snip,
     verify_snip_batch,
 )
@@ -90,11 +92,8 @@ def test_malformed_submission_rejected_alone(
     afe = mk_afe()
     circuit, ctx = _context(afe)
     batch = 12
-    subs = prove_and_share_many(
-        FIELD87, circuit,
-        [afe.encode(mk_value(rng)) for _ in range(batch)],
-        n_servers=3, rng=rng,
-    )
+    encodings = [afe.encode(mk_value(rng)) for _ in range(batch)]
+    subs = [prove_and_share(FIELD87, circuit, x, 3, rng) for x in encodings]
     bad = rng.randrange(batch)
     how = CORRUPTIONS[rng.randrange(len(CORRUPTIONS))]
     _corrupt_submission(subs[bad], how, rng, FIELD87)
@@ -175,11 +174,8 @@ def test_multiple_corruptions_each_rejected(force_pure, rng):
     afe = IntegerSumAfe(FIELD87, 6)
     circuit, ctx = _context(afe)
     batch = 16
-    subs = prove_and_share_many(
-        FIELD87, circuit,
-        [afe.encode(rng.randrange(64)) for _ in range(batch)],
-        n_servers=2, rng=rng,
-    )
+    encodings = [afe.encode(rng.randrange(64)) for _ in range(batch)]
+    subs = [prove_and_share(FIELD87, circuit, x, 2, rng) for x in encodings]
     bad = set(rng.sample(range(batch), 5))
     for idx in sorted(bad):
         how = CORRUPTIONS[rng.randrange(len(CORRUPTIONS))]
@@ -194,11 +190,8 @@ def test_multiple_corruptions_each_rejected(force_pure, rng):
 def test_all_honest_batch_accepted(force_pure, rng):
     afe = FrequencyCountAfe(FIELD87, 4)
     circuit, ctx = _context(afe)
-    subs = prove_and_share_many(
-        FIELD87, circuit,
-        [afe.encode(rng.randrange(4)) for _ in range(10)],
-        n_servers=4, rng=rng,
-    )
+    encodings = [afe.encode(rng.randrange(4)) for _ in range(10)]
+    subs = [prove_and_share(FIELD87, circuit, x, 4, rng) for x in encodings]
     assert all(
         o.accepted for o in verify_snip_batch(ctx, subs, force_pure)
     )
@@ -207,7 +200,6 @@ def test_all_honest_batch_accepted(force_pure, rng):
 def test_invalid_encoding_rejected_via_batch_prover_bypass(rng):
     """A client that skips the validity check and proves a lie is still
     caught by batched verification."""
-    from repro.snip import prove_many, share_proof
     from repro.sharing.additive import share_vector
 
     afe = IntegerSumAfe(FIELD87, 4)
@@ -215,9 +207,10 @@ def test_invalid_encoding_rejected_via_batch_prover_bypass(rng):
     good = afe.encode(9)
     evil = afe.encode(9)
     evil[0] = 1_000_000  # claims to be a 4-bit value
-    proofs = prove_many(
-        FIELD87, circuit, [good, evil], rng, check_valid=False
-    )
+    proofs = [
+        build_proof(FIELD87, circuit, x, rng, check_valid=False)
+        for x in (good, evil)
+    ]
     subs = []
     for enc, proof in zip([good, evil], proofs):
         subs.append((

@@ -6,10 +6,7 @@ The batched client path (``PrioClient.prepare_submissions``
 ``prepare_submission`` loop under a shared rng: same submission ids,
 same seeds, same wire bytes, same ``upload_bytes`` — on every shipped
 NTT-friendly modulus, on both backends, at every batch size, in both
-the PRG-seed-compressed and the explicit share forms.  The same
-order-preservation contract is pinned for the SNIP-level batch entry
-points (``prove_and_share_many`` / ``prove_and_share_planes`` /
-``share_proof_batch`` vs their scalar counterparts).
+the PRG-seed-compressed and the explicit share forms.
 
 The adversarial half round-trips batched uploads through real
 ``PrioServer`` instances (the batch protocol: wire-bytes receive →
@@ -55,16 +52,7 @@ from repro.protocol import (
     PrioServer,
     run_pipelined,
 )
-from repro.snip import (
-    ServerRandomness,
-    build_proof,
-    prove_and_share,
-    prove_and_share_many,
-    prove_and_share_planes,
-    prove_many,
-    share_proof,
-    share_proof_batch,
-)
+from repro.snip import ServerRandomness
 from repro.snip.proof import snip_domain_sizes
 from repro.transport import TransportClient
 from repro.workloads.scenarios import scenario_by_name
@@ -221,22 +209,25 @@ def test_sealed_uploads_pinned_bytes(force_pure, n_values):
 
 
 @pytest.mark.slow
-def test_highres_sized_proofs_bit_identical_to_scalar_build_proof():
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_highres_sized_proofs_bit_identical_to_scalar_build_proof(
+    force_pure,
+):
     """N = 4096 (the ``highres`` count-min scenario, 3822 mul gates):
-    the fused plane sweep against per-proof scalar ``build_proof``."""
+    the batched client's fused plane sweep against the scalar client,
+    whose proofs come from per-value ``build_proof``."""
     scenario = scenario_by_name("highres")
     afe = scenario.afe
-    field = afe.field
-    circuit = afe.valid_circuit()
-    assert snip_domain_sizes(circuit.n_mul_gates)[0] == 4096
+    assert snip_domain_sizes(afe.valid_circuit().n_mul_gates)[0] == 4096
     rng = random.Random(0x41CE5)
-    xs = [afe.encode(scenario.generate(rng), rng) for _ in range(3)]
-    seq_rng, batch_rng = random.Random(4096), random.Random(4096)
-    sequential = [build_proof(field, circuit, x, seq_rng) for x in xs]
-    batched = prove_many(field, circuit, xs, batch_rng)
-    assert seq_rng.getstate() == batch_rng.getstate()
-    for scalar_proof, batch_proof in zip(sequential, batched):
-        assert scalar_proof.flatten() == batch_proof.flatten()
+    values = [scenario.generate(rng) for _ in range(3)]
+    scalar_client = PrioClient(afe, 2, rng=random.Random(4096))
+    batched_client = PrioClient(afe, 2, rng=random.Random(4096))
+    _assert_same_submissions(
+        [scalar_client.prepare_submission(v) for v in values],
+        batched_client.prepare_submissions(values, force_pure=force_pure),
+    )
+    assert scalar_client.rng.getstate() == batched_client.rng.getstate()
 
 
 def test_batched_client_rejects_invalid_value_at_scalar_rng_point():
@@ -251,76 +242,6 @@ def test_batched_client_rejects_invalid_value_at_scalar_rng_point():
         [scalar.prepare_submission(v) for v in good_then_bad]
     assert type(batched_exc.value) is type(scalar_exc.value)
     assert client.rng.getstate() == scalar.rng.getstate()
-
-
-# ----------------------------------------------------------------------
-# SNIP-level order guarantee: prove_and_share_many / planes / proof batch
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-@pytest.mark.parametrize("field", MODULI, ids=MODULI_IDS)
-def test_prove_and_share_many_matches_sequential(field, force_pure):
-    """The documented guarantee: bit-identical to scalar prove_and_share.
-
-    Earlier revisions drew all input sharings before any proof
-    randomness (equivalent in distribution only); the batched path now
-    replays scalar draw order exactly.
-    """
-    afe = _afe_for(field)
-    circuit = afe.valid_circuit()
-    rng = random.Random(21)
-    xs = [afe.encode(v, rng) for v in _values(5, rng)]
-    seq_rng, batch_rng = random.Random(77), random.Random(77)
-    sequential = [
-        prove_and_share(field, circuit, x, 3, seq_rng) for x in xs
-    ]
-    batched = prove_and_share_many(
-        field, circuit, xs, 3, batch_rng, force_pure=force_pure
-    )
-    assert seq_rng.getstate() == batch_rng.getstate()
-    for (sx, sp), (bx, bp) in zip(sequential, batched):
-        assert sx == bx
-        for scalar_share, batch_share in zip(sp, bp):
-            assert scalar_share.flatten() == batch_share.flatten()
-
-
-@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_prove_and_share_planes_rows_match_scalar(force_pure):
-    afe = _afe_for(FIELD87)
-    circuit = afe.valid_circuit()
-    rng = random.Random(31)
-    xs = [afe.encode(v, rng) for v in _values(4, rng)]
-    seq_rng, plane_rng = random.Random(13), random.Random(13)
-    sequential = [
-        prove_and_share(FIELD87, circuit, x, 3, seq_rng) for x in xs
-    ]
-    planes = prove_and_share_planes(
-        FIELD87, circuit, xs, 3, plane_rng, force_pure=force_pure
-    )
-    for i, (sx, sp) in enumerate(sequential):
-        for j in range(3):
-            assert planes[j].row_ints(i) == sx[j] + sp[j].flatten()
-
-
-@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_share_proof_batch_matches_scalar(force_pure):
-    afe = _afe_for(FIELD87)
-    circuit = afe.valid_circuit()
-    rng = random.Random(41)
-    xs = [afe.encode(v, rng) for v in _values(3, rng)]
-    proofs = prove_many(FIELD87, circuit, xs, random.Random(1))
-    seq_rng, batch_rng = random.Random(2), random.Random(2)
-    scalar_shares = [share_proof(FIELD87, p, 3, seq_rng) for p in proofs]
-    batch_shares = share_proof_batch(
-        FIELD87, proofs, 3, batch_rng, force_pure=force_pure
-    )
-    assert seq_rng.getstate() == batch_rng.getstate()
-    for i in range(len(proofs)):
-        for j in range(3):
-            assert (
-                batch_shares[j].row_ints(i) == scalar_shares[i][j].flatten()
-            )
 
 
 # ----------------------------------------------------------------------

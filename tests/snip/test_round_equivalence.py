@@ -28,7 +28,7 @@ from repro.snip import (
     ServerRandomness,
     SnipVerifierParty,
     VerificationContext,
-    prove_and_share_many,
+    prove_and_share,
 )
 
 BACKENDS = [True] + ([False] if use_numpy(None) else [])
@@ -205,10 +205,10 @@ def _assert_equivalent(ctx, submissions, n_servers, force_pure, rng):
 def _make_submissions(afe, circuit, batch, n_servers, rng, n_bad):
     values = [afe.random_value(rng) for _ in range(batch)]
     encodings = [afe.encode(v) for v in values]
-    submissions = prove_and_share_many(
-        afe.field, circuit, encodings, n_servers, rng
-    )
-    submissions = [list(sub) for sub in submissions]
+    submissions = [
+        list(prove_and_share(afe.field, circuit, x, n_servers, rng))
+        for x in encodings
+    ]
     bad_positions = rng.sample(range(batch), n_bad) if n_bad else []
     for pos in bad_positions:
         _corrupt(
