@@ -4,7 +4,7 @@ The paper's workload: each client submits a vector of 0/1 integers;
 five servers (one per region) sum the vectors.  Lines: no-privacy,
 no-robustness, Prio, Prio-MPC, NIZK.
 
-Methodology (see DESIGN.md substitutions): we *measure* the
+Methodology: we *measure* the
 per-submission **server-side** CPU of every scheme on this machine —
 exactly the work each scheme's server does per submission:
 
@@ -192,8 +192,8 @@ def fig4_data():
         notes=[
             "paper: Prio ~5x below no-privacy; NIZK 100-200x below; "
             "Prio-MPC between Prio and NIZK",
-            "rates modelled from measured server CPU + simulated WAN "
-            "(DESIGN.md); the ratios are the reproducible quantity",
+            "rates modelled from measured server CPU + simulated WAN; "
+            "the ratios are the reproducible quantity",
         ],
     )
     return all_rates

@@ -5,7 +5,7 @@ time for L in {10, 100, 1000}, on a workstation and a phone, in the
 87-bit and 265-bit fields.  We measure the workstation column directly
 (full prepare_submission: encode + SNIP + PRG-share + frame) and scale
 by the paper's own phone/workstation field-multiplication ratio for the
-phone column (see DESIGN.md substitutions).
+phone column.
 """
 
 import random

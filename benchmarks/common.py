@@ -9,7 +9,7 @@ timed operation with pytest-benchmark.
 
 Set ``PRIO_BENCH_FULL=1`` for paper-scale sweeps (larger L, more
 points); the default sizes keep the whole suite to a few minutes of
-wall time.  Paper-vs-measured commentary lives in EXPERIMENTS.md.
+wall time.
 """
 
 from __future__ import annotations

@@ -16,7 +16,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in artifact.render().splitlines():
             terminalreporter.write_line(line)
     terminalreporter.write_line("")
-    terminalreporter.write_line(
-        "JSON artifacts: benchmarks/results/*.json "
-        "(paper-vs-measured discussion: EXPERIMENTS.md)"
-    )
+    terminalreporter.write_line("JSON artifacts: benchmarks/results/*.json")

@@ -14,12 +14,37 @@ Quick start::
     print(deployment.publish())   # 21 — and no server saw any value
 
 Subpackages: ``repro.field`` (prime fields + NTT), ``repro.sharing``
-(additive/PRG/Shamir sharing), ``repro.circuit`` (Valid predicates),
-``repro.mpc`` (Beaver triples), ``repro.snip`` (the paper's core
-contribution), ``repro.afe`` (encodings for every supported statistic),
-``repro.ec``/``repro.crypto``/``repro.nizk`` (the public-key baseline),
-``repro.protocol`` (the full pipeline), ``repro.simnet`` (deployment
-simulation), and ``repro.workloads`` (Section 6.2 scenarios).
+(additive and PRG-compressed sharing), ``repro.circuit`` (Valid
+predicates), ``repro.mpc`` (Beaver triples), ``repro.snip`` (the
+paper's core contribution), ``repro.afe`` (encodings for every
+supported statistic), ``repro.ec``/``repro.crypto``/``repro.nizk`` (the
+public-key baseline), ``repro.protocol`` (the full pipeline),
+``repro.simnet`` (deployment simulation), and ``repro.workloads``
+(Section 6.2 scenarios).
+
+Public surface
+--------------
+
+Each name below is re-exported from the subpackage whose ``__all__``
+lists it; ``tests/test_package_surface.py`` checks both facts, and that
+each name's paragraph says who calls it.
+
+Used in ``src/``: ``Afe``, ``AfeError``, ``BoolAndAfe``,
+``BoolOrAfe``, ``CountMinSketchAfe``, ``FrequencyCountAfe``,
+``IntegerSumAfe``, ``LinRegAfe``, ``FIELD87``, ``GF2``,
+``PrimeField``, ``PrioClient``, ``PrioServer``, ``ServerRandomness``,
+``VerificationContext``.
+
+Examples: ``PrioDeployment``, ``R2Afe``, ``FIELD265``.
+
+Scalar oracles (the references the batched paths are tested
+against): ``build_proof``, ``prove_and_share``, ``verify_snip``.
+
+Tests only (the rest of Section 5's statistics, each run by
+``tests/afe``, and the 64-bit field): ``ApproxMaxAfe``, ``GeometricMeanAfe``,
+``IntegerMeanAfe``, ``MaxAfe``, ``MinAfe``, ``MostPopularStringAfe``,
+``ProductAfe``, ``SetIntersectionAfe``, ``SetUnionAfe``,
+``StddevAfe``, ``VarianceAfe``, ``FIELD64``.
 """
 
 from repro.afe import (
@@ -45,13 +70,7 @@ from repro.afe import (
     VarianceAfe,
 )
 from repro.field import FIELD64, FIELD87, FIELD265, GF2, PrimeField
-from repro.protocol import (
-    NoPrivacyPipeline,
-    NoRobustnessPipeline,
-    PrioClient,
-    PrioDeployment,
-    PrioServer,
-)
+from repro.protocol import PrioClient, PrioDeployment, PrioServer
 from repro.snip import (
     ServerRandomness,
     VerificationContext,
@@ -88,8 +107,6 @@ __all__ = [
     "FIELD265",
     "GF2",
     "PrimeField",
-    "NoPrivacyPipeline",
-    "NoRobustnessPipeline",
     "PrioClient",
     "PrioDeployment",
     "PrioServer",
@@ -98,5 +115,4 @@ __all__ = [
     "build_proof",
     "prove_and_share",
     "verify_snip",
-    "__version__",
 ]

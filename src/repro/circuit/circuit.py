@@ -329,9 +329,6 @@ class CircuitBuilder:
         self._gates.append(Gate(Op.MUL_CONST, left=a, payload=constant))
         return wire
 
-    def add_const(self, a: int, constant: int) -> int:
-        return self.add(a, self.constant(constant))
-
     def linear_combination(
         self, coefficients: Sequence[int], wires: Sequence[int]
     ) -> int:

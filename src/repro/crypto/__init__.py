@@ -1,4 +1,20 @@
-"""Crypto substrate: stream cipher, HKDF, ECIES box, Schnorr signatures."""
+"""Crypto substrate: stream cipher, HKDF, ECIES box, Schnorr signatures.
+
+Public surface
+--------------
+
+``tests/test_package_surface.py`` checks that ``__all__`` is exactly
+the names below and that each sits in the paragraph naming its callers.
+
+Used in ``src/``: ``BoxKeyPair``, ``open_box``, ``seal``, ``KEY_SIZE``,
+``MAC_SIZE``, ``CryptoError``, ``hkdf_sha256``, ``mac_tag``,
+``mac_verify``, ``stream_xor``, ``SigningKeyPair``, ``sign``,
+``verify``.
+
+Tests only (the box's byte overhead, and the keystream that
+``stream_xor`` applies): ``box_overhead``, ``sealed_overhead``,
+``keystream``.
+"""
 
 from repro.crypto.box import (
     BoxKeyPair,
@@ -10,7 +26,6 @@ from repro.crypto.box import (
 from repro.crypto.primitives import (
     KEY_SIZE,
     MAC_SIZE,
-    NONCE_SIZE,
     CryptoError,
     hkdf_sha256,
     keystream,
@@ -18,7 +33,7 @@ from repro.crypto.primitives import (
     mac_verify,
     stream_xor,
 )
-from repro.crypto.sign import SigningKeyPair, sign, verify, verify_or_raise
+from repro.crypto.sign import SigningKeyPair, sign, verify
 
 __all__ = [
     "BoxKeyPair",
@@ -28,7 +43,6 @@ __all__ = [
     "sealed_overhead",
     "KEY_SIZE",
     "MAC_SIZE",
-    "NONCE_SIZE",
     "CryptoError",
     "hkdf_sha256",
     "keystream",
@@ -38,5 +52,4 @@ __all__ = [
     "SigningKeyPair",
     "sign",
     "verify",
-    "verify_or_raise",
 ]

@@ -25,7 +25,6 @@ class CryptoError(ValueError):
 
 MAC_SIZE = 16
 KEY_SIZE = 32
-NONCE_SIZE = 16
 
 
 def hkdf_sha256(

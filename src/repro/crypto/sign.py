@@ -17,7 +17,6 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-from repro.crypto.primitives import CryptoError
 from repro.ec.p256 import GENERATOR, ORDER, Point, random_scalar, scalar_mult
 
 
@@ -71,8 +70,3 @@ def verify(public: Point, message: bytes, signature: bytes) -> bool:
     lhs = scalar_mult(s, GENERATOR)
     rhs = nonce_point + scalar_mult(e, public)
     return lhs == rhs
-
-
-def verify_or_raise(public: Point, message: bytes, signature: bytes) -> None:
-    if not verify(public, message, signature):
-        raise CryptoError("bad signature")

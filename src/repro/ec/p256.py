@@ -413,14 +413,6 @@ def fixed_base_mult(scalar: int, point: Point) -> Point:
     return _to_affine(_fixed_base_jacobian(scalar, point))
 
 
-def multi_scalar_mult(pairs: list[tuple[int, Point]]) -> Point:
-    """Sum of scalar multiples (simple loop; adequate for the baseline)."""
-    acc = _JAC_INFINITY
-    for scalar, point in pairs:
-        acc = _jac_add(acc, _to_jacobian(scalar_mult(scalar, point)))
-    return _to_affine(acc)
-
-
 def random_scalar(rng) -> int:
     """A uniform nonzero scalar mod the group order."""
     return rng.randrange(1, ORDER)

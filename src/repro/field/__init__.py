@@ -10,9 +10,8 @@ Public surface
 
 This docstring is the one place the exports are listed
 (``tests/test_package_surface.py`` compares it with ``__all__`` and
-checks that every name in the first list is used by code elsewhere in
-``src/``, so a batch entry point only tests call cannot accumulate
-unnoticed).
+checks that each name sits in the paragraph naming its callers, so a
+batch entry point only tests call cannot accumulate unnoticed).
 
 Used in ``src/``: ``FieldError``, ``PrimeField``, ``FIELD64``,
 ``FIELD87``, ``FIELD265``, ``GF2``, ``EvaluationDomain``,
@@ -27,7 +26,7 @@ against): ``ntt``, ``intt``, ``batch_inverse``, ``poly_add``,
 ``poly_sub``, ``poly_scale``, ``poly_degree``, ``poly_normalize``.
 
 Test fields and backend probes: ``FIELD_SMALL``, ``FIELD_TINY``,
-``STANDARD_FIELDS``, ``backend_name``, ``numpy_available``.
+``backend_name``, ``numpy_available``.
 
 Batched verification
 --------------------
@@ -69,7 +68,6 @@ from repro.field.parameters import (
     FIELD_SMALL,
     FIELD_TINY,
     GF2,
-    STANDARD_FIELDS,
 )
 from repro.field.poly import (
     lagrange_coefficients_at,
@@ -112,7 +110,6 @@ __all__ = [
     "FIELD_SMALL",
     "FIELD_TINY",
     "GF2",
-    "STANDARD_FIELDS",
     "lagrange_coefficients_at",
     "lagrange_interpolate",
     "poly_add",

@@ -1326,20 +1326,12 @@ def _words_ge_modulus(ctx: _LimbContext, words):
     return gt | eq
 
 
-def _bytes_to_planes(ctx: _LimbContext, arr):
-    """uint8 array ``(..., width)`` of big-endian elements -> planes.
-
-    Returns ``(L, ...)`` int64 planes; each group of three bytes is one
-    limb (see :func:`_bytes_to_words`).
-    """
-    return _words_to_planes(_bytes_to_words(ctx, arr))
-
-
 def _planes_to_bytes(ctx: _LimbContext, planes, width: int):
     """Canonical ``(L, ...)`` planes -> uint8 array ``(..., width)``.
 
-    Inverse of :func:`_bytes_to_planes`; canonical values never carry
-    bits above ``width`` bytes, so the high pad is provably zero.
+    Inverse of :func:`_bytes_to_words` + :func:`_words_to_planes`;
+    canonical values never carry bits above ``width`` bytes, so the
+    high pad is provably zero.
     """
     L = ctx.n_limbs
     grouped = _np.empty(planes.shape[1:] + (L, 3), dtype=_np.uint8)

@@ -9,8 +9,8 @@ want to sum very large counters or drive the soundness error below
 The original Go/FLINT implementation's exact moduli were not published
 in the paper, so this reproduction generated its own with the same
 properties.  All parameters below were produced by 40-round
-Miller-Rabin searches (see DESIGN.md); the stated generators were
-checked against the full factorization of ``p - 1``.
+Miller-Rabin searches; the stated generators were checked against the
+full factorization of ``p - 1``.
 
 FIELD87
     ``p = 2^86 + 2^35 + 1`` (87 bits).  2-adicity 30: supports NTT
@@ -73,10 +73,3 @@ FIELD_TINY = PrimeField(modulus=97, two_adicity=5, generator=5, name="F97")
 
 #: GF(2); sharing here is XOR sharing (boolean OR/AND AFEs).
 GF2 = PrimeField(modulus=2, name="GF2")
-
-#: Fields a deployment would actually choose between, keyed by name.
-STANDARD_FIELDS: dict[str, PrimeField] = {
-    "F87": FIELD87,
-    "F265": FIELD265,
-    "F64": FIELD64,
-}

@@ -59,10 +59,6 @@ def mul_gate_levels(circuit: Circuit) -> list[list[int]]:
     return [levels[k] for k in sorted(levels)]
 
 
-def multiplicative_depth(circuit: Circuit) -> int:
-    return len(mul_gate_levels(circuit))
-
-
 class CircuitMpcParty:
     """One server's state during a multi-party circuit evaluation.
 

@@ -1,4 +1,4 @@
-"""The full Prio protocol: client, servers, wire format, and baselines.
+"""The full Prio protocol: client, servers, and wire format.
 
 Public surface
 --------------
@@ -42,7 +42,6 @@ execution backend chosen by one ``executor`` spelling
 stays as the differential reference.
 """
 
-from repro.protocol.baselines import NoPrivacyPipeline, NoRobustnessPipeline
 from repro.protocol.client import ClientSubmission, PrioClient
 from repro.protocol.dp import (
     DpError,
@@ -106,8 +105,6 @@ from repro.protocol.wire import (
 )
 
 __all__ = [
-    "NoPrivacyPipeline",
-    "NoRobustnessPipeline",
     "ClientSubmission",
     "PrioClient",
     "DpError",

@@ -1,4 +1,21 @@
-"""Secret sharing: additive (core), PRG-compressed, and Shamir threshold."""
+"""Secret sharing: additive s-out-of-s shares, PRG-compressed.
+
+Public surface
+--------------
+
+``tests/test_package_surface.py`` checks that ``__all__`` is exactly
+the names below and that each sits in the paragraph naming its callers.
+
+Used in ``src/``: ``share_scalar``, ``share_vector``,
+``share_vectors_client_batch``, ``share_vectors_explicit_batch``,
+``SEED_SIZE``, ``expand_seed``, ``expand_seed_batch``, ``new_seed``,
+``prg_share_vector``.
+
+Scalar oracles (what the deployment's accumulate-and-publish
+reconstruction and its batched seed expansion are tested against):
+``reconstruct_scalar``, ``reconstruct_vector``,
+``prg_reconstruct_vector``, ``share_of_constant``, ``PrgStream``.
+"""
 
 from repro.sharing.additive import (
     reconstruct_scalar,
@@ -18,13 +35,6 @@ from repro.sharing.prg import (
     prg_reconstruct_vector,
     prg_share_vector,
 )
-from repro.sharing.shamir import (
-    shamir_reconstruct_scalar,
-    shamir_reconstruct_vector,
-    shamir_share_scalar,
-    shamir_share_vector,
-)
-
 __all__ = [
     "reconstruct_scalar",
     "reconstruct_vector",
@@ -40,8 +50,4 @@ __all__ = [
     "new_seed",
     "prg_reconstruct_vector",
     "prg_share_vector",
-    "shamir_reconstruct_scalar",
-    "shamir_reconstruct_vector",
-    "shamir_share_scalar",
-    "shamir_share_vector",
 ]

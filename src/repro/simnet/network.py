@@ -1,7 +1,7 @@
 """A small event-driven network simulator.
 
 Nodes register message handlers; ``send`` schedules a delivery after
-the topology's latency plus serialization time; ``run`` drains the
+the topology's latency plus serialization time; ``run_async`` drains the
 event queue in timestamp order.  Per-link byte counters feed the
 bandwidth figures, and the final clock value gives end-to-end latency
 measurements for protocol runs that the in-process runner cannot
@@ -11,15 +11,16 @@ This is deliberately minimal — enough to run the full Prio verification
 protocol with realistic message interleaving (the integration tests do
 exactly that) without pulling in an external discrete-event framework.
 
-``run`` drains events strictly one at a time; ``run_async`` drains the
-*same schedule* in latency windows: every queued event closer to the
-window head than the smallest inter-site latency provably cannot be
-caused by another event in the window, so the window's handlers execute
-concurrently (per destination node, in order) and their sends are
-buffered and flushed in serial event order afterwards — sequence
-numbers, byte counters, clock reads, and therefore the entire event
-schedule are bit-identical to ``run``.  That is what lets cluster
-handlers ``await`` per-server worker pools and actually overlap them.
+``run_async`` drains the queue in latency windows.  The window-safety
+rule: an event at time ``t`` can only cause deliveries at ``t`` plus a
+link latency, so no queued event less than the smallest inter-site
+latency past the window head can be caused by another event in the
+same window.  The window's handlers therefore execute concurrently (per
+destination node, in order), and their sends are buffered and flushed
+in event order afterwards — sequence numbers, byte counters and clock
+reads are those of a one-event-at-a-time drain.  That is what lets
+cluster handlers ``await`` per-server worker pools and actually overlap
+them.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class _DeferredView:
     show while this event's handler runs, and ``send``/``broadcast``
     buffer instead of touching the shared queue — the window flushes
     every buffered send in serial event order after its barrier, so
-    sequence numbers, byte counters, and delivery times come out
-    identical to :meth:`SimNetwork.run`.
+    sequence numbers, byte counters, and delivery times come out as a
+    one-event-at-a-time drain would produce them.
     """
 
     __slots__ = ("_net", "clock", "sends")
@@ -134,18 +135,6 @@ class SimNetwork:
                 continue
             self.send(src, dst, payload, size_bytes)
 
-    def run(self, max_events: int = 1_000_000) -> float:
-        """Drain the queue; returns the final clock (seconds)."""
-        events = 0
-        while self._queue:
-            events += 1
-            if events > max_events:
-                raise SimError("event budget exhausted (livelock?)")
-            event = heapq.heappop(self._queue)
-            self.clock = max(self.clock, event.time)
-            self._handlers[event.dst](self, event.src, event.payload)
-        return self.clock
-
     def _min_link_latency(self) -> float:
         """Smallest one-way latency between *distinct* sites.
 
@@ -166,7 +155,7 @@ class SimNetwork:
         return min(latencies, default=0.0)
 
     async def run_async(self, max_events: int = 1_000_000) -> float:
-        """Drain the queue concurrently; same schedule as :meth:`run`.
+        """Drain the queue; returns the final clock (seconds).
 
         Events are popped in latency windows (every queued event less
         than the minimum inter-site latency past the window head).
@@ -194,7 +183,7 @@ class SimNetwork:
             if events > max_events:
                 raise SimError("event budget exhausted (livelock?)")
             # Freeze each event's serial clock (monotone across the
-            # window, exactly as run() would update it).
+            # window, as a one-event-at-a-time drain would update it).
             views: list[_DeferredView] = []
             clock = self.clock
             for event in window:
@@ -223,7 +212,7 @@ class SimNetwork:
                 )
 
             # Flush buffered sends in serial event order: sequence
-            # numbers and delivery times match run() exactly.
+            # numbers and delivery times are the serial drain's.
             for view in views:
                 self.clock = view.clock
                 for send in view.sends:

@@ -33,9 +33,6 @@ class Topology:
     def latency(self, a: int, b: int) -> float:
         return self.latency_s[a][b]
 
-    def max_latency_from(self, site: int) -> float:
-        return max(self.latency_s[site])
-
 
 _MS = 1e-3
 

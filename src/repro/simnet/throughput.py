@@ -14,9 +14,9 @@ paper's observation that adding same-datacenter servers barely changes
 throughput (Figure 5) and that leadership is load-balanced across
 servers (Section 6.1).
 
-Absolute numbers are Python-speed, not Go-speed; EXPERIMENTS.md
-compares *ratios* (the no-privacy / no-robustness / Prio cost
-multipliers of Table 9), which transfer across substrates.
+Absolute numbers are Python-speed, not Go-speed; the figure
+benchmarks therefore report *ratios* (the no-privacy / no-robustness /
+Prio cost multipliers of Table 9), which transfer across substrates.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Public surface
 
 This docstring is the one place the exports are listed
 (``tests/test_package_surface.py`` compares it with ``__all__`` and
-checks that every name in the first list is used by code elsewhere in
-``src/``, so a batch entry point only tests call cannot accumulate
-unnoticed).  The deployment proves through one batched prover —
+checks that each name sits in the paragraph naming its callers, so a
+batch entry point only tests call cannot accumulate unnoticed).  The
+deployment proves through one batched prover —
 ``PrioClient.prepare_submissions`` over ``h_planes_batch`` /
 ``submission_planes`` — and verifies through one batched party,
 ``BatchedSnipVerifierParty``.
@@ -25,14 +25,18 @@ against): ``build_proof``, ``share_proof``, ``prove_and_share``,
 ``verify_snip``, ``verify_snip_batch`` (the lock-step core the
 scalar verifier runs as a batch of one).
 
-Paper experiments (driven by tests and the figure benchmarks):
-``ReferenceProof``, ``ReferenceProofShare``, ``build_reference_proof``,
-``share_reference_proof``, ``verify_reference_snip``,
-``MpcSubmissionShare``, ``MpcVerificationOutcome``,
-``build_mpc_submission``, ``build_triple_validity_circuit``,
-``mpc_upload_elements``, ``verify_mpc_submission``,
+Paper experiments (the figure benchmarks run them):
+``build_reference_proof``, ``share_reference_proof``,
+``verify_reference_snip``, ``build_mpc_submission``,
+``verify_mpc_submission``.
+
+Tests only (the Appendix D soundness game and zero-knowledge
+simulator, and the experiments' result types and parts):
 ``SoundnessReport``, ``run_soundness_experiment``, ``AdversaryView``,
-``SnipSimulator``, ``real_adversary_view``.
+``SnipSimulator``, ``real_adversary_view``, ``ReferenceProof``,
+``ReferenceProofShare``, ``MpcSubmissionShare``,
+``MpcVerificationOutcome``, ``build_triple_validity_circuit``,
+``mpc_upload_elements``.
 """
 
 from repro.snip.proof import (

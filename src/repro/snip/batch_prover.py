@@ -37,7 +37,7 @@ client on both backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.circuit.circuit import Circuit
 from repro.field.batch import (
@@ -48,6 +48,9 @@ from repro.field.batch import (
 from repro.field.prime_field import PrimeField
 from repro.mpc.beaver import BeaverTriple
 from repro.snip.proof import snip_domain_sizes
+
+if TYPE_CHECKING:
+    from repro.circuit.compiled import BatchTrace
 
 __all__ = [
     "ProofRandomness",
@@ -73,7 +76,7 @@ class ProofRandomness:
 def h_planes_batch(
     field: PrimeField,
     circuit: Circuit,
-    traces,
+    trace: "BatchTrace",
     randoms: "Sequence[ProofRandomness]",
     force_pure: bool | None = None,
 ) -> BatchVector:
@@ -87,48 +90,29 @@ def h_planes_batch(
     to what per-proof :func:`repro.snip.prover.build_proof` computes,
     but the values never leave limb planes.
 
-    ``traces`` is either a list of scalar
-    :class:`~repro.circuit.circuit.EvaluationTrace` objects (one per
-    submission) or a single plane-resident
-    :class:`~repro.circuit.compiled.BatchTrace` from a compiled plan —
-    in the latter case the f/g blocks assemble by plane copy from the
-    trace's ``(B, M)`` mul-input matrices and only the per-submission
-    ``u0``/``v0`` scalars are encoded from ints.
+    ``trace`` is the plane-resident
+    :class:`~repro.circuit.compiled.BatchTrace` of a compiled plan: the
+    f/g blocks assemble by plane copy from its ``(B, M)`` mul-input
+    matrices and only the per-submission ``u0``/``v0`` scalars are
+    encoded from ints.
     """
-    from repro.circuit.compiled import BatchTrace
-
     m = circuit.n_mul_gates
     size_n, size_2n = snip_domain_sizes(m)
-    plane_trace = isinstance(traces, BatchTrace)
-    if not plane_trace:
-        traces = list(traces)
-    B = len(traces)
+    B = len(trace)
     if m == 0 or B == 0:
         return BatchVector.zeros(field, (B, size_2n), force_pure)
-    if plane_trace:
-        if force_pure is None:
-            force_pure = traces.mul_inputs_left.force_pure
-        lefts, rights = traces.mul_inputs_left, traces.mul_inputs_right
-        pad = BatchVector.zeros(field, (B, size_n - m - 1), force_pure)
+    if force_pure is None:
+        force_pure = trace.mul_inputs_left.force_pure
+    pad = BatchVector.zeros(field, (B, size_n - m - 1), force_pure)
 
-        def block(heads, inputs):
-            return concat_columns(
-                field, [[[h] for h in heads], inputs, pad], force_pure
-            )
-    else:
-        lefts = [trace.mul_inputs_left for trace in traces]
-        rights = [trace.mul_inputs_right for trace in traces]
-        pad = [0] * (size_n - m - 1)
+    def block(heads, inputs):
+        return concat_columns(
+            field, [[[h] for h in heads], inputs, pad], force_pure
+        )
 
-        def block(heads, inputs):
-            return BatchVector.from_ints(
-                field,
-                [[h] + row + pad for h, row in zip(heads, inputs)],
-                force_pure,
-            )
     return coset_extend_product(
-        block([r.u0 for r in randoms], lefts),
-        block([r.v0 for r in randoms], rights),
+        block([r.u0 for r in randoms], trace.mul_inputs_left),
+        block([r.v0 for r in randoms], trace.mul_inputs_right),
     )
 
 

@@ -212,8 +212,8 @@ class Round1Batch:
     ``d``/``e`` are 1-D ``(B,)`` :class:`~repro.field.batch.BatchVector`
     columns — one per-round plane instead of ``B`` per-submission int
     pairs.  Cross-server combination (the ``sum_i d_i`` of Step 3) is a
-    plane add; :meth:`messages` is the scalar-wire seam for callers
-    that ship individual :class:`Round1Message` objects.
+    plane add; :meth:`at` decodes one submission's
+    :class:`Round1Message`.
     """
 
     d: BatchVector
@@ -224,12 +224,6 @@ class Round1Batch:
 
     def at(self, i: int) -> Round1Message:
         return Round1Message(d=self.d.to_ints()[i], e=self.e.to_ints()[i])
-
-    def messages(self) -> list[Round1Message]:
-        return [
-            Round1Message(d=d, e=e)
-            for d, e in zip(self.d.to_ints(), self.e.to_ints())
-        ]
 
     @classmethod
     def zeros(
@@ -263,12 +257,6 @@ class Round2Batch:
             sigma=self.sigma.to_ints()[i],
             assertion=self.assertion.to_ints()[i],
         )
-
-    def messages(self) -> list[Round2Message]:
-        return [
-            Round2Message(sigma=s, assertion=a)
-            for s, a in zip(self.sigma.to_ints(), self.assertion.to_ints())
-        ]
 
     @classmethod
     def zeros(
@@ -348,21 +336,19 @@ class SnipVerifierParty:
         return self._batch_party.round1_all().at(0)
 
     def round2(self, round1_messages: Sequence[Round1Message]) -> Round2Message:
-        """Combine round-1 broadcasts into (sigma_i, A_i)."""
+        """Combine round-1 broadcasts into (sigma_i, A_i): each server's
+        message enters as a one-submission :class:`Round1Batch`."""
         messages = list(round1_messages)
-        if len(messages) != self.n_servers:
-            raise SnipError("need a round-1 message from every server")
-        return self._batch_party.round2_all([messages]).at(0)
-
-    @staticmethod
-    def decide(
-        field: PrimeField, round2_messages: Sequence[Round2Message]
-    ) -> bool:
-        """Accept iff both zero-sum checks pass (Steps 3a and 4)."""
-        p = field.modulus
-        sigma_total = sum(m.sigma for m in round2_messages) % p
-        assertion_total = sum(m.assertion for m in round2_messages) % p
-        return sigma_total == 0 and assertion_total == 0
+        force_pure = self._batch_party._force_pure
+        d = BatchVector.from_ints(
+            self.field, [[m.d] for m in messages], force_pure
+        )
+        e = BatchVector.from_ints(
+            self.field, [[m.e] for m in messages], force_pure
+        )
+        return self._batch_party.round2_all([
+            Round1Batch(d=d.row(i), e=e.row(i)) for i in range(len(messages))
+        ]).at(0)
 
 
 @dataclass
@@ -679,47 +665,19 @@ class BatchedSnipVerifierParty:
             )
         return Round1Batch(d=self._f_r - self._a, e=self._rg_r - self._b)
 
-    def round2_all(
-        self,
-        round1: "Sequence[Round1Batch] | Sequence[Sequence[Round1Message]]",
-    ) -> Round2Batch:
-        """Round-2 broadcasts, given every server's round-1 broadcasts.
-
-        ``round1`` is one :class:`Round1Batch` per server (the plane
-        form); per-submission ``Round1Message`` lists (one list per
-        submission, the scalar-wire seam) are accepted and converted.
-        """
-        round1 = list(round1)
+    def round2_all(self, round1: "Sequence[Round1Batch]") -> Round2Batch:
+        """Round-2 broadcasts, given every server's round-1 broadcasts
+        (one :class:`Round1Batch` per server)."""
+        if len(round1) != self.n_servers:
+            raise SnipError("need a round-1 batch from every server")
+        for batch in round1:
+            if len(batch) != self.batch_size:
+                raise SnipError(
+                    "round-1 batch does not cover every submission"
+                )
         field = self.field
-        if round1 and isinstance(round1[0], Round1Batch):
-            if len(round1) != self.n_servers:
-                raise SnipError("need a round-1 batch from every server")
-            for batch in round1:
-                if len(batch) != self.batch_size:
-                    raise SnipError(
-                        "round-1 batch does not cover every submission"
-                    )
-            d_total = _sum_across_servers([b.d for b in round1])
-            e_total = _sum_across_servers([b.e for b in round1])
-        else:
-            if len(round1) != self.batch_size:
-                raise SnipError("need round-1 messages for every submission")
-            p = field.modulus
-            for msgs in round1:
-                if len(msgs) != self.n_servers:
-                    raise SnipError(
-                        "need a round-1 message from every server"
-                    )
-            d_total = BatchVector.from_ints(
-                field,
-                [sum(m.d for m in msgs) % p for msgs in round1],
-                self._force_pure,
-            )
-            e_total = BatchVector.from_ints(
-                field,
-                [sum(m.e for m in msgs) % p for msgs in round1],
-                self._force_pure,
-            )
+        d_total = _sum_across_servers([b.d for b in round1])
+        e_total = _sum_across_servers([b.e for b in round1])
         if self.ctx.n_mul_gates == 0:
             sigma = BatchVector.zeros(
                 field, (self.batch_size,), self._force_pure

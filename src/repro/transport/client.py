@@ -138,7 +138,16 @@ class TransportClient:
         self, frame: bytes, submission_id: bytes
     ) -> "asyncio.Future":
         """Write one pre-encoded upload frame; returns the decision
-        future (resolves to a :class:`Status`)."""
+        future (resolves to a :class:`Status`).
+
+        Responses are matched by submission id alone, so an id that is
+        still in flight on this connection is refused with
+        :class:`ValueError` before anything is written.
+        """
+        if submission_id in self._inflight:
+            raise ValueError(
+                f"submission {submission_id.hex()} is already in flight"
+            )
         self._ensure_reader()
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()

@@ -21,8 +21,8 @@ LinReg / BrCa           30 features, 14-bit fixed point          930
 ======================  =======================================  ======
 
 (*) the paper's gate counts; ours are computed from our circuits and
-reported side by side in EXPERIMENTS.md — same order of magnitude, not
-bit-identical, because encoding details differ slightly.
+reported side by side by ``benchmarks/bench_fig7.py`` — same order of
+magnitude, not bit-identical, because encoding details differ slightly.
 """
 
 from __future__ import annotations

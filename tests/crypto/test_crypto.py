@@ -20,7 +20,6 @@ from repro.crypto import (
     sign,
     stream_xor,
     verify,
-    verify_or_raise,
 )
 from repro.ec import GENERATOR, INFINITY, Point, p256
 
@@ -282,14 +281,6 @@ def test_signature_rejects_malformed(rng):
     sig = bytearray(sign(keypair, b"msg", rng))
     sig[0] = 0x07  # invalid point prefix
     assert not verify(keypair.public, b"msg", bytes(sig))
-
-
-def test_verify_or_raise(rng):
-    keypair = SigningKeyPair.generate(rng)
-    signature = sign(keypair, b"ok", rng)
-    verify_or_raise(keypair.public, b"ok", signature)
-    with pytest.raises(CryptoError):
-        verify_or_raise(keypair.public, b"not ok", signature)
 
 
 def test_signature_deterministic_keygen(rng):

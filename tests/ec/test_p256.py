@@ -13,7 +13,6 @@ from repro.ec import (
     EcError,
     Point,
     fixed_base_mult,
-    multi_scalar_mult,
     random_scalar,
     reset_op_counter,
     scalar_mult,
@@ -110,13 +109,6 @@ def test_decode_rejects_non_curve_x():
                 Point.decode(candidate)
             break
         x += 1
-
-
-def test_multi_scalar_mult(rng):
-    k1, k2 = random_scalar(rng), random_scalar(rng)
-    p = scalar_mult(k2, GENERATOR)
-    expected = scalar_mult(k1, GENERATOR) + scalar_mult(k2, p)
-    assert multi_scalar_mult([(k1, GENERATOR), (k2, p)]) == expected
 
 
 def test_op_counter(rng):

@@ -10,7 +10,6 @@ from repro.mpc import (
     CircuitMpcParty,
     generate_triple,
     mul_gate_levels,
-    multiplicative_depth,
     run_circuit_mpc,
     share_triple,
 )
@@ -66,7 +65,7 @@ def test_deep_circuit(rng):
     x8 = b.mul(x4, x4)
     b.assert_zero(b.sub(x8, b.constant(pow(3, 8, f.modulus))))
     circuit = b.build()
-    assert multiplicative_depth(circuit) == 3
+    assert len(mul_gate_levels(circuit)) == 3
     assert mpc_check(f, circuit, [3], 2, rng) == [0]
     assert mpc_check(f, circuit, [4], 2, rng) != [0]
 
@@ -79,7 +78,6 @@ def test_wide_circuit_single_round(rng):
     for w in wires:
         assert_bit(b, w)
     circuit = b.build()
-    assert multiplicative_depth(circuit) == 1
     levels = mul_gate_levels(circuit)
     assert len(levels) == 1 and len(levels[0]) == 6
 

@@ -14,8 +14,11 @@ Each test fails on the pre-fix code:
   bare ``OverflowError`` from ``to_bytes``.
 * ``ShardedFanout`` leaked every shard's replay cache when its inner
   executor failed to resolve.
+* ``TransportClient.send_frame`` overwrote the pending entry of an id
+  already in flight, so the first decision future never resolved.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -308,3 +311,47 @@ def test_sharded_fanout_bad_inner_kind_closes_shard_replay_caches(
         assert leaked == []
     finally:
         dep.close()
+
+
+# ---------------------------------------------------------------------
+# TransportClient matches responses by submission id alone: a second
+# in-flight use of one id replaced the first's future, which then never
+# resolved (and close() never failed it)
+# ---------------------------------------------------------------------
+
+
+def test_transport_client_refuses_an_id_already_in_flight():
+    from repro.transport import (
+        PrioTransportServer,
+        Status,
+        TransportClient,
+        TransportConfig,
+    )
+
+    dep = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 2), 2, seed=b"regr", batch_size=4,
+        rng=random.Random(42),
+    )
+    submission = dep.client.prepare_submission(3)
+    sid = submission.submission_id
+    frame = TransportClient.frame_submission(submission)
+    config = TransportConfig(batch_size=4, linger_s=0.001, executor="inline")
+
+    async def scenario():
+        async with PrioTransportServer(dep.servers, config) as server:
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) as c:
+                with pytest.raises(ValueError, match="already in flight"):
+                    await c.submit_many([(sid, frame)] * 2)
+                # the refused copy wrote nothing; the first is decided
+                while not c.latencies:
+                    await asyncio.sleep(0.001)
+                # once decided, the id may be sent again: a replay
+                again = await c.submit_many([(sid, frame)])
+        return server.stats, again
+
+    stats, again = asyncio.run(asyncio.wait_for(scenario(), 5))
+    assert again == [Status.REJECTED]
+    assert stats.n_submissions == 2
+    assert stats.n_accepted == 1
+    assert dep.publish() == 3

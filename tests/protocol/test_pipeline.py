@@ -13,12 +13,7 @@ from repro.afe import (
     VarianceAfe,
 )
 from repro.field import FIELD87
-from repro.protocol import (
-    NoPrivacyPipeline,
-    NoRobustnessPipeline,
-    PrioDeployment,
-    ProtocolError,
-)
+from repro.protocol import PrioDeployment, ProtocolError
 
 
 @pytest.fixture
@@ -257,60 +252,3 @@ def test_batch_size_validation(rng):
             IntegerSumAfe(FIELD87, 4), 2, batch_size=0, rng=rng
         )
 
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-
-
-def test_no_privacy_baseline(rng):
-    afe = IntegerSumAfe(FIELD87, 8)
-    pipeline = NoPrivacyPipeline(afe)
-    values = [rng.randrange(256) for _ in range(10)]
-    for v in values:
-        assert pipeline.submit(v)
-    assert pipeline.publish() == sum(values)
-
-
-def test_no_privacy_rejects_invalid():
-    afe = IntegerSumAfe(FIELD87, 4)
-    pipeline = NoPrivacyPipeline(afe)
-    bad = afe.encode(9)
-    bad[0] = 99
-    assert not pipeline.submit_encoding(bad)
-    assert pipeline.n_rejected == 1
-
-
-def test_no_robustness_baseline(rng):
-    afe = IntegerSumAfe(FIELD87, 8)
-    pipeline = NoRobustnessPipeline(afe, 3, rng=rng)
-    values = [rng.randrange(256) for _ in range(10)]
-    for v in values:
-        pipeline.submit(v)
-    assert pipeline.publish() == sum(values)
-
-
-def test_no_robustness_is_actually_not_robust(rng):
-    """Section 3's attack: one malicious client corrupts the sum."""
-    afe = IntegerSumAfe(FIELD87, 4)
-    pipeline = NoRobustnessPipeline(afe, 2, rng=rng)
-    pipeline.submit(3)
-    evil = afe.encode(1)
-    evil[0] = 1_000_000  # claims to be a 4-bit value
-    pipeline.submit_encoding(evil)
-    assert pipeline.publish() == 1_000_003  # corruption went through
-
-
-def test_no_robustness_uncompressed(rng):
-    afe = IntegerSumAfe(FIELD87, 4)
-    pipeline = NoRobustnessPipeline(
-        afe, 2, use_prg_compression=False, rng=rng
-    )
-    pipeline.submit(5)
-    pipeline.submit(7)
-    assert pipeline.publish() == 12
-
-
-def test_no_robustness_needs_two_servers(rng):
-    with pytest.raises(ProtocolError):
-        NoRobustnessPipeline(IntegerSumAfe(FIELD87, 4), 1, rng=rng)

@@ -1,5 +1,7 @@
 """Tests for the simulated WAN substrate."""
 
+import asyncio
+
 import pytest
 
 from repro.simnet import (
@@ -67,7 +69,7 @@ def test_message_delivery_order():
     # Frankfurt (4) -> Ireland (3) is fast; Frankfurt -> N.Ca (1) slow.
     net.send(4, 1, "slow", 100)
     net.send(4, 3, "fast", 100)
-    net.run()
+    asyncio.run(net.run_async())
     assert log == [(3, "fast"), (1, "slow")]
 
 
@@ -77,7 +79,7 @@ def test_clock_advances_by_latency_plus_transfer():
     net.register(0, lambda *_: None)
     net.register(1, lambda *_: None)
     net.send(0, 1, "payload", 125_000)  # 1 second at 1 Mbps
-    elapsed = net.run()
+    elapsed = asyncio.run(net.run_async())
     assert elapsed == pytest.approx(1.001, rel=1e-6)
 
 
@@ -88,7 +90,7 @@ def test_byte_accounting():
         net.register(node, lambda *_: None)
     net.send(0, 1, "a", 100)
     net.send(0, 2, "b", 50)
-    net.run()
+    asyncio.run(net.run_async())
     assert net.bytes_sent[0][1] == 100
     assert net.total_bytes_from(0) == 150
     assert net.messages_sent == 2
@@ -101,7 +103,7 @@ def test_broadcast():
     for node in range(3):
         net.register(node, lambda _n, _s, m, node=node: received.append(node))
     net.broadcast(0, "hello", 10)
-    net.run()
+    asyncio.run(net.run_async())
     assert sorted(received) == [1, 2]
 
 
@@ -123,7 +125,7 @@ def test_handler_chaining():
     net.register(0, ping)
     net.register(1, pong)
     net.send(0, 1, 0, 10)
-    net.run()
+    asyncio.run(net.run_async())
     assert ("pong", 3) in transcript
 
 
@@ -141,7 +143,7 @@ def test_event_budget():
     net.register(1, lambda n, s, m: n.send(1, 0, m, 1))
     net.send(0, 1, "loop", 1)
     with pytest.raises(SimError):
-        net.run(max_events=100)
+        asyncio.run(net.run_async(max_events=100))
 
 
 # ----------------------------------------------------------------------

@@ -180,11 +180,12 @@ def _assert_equivalent(ctx, submissions, n_servers, force_pure, rng):
     )
     assert isinstance(round1_batches[0], Round1Batch)
     for s in range(n_servers):
-        msgs1 = round1_batches[s].messages()
-        msgs2 = round2_batches[s].messages()
+        r1, r2 = round1_batches[s], round2_batches[s]
+        d, e = r1.d.to_ints(), r1.e.to_ints()
+        sigma, assertion = r2.sigma.to_ints(), r2.assertion.to_ints()
         for i, (ref_r1, ref_r2, _) in enumerate(reference):
-            assert (msgs1[i].d, msgs1[i].e) == ref_r1[s]
-            assert (msgs2[i].sigma, msgs2[i].assertion) == ref_r2[s]
+            assert (d[i], e[i]) == ref_r1[s]
+            assert (sigma[i], assertion[i]) == ref_r2[s]
     assert decisions == [ref[2] for ref in reference]
     # The scalar wrapper (a batch of one) agrees message-for-message.
     spot = rng.randrange(len(submissions))

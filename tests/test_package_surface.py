@@ -1,37 +1,81 @@
-"""The ``repro.field`` and ``repro.snip`` export surfaces.
+"""Every package's export surface.
 
-As ``tests/protocol/test_surface.py`` does for ``repro.protocol``, each
-package docstring lists the exports, here in labelled paragraphs:
+As ``tests/protocol/test_surface.py`` does for ``repro.protocol``'s
+entry points, each package docstring lists its ``__all__`` in labelled
+paragraphs, and each label names who calls the names under it:
 
 (a) ``__all__`` is exactly the listed names, so the surface cannot
-    grow without that list changing too; and
-(b) every name in the "Used in ``src/``" paragraph is used by code in
-    some ``src/`` module other than its defining module and the
-    package ``__init__``.  A name nothing in ``src/`` uses must sit in
-    one of the package's named exemption paragraphs (scalar oracles,
-    paper experiments, test fields) — so an entry point only tests
-    call cannot be exported quietly.
+    grow without that list changing too;
+(b) every "Used in ``src/``" name is used by code in some ``src/``
+    module other than the ones that define and re-export it;
+(c) every "Paper experiments" name is used by code under
+    ``benchmarks/`` and every "Examples" name by code under
+    ``examples/``; a "Tests only" name is used by neither, nor by
+    ``src/``, and is one of the test-only exports this pin started
+    with (that list may only shrink);
+(d) no name in any other exemption paragraph has a ``src/`` caller
+    either, so a label cannot go stale.  "Scalar oracles" alone are
+    exempt: the scalar client path and the paper experiments run
+    them, and each is named;
+(e) every top-level ``repro`` name is in its subpackage's ``__all__``.
+
+Callers are found by identifier (AST names, attributes and imports,
+not strings or comments).
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
 import pytest
 
 import repro
+import repro.crypto
+import repro.ec
 import repro.field
+import repro.mpc
+import repro.sharing
+import repro.simnet
 import repro.snip
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = SRC.parent.parent
 
 LIVE = "Used in ``src/``"
+ORACLES = "Scalar oracles"
+TESTS_ONLY = "Tests only"
+#: exemption label -> the tree whose code must call every name under it
+CALLED_FROM = {"Paper experiments": "benchmarks", "Examples": "examples"}
 
 #: package -> the exemption paragraphs its docstring may carry
 EXEMPT = {
-    repro.field: ("Scalar oracles", "Test fields and backend probes"),
-    repro.snip: ("Scalar oracles", "Paper experiments"),
+    repro: ("Examples", ORACLES, TESTS_ONLY),
+    repro.field: (ORACLES, "Test fields and backend probes"),
+    repro.snip: (ORACLES, "Paper experiments", TESTS_ONLY),
+    repro.sharing: (ORACLES,),
+    repro.simnet: ("Paper experiments", TESTS_ONLY),
+    repro.crypto: (TESTS_ONLY,),
+    repro.ec: ("Paper experiments", TESTS_ONLY),
+    repro.mpc: (TESTS_ONLY,),
 }
+
+#: Exports only tests called when this pin was extended to every
+#: package.  Each is a deletion candidate; remove a name here when it
+#: is deleted or gains a caller, and never add one.
+TESTS_ONLY_CEILING = frozenset({
+    "ApproxMaxAfe", "GeometricMeanAfe", "IntegerMeanAfe", "MaxAfe",
+    "MinAfe", "MostPopularStringAfe", "ProductAfe", "SetIntersectionAfe",
+    "SetUnionAfe", "StddevAfe", "VarianceAfe", "FIELD64",
+    "SoundnessReport", "run_soundness_experiment", "AdversaryView",
+    "SnipSimulator", "real_adversary_view", "ReferenceProof",
+    "ReferenceProofShare", "MpcSubmissionShare", "MpcVerificationOutcome",
+    "build_triple_validity_circuit", "mpc_upload_elements",
+    "ClusterReport", "run_cluster", "wan_subset",
+    "box_overhead", "sealed_overhead", "keystream",
+    "fixed_base_mult",
+    "CircuitMpcParty", "MpcResult", "mul_gate_levels",
+})
 
 PACKAGES = list(EXEMPT)
 
@@ -49,19 +93,18 @@ def _listed(package):
     return out
 
 
-def _module_path(dotted):
-    return SRC.parent / (dotted.replace(".", "/") + ".py")
-
-
-def _defining_modules(package):
-    """Export name -> the file the package ``__init__`` imports it from."""
-    init = pathlib.Path(package.__file__)
-    out = {}
+def _home(init, name):
+    """The files a package ``__init__`` gets ``name`` through: itself,
+    each subpackage ``__init__`` on the way, and the defining module."""
     for node in ast.walk(ast.parse(init.read_text())):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                out[alias.asname or alias.name] = _module_path(node.module)
-    return out
+                if (alias.asname or alias.name) == name:
+                    path = SRC.parent / node.module.replace(".", "/")
+                    if path.is_dir():
+                        return {init} | _home(path / "__init__.py", alias.name)
+                    return {init, path.with_suffix(".py")}
+    raise AssertionError(f"{init} does not import {name}")
 
 
 def _code_names(path):
@@ -78,8 +121,25 @@ def _code_names(path):
 
 
 @pytest.fixture(scope="module")
-def src_names():
-    return {path: _code_names(path) for path in SRC.rglob("*.py")}
+def code_names():
+    """Tree -> {module path: identifiers its code uses}."""
+    return {
+        tree: {path: _code_names(path) for path in root.rglob("*.py")}
+        for tree, root in (
+            ("src", SRC),
+            ("benchmarks", ROOT / "benchmarks"),
+            ("examples", ROOT / "examples"),
+        )
+    }
+
+
+def _called_from(package, name, tree, code_names):
+    home = _home(pathlib.Path(package.__file__), name)
+    return any(
+        name in names
+        for path, names in code_names[tree].items()
+        if path not in home
+    )
 
 
 @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
@@ -93,15 +153,47 @@ def test_all_is_the_listed_surface(package):
 
 
 @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
-def test_every_live_export_has_a_src_caller(package, src_names):
-    defined_in = _defining_modules(package)
-    init = pathlib.Path(package.__file__)
+def test_every_live_export_has_a_src_caller(package, code_names):
     uncalled = [
         name for name in _listed(package)[LIVE]
-        if not any(
-            name in names
-            for path, names in src_names.items()
-            if path not in (init, defined_in[name])
-        )
+        if not _called_from(package, name, "src", code_names)
     ]
     assert uncalled == []
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_every_exemption_label_names_the_callers(package, code_names):
+    mislabelled = []
+    for label, names in _listed(package).items():
+        if label in (LIVE, ORACLES):
+            continue
+        for name in names:
+            if label == TESTS_ONLY:
+                ok = name in TESTS_ONLY_CEILING and not any(
+                    _called_from(package, name, tree, code_names)
+                    for tree in code_names
+                )
+            else:
+                ok = not _called_from(package, name, "src", code_names)
+                if label in CALLED_FROM:
+                    ok = ok and _called_from(
+                        package, name, CALLED_FROM[label], code_names
+                    )
+            if not ok:
+                mislabelled.append((label, name))
+    assert mislabelled == []
+
+
+def test_top_level_names_are_subpackage_exports():
+    init = pathlib.Path(repro.__file__)
+    imported, outside = set(), []
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            exported = importlib.import_module(node.module).__all__
+            imported.update(alias.name for alias in node.names)
+            outside += [
+                alias.name for alias in node.names
+                if alias.name not in exported
+            ]
+    assert outside == []
+    assert set(repro.__all__) <= imported
