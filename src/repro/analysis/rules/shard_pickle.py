@@ -1,8 +1,9 @@
 """shard-pickle-safety: shard-visible classes must stay picklable.
 
 ``ProcessFanout``/``ShardedFanout`` ship servers, replay caches, and
-verifier state to worker processes via pickle (and ``make_shard``/
-``fold_shard_state`` round-trips them back).  An attribute holding a
+verifier state to worker processes via pickle (and each worker's
+``snapshot_state`` delta pickles back for ``fold_shard_state``, the one
+run-end merge).  An attribute holding a
 lock, socket, sqlite connection, generator, or lambda breaks that
 silently — usually only under the process fan-out configuration that CI
 exercises least.  Classes that declare ``__getstate__``/``__reduce__``

@@ -13,9 +13,9 @@ two receives — sealed is a pre-stage that opens boxes into the same
 fused sweep), ``begin_verification_batch``,
 ``finish_verification_batch``, ``decide_batch``, ``accumulate_batch``,
 ``reject``, ``abandon``, ``add_dp_noise``, ``publish``; and the
-state-residency seam the fan-out backends use: ``begin_run``,
-``snapshot_state``, ``restore_state``, ``make_shard``,
-``sync_shard_epoch``, ``fold_shard_state``, ``reset_run_deltas``.
+state-residency seam the fan-out backends use — a worker copy or a
+shard runs on a delta that one fold brings home: ``make_shard``,
+``begin_run``, ``snapshot_state``, ``fold_shard_state``.
 
 ``PrioDeployment``: ``create``, then three ways in — ``submit``,
 ``submit_many``, ``deliver`` — and ``publish``, ``publish_shares``,
@@ -25,10 +25,10 @@ state-residency seam the fan-out backends use: ``begin_run``,
 ``round1``, ``round2``, ``accumulate``, ``reject_all``,
 ``abandon_all``, ``abandon_open``, ``snapshot``.
 
-``ShardedFanout``: ``_plan_receive_wire``, ``_plan_receive_sealed``,
-``_plan_ingest``, ``_plan_round1``, ``_plan_round2``,
-``_plan_accumulate``, ``_plan_reject_all``, ``_plan_abandon_all``,
-``_plan_abandon_open``.
+``ShardedFanout``: one table, ``ShardedFanout._ROUTES``, sends every
+op above but snapshot down one of three routes — ``_by_sid`` (by
+submission id), ``_by_rank`` (split by survivor rank) or ``_to_all``
+(to every shard).
 
 The per-batch protocol itself — receive, survivor intersection,
 ingest, the two SNIP rounds, decide, accumulate, and the one crash
@@ -36,8 +36,9 @@ policy — is written once, as :func:`receive_and_ingest` and
 :func:`verify_and_accumulate` in :mod:`repro.protocol.pipeline`;
 :class:`AsyncPrioPipeline` / :func:`run_pipelined` stage it over an
 execution backend chosen by one ``executor`` spelling
-(:func:`resolve_fanout`: ``"inline"`` / ``"thread"`` / ``"process"`` /
-``"auto"``, ``":K"`` to shard).  The scalar SNIP oracle
+(:func:`resolve_fanout`: ``"inline"`` — also what ``None`` means —
+``"thread"`` or ``"process"``, ``":K"`` to shard, or a ready
+``ServerFanout``).  The scalar SNIP oracle
 (:func:`repro.snip.verify_snip`, ``PrioClient.prepare_submission``)
 stays as the differential reference.
 """

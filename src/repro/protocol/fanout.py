@@ -21,6 +21,10 @@ per position out), ``ingest`` (commit the survivors to planes),
 Backends
 --------
 
+A backend is named one way (:func:`resolve_fanout`): a kind from
+:data:`EXECUTOR_KINDS`, optionally with a ``":K"`` shard suffix, or a
+ready :class:`ServerFanout`.  ``None`` means ``"inline"``.
+
 ``inline``
     Ops run on the calling thread.  Right for batch-of-one calls and
     single-CPU hosts, where hand-offs cost latency and buy nothing.
@@ -41,7 +45,8 @@ Backends
 
 ``"kind:K"``
     :class:`ShardedFanout`: K workers of that kind per logical server,
-    partitioned by submission id.
+    partitioned by submission id.  One table (``ShardedFanout._ROUTES``)
+    says how each op crosses the shards and how their results merge.
 
 What crosses the process boundary
 ---------------------------------
@@ -55,8 +60,11 @@ Everything crosses in plane form, never as per-element Python ints:
   :class:`~repro.field.batch.BatchVector` serializes the int64 plane
   buffer directly),
 * **outbound** — per-position receive verdicts and, at run end, one
-  state snapshot per server (plane accumulator + counters + replay
-  ids) merged back into the driver's server objects so ``publish()``
+  delta snapshot per worker (plane accumulator + counters + replay
+  ids + epoch clock) folded into the driver's server objects by
+  :meth:`PrioServer.fold_shard_state
+  <repro.protocol.server.PrioServer.fold_shard_state>` — the one
+  run-end merge, shared with the sharded backend — so ``publish()``
   and the deployment statistics keep working unchanged.
 
 The ingested ``(B, z_len)`` share matrix and the verifier party never
@@ -71,22 +79,17 @@ hanging the driver.
 from __future__ import annotations
 
 import asyncio
-import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import fields, is_dataclass
 
 from repro.field.batch import concat_vectors
 from repro.protocol.server import PendingSubmission, PrioServer
 from repro.protocol.wire import WireError, routing_id
-from repro.snip.verifier import Round1Batch, Round2Batch
 
-#: executor knob values accepted everywhere the pipeline is exposed;
-#: any kind also accepts a ``":K"`` suffix (e.g. ``"process:4"``) to
-#: shard each logical server across K workers of that kind
-EXECUTOR_KINDS = ("inline", "thread", "process", "auto")
-
-#: ``executor="auto"`` picks the process backend only at or above this
-#: batch size — below it, process-crossing overhead beats the GIL win
-AUTO_PROCESS_MIN_BATCH = 32
+#: the executor kinds :func:`resolve_fanout` accepts; each also takes a
+#: ``":K"`` suffix (e.g. ``"process:4"``) to shard each logical server
+#: across K workers of that kind
+EXECUTOR_KINDS = ("inline", "thread", "process")
 
 
 class FanoutError(ValueError):
@@ -112,13 +115,6 @@ class _InlineExecutor:
 
     def shutdown(self, wait=True):  # noqa: ARG002 - Executor interface
         return None
-
-
-def default_executor(n_servers: int):
-    """Thread pool sized to the host, or inline when threads cannot help."""
-    if (os.cpu_count() or 1) <= 1:
-        return _InlineExecutor()
-    return ThreadPoolExecutor(max_workers=max(2, n_servers))
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +263,7 @@ class _ServerOps:
         for batch_id in list(self._batches):
             self.abandon_all(batch_id)
 
-    # -- state sync (process backend) ----------------------------------
+    # -- the run-end delta (process backend) ---------------------------
 
     def snapshot(self):
         return self.server.snapshot_state()
@@ -289,9 +285,12 @@ class ServerFanout:
 
     ``call`` is the asyncio seam the drivers await; ``call_sync`` is
     its blocking twin for callers without an event loop.
-    ``begin_run``/``end_run`` bracket one pipeline run (the process
-    backend pushes/pulls server state there); ``close`` releases every
-    worker, waiting for them — no leaked threads or child processes.
+    ``begin_run``/``end_run`` bracket one run: where server state lives
+    away from the driver (process workers, shards), ``begin_run``
+    starts a run delta there and ``end_run`` folds it home, once — a
+    second ``end_run`` must not add it again.  ``close`` releases
+    every worker, waiting for them — no leaked threads or child
+    processes.
     """
 
     kind = "base"
@@ -352,26 +351,21 @@ class ServerFanout:
 
 
 class LocalFanout(ServerFanout):
-    """Ops against the driver-process servers, inline or on a thread pool."""
+    """Ops against the driver-process servers, on the calling thread
+    (``kind="inline"``) or on a thread pool (``kind="thread"``)."""
 
     def __init__(
-        self,
-        servers: "list[PrioServer]",
-        executor=None,
-        own_executor: "bool | None" = None,
+        self, servers: "list[PrioServer]", kind: str = "inline"
     ) -> None:
         self.servers = servers
         self.ops = [_ServerOps(server) for server in servers]
-        self._own_executor = (
-            executor is None if own_executor is None else own_executor
-        )
-        self.executor = (
-            default_executor(len(servers)) if executor is None else executor
-        )
-        self.kind = (
-            "inline" if isinstance(self.executor, _InlineExecutor)
-            else "thread"
-        )
+        self.kind = kind
+        if kind == "thread":
+            self.executor = ThreadPoolExecutor(
+                max_workers=max(2, len(servers))
+            )
+        else:
+            self.executor = _InlineExecutor()
 
     def call(self, s: int, op: str, *args):
         loop = asyncio.get_running_loop()
@@ -384,8 +378,7 @@ class LocalFanout(ServerFanout):
 
     def close(self) -> None:
         # wait=True: repeated runs must not accumulate worker threads.
-        if self._own_executor:
-            self.executor.shutdown(wait=True)
+        self.executor.shutdown(wait=True)
 
 
 # Worker-process global: the one server this worker owns.
@@ -394,9 +387,9 @@ _WORKER_OPS: "_ServerOps | None" = None
 
 def _worker_install(server: PrioServer) -> None:
     global _WORKER_OPS
-    # Mark the replay cache: the run-end snapshot then ships only the
-    # ids added during this run, not the full (possibly multi-million
-    # id) history the server arrived with.
+    # The copy runs on a delta: the run-end snapshot ships only what
+    # this run added, not the full (possibly multi-million id) replay
+    # history or the accumulator the server arrived with.
     server.begin_run()
     _WORKER_OPS = _ServerOps(server)
 
@@ -415,8 +408,8 @@ class ProcessFanout(ServerFanout):
     the per-server work of a batch runs on as many cores as there are
     servers, with no GIL in common.
 
-    ``begin_run`` ships each (picklable) server into its worker;
-    ``end_run`` pulls a state snapshot back and merges it into the
+    ``begin_run`` ships each (picklable) server into its worker, where
+    the copy runs on a delta; ``end_run`` folds that delta into the
     driver-process server objects, so publishes, statistics, and replay
     protection carry across runs and across backend switches.
     """
@@ -426,23 +419,13 @@ class ProcessFanout(ServerFanout):
     #: back — the server set may be divergent (see the warning there)
     degraded = False
 
-    def __init__(self, servers: "list[PrioServer]", mp_context=None) -> None:
-        import multiprocessing
-
-        if mp_context is None:
-            # Follow the interpreter's default start method (fork on
-            # Linux <= 3.13, forkserver afterward — upstream moved away
-            # from forking inside threaded processes for good reason);
-            # REPRO_MP_START overrides for hosts that need e.g. spawn.
-            method = os.environ.get("REPRO_MP_START")
-            mp_context = multiprocessing.get_context(method or None)
+    def __init__(self, servers: "list[PrioServer]") -> None:
         self.servers = servers
         self.pools: "list[ProcessPoolExecutor]" = []
+        self._run_open = False
         try:
             for _ in servers:
-                self.pools.append(
-                    ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
-                )
+                self.pools.append(ProcessPoolExecutor(max_workers=1))
             self.begin_run()
         except BaseException:
             self.close()
@@ -451,15 +434,21 @@ class ProcessFanout(ServerFanout):
     def begin_run(self) -> None:
         # Push current driver-side state into every worker (one pickle
         # of the whole server: afe, warm verification context, replay
-        # sets, plane accumulator).  Fanned out, then awaited.
+        # sets).  Fanned out, then awaited.  The run is open — there is
+        # a delta to fold — only once every worker holds its copy.
+        self._run_open = False
         futures = [
             pool.submit(_worker_install, server)
             for pool, server in zip(self.pools, self.servers)
         ]
         for future in futures:
             future.result()
+        self._run_open = True
 
     def end_run(self) -> None:
+        if not self._run_open:
+            return  # a second fold would double-add the deltas
+        self._run_open = False
         futures = []
         for pool in self.pools:
             try:
@@ -472,7 +461,7 @@ class ProcessFanout(ServerFanout):
                 stale.append(s)
                 continue
             try:
-                server.restore_state(future.result())
+                server.fold_shard_state(future.result())
             except Exception:  # noqa: BLE001 - a dead worker keeps old state
                 stale.append(s)
         if stale:
@@ -525,19 +514,31 @@ def shard_of(sid: bytes, n_shards: int) -> int:
 class _ShardPlan:
     """Driver-side bookkeeping for one batch across one server's shards."""
 
-    __slots__ = ("positions", "ok", "shard_order", "ranks", "n_survivors")
+    __slots__ = ("positions", "ok", "ranks")
 
     def __init__(self, positions: "list[list[int]]") -> None:
         #: per shard: global payload positions routed there (ascending)
         self.positions = positions
         #: global positions this server received successfully
         self.ok: "set[int]" = set()
-        #: shards holding >= 1 survivor, in ascending shard order
-        self.shard_order: "list[int]" = []
-        #: per entry of ``shard_order``: the global survivor ranks of
-        #: that shard's survivors, in shard-local (ascending) order
-        self.ranks: "list[list[int]]" = []
-        self.n_survivors = 0
+        #: shard -> the global survivor ranks of its survivors, in
+        #: shard-local (ascending) order; only shards holding one, in
+        #: ascending shard order.  ``None`` until ``ingest`` fixes them.
+        self.ranks: "dict[int, list[int]] | None" = None
+
+
+def _take(values, ranks):
+    """One shard's slice of a per-survivor argument: a list with one
+    entry per survivor, or one plane-form round batch per server."""
+    if values and is_dataclass(values[0]):
+        return [
+            type(batch)(*(
+                getattr(batch, f.name).take_elements(ranks)
+                for f in fields(batch)
+            ))
+            for batch in values
+        ]
+    return [values[r] for r in ranks]
 
 
 class ShardedFanout(ServerFanout):
@@ -554,6 +555,7 @@ class ShardedFanout(ServerFanout):
     shard-local; the driver merges each shard's ``(B_k,)`` round planes
     into the global survivor order (one plane concat + gather), so the
     pipeline, the transport, and ``decide_batch`` are unchanged.
+    :attr:`_ROUTES` is the whole of what crosses: one route per op.
 
     Replay protection is exact: a given id always routes to the same
     shard, so shard-local caches (pending sets included) see every copy.
@@ -563,12 +565,12 @@ class ShardedFanout(ServerFanout):
     only misroute its own upload to a shard that then rejects it when
     the authenticated inner header disagrees.
 
-    ``begin_run``/``end_run`` bracket a run: shards sync their epoch
-    clock from the logical server and mark their replay caches, run,
-    then fold their *delta* state (plane add, counter sums, replay-id
-    union) back into the logical server via
-    :meth:`PrioServer.fold_shard_state` — so ``publish()``, statistics,
-    and cross-run replay protection keep working unchanged.
+    ``begin_run``/``end_run`` bracket a run: each shard starts a run
+    delta (:meth:`PrioServer.begin_run`, which also moves its epoch
+    clock past the logical server's), runs, then folds it back into the
+    logical server via :meth:`PrioServer.fold_shard_state` — the same
+    fold process workers use — so ``publish()``, statistics, and
+    cross-run replay protection keep working unchanged.
     """
 
     def __init__(
@@ -576,7 +578,6 @@ class ShardedFanout(ServerFanout):
         servers: "list[PrioServer]",
         n_shards: int,
         executor=None,
-        batch_size: int = 1,
     ) -> None:
         if n_shards < 1:
             raise FanoutError("n_shards must be >= 1")
@@ -595,7 +596,9 @@ class ShardedFanout(ServerFanout):
         try:
             flat: "list[PrioServer]" = []
             for server in servers:
-                shard_row = [server.make_shard() for _ in range(n_shards)]
+                shard_row = [
+                    server.make_shard(k, n_shards) for k in range(n_shards)
+                ]
                 self.shards.append(shard_row)
                 # One-time partition of pre-existing replay ids, so
                 # replays of submissions seen before this fan-out
@@ -604,9 +607,7 @@ class ShardedFanout(ServerFanout):
                 for sid in server._replay:
                     shard_row[shard_of(sid, n_shards)]._replay.add(sid)
                 flat.extend(shard_row)
-            self.inner, self._own_inner = resolve_fanout(
-                flat, executor, batch_size
-            )
+            self.inner, self._own_inner = resolve_fanout(flat, executor)
             self.kind = f"sharded({self.inner.kind}x{n_shards})"
             self.begin_run()
         except BaseException:
@@ -620,26 +621,23 @@ class ShardedFanout(ServerFanout):
     # -- run lifecycle --------------------------------------------------
 
     def begin_run(self) -> None:
+        self._run_open = False
         for server, shard_row in zip(self.servers, self.shards):
             for shard in shard_row:
-                server.sync_shard_epoch(shard)
-                shard.begin_run()
+                shard.begin_run(server)
         self.inner.begin_run()
         self._run_open = True
 
     def end_run(self) -> None:
-        # Pull worker-side state into the driver-side shard objects
+        # Fold worker-side deltas into the driver-side shard objects
         # first (process inner; no-op for inline/thread).
         self.inner.end_run()
         if not self._run_open:
-            # Idempotence guard: a second fold would double-add the
-            # shard accumulators into the logical servers.
-            return
+            return  # a second fold would double-add the shard deltas
         self._run_open = False
         for server, shard_row in zip(self.servers, self.shards):
             for shard in shard_row:
                 server.fold_shard_state(shard.snapshot_state())
-                shard.reset_run_deltas()
 
     def close(self) -> None:
         if self._own_inner:
@@ -651,7 +649,7 @@ class ShardedFanout(ServerFanout):
     # -- the op seam ----------------------------------------------------
 
     def call(self, s: int, op: str, *args):
-        calls, merge = self._plan(s, op, args)
+        calls, merge = self._route(s, op, args)
         futures = [
             self.inner.call(s * self.n_shards + k, op, *shard_args)
             for k, shard_args in calls
@@ -667,37 +665,37 @@ class ShardedFanout(ServerFanout):
             raise
         for result in results:
             if isinstance(result, BaseException):
-                return_exceptions_error = result
-                break
-        else:
-            return merge(list(results))
-        raise return_exceptions_error
+                raise result
+        return merge(results) if merge else None
 
     def call_sync(self, s: int, op: str, *args):
-        calls, merge = self._plan(s, op, args)
+        calls, merge = self._route(s, op, args)
         results = [
             self.inner.call_sync(s * self.n_shards + k, op, *shard_args)
             for k, shard_args in calls
         ]
-        return merge(results)
+        return merge(results) if merge else None
 
-    def _plan(self, s: int, op: str, args):
+    def _route(self, s: int, op: str, args):
         """Partition one logical-server op into per-shard calls.
 
         Returns ``(calls, merge)``: ``calls`` is ``[(shard_index,
-        shard_args), ...]`` and ``merge`` combines the per-shard
-        results (in ``calls`` order) into the logical result.  Planning
-        and merging are pure driver-side bookkeeping; every shard call
-        is dispatched before any result is awaited.
+        shard_args), ...]`` and ``merge`` (``None``: nothing to merge)
+        combines the per-shard results, in ``calls`` order, into the
+        logical result.  Routing and merging are pure driver-side
+        bookkeeping; every shard call is dispatched before any result
+        is awaited.
         """
-        planner = getattr(self, "_plan_" + op, None)
-        if planner is None:
+        route = self._ROUTES.get(op)
+        if route is None:
             raise FanoutError(f"op not supported by the sharded fan-out: {op}")
-        return planner(s, *args)
+        return route(self, s, *args)
 
-    # -- the ops ---------------------------------------------------------
+    # -- the three routes ------------------------------------------------
 
-    def _plan_receive_wire(self, s, batch_id, payloads):
+    def _by_sid(self, s, batch_id, payloads):
+        """Open a plan: partition the payloads by submission id, and
+        scatter the shards' per-position verdicts back."""
         # Raw or sealed, the id sits at a fixed cleartext offset
         # (``routing_id``).  It is only a routing hint — each shard
         # re-validates everything, and a sealed packet's envelope sid
@@ -711,8 +709,7 @@ class ShardedFanout(ServerFanout):
             except WireError:
                 k = 0
             positions[k].append(pos)
-        plan = _ShardPlan(positions)
-        self._plans[s][batch_id] = plan
+        plan = self._plans[s][batch_id] = _ShardPlan(positions)
         calls = [
             (k, (batch_id, [payloads[p] for p in pos]))
             for k, pos in enumerate(positions)
@@ -721,138 +718,102 @@ class ShardedFanout(ServerFanout):
 
         def merge(results):
             out = [None] * len(payloads)
-            for (k, _), shard_out in zip(calls, results):
-                for p, verdict in zip(positions[k], shard_out):
+            for (k, _), verdicts in zip(calls, results):
+                for p, verdict in zip(positions[k], verdicts):
                     out[p] = verdict
             plan.ok = {p for p, v in enumerate(out) if v is None}
             return out
 
         return calls, merge
 
-    _plan_receive_sealed = _plan_receive_wire
-
-    def _plan_ingest(self, s, batch_id, keep):
+    def _by_rank(self, s, batch_id, *args):
+        """Split per-survivor arguments by survivor rank, and gather the
+        shards' per-survivor round planes back into rank order."""
         plan = self._plans[s][batch_id]
-        keep_set = set(keep)
-        calls = []
-        survivor_positions: "list[list[int]]" = []
-        plan.shard_order = []
-        for k, pos in enumerate(plan.positions):
-            if not pos:
-                continue
-            local_keep = [
-                i for i, g in enumerate(pos)
-                if g in keep_set and g in plan.ok
-            ]
-            calls.append((k, (batch_id, local_keep)))
-            if local_keep:
-                plan.shard_order.append(k)
-                survivor_positions.append([pos[i] for i in local_keep])
-        # Global survivor order is ascending stream position — exactly
-        # what the unsharded server produces.  Store each shard's
-        # survivor *ranks* in that order for the round merge/split.
-        flat = [g for group in survivor_positions for g in group]
-        order = sorted(range(len(flat)), key=flat.__getitem__)
-        rank_of = [0] * len(flat)
-        for rank, i in enumerate(order):
-            rank_of[i] = rank
-        plan.ranks = []
-        offset = 0
-        for group in survivor_positions:
-            plan.ranks.append(rank_of[offset:offset + len(group)])
-            offset += len(group)
-        plan.n_survivors = len(flat)
-        if not plan.shard_order:
+        if plan.ranks is None:
+            return self._fix_ranks(s, batch_id, plan, *args), None
+        calls = [
+            (k, (batch_id, *(_take(arg, ranks) for arg in args)))
+            for k, ranks in plan.ranks.items()
+        ]
+
+        def merge(results):
+            if results[0] is None:
+                # accumulate: the batch is settled at every shard
+                del self._plans[s][batch_id]
+                return None
+            server = self.servers[s]
+            order = [r for ranks in plan.ranks.values() for r in ranks]
+            inv = sorted(range(len(order)), key=order.__getitem__)
+            return type(results[0])(*(
+                concat_vectors(
+                    server.field,
+                    [getattr(batch, f.name) for batch in results],
+                    server.force_pure_backend,
+                ).take_elements(inv)
+                for f in fields(results[0])
+            ))
+
+        return calls, merge
+
+    def _fix_ranks(self, s, batch_id, plan, keep):
+        """``ingest(keep)``: the survivors fix every shard's ranks.
+
+        Survivors are the kept positions this server received, in
+        ascending position order — the unsharded server's order.  Every
+        shard holding part of the batch ingests, so it abandons its
+        non-survivors too.
+        """
+        local = {
+            p: (k, i)
+            for k, pos in enumerate(plan.positions)
+            for i, p in enumerate(pos)
+        }
+        local_keep: "list[list[int]]" = [[] for _ in range(self.n_shards)]
+        ranks: "list[list[int]]" = [[] for _ in range(self.n_shards)]
+        for rank, p in enumerate(sorted(set(keep) & plan.ok)):
+            k, i = local[p]
+            local_keep[k].append(i)
+            ranks[k].append(rank)
+        plan.ranks = {k: r for k, r in enumerate(ranks) if r}
+        if not plan.ranks:
             # No survivors anywhere: every shard's ingest settles its
             # sub-batch (the unsharded op deletes the batch likewise).
             del self._plans[s][batch_id]
-        return calls, lambda results: None
-
-    def _merge_round(self, s, plan, parts, build):
-        server = self.servers[s]
-        force = server.force_pure_backend
-        inv = [0] * plan.n_survivors
-        for i, rank in enumerate(
-            r for ranks in plan.ranks for r in ranks
-        ):
-            inv[rank] = i
-        first = concat_vectors(
-            server.field, [p[0] for p in parts], force
-        ).take_elements(inv)
-        second = concat_vectors(
-            server.field, [p[1] for p in parts], force
-        ).take_elements(inv)
-        return build(first, second)
-
-    def _plan_round1(self, s, batch_id):
-        plan = self._plans[s][batch_id]
-        calls = [(k, (batch_id,)) for k in plan.shard_order]
-
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.d, batch.e) for batch in results],
-                lambda d, e: Round1Batch(d=d, e=e),
-            )
-
-        return calls, merge
-
-    def _split_round1(self, round1_batches, indices):
         return [
-            Round1Batch(
-                d=batch.d.take_elements(indices),
-                e=batch.e.take_elements(indices),
-            )
-            for batch in round1_batches
+            (k, (batch_id, local_keep[k]))
+            for k, pos in enumerate(plan.positions)
+            if pos
         ]
 
-    def _plan_round2(self, s, batch_id, round1_batches):
-        plan = self._plans[s][batch_id]
-        calls = [
-            (k, (batch_id, self._split_round1(round1_batches, indices)))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
+    def _to_all(self, s, *args):
+        """The same call at every shard; nothing to merge.
 
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.sigma, batch.assertion) for batch in results],
-                lambda sg, an: Round2Batch(sigma=sg, assertion=an),
-            )
+        For the cleanup sweeps: the per-shard op tolerates unknown
+        batch ids, and a partially-dispatched batch may be open at any
+        subset of the shards.  The batch's plan — every plan, for
+        ``abandon_open`` — is dropped first.
+        """
+        if args:
+            self._plans[s].pop(args[0], None)
+        else:
+            self._plans[s].clear()
+        return [(k, args) for k in range(self.n_shards)], None
 
-        return calls, merge
-
-    def _plan_accumulate(self, s, batch_id, decisions):
-        plan = self._plans[s][batch_id]
-        calls = [
-            (k, (batch_id, [decisions[r] for r in indices]))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
-
-        def merge(results):
-            self._plans[s].pop(batch_id, None)
-            return None
-
-        return calls, merge
-
-    def _settle_plan(self, s, op, batch_id):
-        # Cleanup sweeps go to every shard: the per-shard op tolerates
-        # unknown batch ids, and a partially-dispatched batch may be
-        # open at any subset of them.
-        self._plans[s].pop(batch_id, None)
-        calls = [(k, (batch_id,)) for k in range(self.n_shards)]
-        return calls, lambda results: None
-
-    def _plan_reject_all(self, s, batch_id):
-        return self._settle_plan(s, "reject_all", batch_id)
-
-    def _plan_abandon_all(self, s, batch_id):
-        return self._settle_plan(s, "abandon_all", batch_id)
-
-    def _plan_abandon_open(self, s):
-        self._plans[s].clear()
-        calls = [(k, ()) for k in range(self.n_shards)]
-        return calls, lambda results: None
+    #: How each :class:`_ServerOps` op crosses the shards — every op but
+    #: ``snapshot``, the process backend's run-end delta.  Changing what
+    #: crosses the seam is an edit here.
+    _ROUTES = {
+        "receive_wire": _by_sid,
+        "receive_sealed": _by_sid,
+        "ingest": _by_rank,
+        "round1": _by_rank,
+        "round2": _by_rank,
+        "accumulate": _by_rank,
+        "reject_all": _to_all,
+        "abandon_all": _to_all,
+        "abandon_open": _to_all,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -863,27 +824,29 @@ class ShardedFanout(ServerFanout):
 def resolve_fanout(
     servers: "list[PrioServer]",
     executor=None,
-    batch_size: int = 1,
+    batch_size: int = 1,  # noqa: ARG001 - unused; benchmarks/e2e pass it
 ) -> "tuple[ServerFanout, bool]":
     """Resolve the ``executor`` knob to a backend instance.
 
-    Accepts ``None`` (host-sized: threads, or inline on a single-CPU
-    host), one of :data:`EXECUTOR_KINDS` — optionally with a ``":K"``
+    Accepts one of :data:`EXECUTOR_KINDS` — optionally with a ``":K"``
     shard-count suffix (``"process:4"`` = four sharded workers of that
-    kind per logical server) — a ready :class:`ServerFanout` (reused
-    verbatim — the caller owns it), or a plain ``concurrent.futures``
-    executor (wrapped, caller-owned).  Returns ``(fanout, owned)``;
-    callers close only backends they own.
+    kind per logical server) — ``None`` (``"inline"``), or a ready
+    :class:`ServerFanout` (reused verbatim — the caller owns it).
+    Anything else raises :class:`FanoutError`.  Returns ``(fanout,
+    owned)``; callers close only backends they own.
 
-    ``"process"`` falls back to the thread backend automatically when
-    worker processes cannot be created (restricted sandboxes, missing
-    ``multiprocessing`` support); ``"auto"`` additionally requires a
-    multi-core host and a batch size of at least
-    :data:`AUTO_PROCESS_MIN_BATCH` — below that, per-op
-    process-crossing overhead outweighs what the GIL was costing.
+    ``"process"`` falls back to the thread backend, with a warning,
+    when worker processes cannot be created (restricted sandboxes,
+    missing ``multiprocessing`` support).
     """
-    if isinstance(executor, str) and ":" in executor:
-        kind, _, count = executor.partition(":")
+    if isinstance(executor, ServerFanout):
+        return executor, False
+    if executor is None:
+        executor = "inline"
+    if not isinstance(executor, str):
+        raise FanoutError(f"unknown executor selection: {executor!r}")
+    kind, sharded, count = executor.partition(":")
+    if sharded:
         try:
             n_shards = int(count)
         except ValueError:
@@ -891,31 +854,10 @@ def resolve_fanout(
                 f"bad shard count in executor spec: {executor!r}"
             ) from None
         if n_shards != 1:
-            return ShardedFanout(servers, n_shards, kind, batch_size), True
-        executor = kind
-    if isinstance(executor, ServerFanout):
-        return executor, False
-    if executor is None:
-        return LocalFanout(servers), True
-    if executor == "thread":
-        # Explicit request: a real pool even on a single-CPU host (the
-        # None default auto-drops to inline there).
-        return LocalFanout(
-            servers,
-            ThreadPoolExecutor(max_workers=max(2, len(servers))),
-            own_executor=True,
-        ), True
-    if executor == "inline":
-        return LocalFanout(servers, _InlineExecutor()), True
-    if executor == "auto":
-        if (
-            (os.cpu_count() or 1) > 1
-            and batch_size >= AUTO_PROCESS_MIN_BATCH
-        ):
-            executor = "process"
-        else:
-            return LocalFanout(servers), True
-    if executor == "process":
+            return ShardedFanout(servers, n_shards, kind), True
+    if kind not in EXECUTOR_KINDS:
+        raise FanoutError(f"unknown executor selection: {executor!r}")
+    if kind == "process":
         try:
             return ProcessFanout(servers), True
         except Exception as exc:  # noqa: BLE001 - automatic fallback
@@ -927,20 +869,5 @@ def resolve_fanout(
                 RuntimeWarning,
                 stacklevel=2,
             )
-            # The same real pool an explicit "thread" request gets —
-            # the warning must describe what actually happens, even on
-            # a single-CPU host.
-            return resolve_fanout(servers, "thread", batch_size)
-    if isinstance(executor, ProcessPoolExecutor):
-        # Wrapping a raw process pool in LocalFanout would mutate
-        # throwaway pickled server copies in the workers — every
-        # submission would silently reject.  Process fan-out needs
-        # state residency; that is what executor="process" provides.
-        raise FanoutError(
-            "a raw ProcessPoolExecutor cannot back the fan-out (server "
-            'state must live with its worker); use executor="process" '
-            "or a ProcessFanout instance instead"
-        )
-    if hasattr(executor, "submit"):
-        return LocalFanout(servers, executor), False
-    raise FanoutError(f"unknown executor selection: {executor!r}")
+            kind = "thread"
+    return LocalFanout(servers, kind), True

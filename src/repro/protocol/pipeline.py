@@ -39,9 +39,9 @@ message-driven schedule but speaks the same ops.
 so expansion/decode of batch ``N+1`` overlaps verification of batch
 ``N``, and the per-server CPU work inside each half fans out over an
 execution backend (:mod:`repro.protocol.fanout`: ``"inline"`` /
-``"thread"`` / ``"process"`` / ``"auto"``, optionally ``":K"``
-sharded).  With :meth:`AsyncPrioPipeline.run_values` the *client*
-joins the pipeline as a producer stage —
+``"thread"`` / ``"process"``, optionally ``":K"`` sharded).  With
+:meth:`AsyncPrioPipeline.run_values` the *client* joins the pipeline
+as a producer stage —
 
     values -> [batched client prover] -> [ingest half] -> [verify half]
 
@@ -59,7 +59,6 @@ bit-identical across drivers and backends by construction.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from repro.protocol.fanout import ServerFanout, resolve_fanout
@@ -225,11 +224,10 @@ class AsyncPrioPipeline:
 
     ``queue_depth`` bounds how many ingested-but-unverified batches may
     exist at once (the overlap window); ``executor`` selects the
-    per-server execution backend — ``"thread"`` / ``"process"`` /
-    ``"inline"`` / ``"auto"`` (optionally ``":K"`` sharded), a ready
-    :class:`~repro.protocol.fanout.ServerFanout` (reused across runs,
-    caller-owned), a plain ``concurrent.futures`` executor
-    (caller-owned), or ``None`` for the host-sized default.
+    per-server execution backend — ``"inline"`` (also ``None``) /
+    ``"thread"`` / ``"process"``, optionally ``":K"`` sharded, or a
+    ready :class:`~repro.protocol.fanout.ServerFanout` (reused across
+    runs, caller-owned).
     """
 
     def __init__(
@@ -237,7 +235,7 @@ class AsyncPrioPipeline:
         servers: "list[PrioServer]",
         batch_size: int = 64,
         queue_depth: int = 2,
-        executor: "str | ServerFanout | ThreadPoolExecutor | None" = None,
+        executor: "str | ServerFanout | None" = None,
         encrypt: bool = False,
     ) -> None:
         if batch_size < 1:
@@ -306,9 +304,7 @@ class AsyncPrioPipeline:
         self._verifying = False
         self._next_batch_id = 0
         results: "list[bool]" = [False] * len(submissions)
-        fanout, owned = resolve_fanout(
-            self.servers, self.executor, self.batch_size
-        )
+        fanout, owned = resolve_fanout(self.servers, self.executor)
         self.stats.executor = fanout.kind
         synced = True
         try:
@@ -318,8 +314,8 @@ class AsyncPrioPipeline:
                 # push is not fatal — every batch below fails without
                 # touching the backend — but the run must NOT execute
                 # ops against whatever stale state the workers kept,
-                # and end_run must not clobber the driver-side servers
-                # with it either.
+                # and end_run must not fold a stale delta into the
+                # driver-side servers either.
                 try:
                     fanout.begin_run()
                 except Exception:  # noqa: BLE001
@@ -502,7 +498,7 @@ def run_pipelined(
     batch_size: int = 64,
     queue_depth: int = 2,
     encrypt: bool = False,
-    executor: "str | ServerFanout | ThreadPoolExecutor | None" = None,
+    executor: "str | ServerFanout | None" = None,
 ) -> tuple[list[bool], PipelineStats]:
     """One-call pipeline run over prepared submissions.
 

@@ -65,8 +65,8 @@ class PrioDeployment:
         self.client = client
         self.encrypt = encrypt
         self.batch_size = batch_size
-        #: execution backend ("inline" | "thread" | "process" | "auto",
-        #: optionally ":K" sharded, or a ServerFanout); None = inline
+        #: execution backend ("inline" | "thread" | "process", optionally
+        #: ":K" sharded, or a ServerFanout); None = inline
         self.executor = executor
         #: the backend, resolved on first use and reused by every call
         #: until :meth:`close` (spawning process workers per call would
@@ -94,9 +94,9 @@ class PrioDeployment:
         in batches of that size (``submit_many`` chunks accordingly);
         decisions and statistics remain per submission.  ``executor``
         selects the per-server execution backend
-        (``"inline"``/``"thread"``/``"process"``/``"auto"``, optionally
-        with a ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`);
-        the default runs every server inline on the calling thread.
+        (``"inline"``/``"thread"``/``"process"``, optionally with a
+        ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`); the
+        default runs every server inline on the calling thread.
         ``replay_cache`` selects each server's replay store
         (``"memory"``/``"tiered"``; see :mod:`repro.protocol.replay`) —
         only a string spec is accepted here because every server needs
@@ -145,7 +145,7 @@ class PrioDeployment:
         """A pipeline over the deployment's (lazily resolved) fan-out."""
         if self._fanout is None:
             self._fanout, self._owns_fanout = resolve_fanout(
-                self.servers, self.executor or "inline", self.batch_size
+                self.servers, self.executor
             )
         return AsyncPrioPipeline(
             self.servers, batch_size=self.batch_size,

@@ -131,7 +131,12 @@ class PrioServer:
         #: copy has not reached the replay cache yet
         self._pending_ids: set[bytes] = set()
         self._submissions_this_epoch = 0
+        #: challenge index of the current epoch
         self._epoch = 0
+        #: ``(k, K)``: this server draws only challenge indices that are
+        #: ``k mod K`` — shard k of K (:meth:`make_shard`); ``(0, 1)``,
+        #: every index, for a logical server
+        self._epoch_slot = (0, 1)
         self._ctx: VerificationContext | None = None
         #: server-to-server field elements broadcast (Figure 6 metric)
         self.elements_broadcast = 0
@@ -145,7 +150,7 @@ class PrioServer:
             return None
         if self._ctx is None or self._submissions_this_epoch >= self.epoch_size:
             if self._submissions_this_epoch >= self.epoch_size:
-                self._epoch += 1
+                self._epoch += self._epoch_slot[1]
                 self._submissions_this_epoch = 0
             challenge = self.randomness.challenge(
                 self.field, self.circuit, self._epoch
@@ -572,32 +577,70 @@ class PrioServer:
         )
 
     # ------------------------------------------------------------------
-    # State residency (the multi-process fan-out seam)
+    # State residency (the fan-out seam): worker copies and shards run
+    # on a delta, which one fold brings home
     # ------------------------------------------------------------------
 
-    def begin_run(self) -> None:
-        """Mark the start of a fan-out run.
+    def make_shard(self, index: int, n_shards: int) -> "PrioServer":
+        """Shard ``index`` of ``n_shards``: same configuration, no state.
 
-        Snapshots taken after this point ship only the replay-cache
-        *delta* — the ids added during the run — instead of the full
-        multi-million-id history.  The process fan-out calls this when
-        it installs a server in a worker; callers that never call it
-        get full snapshots (the safe fallback).
+        :class:`~repro.protocol.fanout.ShardedFanout` gives each
+        logical server K of these; every shard owns its slice of the
+        submission-id space (stable hash partition), so shard-local
+        replay caches — spawned from this server's, hence the same
+        tier configuration — give complete replay protection.  Shard
+        ``index`` draws only the challenge indices that are ``index``
+        mod ``n_shards``, so no two shards verify under the same r.
+        """
+        shard = PrioServer(
+            self.afe,
+            self.server_index,
+            self.n_servers,
+            self.randomness,
+            epoch_size=self.epoch_size,
+            box_keypair=self.box_keypair,
+            force_pure_backend=self.force_pure_backend,
+            replay_cache=self._replay.spawn(),
+        )
+        shard._epoch_slot = (index, n_shards)
+        return shard
+
+    def begin_run(self, parent: "PrioServer | None" = None) -> None:
+        """Start a run delta on a worker copy or a shard.
+
+        Zeroes what a run adds — accumulator, counters, broadcast
+        tally, pending ids — and marks the replay cache, so
+        :meth:`snapshot_state` then holds exactly this run's delta for
+        :meth:`fold_shard_state`.  A process worker's copy keeps the
+        epoch clock it arrived with.  A shard (``parent`` is its
+        logical server) moves to its first challenge index past every
+        index ``parent`` has used, with a fresh count.
         """
         self._replay.mark()
+        self._accumulator = BatchVector.zeros(
+            self.field, (self.afe.k_prime,),
+            tiny_batch_force_pure(self.afe.k_prime, self.force_pure_backend),
+        )
+        self.n_accepted = 0
+        self.n_rejected = 0
+        self.n_replayed = 0
+        self.elements_broadcast = 0
+        self._pending_ids = set()
+        if parent is not None:
+            index, n_shards = self._epoch_slot
+            after = parent._epoch + 1
+            self._epoch = after + (index - after) % n_shards
+            self._submissions_this_epoch = 0
+            self._ctx = None
 
     def snapshot_state(self) -> dict:
-        """Everything a run mutates, in one picklable snapshot.
+        """The run delta since :meth:`begin_run`, picklable.
 
-        The process fan-out backend
-        (:class:`~repro.protocol.fanout.ProcessFanout`) ships a server
-        into a dedicated worker, runs batches there, and merges this
-        snapshot back into the driver-side object afterward — the
-        accumulator crosses as its limb plane
+        The accumulator crosses as its limb plane
         (:class:`~repro.field.batch.BatchVector` pickles the int64
-        plane buffer; no per-element Python-int round trip).  Replay
-        state crosses as the delta since :meth:`begin_run`, never the
-        whole seen set.
+        plane buffer; no per-element Python-int round trip), replay
+        state as the ids added since the mark — never the whole seen
+        set — and the epoch clock as it stands.
         """
         return {
             "accumulator_plane": self._accumulator,
@@ -611,67 +654,14 @@ class PrioServer:
             "elements_broadcast": self.elements_broadcast,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` snapshot (inverse operation).
-
-        Counters and planes are absolute (the snapshotting side held
-        the full state); replay ids merge as a delta — the driver-side
-        cache already holds everything from before the run.
-
-        Drops the cached verification context: the epoch may have
-        advanced elsewhere, and contexts re-derive deterministically
-        from the shared randomness.
-        """
-        self._accumulator = state["accumulator_plane"]
-        self.n_accepted = state["n_accepted"]
-        self.n_rejected = state["n_rejected"]
-        self.n_replayed = state["n_replayed"]
-        self._replay.update(state["seen_delta"])
-        self._pending_ids = set(state["pending_ids"])
-        self._submissions_this_epoch = state["submissions_this_epoch"]
-        self._epoch = state["epoch"]
-        self.elements_broadcast = state["elements_broadcast"]
-        self._ctx = None
-
-    # ------------------------------------------------------------------
-    # Sharding (the per-server worker fan-out seam)
-    # ------------------------------------------------------------------
-
-    def make_shard(self) -> "PrioServer":
-        """A fresh server of identical configuration and empty state.
-
-        :class:`~repro.protocol.fanout.ShardedFanout` gives each
-        logical server K of these; every shard owns its slice of the
-        submission-id space (stable hash partition), so shard-local
-        replay caches — spawned from this server's, hence the same
-        tier configuration — give complete replay protection.
-        """
-        return PrioServer(
-            self.afe,
-            self.server_index,
-            self.n_servers,
-            self.randomness,
-            epoch_size=self.epoch_size,
-            box_keypair=self.box_keypair,
-            force_pure_backend=self.force_pure_backend,
-            replay_cache=self._replay.spawn(),
-        )
-
-    def sync_shard_epoch(self, shard: "PrioServer") -> None:
-        """Align a shard's epoch clock with this logical server's."""
-        shard._epoch = self._epoch
-        shard._submissions_this_epoch = self._submissions_this_epoch
-        shard._ctx = None
-
     def fold_shard_state(self, state: dict) -> None:
-        """Merge one shard's *delta* snapshot into this logical server.
+        """Fold a worker copy's or a shard's run delta into this server.
 
-        Unlike :meth:`restore_state` (absolute counters from a worker
-        that held the full state), a shard starts each run zeroed, so
-        its counters, accumulator plane, and broadcast tally are pure
-        deltas and *add*; replay ids union in; epoch position advances
-        by the shard's submission count (all shards share the logical
-        server's epoch schedule, synced at run start).
+        The one run-end merge of every fan-out backend (a process
+        worker's copy is its server's only shard): planes, counters
+        and the broadcast tally add, replay and pending ids union, and
+        the epoch clock moves to the folded one if it is further on —
+        so the next run never re-enters an epoch past its count.
         """
         plane = state["accumulator_plane"]
         if plane.backend != self._accumulator.backend:
@@ -684,30 +674,14 @@ class PrioServer:
         self.n_replayed += state["n_replayed"]
         self._replay.update(state["seen_delta"])
         self._pending_ids |= state["pending_ids"]
-        # Advance the epoch position by the shard's settled count;
-        # rotation itself stays lazy in ``_context()`` (which resets
-        # the counter to zero on overshoot), exactly as unsharded.
-        self._submissions_this_epoch += state["n_accepted"] + state["n_rejected"]
         self.elements_broadcast += state["elements_broadcast"]
-        self._ctx = None
-
-    def reset_run_deltas(self) -> None:
-        """Zero the fold-as-delta state after a shard fold.
-
-        Shard servers call this after each :meth:`fold_shard_state`
-        so their next snapshot is again a pure per-run delta.  The
-        replay cache is deliberately untouched — it stays the
-        authoritative record of this shard's id slice across runs.
-        """
-        self._accumulator = BatchVector.zeros(
-            self.field, (self.afe.k_prime,),
-            tiny_batch_force_pure(self.afe.k_prime, self.force_pure_backend),
-        )
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.n_replayed = 0
-        self.elements_broadcast = 0
-        self._pending_ids = set()
+        # Shards start past this clock (begin_run) and each index has
+        # one owner, so the furthest (index, count) is the only one a
+        # later run may continue.  Rotation stays lazy in _context().
+        clock = (state["epoch"], state["submissions_this_epoch"])
+        if clock > (self._epoch, self._submissions_this_epoch):
+            self._epoch, self._submissions_this_epoch = clock
+            self._ctx = None
 
     def publish(self) -> list[int]:
         """Release the accumulator (step 4); safe by construction.

@@ -255,11 +255,12 @@ def run_cluster(
     that size via the vectorized batch path; outcomes are identical to
     ``batch_size=1`` (asserted by the integration tests), only the
     message schedule changes.  ``executor`` selects where each server's
-    CPU work runs (``"inline"`` default; ``"process"`` = one worker
-    process per server; a ``":K"`` suffix such as ``"process:4"``
-    shards every server across K workers of that kind); outcomes are
-    backend-independent.  Server handlers execute through the network's
-    latency-window concurrency (:meth:`SimNetwork.run_async`), so with
+    CPU work runs (``"inline"`` default, also ``None``; ``"thread"``;
+    ``"process"`` = one worker process per server; a ``":K"`` suffix
+    such as ``"process:4"`` shards every server across K workers of
+    that kind); outcomes are backend-independent.  Server handlers
+    execute through the network's latency-window concurrency
+    (:meth:`SimNetwork.run_async`), so with
     a thread/process/sharded backend distinct servers' CPU work
     genuinely overlaps.  Uploads come from the batched plane-resident
     client prover; ``mutate(index, submission)`` may corrupt each one
@@ -275,8 +276,8 @@ def run_cluster(
         # sense here.
         raise SimError(
             "run_cluster accepts an executor kind "
-            "(\"inline\"/\"thread\"/\"process\"/\"auto\"), not a fanout "
-            "instance: the cluster owns its servers"
+            "(\"inline\"/\"thread\"/\"process\", optionally \":K\"), not "
+            "a fanout instance: the cluster owns its servers"
         )
     n_servers = topology.n_sites
     randomness = ServerRandomness(seed)
@@ -285,7 +286,7 @@ def run_cluster(
     ]
     element_bytes = afe.field.encoded_size
     values = list(values)
-    fanout, owned = resolve_fanout(servers, executor, batch_size)
+    fanout, owned = resolve_fanout(servers, executor)
     try:
         nodes = [
             _ServerNode(

@@ -45,8 +45,8 @@ the offending upload is ``REJECTED``, batchmates are unaffected.
 **Graceful drain.**  :meth:`stop` closes the listeners, flushes the
 partial batch, waits for every in-flight batch to be *decided*,
 answers stragglers ``BUSY``, releases any still-open ids (nothing is
-ever stranded in ``_pending_ids``), merges worker state back
-(process fan-out), and closes the connections.
+ever stranded in ``_pending_ids``), folds worker and shard state back
+(process and sharded fan-out), and closes the connections.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class TransportConfig:
     rate_limit: "float | None" = None
     #: per-connection burst allowance in frames
     rate_burst: "int | None" = None
-    #: execution backend: "inline" | "thread" | "process" | "auto"
-    #: (optionally with a ":K" shard suffix, e.g. "process:4"), a
-    #: ready ServerFanout, or None for the host-sized default
+    #: execution backend: "inline" (also None) | "thread" | "process"
+    #: (optionally with a ":K" shard suffix, e.g. "process:4"), or a
+    #: ready ServerFanout
     executor: object = None
 
     def __post_init__(self) -> None:
@@ -331,7 +331,7 @@ class PrioTransportServer:
         self._verify_gate = asyncio.Event()
         self._verify_gate.set()
         self._fanout, self._owned_fanout = resolve_fanout(
-            self.servers, self.config.executor, self.config.batch_size
+            self.servers, self.config.executor
         )
         self.stats.executor = self._fanout.kind
         if not self._owned_fanout:

@@ -19,6 +19,7 @@ import pytest
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87
 from repro.protocol import (
+    EXECUTOR_KINDS,
     AsyncPrioPipeline,
     FanoutError,
     PrioClient,
@@ -203,9 +204,15 @@ def test_failed_state_push_fails_run_without_clobbering_state(rng):
 
 
 def test_resolve_fanout_rejects_unknown_kind():
+    """Only ``EXECUTOR_KINDS`` (and ready fan-outs) resolve: no other
+    string, and no raw ``concurrent.futures`` executor."""
+    from concurrent.futures import ThreadPoolExecutor
+
     deployment = _twin_deployment()
-    with pytest.raises(FanoutError):
-        resolve_fanout(deployment.servers, "distributed-ledger")
+    with ThreadPoolExecutor(max_workers=1) as threads:
+        for spec in ("distributed-ledger", "auto", "", threads):
+            with pytest.raises(FanoutError):
+                resolve_fanout(deployment.servers, spec)
 
 
 def test_resolve_fanout_rejects_raw_process_pool():
@@ -222,14 +229,18 @@ def test_resolve_fanout_rejects_raw_process_pool():
         pool.shutdown(wait=True)
 
 
-def test_resolve_auto_prefers_thread_for_tiny_batches():
-    deployment = _twin_deployment()
-    fanout, owned = resolve_fanout(deployment.servers, "auto", batch_size=1)
-    try:
-        assert fanout.kind in ("thread", "inline")
-        assert owned
-    finally:
-        fanout.close()
+@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+def test_every_listed_kind_resolves(kind):
+    """``EXECUTOR_KINDS`` is the list the resolver checks: each kind,
+    and its two-shard form, gives an owned backend of that kind."""
+    deployment = _twin_deployment(n_servers=2)
+    for spec, expected in ((kind, kind), (f"{kind}:2", f"sharded({kind}x2)")):
+        fanout, owned = resolve_fanout(deployment.servers, spec)
+        try:
+            assert owned and fanout.kind == expected
+        finally:
+            fanout.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_shuffled_server_list_routes_by_protocol_index(rng):
@@ -443,16 +454,9 @@ def test_sweep_cancellation_wins_over_worker_error():
     would consume the stage task's one-shot cancellation and hang the
     pipeline shutdown."""
     import asyncio
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.protocol import LocalFanout
 
     deployment = _twin_deployment(n_servers=2)
-    fanout = LocalFanout(
-        deployment.servers,
-        ThreadPoolExecutor(max_workers=2),
-        own_executor=True,
-    )
+    fanout, _ = resolve_fanout(deployment.servers, "thread")
     release = threading.Event()
 
     class FakeOps:

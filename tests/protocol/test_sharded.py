@@ -8,26 +8,31 @@ decisions, published aggregates, and statistics are identical.  Replay
 protection must also survive sharding: ids partition stably across
 shards (``shard_of``), shard-local caches catch replays across runs on
 a reused fan-out, and the run-end fold keeps the logical servers'
-state authoritative.
+state authoritative.  The fixed-r epochs keep their bound too: shards
+never share a challenge, and no run re-enters an earlier run's epoch.
 """
 
 import copy
 import multiprocessing
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.afe import VectorSumAfe
+from repro.afe import IntegerSumAfe, VectorSumAfe
 from repro.field import FIELD87
 from repro.protocol import (
     FanoutError,
+    PrioClient,
     PrioDeployment,
+    PrioServer,
     ShardedFanout,
     resolve_fanout,
     run_pipelined,
     shard_of,
 )
+from repro.snip.verifier import ServerRandomness
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -247,21 +252,92 @@ def test_preexisting_seen_ids_partition_to_shards():
 
 def test_end_run_fold_is_idempotent():
     """A second end_run (the pipeline's finally sweep on a reused
-    backend) must not double-fold shard accumulators into the logical
-    servers."""
-    deployment = _deployment()
-    _, submissions = _stream(deployment, n=6)
-    fanout, _ = resolve_fanout(deployment.servers, "inline:2")
-    try:
-        run_pipelined(
-            deployment.servers, submissions, batch_size=8, executor=fanout
+    backend) must not fold a run's deltas into the logical servers
+    twice — neither the shards' nor the process workers', which come
+    home through the same fold."""
+
+    def run_end_state(servers):
+        return (
+            [s.publish() for s in servers],
+            [s.n_accepted for s in servers],
+            [sorted(s._replay) for s in servers],
         )
-        accepted = deployment.servers[0].n_accepted
-        fanout.end_run()
-        fanout.end_run()
-        assert deployment.servers[0].n_accepted == accepted
-    finally:
-        fanout.close()
+
+    for executor in ("inline:2", "process", "process:2"):
+        deployment = _deployment(n_servers=2)
+        _, submissions = _stream(deployment, n=6)
+        fanout, _ = resolve_fanout(deployment.servers, executor)
+        try:
+            run_pipelined(
+                deployment.servers, submissions, batch_size=8,
+                executor=fanout,
+            )
+            state = run_end_state(deployment.servers)
+            assert state[1] == [6, 6], executor
+            fanout.end_run()
+            fanout.end_run()
+            assert run_end_state(deployment.servers) == state, executor
+        finally:
+            fanout.close()
+            deployment.close()
+    assert multiprocessing.active_children() == []
+
+
+class _EpochLogServer(PrioServer):
+    """Appends ``server challenge-index count`` per verified (sub-)batch
+    to ``log_path`` — a file, so process workers log too — and makes
+    shards that log the same way."""
+
+    log_path = None
+
+    def begin_verification_batch(self, pendings):
+        party, batch = super().begin_verification_batch(pendings)
+        with open(self.log_path, "a") as log:
+            log.write(f"{self.server_index} {self._epoch} {len(pendings)}\n")
+        return party, batch
+
+    def make_shard(self, *args):
+        shard = super().make_shard(*args)
+        shard.__class__ = _EpochLogServer
+        shard.log_path = self.log_path
+        return shard
+
+
+@pytest.mark.parametrize(
+    "executor", ["inline", "inline:2", "inline:4", "process:2"]
+)
+def test_no_challenge_verifies_past_its_epoch(executor, tmp_path):
+    """The fixed-r optimization's bound holds at every shard count: one
+    (server, challenge index) verifies at most ``epoch_size +
+    batch_size - 1`` submissions (an epoch's count, plus the batch that
+    crosses it), and no index is verified in two runs."""
+    epoch_size, batch_size = 8, 4
+    afe = IntegerSumAfe(FIELD87, 1)
+    randomness = ServerRandomness(b"epoch-bound")
+    log_path = tmp_path / "challenges.log"
+    servers = [
+        _EpochLogServer(afe, i, 2, randomness, epoch_size=epoch_size)
+        for i in range(2)
+    ]
+    for server in servers:
+        server.log_path = str(log_path)
+    deployment = PrioDeployment(
+        afe, servers, PrioClient(afe, 2, rng=random.Random(5)),
+        encrypt=False, batch_size=batch_size, executor=executor,
+    )
+    runs = []
+    with deployment:
+        for _ in range(2):
+            assert deployment.submit_many([1] * 32) == 32
+            used = Counter()
+            for line in log_path.read_text().split("\n")[:-1]:
+                server, index, n = map(int, line.split())
+                used[server, index] += n
+            log_path.unlink()
+            runs.append(used)
+    assert all(sum(used.values()) == 2 * 32 for used in runs)
+    assert max((runs[0] + runs[1]).values()) <= epoch_size + batch_size - 1
+    assert not set(runs[0]) & set(runs[1])
 
 
 def test_tiered_cache_behind_sharded_fanout():

@@ -66,13 +66,18 @@ def _public(name):
     return not name.startswith("_")
 
 
+def _is_route(fn):
+    """One of the routes ``ShardedFanout._ROUTES`` sends ops down."""
+    return any(fn is route for route in ShardedFanout._ROUTES.values())
+
+
 @pytest.mark.parametrize(
     "cls,keep",
     [
         (PrioServer, _public),
         (PrioDeployment, _public),
         (_ServerOps, _public),
-        (ShardedFanout, lambda name: name.startswith("_plan_")),
+        (ShardedFanout, lambda name: _is_route(getattr(ShardedFanout, name))),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
@@ -81,11 +86,10 @@ def test_listed_surface_matches_code(cls, keep):
 
 
 def test_every_op_has_a_shard_planner():
-    """The sharded fan-out plans exactly the ops it can be asked for
-    (``snapshot`` is the process backend's own state sync)."""
-    assert {
-        name.removeprefix("_plan_") for name in _listed("ShardedFanout")
-    } == _listed("_ServerOps") - {"snapshot"}
+    """The sharded fan-out's one op table routes exactly the ops it can
+    be asked for (``snapshot`` is the process backend's run-end
+    delta)."""
+    assert set(ShardedFanout._ROUTES) == _listed("_ServerOps") - {"snapshot"}
 
 
 # ----------------------------------------------------------------------
