@@ -1,14 +1,14 @@
 """shard-pickle-safety: shard-visible classes must stay picklable.
 
-``ProcessFanout``/``ShardedFanout`` ship servers, replay caches, and
-verifier state to worker processes via pickle (and each worker's
-``snapshot_state`` delta pickles back for ``fold_shard_state``, the one
-run-end merge).  An attribute holding a
+``ProcessFanout``/``ShardedFanout`` ship servers (replay sets
+included) and verifier state to worker processes via pickle (and each
+worker's ``snapshot_state`` delta pickles back for
+``fold_shard_state``, the one run-end merge).  An attribute holding a
 lock, socket, sqlite connection, generator, or lambda breaks that
 silently — usually only under the process fan-out configuration that CI
 exercises least.  Classes that declare ``__getstate__``/``__reduce__``
-have opted into manual control (``TieredReplayCache`` drops its lock
-and connection there) and are exempt.
+have opted into manual control (dropping such attributes there) and
+are exempt.
 
 The rule tracks per-function local-name taint so the common
 ``conn = sqlite3.connect(...); self._conn = conn`` two-step is caught,
@@ -59,7 +59,6 @@ class ShardPickleSafety(Checker):
     )
     targets = (
         "repro/protocol/server.py",
-        "repro/protocol/replay.py",
         "repro/protocol/fanout.py",
         "repro/protocol/wire.py",
         "repro/snip/verifier.py",

@@ -17,6 +17,10 @@ state-residency seam the fan-out backends use — a worker copy or a
 shard runs on a delta that one fold brings home: ``make_shard``,
 ``begin_run``, ``snapshot_state``, ``fold_shard_state``.
 
+Replay protection is one Python set of decided submission ids per
+server (per shard under ``":K"``); only the ids one run decided cross
+back to the driver at its end.
+
 ``PrioDeployment``: ``create``, then three ways in — ``submit``,
 ``submit_many``, ``deliver`` — and ``publish``, ``publish_shares``,
 ``close``.
@@ -60,13 +64,6 @@ from repro.protocol.fanout import (
     ShardedFanout,
     resolve_fanout,
     shard_of,
-)
-from repro.protocol.replay import (
-    InMemoryReplayCache,
-    ReplayCache,
-    ReplayCacheError,
-    TieredReplayCache,
-    resolve_replay_cache,
 )
 from repro.protocol.pipeline import (
     AsyncPrioPipeline,
@@ -121,11 +118,6 @@ __all__ = [
     "ShardedFanout",
     "resolve_fanout",
     "shard_of",
-    "InMemoryReplayCache",
-    "ReplayCache",
-    "ReplayCacheError",
-    "TieredReplayCache",
-    "resolve_replay_cache",
     "ClientRegistry",
     "GatedDeployment",
     "GatedServer",

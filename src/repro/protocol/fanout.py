@@ -546,7 +546,7 @@ class ShardedFanout(ServerFanout):
 
     Submissions partition by submission id (:func:`shard_of`); each
     shard is a full :class:`PrioServer` (:meth:`PrioServer.make_shard`)
-    owning its slice of the id space — replay cache, epoch counters,
+    owning its slice of the id space — replay set, epoch counters,
     plane accumulator — and runs the ordinary :class:`_ServerOps` over
     its sub-batch on an inner backend (``inline``/``thread``/
     ``process``) resolved over the ``S x K`` flat shard-server list.
@@ -558,19 +558,21 @@ class ShardedFanout(ServerFanout):
     :attr:`_ROUTES` is the whole of what crosses: one route per op.
 
     Replay protection is exact: a given id always routes to the same
-    shard, so shard-local caches (pending sets included) see every copy.
+    shard, so shard-local replay and pending sets see every copy.
     Sealed payloads carry the id in their cleartext envelope
     (:mod:`repro.protocol.wire`), so encrypted batches partition
     across shards exactly like raw frames; a forged envelope sid can
     only misroute its own upload to a shard that then rejects it when
     the authenticated inner header disagrees.
 
-    ``begin_run``/``end_run`` bracket a run: each shard starts a run
-    delta (:meth:`PrioServer.begin_run`, which also moves its epoch
-    clock past the logical server's), runs, then folds it back into the
-    logical server via :meth:`PrioServer.fold_shard_state` — the same
-    fold process workers use — so ``publish()``, statistics, and
-    cross-run replay protection keep working unchanged.
+    ``begin_run``/``end_run`` bracket a run: each shard takes its slice
+    of the logical server's replay ids and starts a run delta
+    (:meth:`PrioServer.begin_run`, which also moves its epoch clock past
+    the logical server's), runs, then folds it back into the logical
+    server via :meth:`PrioServer.fold_shard_state` — the same fold
+    process workers use — so ``publish()``, statistics, and cross-run
+    replay protection keep working unchanged, whichever backend the
+    logical servers ran on in between.
     """
 
     def __init__(
@@ -583,32 +585,19 @@ class ShardedFanout(ServerFanout):
             raise FanoutError("n_shards must be >= 1")
         self.servers = servers
         self.n_shards = n_shards
-        #: per logical server: its K shard servers (driver-side objects;
-        #: persistent across runs — they hold the shard replay slices)
-        self.shards: "list[list[PrioServer]]" = []
+        #: per logical server: its K shard servers (driver-side objects,
+        #: persistent across runs)
+        self.shards: "list[list[PrioServer]]" = [
+            [server.make_shard(k, n_shards) for k in range(n_shards)]
+            for server in servers
+        ]
         #: per logical server: batch_id -> plan
         self._plans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
         self._run_open = False
-        self._own_inner = False
-        # Every shard spawns its own replay cache (a temp SQLite file
-        # on the tiered tier), so any failure below — a bad inner
-        # executor kind included — must close the shards built so far.
+        flat = [shard for shard_row in self.shards for shard in shard_row]
+        self.inner, self._own_inner = resolve_fanout(flat, executor)
+        self.kind = f"sharded({self.inner.kind}x{n_shards})"
         try:
-            flat: "list[PrioServer]" = []
-            for server in servers:
-                shard_row = [
-                    server.make_shard(k, n_shards) for k in range(n_shards)
-                ]
-                self.shards.append(shard_row)
-                # One-time partition of pre-existing replay ids, so
-                # replays of submissions seen before this fan-out
-                # existed are still caught at the shard that now owns
-                # their slice.
-                for sid in server._replay:
-                    shard_row[shard_of(sid, n_shards)]._replay.add(sid)
-                flat.extend(shard_row)
-            self.inner, self._own_inner = resolve_fanout(flat, executor)
-            self.kind = f"sharded({self.inner.kind}x{n_shards})"
             self.begin_run()
         except BaseException:
             self.close()
@@ -621,9 +610,17 @@ class ShardedFanout(ServerFanout):
     # -- run lifecycle --------------------------------------------------
 
     def begin_run(self) -> None:
+        # Re-split each logical server's replay ids on every run: the
+        # servers may have decided submissions through another backend
+        # since this fan-out last ran, and the shard that owns an id's
+        # slice must catch its replay.
         self._run_open = False
         for server, shard_row in zip(self.servers, self.shards):
-            for shard in shard_row:
+            slices: "list[set[bytes]]" = [set() for _ in shard_row]
+            for sid in server._replay:
+                slices[shard_of(sid, self.n_shards)].add(sid)
+            for shard, seen in zip(shard_row, slices):
+                shard._replay = seen
                 shard.begin_run(server)
         self.inner.begin_run()
         self._run_open = True
@@ -642,9 +639,6 @@ class ShardedFanout(ServerFanout):
     def close(self) -> None:
         if self._own_inner:
             self.inner.close()
-        for shard_row in self.shards:
-            for shard in shard_row:
-                shard._replay.close()
 
     # -- the op seam ----------------------------------------------------
 

@@ -77,6 +77,10 @@ __all__ = [
 #: sentinel closing each stage's input queue
 _DONE = object()
 
+#: bound of each stage queue: how many batches may wait between two
+#: stages (the overlap window)
+_QUEUE_DEPTH = 2
+
 
 @dataclass
 class PipelineStats:
@@ -222,29 +226,25 @@ async def verify_and_accumulate(
 class AsyncPrioPipeline:
     """Drives a server set through the staged batch protocol.
 
-    ``queue_depth`` bounds how many ingested-but-unverified batches may
-    exist at once (the overlap window); ``executor`` selects the
-    per-server execution backend — ``"inline"`` (also ``None``) /
-    ``"thread"`` / ``"process"``, optionally ``":K"`` sharded, or a
-    ready :class:`~repro.protocol.fanout.ServerFanout` (reused across
-    runs, caller-owned).
+    Each stage queue holds at most ``_QUEUE_DEPTH`` (two) batches, the
+    overlap window; ``executor`` selects the per-server execution
+    backend — ``"inline"`` (also ``None``) / ``"thread"`` /
+    ``"process"``, optionally ``":K"`` sharded, or a ready
+    :class:`~repro.protocol.fanout.ServerFanout` (reused across runs,
+    caller-owned).
     """
 
     def __init__(
         self,
         servers: "list[PrioServer]",
         batch_size: int = 64,
-        queue_depth: int = 2,
         executor: "str | ServerFanout | None" = None,
         encrypt: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         self.servers = servers
         self.batch_size = batch_size
-        self.queue_depth = queue_depth
         self.executor = executor
         self.encrypt = encrypt
         self.stats = PipelineStats()
@@ -321,8 +321,8 @@ class AsyncPrioPipeline:
                 except Exception:  # noqa: BLE001
                     synced = False
             self._backend_ready = synced
-            ingest_q: asyncio.Queue = asyncio.Queue(self.queue_depth)
-            verify_q: asyncio.Queue = asyncio.Queue(self.queue_depth)
+            ingest_q: asyncio.Queue = asyncio.Queue(_QUEUE_DEPTH)
+            verify_q: asyncio.Queue = asyncio.Queue(_QUEUE_DEPTH)
             tasks = [
                 asyncio.create_task(make_producer(ingest_q)),
                 asyncio.create_task(
@@ -496,7 +496,6 @@ def run_pipelined(
     servers: "list[PrioServer]",
     submissions,
     batch_size: int = 64,
-    queue_depth: int = 2,
     encrypt: bool = False,
     executor: "str | ServerFanout | None" = None,
 ) -> tuple[list[bool], PipelineStats]:
@@ -510,7 +509,6 @@ def run_pipelined(
     pipeline = AsyncPrioPipeline(
         servers,
         batch_size=batch_size,
-        queue_depth=queue_depth,
         executor=executor,
         encrypt=encrypt,
     )

@@ -88,7 +88,6 @@ class PrioDeployment:
         force_pure_backend: bool | None = None,
         rng=None,
         executor=None,
-        replay_cache=None,
     ) -> "PrioDeployment":
         """``batch_size`` makes servers accumulate and verify submissions
         in batches of that size (``submit_many`` chunks accordingly);
@@ -96,21 +95,11 @@ class PrioDeployment:
         selects the per-server execution backend
         (``"inline"``/``"thread"``/``"process"``, optionally with a
         ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`); the
-        default runs every server inline on the calling thread.
-        ``replay_cache`` selects each server's replay store
-        (``"memory"``/``"tiered"``; see :mod:`repro.protocol.replay`) —
-        only a string spec is accepted here because every server needs
-        its own independent cache."""
+        default runs every server inline on the calling thread."""
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
         if batch_size < 1:
             raise ProtocolError("batch_size must be >= 1")
-        if replay_cache is not None and not isinstance(replay_cache, str):
-            raise ProtocolError(
-                "replay_cache must be a string spec here (each server "
-                "needs its own cache instance); pass instances to "
-                "PrioServer directly"
-            )
         if rng is None:
             rng = _random.Random(os.urandom(16))
         randomness = ServerRandomness(seed or rng.randbytes(16))
@@ -124,7 +113,6 @@ class PrioDeployment:
                 afe, i, n_servers, randomness,
                 epoch_size=epoch_size, box_keypair=box_keypairs[i],
                 force_pure_backend=force_pure_backend,
-                replay_cache=replay_cache,
             )
             for i in range(n_servers)
         ]
@@ -153,15 +141,11 @@ class PrioDeployment:
         )
 
     def close(self) -> None:
-        """Release any worker pools the deployment created, plus each
-        server's replay cache (tiered caches own on-disk databases);
-        idempotent."""
+        """Release any worker pools the deployment created; idempotent."""
         if self._fanout is not None:
             if self._owns_fanout:
                 self._fanout.close()
             self._fanout = None
-        for server in self.servers:
-            server._replay.close()
 
     def __enter__(self) -> "PrioDeployment":
         return self

@@ -6,10 +6,11 @@ success folds the truncated encoding share into its accumulator.
 Publishing reveals only the accumulator — the sum of many clients'
 shares — never an individual share.
 
-Replay protection: submission ids are cached per epoch and duplicates
-rejected before verification (the paper notes Prio packets "can be
-replay-protected at the servers"); ids received but not yet decided
-count too, so a replay *inside* a verification batch is caught.
+Replay protection: every decided submission id enters one ``set`` and
+duplicates are rejected before verification (the paper notes Prio
+packets "can be replay-protected at the servers"); ids received but
+not yet decided count too, so a replay *inside* a verification batch
+is caught.
 
 Everything that enters a server is wire bytes, a batch at a time:
 :meth:`PrioServer.receive_wire_batch` takes encoded packets,
@@ -34,7 +35,6 @@ from repro.field.batch import (
     tiny_batch_force_pure,
 )
 from repro.field.prime_field import FieldError
-from repro.protocol.replay import ReplayCache, resolve_replay_cache
 from repro.protocol.wire import (
     ENVELOPE_SIZE,
     ClientPacket,
@@ -99,7 +99,6 @@ class PrioServer:
         epoch_size: int = 1024,
         box_keypair: BoxKeyPair | None = None,
         force_pure_backend: bool | None = None,
-        replay_cache: "ReplayCache | str | None" = None,
     ) -> None:
         self.afe = afe
         self.field = afe.field
@@ -122,13 +121,14 @@ class PrioServer:
         self.n_accepted = 0
         self.n_rejected = 0
         self.n_replayed = 0
-        #: replay protection behind the pluggable cache seam
-        #: (:mod:`repro.protocol.replay`): the in-memory reference
-        #: implementation by default, a tiered L1/L2 cache at scale
-        self._replay: ReplayCache = resolve_replay_cache(replay_cache)
+        #: every decided (accepted or rejected) submission id
+        self._replay: set[bytes] = set()
+        #: the ids decided since :meth:`begin_run` — the replay part of
+        #: the run delta; ``None`` until a run starts
+        self._replay_delta: "set[bytes] | None" = None
         #: ids received but not yet accumulated/rejected — closes the
         #: replay window *inside* a verification batch, where the first
-        #: copy has not reached the replay cache yet
+        #: copy has not reached the replay set yet
         self._pending_ids: set[bytes] = set()
         self._submissions_this_epoch = 0
         #: challenge index of the current epoch
@@ -517,25 +517,28 @@ class PrioServer:
             self._note_accepted(pending)
 
     def _note_accepted(self, pending: PendingSubmission) -> None:
-        """Post-accumulation bookkeeping, per accepted submission.
+        self._settle(pending)
+        self.n_accepted += 1
 
-        Order matters: the id enters the replay cache *before* leaving
+    def _settle(self, pending: PendingSubmission) -> None:
+        """Bookkeeping per decided submission, accepted or rejected.
+
+        Order matters: the id enters the replay set *before* leaving
         ``_pending_ids``, so a concurrent replay check (the async
         pipeline receives batch ``N+1`` on executor threads while batch
         ``N`` accumulates) always sees it in at least one set.
         """
-        self._replay.add(pending.submission_id)
-        self._pending_ids.discard(pending.submission_id)
+        sid = pending.submission_id
+        self._replay.add(sid)
+        if self._replay_delta is not None:
+            self._replay_delta.add(sid)
+        self._pending_ids.discard(sid)
         self._submissions_this_epoch += 1
-        self.n_accepted += 1
         pending.release()
 
     def reject(self, pending: PendingSubmission) -> None:
-        self._replay.add(pending.submission_id)
-        self._pending_ids.discard(pending.submission_id)
-        self._submissions_this_epoch += 1
+        self._settle(pending)
         self.n_rejected += 1
-        pending.release()
 
     def abandon(self, pending: PendingSubmission) -> None:
         """Release a received submission without deciding it.
@@ -543,7 +546,7 @@ class PrioServer:
         Used when a peer's receive failed mid-fan-out: this server's
         copy is dropped, and the id must not stay pending (which would
         make an honest retry look like a replay) nor enter the replay
-        cache (no decision was made).  The share sources are
+        set (no decision was made).  The share sources are
         released like any other settled submission: an abandoned
         pending must not pin its seed or its row's whole ingested
         plane matrix for as long as the caller keeps the handle."""
@@ -587,10 +590,11 @@ class PrioServer:
         :class:`~repro.protocol.fanout.ShardedFanout` gives each
         logical server K of these; every shard owns its slice of the
         submission-id space (stable hash partition), so shard-local
-        replay caches — spawned from this server's, hence the same
-        tier configuration — give complete replay protection.  Shard
-        ``index`` draws only the challenge indices that are ``index``
-        mod ``n_shards``, so no two shards verify under the same r.
+        replay sets give complete replay protection.  A shard starts
+        with an empty set; the fan-out fills it with its slice of this
+        server's ids at every run start.  Shard ``index`` draws only
+        the challenge indices that are ``index`` mod ``n_shards``, so
+        no two shards verify under the same r.
         """
         shard = PrioServer(
             self.afe,
@@ -600,7 +604,6 @@ class PrioServer:
             epoch_size=self.epoch_size,
             box_keypair=self.box_keypair,
             force_pure_backend=self.force_pure_backend,
-            replay_cache=self._replay.spawn(),
         )
         shard._epoch_slot = (index, n_shards)
         return shard
@@ -609,14 +612,14 @@ class PrioServer:
         """Start a run delta on a worker copy or a shard.
 
         Zeroes what a run adds — accumulator, counters, broadcast
-        tally, pending ids — and marks the replay cache, so
+        tally, pending ids, the replay delta — so
         :meth:`snapshot_state` then holds exactly this run's delta for
         :meth:`fold_shard_state`.  A process worker's copy keeps the
         epoch clock it arrived with.  A shard (``parent`` is its
         logical server) moves to its first challenge index past every
         index ``parent`` has used, with a fresh count.
         """
-        self._replay.mark()
+        self._replay_delta = set()
         self._accumulator = BatchVector.zeros(
             self.field, (self.afe.k_prime,),
             tiny_batch_force_pure(self.afe.k_prime, self.force_pure_backend),
@@ -639,15 +642,15 @@ class PrioServer:
         The accumulator crosses as its limb plane
         (:class:`~repro.field.batch.BatchVector` pickles the int64
         plane buffer; no per-element Python-int round trip), replay
-        state as the ids added since the mark — never the whole seen
-        set — and the epoch clock as it stands.
+        state as the ids decided since :meth:`begin_run` — never the
+        whole replay set — and the epoch clock as it stands.
         """
         return {
             "accumulator_plane": self._accumulator,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
             "n_replayed": self.n_replayed,
-            "seen_delta": self._replay.delta(),
+            "seen_delta": set(self._replay_delta),
             "pending_ids": set(self._pending_ids),
             "submissions_this_epoch": self._submissions_this_epoch,
             "epoch": self._epoch,
@@ -672,7 +675,11 @@ class PrioServer:
         self.n_accepted += state["n_accepted"]
         self.n_rejected += state["n_rejected"]
         self.n_replayed += state["n_replayed"]
-        self._replay.update(state["seen_delta"])
+        self._replay |= state["seen_delta"]
+        if self._replay_delta is not None:
+            # a driver-side shard passes its worker's ids on to its
+            # logical server at the next fold
+            self._replay_delta |= state["seen_delta"]
         self._pending_ids |= state["pending_ids"]
         self.elements_broadcast += state["elements_broadcast"]
         # Shards start past this clock (begin_run) and each index has

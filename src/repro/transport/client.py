@@ -46,6 +46,9 @@ class TransportClient:
         #: seconds each decided submission spent in flight, send order
         self.latencies: "list[float]" = []
         self._reader_task: "asyncio.Task | None" = None
+        #: why the response pump stopped; set once, and every later
+        #: send raises it instead of waiting on a dead connection
+        self._pump_error: "ConnectionError | None" = None
         self._closed = False
 
     # -- connection ------------------------------------------------------
@@ -106,9 +109,13 @@ class TransportClient:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - fail the waiters
+            self._pump_error = ConnectionError(
+                f"response stream failed: {exc!r}"
+            )
             self._fail_inflight(exc)
             return
-        self._fail_inflight(ConnectionError("server closed the connection"))
+        self._pump_error = ConnectionError("server closed the connection")
+        self._fail_inflight(self._pump_error)
 
     def _fail_inflight(self, exc: Exception) -> None:
         for future, _ in self._inflight.values():
@@ -142,8 +149,13 @@ class TransportClient:
 
         Responses are matched by submission id alone, so an id that is
         still in flight on this connection is refused with
-        :class:`ValueError` before anything is written.
+        :class:`ValueError` before anything is written.  Once the
+        response pump has stopped (the server closed the connection, or
+        its stream failed) nothing could resolve the future, so every
+        send raises that :class:`ConnectionError` instead.
         """
+        if self._pump_error is not None:
+            raise self._pump_error
         if submission_id in self._inflight:
             raise ValueError(
                 f"submission {submission_id.hex()} is already in flight"

@@ -304,7 +304,7 @@ def test_executor_lifecycle_suppression_honored():
 def test_shard_pickle_flags_lock_attribute():
     findings = _run(
         """
-        # repro: lint-as(repro/protocol/replay.py)
+        # repro: lint-as(repro/protocol/server.py)
         import threading
 
         class Cache:
@@ -318,7 +318,7 @@ def test_shard_pickle_flags_lock_attribute():
 def test_shard_pickle_tracks_local_name_taint():
     findings = _run(
         """
-        # repro: lint-as(repro/protocol/replay.py)
+        # repro: lint-as(repro/protocol/server.py)
         import sqlite3
 
         class Tiered:
@@ -333,7 +333,7 @@ def test_shard_pickle_tracks_local_name_taint():
 def test_shard_pickle_getstate_exempts_class():
     findings = _run(
         """
-        # repro: lint-as(repro/protocol/replay.py)
+        # repro: lint-as(repro/protocol/server.py)
         import threading
 
         class Tiered:

@@ -206,8 +206,6 @@ def test_pipeline_stats_and_validation(rng):
     deployment = PrioDeployment.create(afe, 2, batch_size=3, rng=rng)
     with pytest.raises(ValueError):
         AsyncPrioPipeline(deployment.servers, batch_size=0)
-    with pytest.raises(ValueError):
-        AsyncPrioPipeline(deployment.servers, queue_depth=0)
     submissions = deployment.client.prepare_submissions([1, 2, 3, 4, 5])
     decisions, stats = run_pipelined(
         deployment.servers, submissions, batch_size=2

@@ -12,10 +12,13 @@ Each test fails on the pre-fix code:
   cumulative nonsense.
 * ``ClientPacket.encode`` let out-of-range header fields escape as a
   bare ``OverflowError`` from ``to_bytes``.
-* ``ShardedFanout`` leaked every shard's replay cache when its inner
-  executor failed to resolve.
+* a reused ``ShardedFanout`` never re-split the logical servers'
+  replay ids, so a submission decided through another backend in
+  between was accepted again.
 * ``TransportClient.send_frame`` overwrote the pending entry of an id
   already in flight, so the first decision future never resolved.
+* ``TransportClient.send_frame`` after the server closed the connection
+  waited forever on a future nothing could resolve.
 """
 
 import asyncio
@@ -274,43 +277,39 @@ def test_transport_batch_queue_is_bounded():
 
 
 # ---------------------------------------------------------------------
-# ShardedFanout spawned K shard replay caches per server before it
-# resolved the inner executor, outside its cleanup guard: a bad inner
-# kind leaked every shard's temp SQLite file and open connection
+# ShardedFanout split the logical servers' replay ids across its shards
+# only once, at construction: ids the same servers decided through
+# another backend before a reused sharded fan-out ran again were missing
+# from the shards, so their replays were accepted a second time
 # ---------------------------------------------------------------------
 
 
-def test_sharded_fanout_bad_inner_kind_closes_shard_replay_caches(
-    monkeypatch,
-):
-    import os
-    import tempfile
+@pytest.mark.parametrize("kind", ["inline:2", "process:2"])
+def test_reused_sharded_fanout_catches_replays_decided_elsewhere(kind):
+    from repro.protocol import resolve_fanout, run_pipelined
 
-    from repro.protocol import FanoutError, resolve_fanout
-
-    created = []
-    mkstemp = tempfile.mkstemp
-
-    def recording_mkstemp(*args, **kwargs):
-        fd, path = mkstemp(*args, **kwargs)
-        created.append(path)
-        return fd, path
-
-    monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
     dep = PrioDeployment.create(
-        IntegerSumAfe(FIELD87, 1), 2, replay_cache="tiered"
+        IntegerSumAfe(FIELD87, 1), 2, seed=b"regr", rng=random.Random(7),
     )
+    submissions = dep.client.prepare_submissions([1] * 4)
+    fanout, _ = resolve_fanout(dep.servers, kind)
     try:
-        own_caches = list(created)
-        assert len(own_caches) == 2
-        with pytest.raises(FanoutError):
-            resolve_fanout(dep.servers, "bogus:2")
-        shard_caches = created[len(own_caches):]
-        assert len(shard_caches) == 4  # K = 2 shards per server
-        leaked = [path for path in shard_caches if os.path.exists(path)]
-        assert leaked == []
+        first, _ = run_pipelined(
+            dep.servers, submissions[:2], batch_size=4, executor=fanout
+        )
+        between, _ = run_pipelined(
+            dep.servers, submissions[2:], batch_size=4, executor="inline"
+        )
+        replayed, _ = run_pipelined(
+            dep.servers, submissions, batch_size=4, executor=fanout
+        )
     finally:
-        dep.close()
+        fanout.close()
+    assert first == between == [True, True]
+    # Pre-fix: [False, False, True, True], and publish() read 6.
+    assert replayed == [False] * 4
+    assert dep.publish() == 4
+    assert all(s.n_replayed == 4 for s in dep.servers)
 
 
 # ---------------------------------------------------------------------
@@ -355,3 +354,44 @@ def test_transport_client_refuses_an_id_already_in_flight():
     assert stats.n_submissions == 2
     assert stats.n_accepted == 1
     assert dep.publish() == 3
+
+
+# ---------------------------------------------------------------------
+# TransportClient registered a decision future on every send, even after
+# the response pump had ended: nothing could resolve it, and the pump
+# never restarted, so a send on a dead connection hung forever
+# ---------------------------------------------------------------------
+
+
+def test_transport_client_send_after_server_close_raises():
+    from repro.transport import (
+        PrioTransportServer,
+        TransportClient,
+        TransportConfig,
+    )
+
+    dep = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 2), 2, seed=b"regr", batch_size=4,
+        rng=random.Random(42),
+    )
+    submission = dep.client.prepare_submission(3)
+    config = TransportConfig(batch_size=4, linger_s=0.001, executor="inline")
+
+    async def scenario():
+        async with PrioTransportServer(dep.servers, config) as server:
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) as c:
+                # a 3-byte garbage frame poisons the connection: the
+                # server closes it and the pump fails this future
+                poisoned = await c.send_frame(
+                    (3).to_bytes(4, "big") + b"\xff" * 3, bytes(16)
+                )
+                with pytest.raises(ConnectionError):
+                    await poisoned
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(c.submit(submission), 3)
+        return server.stats
+
+    stats = asyncio.run(asyncio.wait_for(scenario(), 10))
+    assert stats.n_poisoned == 1
+    assert stats.n_submissions == 0

@@ -210,7 +210,7 @@ def test_resolve_fanout_rejects_unknown_kind():
 
     deployment = _twin_deployment()
     with ThreadPoolExecutor(max_workers=1) as threads:
-        for spec in ("distributed-ledger", "auto", "", threads):
+        for spec in ("distributed-ledger", "auto", "", "bogus:2", threads):
             with pytest.raises(FanoutError):
                 resolve_fanout(deployment.servers, spec)
 

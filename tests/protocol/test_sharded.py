@@ -6,8 +6,8 @@ randomized values) through the unsharded pipeline and through
 ``ShardedFanout`` at K ∈ {1, 2, 4}, on both field backends, and asserts
 decisions, published aggregates, and statistics are identical.  Replay
 protection must also survive sharding: ids partition stably across
-shards (``shard_of``), shard-local caches catch replays across runs on
-a reused fan-out, and the run-end fold keeps the logical servers'
+shards (``shard_of``), shard-local replay sets catch replays across
+runs on a reused fan-out, and the run-end fold keeps the logical servers'
 state authoritative.  The fixed-r epochs keep their bound too: shards
 never share a challenge, and no run re-enters an earlier run's epoch.
 """
@@ -339,37 +339,3 @@ def test_no_challenge_verifies_past_its_epoch(executor, tmp_path):
     assert max((runs[0] + runs[1]).values()) <= epoch_size + batch_size - 1
     assert not set(runs[0]) & set(runs[1])
 
-
-def test_tiered_cache_behind_sharded_fanout():
-    """The full stack: tiered caches on the logical servers, shards
-    spawn tiered slices, replays across runs are caught, and close
-    releases every shard database."""
-    deployment = _deployment()
-    from repro.protocol import TieredReplayCache
-
-    for server in deployment.servers:
-        server._replay.close()
-        server._replay = TieredReplayCache(l1_capacity=4)
-    _, submissions = _stream(deployment, n=10)
-    fanout, _ = resolve_fanout(deployment.servers, "inline:2")
-    shard_paths = [
-        shard._replay.path
-        for row in fanout.shards for shard in row
-    ]
-    try:
-        first, _ = run_pipelined(
-            deployment.servers, submissions, batch_size=4, executor=fanout
-        )
-        replayed, _ = run_pipelined(
-            deployment.servers, submissions, batch_size=4, executor=fanout
-        )
-    finally:
-        fanout.close()
-    assert first == [True] * 10
-    assert replayed == [False] * 10
-    import os
-
-    assert all(not os.path.exists(p) for p in shard_paths)
-    for server in deployment.servers:
-        assert len(server._replay) == 10
-        server._replay.close()
