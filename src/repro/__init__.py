@@ -45,7 +45,24 @@ Tests only (the rest of Section 5's statistics, each run by
 ``IntegerMeanAfe``, ``MaxAfe``, ``MinAfe``, ``MostPopularStringAfe``,
 ``ProductAfe``, ``SetIntersectionAfe``, ``SetUnionAfe``,
 ``StddevAfe``, ``VarianceAfe``, ``FIELD64``.
+
+BLAS threads
+------------
+
+Importing ``repro`` sets ``OPENBLAS_NUM_THREADS=1`` unless the
+environment already names a value; an operator's explicit value wins.
+Prio's parallelism is servers, shards and worker processes, which
+inherit the setting.  The verifier's round-1 product is a float64
+BLAS call, and a second OpenBLAS thread spin-waiting after each call
+costs more CPU than it saves: on a 2-vCPU host, ``highres`` server CPU
+read about twice as high with two BLAS threads as with one.  If numpy
+was imported before ``repro``, its BLAS keeps the threading it started
+with; results are exact either way.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro.afe import (
     Afe,

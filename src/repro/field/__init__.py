@@ -41,8 +41,10 @@ verification (the deployment ``batch_size`` knob) are built on:
   each element is split into base-``2^24`` limbs stored as parallel
   ``int64`` planes.  24-bit limbs keep every limb exactly three bytes
   and leave 15 bits of lazy-reduction headroom: limb products are 48
-  bits, so batched inner products accumulate thousands of products per
-  lane before a single carry pass + vectorized Barrett reduction.
+  bits, so sums of many products wait for a single carry pass +
+  vectorized Barrett reduction.  Batched inner products split weight
+  limbs into 12-bit halves and run as exact float64 BLAS products
+  (every partial sum an integer below ``2^53``).
   Results are always exact canonical representatives — bit-for-bit
   equal to the scalar path (asserted by the randomized equivalence
   suite in ``tests/field/test_batch_backend.py``).
@@ -54,8 +56,9 @@ verification (the deployment ``batch_size`` knob) are built on:
 
 * **The ``batch_size`` knob** — ``PrioDeployment.create(...,
   batch_size=64)`` makes servers verify submissions in batches of 64:
-  one fused limb matmul (:func:`~repro.field.batch.dot_batch_planes`)
-  covers every (challenge-weights, submission) pair, amortizing fixed
+  one float64 BLAS product per share limb plane
+  (:func:`~repro.field.batch.dot_batch_planes`) covers every
+  (challenge-weights, submission) pair, amortizing fixed
   costs that the one-at-a-time path pays per submission.  Acceptance
   decisions, statistics, and replay protection remain per submission.
 """

@@ -16,9 +16,12 @@ numpy limb backend (``"numpy"``)
     every limb exactly three bytes (so wire-format bytes convert to
     limbs with pure numpy) and leave 15 bits of headroom per lane:
     limb products are 48 bits, so *lazy reduction* can accumulate
-    thousands of products in an ``int64`` lane before a single carry
-    pass, which is what makes batched inner products one fused
-    matrix multiply per limb pair.  Canonical reduction mod ``p`` is a
+    many products in an ``int64`` lane before a single carry pass.
+    Batched inner products (the verifier's round 1) run on BLAS
+    instead: weight limbs split into 12-bit halves make every product
+    smaller than ``2^36``, so a float64 matrix product per share limb
+    plane sums up to ``2^17`` of them exactly, with no lane or summation
+    order to worry about.  Canonical reduction mod ``p`` is a
     vectorized Barrett reduction (HAC 14.42 in radix ``2^24``), so
     every op returns exact canonical representatives — the backend is
     bit-for-bit equivalent to the scalar path, which the randomized
@@ -84,6 +87,13 @@ LIMB_BASE = 1 << LIMB_BITS
 LIMB_MASK = LIMB_BASE - 1
 
 _M48 = (1 << 48) - 1
+
+#: the float64 inner product splits weight limbs into halves this wide,
+#: so a half-limb x limb product is below 2^36 ...
+_HALF_BITS = LIMB_BITS // 2
+_HALF_MASK = (1 << _HALF_BITS) - 1
+#: ... and this many of them sum below 2^53, where float64 is exact
+_FLOAT_EXACT_TERMS = 1 << (53 - _HALF_BITS - LIMB_BITS)
 
 
 def numpy_available() -> bool:
@@ -157,12 +167,17 @@ class _LimbContext:
         self.p_ext_planes = _np.array(_int_limbs(p, L + 1), dtype=_np.int64)
         mu = (1 << (2 * L * LIMB_BITS)) // p
         self.mu_planes = _np.array(_int_limbs(mu, L + 1), dtype=_np.int64)
-        # Lazy dot products stay exact while (a) int64 matmul lanes do
-        # not overflow: terms*L*2^48 < 2^63, and (b) the accumulated
-        # value fits Barrett's input domain: terms*p^2 < 2^(48L).
-        lane_limit = 1 << (63 - 2 * LIMB_BITS)
+        # One chunk of the float64 inner product (_np_matvec) is exact
+        # while (a) its half-limb x limb sums stay integers below 2^53:
+        # terms <= 2^17; (b) folding them into int64 limbs cannot
+        # overflow: terms*L*2^37 <= 2^62 (binds only past 256 limbs);
+        # and (c) the total fits Barrett's input domain:
+        # terms*p^2 < 2^(48L).  F64 is held to 2^16 by (c); every other
+        # shipped modulus to 2^17 by (a).
         self.max_dot_terms = max(1, min(
-            lane_limit // L, 1 << max(0, 2 * L * LIMB_BITS - 2 * bits)
+            _FLOAT_EXACT_TERMS,
+            (1 << (61 - _HALF_BITS - LIMB_BITS)) // L,
+            1 << max(0, 2 * L * LIMB_BITS - 2 * bits),
         ))
         # Montgomery REDC constants (odd moduli only; GF(2) never
         # transforms): the non-zero limbs of p as (index, limb) pairs —
@@ -542,6 +557,8 @@ def _np_mul_small_row(ctx, planes, values):
 def _np_sum_axis(ctx, planes, axis: int):
     """Sum canonical planes along an element axis, reduced mod p."""
     n_terms = planes.shape[axis]
+    if n_terms == 0:
+        raise FieldError("vec_sum of no vectors")
     limit = min(ctx.max_dot_terms, 1 << (63 - LIMB_BITS))
     total = None
     for start in range(0, n_terms, limit):
@@ -553,26 +570,44 @@ def _np_sum_axis(ctx, planes, axis: int):
     return total
 
 
-def _np_matvec(ctx, w_planes, m_planes):
-    """Batched inner products: weights (L, K, D) x rows (L, B, D).
+def _np_matvec(ctx, split, m_planes):
+    """Batched inner products: split weights x rows (L, B, D).
 
-    Returns canonical planes (L, K, B) — ``out[k, b] = sum_d
-    w[k, d] * m[b, d] mod p`` — computed as one int64 matrix product
-    per limb pair with lazy (carry-free) accumulation.
+    ``split`` is :meth:`PreparedWeights.split`: the ``(L, 2, K, D)``
+    low/high 12-bit halves of every weight limb, flattened to one
+    ``(2LK, D)`` float64 matrix.  Returns canonical planes (L, K, B) —
+    ``out[k, b] = sum_d w[k, d] * m[b, d] mod p``.
+
+    Per chunk of ``max_dot_terms`` columns and per share limb plane
+    ``j``, one BLAS product gives every half-limb sum at once; each is
+    an integer below ``2^53``, hence exact whatever order or threading
+    BLAS sums in.  Back in int64, low halves land on limb ``i + j`` and
+    high halves (worth ``2^12`` more) split across limbs ``i + j`` and
+    ``i + j + 1``; one carry and one Barrett pass reduce the chunk.
+    The float64 copy is made one ``(B, d)`` plane at a time: as fast
+    as converting all ``L`` at once, at ``1/L`` of the memory.
     """
     L = ctx.n_limbs
-    K, D = w_planes.shape[1], w_planes.shape[2]
-    B = m_planes.shape[1]
+    K = split.shape[0] // (2 * L)
+    B, D = m_planes.shape[1], m_planes.shape[2]
     total = None
     for start in range(0, D, ctx.max_dot_terms):
         sl = slice(start, start + ctx.max_dot_terms)
-        acc = _np.zeros((2 * L - 1, K, B), dtype=_np.int64)
-        for i in range(L):
-            wi = w_planes[i, :, sl]                  # (K, d)
-            for j in range(L):
-                acc[i + j] += wi @ m_planes[j, :, sl].T
-        part = _barrett(ctx, _carry(acc, 2 * L))
+        acc = _np.zeros((2 * L, K, B), dtype=_np.int64)
+        for j in range(L):
+            plane = m_planes[j, :, sl].astype(_np.float64)
+            halves = (split[:, sl] @ plane.T).astype(_np.int64).reshape(
+                L, 2, K, B
+            )
+            lo, hi = halves[:, 0], halves[:, 1]
+            acc[j:j + L] += lo + ((hi & _HALF_MASK) << _HALF_BITS)
+            acc[j + 1:j + L + 1] += hi >> _HALF_BITS
+        carried = _carry(acc, 2 * L + 1)
+        assert not carried[2 * L].any(), "dot chunk left Barrett's domain"
+        part = _barrett(ctx, carried[:2 * L])
         total = part if total is None else _np_add(ctx, total, part)
+    if total is None:                                # D == 0
+        return _np.zeros((L, K, B), dtype=_np.int64)
     return total
 
 
@@ -1295,8 +1330,9 @@ def _words_to_planes(words):
     """``(..., L)`` u32 limb words -> ``(L, ...)`` int64 planes.
 
     ``order="C"`` matters: the moveaxis view is limb-innermost, and a
-    layout-preserving copy would leave every plane strided — downstream
-    matmuls run ~2x slower on such planes.
+    layout-preserving copy would leave every plane strided, and every
+    downstream kernel (round 1's float64 plane copies among them) would
+    read it with a stride of ``L`` elements.
     """
     return _np.moveaxis(words, -1, 0).astype(_np.int64, order="C")
 
@@ -2029,7 +2065,7 @@ def dot_batch_planes(
         return BatchVector.zeros(field, (K, 0), force_pure=batch.force_pure)
     if batch._numpy:
         ctx = _ctx(field)
-        out = _np_matvec(ctx, weights_list.planes(ctx), batch._data)
+        out = _np_matvec(ctx, weights_list.split(ctx), batch._data)
         return BatchVector(field, (K, B), out, True)
     return BatchVector(
         field, (K, B),
@@ -2042,15 +2078,15 @@ def dot_batch_planes(
 
 
 class PreparedWeights:
-    """Weight vectors pre-validated (and pre-encoded) for reuse.
+    """Weight vectors pre-validated (and pre-split) for reuse.
 
     The verifier applies the same challenge functionals to every batch
-    under a context; preparing them once skips the per-call list->limb
-    conversion.  Transparent to the pure backend (the original rows
-    are kept).
+    under a context; preparing them once pays the list->limb conversion
+    and the float64 half-limb split (:meth:`split`) once per epoch.
+    Transparent to the pure backend (the original rows are kept).
     """
 
-    __slots__ = ("field", "n_weights", "width", "weights_list", "_planes")
+    __slots__ = ("field", "n_weights", "width", "weights_list", "_split")
 
     def __init__(
         self, field: PrimeField, weights_list: Sequence[Sequence[int]]
@@ -2062,14 +2098,23 @@ class PreparedWeights:
         for w in self.weights_list:
             if len(w) != self.width:
                 raise FieldError("ragged weight vectors")
-        self._planes = None
+        self._split = None
 
-    def planes(self, ctx: "_LimbContext"):
-        if self._planes is None:
+    def split(self, ctx: "_LimbContext"):
+        """The ``(2LK, D)`` float64 half-limb matrix :func:`_np_matvec`
+        multiplies by: row ``(i, h, k)`` holds the low (``h = 0``) or
+        high 12 bits of weight ``k``'s limb ``i``."""
+        if self._split is None:
             flat: list[int] = []
             for w in self.weights_list:
                 flat.extend(w)
-            self._planes = _encode_checked(ctx, flat).reshape(
+            planes = _encode_checked(ctx, flat).reshape(
                 ctx.n_limbs, self.n_weights, self.width
             )
-        return self._planes
+            halves = _np.stack(
+                [planes & _HALF_MASK, planes >> _HALF_BITS], axis=1
+            )
+            self._split = halves.reshape(
+                2 * ctx.n_limbs * self.n_weights, self.width
+            ).astype(_np.float64)
+        return self._split

@@ -31,7 +31,7 @@ ready :class:`ServerFanout`.  ``None`` means ``"inline"``.
 
 ``thread``
     Ops run on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
-    The hot kernels (SHAKE digests, numpy limb matmuls) release the
+    The hot kernels (SHAKE digests, round 1's BLAS products) release the
     GIL; everything between them runs under it, which caps overlap
     well below the core count.
 

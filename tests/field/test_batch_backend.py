@@ -8,10 +8,14 @@ each run draws fresh random vectors from a seeded rng.
 """
 
 import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.field import (
     FIELD64,
     FIELD87,
@@ -21,6 +25,7 @@ from repro.field import (
     GF2,
     BatchVector,
     EvaluationDomain,
+    FieldError,
     PreparedWeights,
     intt,
     ntt,
@@ -28,7 +33,7 @@ from repro.field import (
     poly_eval,
     use_numpy,
 )
-from repro.field.batch import dot_batch_planes
+from repro.field.batch import LIMB_BITS, _ctx, dot_batch_planes
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 NTT_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY]
@@ -225,6 +230,92 @@ def test_long_dot_exercises_chunking(force_pure, rng):
     assert dot_batch_planes(field, [b], va).to_ints() == [
         [field.inner_product(a, b)]
     ]
+
+
+def _worst_case_elements(field):
+    """``p - 1``, and the largest canonical value whose lower limbs are
+    all ``LIMB_MASK`` (``p - 1`` is sparse in limbs for most moduli)."""
+    p = field.modulus
+    shift = LIMB_BITS * (_ctx(field).n_limbs - 1)
+    return [p - 1, (((p >> shift) - 1) << shift) | ((1 << shift) - 1)]
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_dot_exact_at_chunk_bound_on_worst_case_inputs(field, past):
+    """Random inputs never reach the sums a wrong ``max_dot_terms``
+    would break, so drive every element to its worst case at exactly
+    one chunk and at one term past it (two chunks)."""
+    if not use_numpy(None):
+        pytest.skip("exercises the numpy dot kernel")
+    n = _ctx(field).max_dot_terms + past
+    for top in _worst_case_elements(field):
+        row = [top] * n
+        batch = BatchVector.from_ints(field, [row, row], force_pure=False)
+        expected = field.inner_product(row, row)
+        assert dot_batch_planes(field, [row, row], batch).to_ints() == [
+            [expected, expected], [expected, expected]
+        ]
+
+
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_zero_width_and_zero_row_inputs_agree_across_backends(force_pure):
+    field = FIELD87
+    empty_rows = BatchVector.zeros(field, (3, 0), force_pure=force_pure)
+    assert dot_batch_planes(field, [[]], empty_rows).to_ints() == [[0, 0, 0]]
+    assert dot_batch_planes(field, [[], []], empty_rows).to_ints() == [
+        [0, 0, 0], [0, 0, 0]
+    ]
+    assert empty_rows.sum_rows().to_ints() == []
+    no_rows = BatchVector.zeros(field, (0, 4), force_pure=force_pure)
+    with pytest.raises(FieldError, match="vec_sum of no vectors"):
+        no_rows.sum_rows()
+
+
+#: one highres-shaped round-1 product (FIELD87, K = 4, B = 64,
+#: D = 12 000), then the BLAS setting and this process's thread count
+_BLAS_PIN_PROBE = """
+import os
+import random
+
+import repro
+from repro.field import FIELD87, BatchVector
+from repro.field.batch import dot_batch_planes
+
+rng = random.Random(7)
+row = [rng.randrange(FIELD87.modulus) for _ in range(12_000)]
+batch = BatchVector.from_ints(FIELD87, [row] * 64, force_pure=False)
+dot_batch_planes(FIELD87, [row] * 4, batch)
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+def _run_blas_probe(openblas_threads):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PIN_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    setting, n_threads = proc.stdout.split()
+    return setting, int(n_threads)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_import_pins_blas_to_one_thread_unless_the_operator_says_otherwise():
+    assert _run_blas_probe(None) == ("1", 1)
+    setting, _ = _run_blas_probe("2")
+    assert setting == "2"
 
 
 def test_two_backends_agree_when_both_available(rng):
