@@ -38,10 +38,10 @@ The per-batch protocol itself — receive, survivor intersection,
 ingest, the two SNIP rounds, decide, accumulate, and the one crash
 policy — is written once, as :func:`receive_and_ingest` and
 :func:`verify_and_accumulate` in :mod:`repro.protocol.pipeline`;
-:class:`AsyncPrioPipeline` / :func:`run_pipelined` stage it over an
-execution backend chosen by one ``executor`` spelling
-(:func:`resolve_fanout`: ``"inline"`` — also what ``None`` means —
-``"thread"`` or ``"process"``, ``":K"`` to shard, or a ready
+:func:`run_pipelined` and the deployment drive it one batch after the
+other, like the socket front end, over an execution backend chosen by
+one ``executor`` spelling (:func:`resolve_fanout`: ``"inline"`` — also
+what ``None`` means — or ``"process"``, ``":K"`` to shard, or a ready
 ``ServerFanout``).  The scalar SNIP oracle
 (:func:`repro.snip.verify_snip`, ``PrioClient.prepare_submission``)
 stays as the differential reference.
@@ -66,7 +66,6 @@ from repro.protocol.fanout import (
     shard_of,
 )
 from repro.protocol.pipeline import (
-    AsyncPrioPipeline,
     IngestedBatch,
     PipelineStats,
     receive_and_ingest,
@@ -124,7 +123,6 @@ __all__ = [
     "RegisteredClient",
     "RegistrationError",
     "SignedPacket",
-    "AsyncPrioPipeline",
     "IngestedBatch",
     "PipelineStats",
     "receive_and_ingest",

@@ -26,14 +26,11 @@ A backend is named one way (:func:`resolve_fanout`): a kind from
 ready :class:`ServerFanout`.  ``None`` means ``"inline"``.
 
 ``inline``
-    Ops run on the calling thread.  Right for batch-of-one calls and
-    single-CPU hosts, where hand-offs cost latency and buy nothing.
-
-``thread``
-    Ops run on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
-    The hot kernels (SHAKE digests, round 1's BLAS products) release the
-    GIL; everything between them runs under it, which caps overlap
-    well below the core count.
+    Ops run on the event loop's thread, each op's future completing one
+    loop turn later (the socket front end reads frames at those
+    awaits).  There is no thread-pool kind: the hot kernels release the
+    GIL, but everything between them holds it, so threads add hand-offs
+    without adding overlap.  Parallelism is ``process``'s job.
 
 ``process``
     One single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -79,7 +76,7 @@ hanging the driver.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, is_dataclass
 
 from repro.field.batch import concat_vectors
@@ -89,7 +86,7 @@ from repro.protocol.wire import WireError, routing_id
 #: the executor kinds :func:`resolve_fanout` accepts; each also takes a
 #: ``":K"`` suffix (e.g. ``"process:4"``) to shard each logical server
 #: across K workers of that kind
-EXECUTOR_KINDS = ("inline", "thread", "process")
+EXECUTOR_KINDS = ("inline", "process")
 
 
 class FanoutError(ValueError):
@@ -99,10 +96,9 @@ class FanoutError(ValueError):
 class _InlineExecutor:
     """Executor that runs work on the calling thread.
 
-    For batch-of-one calls and on a single-CPU host, thread hand-offs
-    cost latency and buy no parallelism, so the pipeline keeps its
-    staged structure but executes stage work inline.  Implements the
-    two Executor methods asyncio uses.
+    Implements the one Executor method :meth:`loop.run_in_executor
+    <asyncio.loop.run_in_executor>` uses, so an inline op's future
+    completes one event-loop turn after the call.
     """
 
     def submit(self, fn, *args):
@@ -112,9 +108,6 @@ class _InlineExecutor:
         except BaseException as exc:  # noqa: BLE001 - mirror Executor
             future.set_exception(exc)
         return future
-
-    def shutdown(self, wait=True):  # noqa: ARG002 - Executor interface
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +131,7 @@ class _BatchState:
 class _ServerOps:
     """Batch-id-keyed protocol ops over one :class:`PrioServer`.
 
-    Every backend — inline, thread, process — executes exactly this
+    Every backend — inline, process, sharded — executes exactly this
     class, so the protocol's semantics cannot drift between them.  In
     process mode an instance lives in the worker that owns the server;
     locally one instance per server lives in the driver process.  All
@@ -302,7 +295,7 @@ class ServerFanout:
         """One ``op`` per server, all submitted before any is awaited.
 
         The batch protocol's workhorse: submission happens eagerly (so
-        thread/process backends run the servers genuinely in parallel)
+        process backends run the servers genuinely in parallel)
         and awaiting a completed future suspends nothing (so the inline
         backend pays no ``gather`` scheduling overhead, which is what
         keeps batch-of-one cheap).  The first failure is
@@ -319,13 +312,13 @@ class ServerFanout:
             try:
                 results.append(await future)
             except asyncio.CancelledError:
-                # The *stage task* is being cancelled (worker futures
-                # themselves never cancel — executors run them to
-                # completion).  Cancellation must win over any earlier
-                # worker error: folding it into the error slot would
-                # consume the task's one-shot cancellation and leave
-                # the pipeline waiting on stages that already stopped
-                # producing.  Silence the undrained futures first so no
+                # The *driving task* is being cancelled (worker
+                # futures themselves never cancel — executors run them
+                # to completion).  Cancellation must win over any
+                # earlier worker error: folding it into the error slot
+                # would consume the task's one-shot cancellation, and
+                # the caller would carry on as if nothing had asked it
+                # to stop.  Silence the undrained futures first so no
                 # worker exception goes unretrieved.
                 for remaining in futures[position:]:
                     remaining.add_done_callback(_consume_exception)
@@ -351,21 +344,14 @@ class ServerFanout:
 
 
 class LocalFanout(ServerFanout):
-    """Ops against the driver-process servers, on the calling thread
-    (``kind="inline"``) or on a thread pool (``kind="thread"``)."""
+    """Ops against the driver-process servers, on the calling thread."""
 
-    def __init__(
-        self, servers: "list[PrioServer]", kind: str = "inline"
-    ) -> None:
+    kind = "inline"
+
+    def __init__(self, servers: "list[PrioServer]") -> None:
         self.servers = servers
         self.ops = [_ServerOps(server) for server in servers]
-        self.kind = kind
-        if kind == "thread":
-            self.executor = ThreadPoolExecutor(
-                max_workers=max(2, len(servers))
-            )
-        else:
-            self.executor = _InlineExecutor()
+        self.executor = _InlineExecutor()
 
     def call(self, s: int, op: str, *args):
         loop = asyncio.get_running_loop()
@@ -375,10 +361,6 @@ class LocalFanout(ServerFanout):
 
     def call_sync(self, s: int, op: str, *args):
         return self.executor.submit(getattr(self.ops[s], op), *args).result()
-
-    def close(self) -> None:
-        # wait=True: repeated runs must not accumulate worker threads.
-        self.executor.shutdown(wait=True)
 
 
 # Worker-process global: the one server this worker owns.
@@ -548,8 +530,8 @@ class ShardedFanout(ServerFanout):
     shard is a full :class:`PrioServer` (:meth:`PrioServer.make_shard`)
     owning its slice of the id space — replay set, epoch counters,
     plane accumulator — and runs the ordinary :class:`_ServerOps` over
-    its sub-batch on an inner backend (``inline``/``thread``/
-    ``process``) resolved over the ``S x K`` flat shard-server list.
+    its sub-batch on an inner backend (``inline``/``process``)
+    resolved over the ``S x K`` flat shard-server list.
     Because the partition is identical across servers, shard ``k`` at
     every server holds the same submissions and the SNIP rounds run
     shard-local; the driver merges each shard's ``(B_k,)`` round planes
@@ -627,7 +609,7 @@ class ShardedFanout(ServerFanout):
 
     def end_run(self) -> None:
         # Fold worker-side deltas into the driver-side shard objects
-        # first (process inner; no-op for inline/thread).
+        # first (process inner; no-op for inline).
         self.inner.end_run()
         if not self._run_open:
             return  # a second fold would double-add the shard deltas
@@ -829,9 +811,9 @@ def resolve_fanout(
     Anything else raises :class:`FanoutError`.  Returns ``(fanout,
     owned)``; callers close only backends they own.
 
-    ``"process"`` falls back to the thread backend, with a warning,
-    when worker processes cannot be created (restricted sandboxes,
-    missing ``multiprocessing`` support).
+    ``"process"`` falls back to ``"inline"``, with a warning, when
+    worker processes cannot be created (restricted sandboxes, missing
+    ``multiprocessing`` support).
     """
     if isinstance(executor, ServerFanout):
         return executor, False
@@ -859,9 +841,8 @@ def resolve_fanout(
 
             warnings.warn(
                 f"process fan-out unavailable ({exc!r}); falling back to "
-                "the thread backend",
+                "the inline backend",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            kind = "thread"
-    return LocalFanout(servers, kind), True
+    return LocalFanout(servers), True

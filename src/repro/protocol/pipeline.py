@@ -1,4 +1,4 @@
-"""The per-batch server protocol, written once, and its asyncio driver.
+"""The per-batch server protocol, written once, and its in-memory loop.
 
 Appendix H defines one server protocol — Upload, Validate (two SNIP
 rounds), Aggregate — and this module holds its one implementation, as
@@ -24,33 +24,25 @@ The ``accumulate`` sweep is the commit point: a failure there cannot be
 isolated (servers that already folded the batch cannot roll back), so
 it propagates.
 
-Every driver calls these halves: :class:`AsyncPrioPipeline` here (and,
-through it, :class:`~repro.protocol.runner.PrioDeployment` and
-:class:`~repro.protocol.registration.GatedDeployment`) and the socket
-front end (:class:`~repro.transport.server.PrioTransportServer`).  The
+Both batch loops call these halves the same way, one batch after the
+other — await the ingest half, then the verify half: the socket front
+end (``PrioTransportServer._process_batch`` in
+:mod:`repro.transport.server`) and the in-memory loop here, which
+:func:`run_pipelined`, :class:`~repro.protocol.runner.PrioDeployment`
+and :class:`~repro.protocol.registration.GatedDeployment` run.  The
 simulated cluster (:mod:`repro.simnet.prio_cluster`) keeps its
 message-driven schedule but speaks the same ops.
 
-:class:`AsyncPrioPipeline` stages the halves over bounded
-:class:`asyncio.Queue` hops —
+The per-server CPU work inside each half fans out over an execution
+backend (:mod:`repro.protocol.fanout`: ``"inline"`` or ``"process"``,
+optionally ``":K"`` sharded).  Parallelism comes from there — distinct
+servers in distinct processes, as in the paper's deployment — not
+from staging batches inside one event loop.  The one overlap that pays is
+the client's: :meth:`PrioDeployment.submit_many
+<repro.protocol.runner.PrioDeployment.submit_many>` proves the next
+chunk on a worker thread while this loop verifies the current one.
 
-    submissions -> [batcher] -> [ingest half] -> [verify half]
-
-so expansion/decode of batch ``N+1`` overlaps verification of batch
-``N``, and the per-server CPU work inside each half fans out over an
-execution backend (:mod:`repro.protocol.fanout`: ``"inline"`` /
-``"thread"`` / ``"process"``, optionally ``":K"`` sharded).  With
-:meth:`AsyncPrioPipeline.run_values` the *client* joins the pipeline
-as a producer stage —
-
-    values -> [batched client prover] -> [ingest half] -> [verify half]
-
-— each chunk proved, shared, and framed through the plane-resident
-batched prover while the servers verify the previous chunk.  Queue
-bounds give backpressure: a slow verify stage stalls ingest instead of
-buffering unbounded plane matrices.
-
-Everything that enters a server is wire bytes: the pipeline hands
+Everything that enters a server is wire bytes: the loop hands
 ``packet.encode()`` (or the sealed packet) to the receive ops, exactly
 what the socket front end reads off the wire, so decisions are
 bit-identical across drivers and backends by construction.
@@ -66,7 +58,6 @@ from repro.protocol.server import PrioServer
 from repro.protocol.wire import WireError
 
 __all__ = [
-    "AsyncPrioPipeline",
     "IngestedBatch",
     "PipelineStats",
     "receive_and_ingest",
@@ -74,17 +65,10 @@ __all__ = [
     "verify_and_accumulate",
 ]
 
-#: sentinel closing each stage's input queue
-_DONE = object()
-
-#: bound of each stage queue: how many batches may wait between two
-#: stages (the overlap window)
-_QUEUE_DEPTH = 2
-
 
 @dataclass
 class PipelineStats:
-    """Counters the pipeline keeps per run (all per submission)."""
+    """Counters one in-memory run keeps (all per submission)."""
 
     n_batches: int = 0
     n_receive_failures: int = 0
@@ -92,16 +76,10 @@ class PipelineStats:
     #: rejection): the batch was abandoned — nothing decided, ids
     #: released — and the stream continued
     n_worker_failures: int = 0
-    #: ingest batches that were in flight when verify started one —
-    #: a direct measure of stage overlap (0 on a fully serial run)
-    overlapped_batches: int = 0
     batch_sizes: list[int] = dc_field(default_factory=list)
-    #: resolved execution backend ("inline" | "thread" | "process")
+    #: resolved execution backend ("inline" | "process", or
+    #: "sharded(<kind>xK)")
     executor: str = ""
-    #: client-producer counters (run_values only): batches the batched
-    #: prover framed, and their total upload bytes
-    client_batches: int = 0
-    upload_bytes: int = 0
 
 
 @dataclass
@@ -110,7 +88,7 @@ class IngestedBatch:
 
     The ingested share planes themselves stay wherever the backend
     keeps server state (driver process or per-server worker), keyed by
-    ``batch_id``; only this bookkeeping crosses stages.
+    ``batch_id``; only this bookkeeping passes between the halves.
     """
 
     batch_id: int
@@ -223,273 +201,122 @@ async def verify_and_accumulate(
     return decisions
 
 
-class AsyncPrioPipeline:
-    """Drives a server set through the staged batch protocol.
+def _payloads(server: PrioServer, chunk, encrypt: bool) -> "list[bytes]":
+    """One server's slice of a batch as wire bytes.
 
-    Each stage queue holds at most ``_QUEUE_DEPTH`` (two) batches, the
-    overlap window; ``executor`` selects the per-server execution
-    backend — ``"inline"`` (also ``None``) / ``"thread"`` /
-    ``"process"``, optionally ``":K"`` sharded, or a ready
-    :class:`~repro.protocol.fanout.ServerFanout` (reused across runs,
-    caller-owned).
+    Packets are selected by the server's *protocol* index, not its
+    position in the server list — a shuffled list must still route
+    every share to the server it was addressed to.  A (mutated) packet
+    whose header fields cannot be encoded goes out as an empty payload,
+    which the server refuses as a malformed frame — that submission's
+    receive failure, like any other.
     """
-
-    def __init__(
-        self,
-        servers: "list[PrioServer]",
-        batch_size: int = 64,
-        executor: "str | ServerFanout | None" = None,
-        encrypt: bool = False,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.servers = servers
-        self.batch_size = batch_size
-        self.executor = executor
-        self.encrypt = encrypt
-        self.stats = PipelineStats()
-        #: True while the verify stage is mid-batch (stage-overlap probe)
-        self._verifying = False
-        #: False when a reused backend could not be state-synced for
-        #: this run (ops must not run against stale worker state)
-        self._backend_ready = True
-        self._next_batch_id = 0
-
-    # ------------------------------------------------------------------
-
-    def run(self, submissions) -> list[bool]:
-        """Synchronous entry point: pipeline every submission, return
-        one accept/reject decision per submission (stream order)."""
-        return asyncio.run(self.run_async(submissions))
-
-    def run_values(self, client, values) -> list[bool]:
-        """Synchronous entry point for the client-producer pipeline."""
-        return asyncio.run(self.run_values_async(client, values))
-
-    async def run_values_async(self, client, values) -> list[bool]:
-        """Pipeline raw *values* with the batched client as a producer.
-
-        Stage 0 proves and frames the values in client batches of
-        ``batch_size`` through the plane-resident batched prover
-        (:meth:`~repro.protocol.client.PrioClient.prepare_submissions`),
-        off the event loop's thread, so the client proves/frames chunk
-        ``N+1`` while the servers ingest and verify chunk ``N`` — the
-        protocol's two halves are batched *and* overlapped.  Decisions,
-        replay protection, and statistics match preparing everything up
-        front and calling :meth:`run_async` (the prover draws in scalar
-        order, so cleartext uploads are bit-identical in any chunking).
-        """
-        values = list(values)
-        submissions: list = [None] * len(values)
-
-        def producer(ingest_q):
-            return self._producer(client, values, submissions, ingest_q)
-
-        return await self._run_stream(submissions, producer)
-
-    async def run_async(self, submissions) -> list[bool]:
-        submissions = list(submissions)
-
-        def producer(ingest_q):
-            return self._batcher(submissions, ingest_q)
-
-        return await self._run_stream(submissions, producer)
-
-    async def _run_stream(self, submissions, make_producer) -> list[bool]:
-        # A pipeline object is reusable: every run starts from fresh
-        # per-run state.  Without this, a second run() reports the
-        # previous run's counters folded into its own and resumes
-        # batch ids mid-stream (confusing any op log keyed on them).
-        self.stats = PipelineStats()
-        self._verifying = False
-        self._next_batch_id = 0
-        results: "list[bool]" = [False] * len(submissions)
-        fanout, owned = resolve_fanout(self.servers, self.executor)
-        self.stats.executor = fanout.kind
-        synced = True
+    index = server.server_index
+    if encrypt:
+        return [submission.sealed_packets[index] for submission in chunk]
+    payloads = []
+    for submission in chunk:
         try:
-            if not owned:
-                # A reused backend may hold state from a previous run;
-                # re-sync it from the driver-side servers.  A failed
-                # push is not fatal — every batch below fails without
-                # touching the backend — but the run must NOT execute
-                # ops against whatever stale state the workers kept,
-                # and end_run must not fold a stale delta into the
-                # driver-side servers either.
-                try:
-                    fanout.begin_run()
-                except Exception:  # noqa: BLE001
-                    synced = False
-            self._backend_ready = synced
-            ingest_q: asyncio.Queue = asyncio.Queue(_QUEUE_DEPTH)
-            verify_q: asyncio.Queue = asyncio.Queue(_QUEUE_DEPTH)
-            tasks = [
-                asyncio.create_task(make_producer(ingest_q)),
-                asyncio.create_task(
-                    self._ingest_stage(
-                        submissions, ingest_q, verify_q, fanout
-                    )
-                ),
-                asyncio.create_task(
-                    self._verify_stage(verify_q, results, fanout)
-                ),
-            ]
+            payloads.append(submission.packets[index].encode())
+        except WireError:
+            payloads.append(b"")
+    return payloads
+
+
+async def _run_batches(
+    servers: "list[PrioServer]",
+    executor: "str | ServerFanout | None",
+    encrypt: bool,
+    chunks,
+    record,
+) -> PipelineStats:
+    """Drive ``servers`` through the batch protocol, one chunk at a time.
+
+    ``chunks`` is an async generator of submission lists, each one
+    verification batch; the loop closes it on the way out.  After each
+    batch, ``record(chunk, decided)`` gets one entry per submission:
+    ``True`` (accepted), ``False`` (rejected), or ``None`` (a worker
+    failure abandoned it: nothing decided, the id released).  A run
+    that raises has recorded every batch it decided.  ``executor`` is
+    any :func:`~repro.protocol.fanout.resolve_fanout` spelling; a ready
+    fan-out is the caller's to close.
+    """
+    stats = PipelineStats()
+    fanout, owned = resolve_fanout(servers, executor)
+    stats.executor = fanout.kind
+    synced = True
+    try:
+        if not owned:
+            # A reused backend may hold state from a previous run;
+            # re-sync it from the driver-side servers.  A failed push
+            # is not fatal — every batch below fails without touching
+            # the backend — but the run must NOT execute ops against
+            # whatever stale state the workers kept, and end_run must
+            # not fold a stale delta into the driver-side servers.
             try:
-                await asyncio.gather(*tasks)
-            except BaseException:
-                # Cancel *and await* the stages: an abandoned pending
-                # task would otherwise die with "task was destroyed but
-                # it is pending" after the loop closes.
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-                # In-flight batches were received but will never be
-                # decided: release their ids (an honest retry must not
-                # look like a replay) and their batch state (a reused
-                # backend must not pin plane matrices forever).
-                try:
-                    await fanout.sweep(
-                        "abandon_open", [()] * len(self.servers)
-                    )
-                except BaseException:  # noqa: BLE001 - cleanup only
-                    pass
-                raise
-        finally:
-            try:
-                if synced:
-                    fanout.end_run()
-            finally:
-                if owned:
-                    # wait=True: a fire-and-forget shutdown leaks one
-                    # worker set per run() call.
-                    fanout.close()
-        return results
-
-    # ------------------------------------------------------------------
-    # Stage 1: group the stream into verification batches
-    # ------------------------------------------------------------------
-
-    async def _batcher(self, submissions, ingest_q: asyncio.Queue) -> None:
-        batch: list[int] = []
-        for index in range(len(submissions)):
-            batch.append(index)
-            if len(batch) >= self.batch_size:
-                await ingest_q.put(batch)
-                batch = []
-        if batch:
-            await ingest_q.put(batch)
-        await ingest_q.put(_DONE)
-
-    async def _producer(
-        self, client, values, submissions, ingest_q: asyncio.Queue
-    ) -> None:
-        """Stage 0: the batched client prover as a pipeline producer.
-
-        Each client batch proves/shares/frames on a worker thread (the
-        batch NTT and byte-encode kernels release the GIL on the numpy
-        backend) and lands in ``submissions`` before its index batch is
-        queued, so the ingest stage's payload lookups always hit ready
-        uploads.  Queue backpressure applies to the client too: a slow
-        verify stage stalls proving instead of buffering every upload.
-        """
-        for start in range(0, len(values), self.batch_size):
-            indices = list(
-                range(start, min(start + self.batch_size, len(values)))
-            )
-            prepared = await asyncio.to_thread(
-                client.prepare_submissions, [values[i] for i in indices]
-            )
-            for index, submission in zip(indices, prepared):
-                submissions[index] = submission
-                self.stats.upload_bytes += submission.upload_bytes
-            self.stats.client_batches += 1
-            await ingest_q.put(indices)
-        await ingest_q.put(_DONE)
-
-    # ------------------------------------------------------------------
-    # Stage 2: the ingest half, per server in workers
-    # ------------------------------------------------------------------
-
-    def _payloads_for(self, server_slot: int, submissions, indices):
-        """One server's slice of a batch as wire bytes.
-
-        Packets are selected by the server's *protocol* index, not its
-        position in ``self.servers`` — a shuffled server list must
-        still route every share to the server it was addressed to.  A
-        (mutated) packet whose header fields cannot be encoded goes out
-        as an empty payload, which the server refuses as a malformed
-        frame — that submission's receive failure, like any other.
-        """
-        index = self.servers[server_slot].server_index
-        if self.encrypt:
-            return [submissions[i].sealed_packets[index] for i in indices]
-        payloads = []
-        for i in indices:
-            try:
-                payloads.append(submissions[i].packets[index].encode())
-            except WireError:
-                payloads.append(b"")
-        return payloads
-
-    async def _ingest_stage(
-        self, submissions, ingest_q, verify_q, fanout
-    ) -> None:
-        while True:
-            batch = await ingest_q.get()
-            if batch is _DONE:
-                await verify_q.put(_DONE)
-                return
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            self.stats.n_batches += 1
-            if not self._backend_ready:
-                # State push failed on a reused backend: running ops
-                # would execute against stale worker state.  Fail the
-                # stream without touching the backend at all.
-                self.stats.n_worker_failures += len(batch)
-                self.stats.batch_sizes.append(0)
+                fanout.begin_run()
+            except Exception:  # noqa: BLE001
+                synced = False
+        async for chunk in chunks:
+            batch_id = stats.n_batches
+            stats.n_batches += 1
+            if not synced:
+                stats.n_worker_failures += len(chunk)
+                stats.batch_sizes.append(0)
+                record(chunk, [None] * len(chunk))
                 continue
-            payloads = [
-                self._payloads_for(s, submissions, batch)
-                for s in range(len(self.servers))
-            ]
             ingested = await receive_and_ingest(
-                fanout, batch_id, payloads, self.encrypt
+                fanout,
+                batch_id,
+                [_payloads(server, chunk, encrypt) for server in servers],
+                encrypt,
             )
-            survivors = [batch[pos] for pos in ingested.keep]
-            self.stats.n_receive_failures += len(batch) - len(survivors)
+            # A refused position is rejected; a kept one awaits its verdict.
+            decided: "list[bool | None]" = [
+                None if refusal is None else False
+                for refusal in ingested.refusals
+            ]
+            keep = ingested.keep
+            stats.n_receive_failures += len(chunk) - len(keep)
+            verdicts = None
             if ingested.abandoned:
-                self.stats.n_worker_failures += len(survivors)
-                self.stats.batch_sizes.append(0)
-                continue
-            self.stats.batch_sizes.append(len(survivors))
-            if self._verifying:
-                self.stats.overlapped_batches += 1
-            if survivors:
-                await verify_q.put((ingested, survivors))
-
-    # ------------------------------------------------------------------
-    # Stage 3: the verify half
-    # ------------------------------------------------------------------
-
-    async def _verify_stage(self, verify_q, results, fanout) -> None:
-        while True:
-            item = await verify_q.get()
-            if item is _DONE:
-                return
-            ingested, survivors = item
-            self._verifying = True
-            try:
-                decisions = await verify_and_accumulate(
-                    fanout, self.servers, ingested
+                stats.batch_sizes.append(0)
+            else:
+                stats.batch_sizes.append(len(keep))
+                verdicts = await verify_and_accumulate(
+                    fanout, servers, ingested
                 )
-            finally:
-                self._verifying = False
-            if decisions is None:
-                self.stats.n_worker_failures += len(survivors)
-                continue
-            for index, accepted in zip(survivors, decisions):
-                results[index] = accepted
+            if verdicts is None:
+                stats.n_worker_failures += len(keep)
+            else:
+                for pos, accepted in zip(keep, verdicts):
+                    decided[pos] = accepted
+            record(chunk, decided)
+    except BaseException:
+        # The open batch was received but will never be decided: release
+        # its ids (an honest retry must not look like a replay) and its
+        # batch state (a reused backend must not pin plane matrices
+        # forever).
+        try:
+            await fanout.sweep("abandon_open", [()] * len(servers))
+        except BaseException:  # noqa: BLE001 - cleanup only
+            pass
+        raise
+    finally:
+        await chunks.aclose()
+        try:
+            if synced:
+                fanout.end_run()
+        finally:
+            if owned:
+                fanout.close()
+    return stats
+
+
+async def _slices(submissions, batch_size: int):
+    """Prepared submissions as chunks of ``batch_size``."""
+    for start in range(0, len(submissions), batch_size):
+        yield submissions[start:start + batch_size]
 
 
 def run_pipelined(
@@ -499,18 +326,25 @@ def run_pipelined(
     encrypt: bool = False,
     executor: "str | ServerFanout | None" = None,
 ) -> tuple[list[bool], PipelineStats]:
-    """One-call pipeline run over prepared submissions.
+    """One-call in-memory run over prepared submissions.
 
     Returns ``(decisions, stats)`` with one decision per submission in
     stream order (``False`` for rejected *and* for abandoned ones —
     ``stats.n_worker_failures`` tells them apart).  ``executor``
-    selects the per-server backend (see :class:`AsyncPrioPipeline`).
+    selects the per-server backend: a kind from
+    :data:`~repro.protocol.fanout.EXECUTOR_KINDS` (``None`` is
+    ``"inline"``), optionally ``":K"`` sharded, or a ready
+    :class:`~repro.protocol.fanout.ServerFanout` (reused, caller-owned).
     """
-    pipeline = AsyncPrioPipeline(
-        servers,
-        batch_size=batch_size,
-        executor=executor,
-        encrypt=encrypt,
-    )
-    decisions = pipeline.run(submissions)
-    return decisions, pipeline.stats
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    submissions = list(submissions)
+    decisions: list[bool] = []
+
+    def record(chunk, decided) -> None:
+        decisions.extend(map(bool, decided))
+
+    stats = asyncio.run(_run_batches(
+        servers, executor, encrypt, _slices(submissions, batch_size), record
+    ))
+    return decisions, stats

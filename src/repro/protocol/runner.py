@@ -11,20 +11,25 @@ two-round SNIP verification, accumulate, publish, decode — with every
 server a real :class:`~repro.protocol.server.PrioServer`, and keeps
 the bandwidth/acceptance statistics the benchmarks report.
 
-There are three ways in, and all of them run the one batch protocol
+There are three ways in, and all of them run the one per-batch loop
 (:mod:`repro.protocol.pipeline`) over the deployment's fan-out:
 :meth:`PrioDeployment.submit` (one value, with a fault-injection
 hook), :meth:`PrioDeployment.submit_many` (values; the batched client
-prover is the pipeline's producer stage) and
+prover prepares the next chunk while the servers verify this one) and
 :meth:`PrioDeployment.deliver` (prepared uploads).  ``batch_size`` is
 the verification batch: one fused sweep per server per batch.
 Acceptance decisions, replay protection, and every statistic remain
 per submission — a bad upload rejects alone, and
 ``n_rejected``/``upload_bytes_total`` count submissions, never batches.
+The statistics move as each batch is decided, so a call that raises
+keeps what it decided; a submission a worker failure abandoned counts
+as submitted, never as accepted or rejected.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
 import random as _random
 from dataclasses import dataclass, field as dc_field
@@ -33,7 +38,7 @@ from repro.afe.base import Afe
 from repro.crypto.box import BoxKeyPair
 from repro.protocol.client import PrioClient
 from repro.protocol.fanout import ServerFanout, resolve_fanout
-from repro.protocol.pipeline import AsyncPrioPipeline
+from repro.protocol.pipeline import _run_batches, _slices
 from repro.protocol.server import PrioServer, ProtocolError
 from repro.snip.verifier import ServerRandomness
 
@@ -65,8 +70,8 @@ class PrioDeployment:
         self.client = client
         self.encrypt = encrypt
         self.batch_size = batch_size
-        #: execution backend ("inline" | "thread" | "process", optionally
-        #: ":K" sharded, or a ServerFanout); None = inline
+        #: execution backend ("inline" | "process", optionally ":K"
+        #: sharded, or a ServerFanout); None = inline
         self.executor = executor
         #: the backend, resolved on first use and reused by every call
         #: until :meth:`close` (spawning process workers per call would
@@ -93,8 +98,8 @@ class PrioDeployment:
         in batches of that size (``submit_many`` chunks accordingly);
         decisions and statistics remain per submission.  ``executor``
         selects the per-server execution backend
-        (``"inline"``/``"thread"``/``"process"``, optionally with a
-        ``":K"`` shard suffix; see :mod:`repro.protocol.fanout`); the
+        (``"inline"``/``"process"``, optionally with a ``":K"`` shard
+        suffix; see :mod:`repro.protocol.fanout`); the
         default runs every server inline on the calling thread."""
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
@@ -129,17 +134,6 @@ class PrioDeployment:
 
     # ------------------------------------------------------------------
 
-    def _pipeline(self) -> AsyncPrioPipeline:
-        """A pipeline over the deployment's (lazily resolved) fan-out."""
-        if self._fanout is None:
-            self._fanout, self._owns_fanout = resolve_fanout(
-                self.servers, self.executor
-            )
-        return AsyncPrioPipeline(
-            self.servers, batch_size=self.batch_size,
-            executor=self._fanout, encrypt=self.encrypt,
-        )
-
     def close(self) -> None:
         """Release any worker pools the deployment created; idempotent."""
         if self._fanout is not None:
@@ -169,19 +163,40 @@ class PrioDeployment:
         return self.deliver([submission])[0]
 
     def submit_many(self, values) -> int:
-        """Submit many values in ONE pipeline run; returns the number
-        accepted.
+        """Submit many values in ONE run; returns the number accepted.
 
-        The batched plane prover runs as the pipeline's producer stage
-        (:meth:`~repro.protocol.pipeline.AsyncPrioPipeline.run_values`):
-        the client proves and frames chunk ``N+1`` of ``batch_size``
-        values while the servers ingest and verify chunk ``N``.
+        The batched plane prover prepares chunks of ``batch_size``
+        values, one chunk ahead: chunk ``N+1`` is proved and framed on
+        a worker thread while the servers verify chunk ``N``.  Only one
+        prepare is ever in flight, so the client's rng draws — and the
+        uploads — are those of preparing every value up front.
         """
-        values = list(values)
-        pipeline = self._pipeline()
-        decisions = pipeline.run_values(self.client, values)
-        self._count(decisions, pipeline.stats.upload_bytes)
-        return sum(decisions)
+        return sum(self._run(self._prepared_chunks(list(values))))
+
+    async def _prepared_chunks(self, values):
+        """``values`` as prepared chunks of ``batch_size``, with the
+        next chunk's prepare in flight while the caller verifies."""
+        size = self.batch_size
+        slices = [values[i:i + size] for i in range(0, len(values), size)]
+
+        def prepare(chunk_values):
+            return asyncio.ensure_future(asyncio.to_thread(
+                self.client.prepare_submissions, chunk_values
+            ))
+
+        ahead = prepare(slices[0]) if slices else None
+        try:
+            for following in slices[1:] + [None]:
+                prepared = await ahead
+                ahead = None if following is None else prepare(following)
+                yield prepared
+        finally:
+            # The run stopped early: let the prefetch finish (its thread
+            # and its exception are not left behind) — the run's own
+            # error is the one that propagates.
+            if ahead is not None:
+                with contextlib.suppress(Exception):
+                    await ahead
 
     def deliver(self, submissions) -> list[bool]:
         """Run prepared submissions through the protocol, in batches
@@ -193,16 +208,30 @@ class PrioDeployment:
         every submission is accepted or rejected — and counted in the
         statistics — individually.
         """
-        submissions = list(submissions)
-        decisions = self._pipeline().run(submissions)
-        self._count(decisions, sum(s.upload_bytes for s in submissions))
-        return decisions
+        return self._run(_slices(list(submissions), self.batch_size))
 
-    def _count(self, decisions: list[bool], upload_bytes: int) -> None:
-        self.stats.n_submitted += len(decisions)
-        self.stats.upload_bytes_total += upload_bytes
-        self.stats.n_accepted += sum(decisions)
-        self.stats.n_rejected += len(decisions) - sum(decisions)
+    def _run(self, chunks) -> list[bool]:
+        """One run of ``chunks`` over the deployment's fan-out (resolved
+        on first use), counting each batch as it is decided."""
+        if self._fanout is None:
+            self._fanout, self._owns_fanout = resolve_fanout(
+                self.servers, self.executor
+            )
+        decisions: list[bool] = []
+
+        def record(chunk, decided) -> None:
+            self.stats.n_submitted += len(chunk)
+            self.stats.upload_bytes_total += sum(
+                submission.upload_bytes for submission in chunk
+            )
+            self.stats.n_accepted += decided.count(True)
+            self.stats.n_rejected += decided.count(False)
+            decisions.extend(map(bool, decided))
+
+        asyncio.run(_run_batches(
+            self.servers, self._fanout, self.encrypt, chunks, record
+        ))
+        return decisions
 
     # ------------------------------------------------------------------
 

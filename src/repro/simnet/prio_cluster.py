@@ -1,9 +1,10 @@
 """Run the full Prio verification protocol over the simulated WAN.
 
-The in-memory drivers (:mod:`repro.protocol.pipeline`) sweep every
-server in lock-step, which hides message timing entirely.  This module
-instead drives real :class:`~repro.protocol.server.PrioServer`
-instances as asynchronous nodes of a
+The in-memory loop (:mod:`repro.protocol.pipeline`) sweeps every
+server in lock-step, one batch after the other, which hides message
+timing entirely.  This module instead drives real
+:class:`~repro.protocol.server.PrioServer` instances as asynchronous
+nodes of a
 :class:`~repro.simnet.network.SimNetwork`: upload packets, round-1 and
 round-2 broadcasts are all delivered by the event queue with topology
 latencies, and servers make progress purely by reacting to messages —
@@ -255,16 +256,15 @@ def run_cluster(
     that size via the vectorized batch path; outcomes are identical to
     ``batch_size=1`` (asserted by the integration tests), only the
     message schedule changes.  ``executor`` selects where each server's
-    CPU work runs (``"inline"`` default, also ``None``; ``"thread"``;
-    ``"process"`` = one worker process per server; a ``":K"`` suffix
-    such as ``"process:4"`` shards every server across K workers of
-    that kind); outcomes are backend-independent.  Server handlers
-    execute through the network's latency-window concurrency
-    (:meth:`SimNetwork.run_async`), so with
-    a thread/process/sharded backend distinct servers' CPU work
-    genuinely overlaps.  Uploads come from the batched plane-resident
-    client prover; ``mutate(index, submission)`` may corrupt each one
-    before it is sent.
+    CPU work runs (``"inline"`` default, also ``None``; ``"process"`` =
+    one worker process per server; a ``":K"`` suffix such as
+    ``"process:4"`` shards every server across K workers of that kind);
+    outcomes are backend-independent.  Server handlers execute through
+    the network's latency-window concurrency
+    (:meth:`SimNetwork.run_async`), so with a process backend distinct
+    servers' CPU work genuinely overlaps.  Uploads come from the
+    batched plane-resident client prover; ``mutate(index, submission)``
+    may corrupt each one before it is sent.
     """
     if batch_size < 1:
         raise SimError("batch_size must be >= 1")
@@ -276,7 +276,7 @@ def run_cluster(
         # sense here.
         raise SimError(
             "run_cluster accepts an executor kind "
-            "(\"inline\"/\"thread\"/\"process\", optionally \":K\"), not "
+            "(\"inline\"/\"process\", optionally \":K\"), not "
             "a fanout instance: the cluster owns its servers"
         )
     n_servers = topology.n_sites
@@ -311,10 +311,9 @@ def run_cluster(
                     0, packet.server_index, ("upload", payload), len(payload)
                 )
         # Latency-window concurrency: handlers at distinct servers run
-        # through asyncio.gather, so per-server worker pools (thread,
-        # process, sharded) genuinely overlap — the event schedule and
-        # report are bit-identical to the serial run (asserted by the
-        # integration tests).
+        # through asyncio.gather, so per-server worker processes
+        # genuinely overlap — the event schedule and report are
+        # bit-identical to inline (asserted by the integration tests).
         wall = asyncio.run(net.run_async())
     finally:
         try:

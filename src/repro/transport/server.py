@@ -6,7 +6,7 @@ uploads (:mod:`repro.transport.framing`); the front end groups them
 into verification batches and hands each batch to the one batch
 protocol (:func:`~repro.protocol.pipeline.receive_and_ingest` then
 :func:`~repro.protocol.pipeline.verify_and_accumulate`) the in-memory
-pipeline runs — so decisions, and what happens when a worker crashes,
+loop runs — so decisions, and what happens when a worker crashes,
 are identical to :func:`~repro.protocol.pipeline.run_pipelined` on the
 same uploads.
 Packet bytes go from the socket buffer to the fused batch decode with
@@ -91,9 +91,9 @@ class TransportConfig:
     rate_limit: "float | None" = None
     #: per-connection burst allowance in frames
     rate_burst: "int | None" = None
-    #: execution backend: "inline" (also None) | "thread" | "process"
-    #: (optionally with a ":K" shard suffix, e.g. "process:4"), or a
-    #: ready ServerFanout
+    #: execution backend: "inline" (also None) | "process" (optionally
+    #: with a ":K" shard suffix, e.g. "process:4"), or a ready
+    #: ServerFanout
     executor: object = None
 
     def __post_init__(self) -> None:

@@ -1,14 +1,16 @@
-"""The asyncio pipeline: decisions must not depend on how a stream is
-chunked, staged, or produced."""
+"""The in-memory batch loop: decisions must not depend on how a stream
+is chunked or produced."""
 
 import random
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
-from repro.afe import BoolOrAfe, FrequencyCountAfe, IntegerSumAfe
+from repro.afe import AfeError, BoolOrAfe, FrequencyCountAfe, IntegerSumAfe
 from repro.field import FIELD87
-from repro.protocol import AsyncPrioPipeline, PrioDeployment, run_pipelined
+from repro.protocol import LocalFanout, PrioDeployment, run_pipelined
 
 
 @pytest.fixture
@@ -48,41 +50,87 @@ def test_one_run_matches_batch_of_one_submits(rng):
     ) == (19, 19, 0)
 
 
+class _InFlight:
+    """Wraps ``client.prepare_submissions`` to count overlapping calls.
+
+    Each call holds its slot a little longer than it needs, so code
+    that started a second prepare before the first returned would show
+    a peak of two.
+    """
+
+    def __init__(self, client):
+        self._lock = threading.Lock()
+        self.now = self.peak = self.calls = 0
+        prepare = client.prepare_submissions
+
+        def counted(values):
+            with self._lock:
+                self.now += 1
+                self.calls += 1
+                self.peak = max(self.peak, self.now)
+            try:
+                time.sleep(0.005)
+                return prepare(values)
+            finally:
+                with self._lock:
+                    self.now -= 1
+
+        client.prepare_submissions = counted
+
+
 def test_client_producer_stage_matches_prepared_stream(rng):
-    """run_values (batched client as stage 0) must match preparing every
-    upload up front — same decisions, aggregate, and byte accounting."""
+    """``submit_many`` (the next chunk prepared while this one verifies)
+    must match preparing every upload up front and calling ``deliver``
+    — same decisions, aggregate, and byte accounting — with never more
+    than one prepare in flight."""
     afe = IntegerSumAfe(FIELD87, 8)
     pre_dep, prod_dep = _twin_deployments(afe)
     values = [rng.randrange(256) for _ in range(11)]
-    submissions = [pre_dep.client.prepare_submission(v) for v in values]
-    pre_results = pre_dep.deliver(submissions)
+    pre_results = pre_dep.deliver(pre_dep.client.prepare_submissions(values))
 
-    pipeline = AsyncPrioPipeline(prod_dep.servers, batch_size=4)
-    prod_results = pipeline.run_values(prod_dep.client, values)
-    assert prod_results == pre_results == [True] * 11
+    in_flight = _InFlight(prod_dep.client)
+    assert prod_dep.submit_many(values) == 11
+    assert pre_results == [True] * 11
+    # 11 values at batch 4 -> 3 client batches, one at a time
+    assert (in_flight.calls, in_flight.peak) == (3, 1)
     assert pre_dep.publish() == prod_dep.publish() == sum(values)
-    # 11 values at batch 4 -> 3 client batches; producer byte counting
-    # matches the up-front client's.
-    assert pipeline.stats.client_batches == 3
-    assert pipeline.stats.upload_bytes == sum(
-        s.upload_bytes for s in submissions
+    assert pre_dep.publish_shares() == prod_dep.publish_shares()
+    assert prod_dep.stats == pre_dep.stats
+
+
+def test_submit_many_failed_chunk_keeps_decided_batches(rng):
+    """A value the AFE cannot encode fails its chunk's prepare: the error
+    propagates, the batch before it stays decided and counted, no id
+    stays pending, and no prepare thread outlives the call."""
+    deployment = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 4), 2, batch_size=2, rng=rng
     )
+    in_flight = _InFlight(deployment.client)
+    before = len(threading.enumerate())
+    with pytest.raises(AfeError):
+        deployment.submit_many([1, 2, 3, 99, 4])
+    assert len(threading.enumerate()) == before
+    assert in_flight.peak == 1
+    assert all(not s._pending_ids for s in deployment.servers)
+    assert [s.n_accepted for s in deployment.servers] == [2, 2]
+    stats = deployment.stats
+    assert (stats.n_submitted, stats.n_accepted, stats.n_rejected) == (
+        2, 2, 0,
+    )
+    assert stats.upload_bytes_total > 0
+    assert deployment.publish() == 3
 
 
 def test_submit_many_is_one_pipeline_run(rng, monkeypatch):
-    """Even at ``batch_size=1`` the values share ONE pipeline run (one
-    event loop, one fan-out sync), never one run per value."""
-    runs = []
-    run_values = AsyncPrioPipeline.run_values
-
-    def counting(self, client, values):
-        runs.append(len(values))
-        return run_values(self, client, values)
-
-    monkeypatch.setattr(AsyncPrioPipeline, "run_values", counting)
+    """Even at ``batch_size=1`` the values share ONE run (one event
+    loop, one fan-out sync), never one run per value."""
+    syncs = []
+    monkeypatch.setattr(
+        LocalFanout, "begin_run", lambda fanout: syncs.append(fanout)
+    )
     deployment = PrioDeployment.create(IntegerSumAfe(FIELD87, 4), 2, rng=rng)
     assert deployment.submit_many(range(7)) == 7
-    assert runs == [7]
+    assert len(syncs) == 1
     assert deployment.publish() == 21
 
 
@@ -205,7 +253,7 @@ def test_pipeline_stats_and_validation(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, batch_size=3, rng=rng)
     with pytest.raises(ValueError):
-        AsyncPrioPipeline(deployment.servers, batch_size=0)
+        run_pipelined(deployment.servers, [], batch_size=0)
     submissions = deployment.client.prepare_submissions([1, 2, 3, 4, 5])
     decisions, stats = run_pipelined(
         deployment.servers, submissions, batch_size=2
@@ -216,9 +264,8 @@ def test_pipeline_stats_and_validation(rng):
 
 
 def test_pipeline_run_is_repeatable_without_thread_leaks(rng):
-    """PR-3 shut its self-created executor down with wait=False, which
-    left a worker-thread set behind per run() call.  Repeated runs must
-    keep the thread count flat."""
+    """Every run releases what it created: repeated runs keep the
+    thread count flat."""
     import threading
 
     afe = IntegerSumAfe(FIELD87, 4)
@@ -228,17 +275,19 @@ def test_pipeline_run_is_repeatable_without_thread_leaks(rng):
     for round_index in range(5):
         values = [rng.randrange(16) for _ in range(5)]
         submissions = deployment.client.prepare_submissions(values)
-        pipeline = AsyncPrioPipeline(deployment.servers, batch_size=2)
-        assert pipeline.run(submissions) == [True] * 5
+        decisions, _ = run_pipelined(
+            deployment.servers, submissions, batch_size=2
+        )
+        assert decisions == [True] * 5
         total += sum(values)
     assert len(threading.enumerate()) <= before
     assert deployment.publish() == total
 
 
 def test_pipeline_fatal_error_cancels_cleanly_and_recovers(rng):
-    """A BaseException escaping a stage (only Exceptions are isolated
-    per batch) must cancel and await the peer tasks, release the
-    workers, and leave the servers usable for a fresh run."""
+    """A BaseException escaping the loop (only Exceptions are isolated
+    per batch) must release the workers and leave the servers usable
+    for a fresh run."""
     import threading
 
     from repro.protocol import LocalFanout
@@ -254,11 +303,10 @@ def test_pipeline_fatal_error_cancels_cleanly_and_recovers(rng):
     submissions = deployment.client.prepare_submissions([1, 2, 3, 4])
     before = len(threading.enumerate())
     fanout = KaboomFanout(deployment.servers)
-    pipeline = AsyncPrioPipeline(
-        deployment.servers, batch_size=2, executor=fanout
-    )
     with pytest.raises(KeyboardInterrupt):
-        pipeline.run(submissions)
+        run_pipelined(
+            deployment.servers, submissions, batch_size=2, executor=fanout
+        )
     fanout.close()
     assert len(threading.enumerate()) <= before
     # The abnormal exit abandoned the in-flight batches: nothing stays

@@ -7,9 +7,8 @@ Each test fails on the pre-fix code:
 * the fused receive sweep guessed row 0 for a ``FieldError`` without
   ``batch_row`` attribution, silently evicting an innocent packet
   instead of failing loudly.
-* ``AsyncPrioPipeline`` carried ``stats`` / ``_next_batch_id`` /
-  ``_verifying`` across ``run()`` calls, so a reused pipeline reported
-  cumulative nonsense.
+* a reused in-memory pipeline object carried its stats and batch ids across
+  runs, so a second run reported cumulative nonsense.
 * ``ClientPacket.encode`` let out-of-range header fields escape as a
   bare ``OverflowError`` from ``to_bytes``.
 * a reused ``ShardedFanout`` never re-split the logical servers'
@@ -28,7 +27,7 @@ import pytest
 
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87, FieldError
-from repro.protocol import AsyncPrioPipeline, PrioDeployment
+from repro.protocol import PrioDeployment, resolve_fanout, run_pipelined
 from repro.protocol.wire import ClientPacket, PacketKind, WireError
 
 
@@ -147,29 +146,31 @@ def test_receive_batch_attributed_field_error_still_per_packet():
 
 
 # ---------------------------------------------------------------------
-# AsyncPrioPipeline must be reusable across runs
+# a reused fan-out starts every run from fresh per-run state
 # ---------------------------------------------------------------------
 
 
 def test_pipeline_reuse_resets_per_run_state():
     dep = _deployment()
-    pipeline = AsyncPrioPipeline(
-        dep.servers, batch_size=4, executor="inline"
-    )
+    fanout, _ = resolve_fanout(dep.servers, "inline")
     first = dep.client.prepare_submissions([1] * 9)
     second = dep.client.prepare_submissions([2] * 5)
 
-    assert pipeline.run(first) == [True] * 9
-    first_batches = pipeline.stats.n_batches
-    assert first_batches == 3
-    assert pipeline.run(second) == [True] * 5
+    decisions, stats = run_pipelined(
+        dep.servers, first, batch_size=4, executor=fanout
+    )
+    assert decisions == [True] * 9
+    assert stats.n_batches == 3
+    decisions, stats = run_pipelined(
+        dep.servers, second, batch_size=4, executor=fanout
+    )
+    assert decisions == [True] * 5
 
     # Pre-fix, stats accumulated across runs and batch ids resumed
     # from the previous stream's counter.
-    assert pipeline.stats.n_batches == 2
-    assert pipeline.stats.batch_sizes == [4, 1]
-    assert pipeline.stats.n_receive_failures == 0
-    assert not pipeline._verifying
+    assert stats.n_batches == 2
+    assert stats.batch_sizes == [4, 1]
+    assert stats.n_receive_failures == 0
     assert dep.publish() == 9 * 1 + 5 * 2
 
 
@@ -286,8 +287,6 @@ def test_transport_batch_queue_is_bounded():
 
 @pytest.mark.parametrize("kind", ["inline:2", "process:2"])
 def test_reused_sharded_fanout_catches_replays_decided_elsewhere(kind):
-    from repro.protocol import resolve_fanout, run_pipelined
-
     dep = PrioDeployment.create(
         IntegerSumAfe(FIELD87, 1), 2, seed=b"regr", rng=random.Random(7),
     )

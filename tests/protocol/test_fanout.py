@@ -2,9 +2,9 @@
 
 The executor knob must not be observable in any protocol outcome:
 decisions, aggregates, statistics, and replay protection are asserted
-bit-identical across the ``inline``/``thread``/``process`` backends.
-Failure paths get the adversarial treatment — a worker that dies
-mid-batch (thread or process) must fail that batch alone (abandoned:
+bit-identical across the ``inline``/``process`` backends.  Failure
+paths get the adversarial treatment — a worker that dies mid-batch
+(inline or process) must fail that batch alone (abandoned:
 nothing decided, ids released, an honest retry accepted), keep the
 stream flowing, and leave no leaked executors or child processes.
 """
@@ -20,18 +20,18 @@ from repro.afe import IntegerSumAfe
 from repro.field import FIELD87
 from repro.protocol import (
     EXECUTOR_KINDS,
-    AsyncPrioPipeline,
     FanoutError,
     PrioClient,
     PrioDeployment,
     PrioServer,
     ProcessFanout,
+    ServerFanout,
     resolve_fanout,
     run_pipelined,
 )
 from repro.snip.verifier import ServerRandomness
 
-BACKENDS = ["inline", "thread", "process"]
+BACKENDS = ["inline", "process"]
 
 
 @pytest.fixture
@@ -68,8 +68,8 @@ def _prepared_stream(deployment, rng, n=13, corrupt=None):
 
 
 def test_backends_bit_identical_decisions_and_aggregate(rng):
-    """Same stream (one corrupted upload hidden mid-batch) through all
-    three backends: decisions, aggregate, and stats must be identical."""
+    """Same stream (one corrupted upload hidden mid-batch) through every
+    backend: decisions, aggregate, and stats must be identical."""
     outcomes = []
     for backend in BACKENDS:
         deployment = _twin_deployment(executor=backend)
@@ -89,7 +89,7 @@ def test_backends_bit_identical_decisions_and_aggregate(rng):
         )
         assert deployment.publish() == honest
         deployment.close()
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
     assert outcomes[0][0] == [True] * 6 + [False] + [True] * 6
 
 
@@ -137,7 +137,7 @@ def test_replay_across_runs_and_backends(rng):
     deployment = _twin_deployment(batch_size=2)
     values, submissions = _prepared_stream(deployment, rng, n=3)
     first, _ = run_pipelined(
-        deployment.servers, submissions, batch_size=2, executor="thread"
+        deployment.servers, submissions, batch_size=2, executor="inline:2"
     )
     second, _ = run_pipelined(
         deployment.servers, submissions, batch_size=2, executor="process"
@@ -210,7 +210,10 @@ def test_resolve_fanout_rejects_unknown_kind():
 
     deployment = _twin_deployment()
     with ThreadPoolExecutor(max_workers=1) as threads:
-        for spec in ("distributed-ledger", "auto", "", "bogus:2", threads):
+        for spec in (
+            "distributed-ledger", "auto", "", "bogus:2", "thread",
+            "thread:2", threads,
+        ):
             with pytest.raises(FanoutError):
                 resolve_fanout(deployment.servers, spec)
 
@@ -337,7 +340,7 @@ def _crashy_setup(server_cls, crash_batch, rng, n=12, batch=4, n_servers=3):
     return servers, values, submissions
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
     """The one crash policy: a mid-round worker crash *abandons* the
     batch — nobody verified those submissions, so their ids are
@@ -370,7 +373,7 @@ def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
     assert children == []
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_worker_crash_at_ingest_releases_ids_for_retry(backend, rng):
     """An ingest-stage crash abandons (does not decide) the batch: an
     honest retry of the same submissions must succeed afterward."""
@@ -394,7 +397,7 @@ def test_worker_crash_at_ingest_releases_ids_for_retry(backend, rng):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_crash_at_commit_point_is_fatal_not_silent(backend, rng):
     """An accumulate-sweep failure cannot be isolated to the batch —
     peers that already committed cannot roll back — so the run must
@@ -405,6 +408,31 @@ def test_crash_at_commit_point_is_fatal_not_silent(backend, rng):
     with pytest.raises(RuntimeError, match="accumulate crash"):
         run_pipelined(servers, submissions, batch_size=4, executor=backend)
     assert multiprocessing.active_children() == []
+
+
+def test_deployment_stats_count_abandoned_submissions_as_neither(rng):
+    """A worker failure abandons its batch: the deployment counts those
+    submissions as submitted but neither accepted nor rejected, so the
+    retry that accepts them does not count them twice."""
+    servers, values, submissions = _crashy_setup(
+        CrashOnRound1Server, crash_batch=1, rng=rng, n=8, n_servers=2
+    )
+    afe = servers[0].afe
+    deployment = PrioDeployment(
+        afe, servers, PrioClient(afe, 2), encrypt=False, batch_size=4
+    )
+
+    def counts():
+        stats = deployment.stats
+        return stats.n_submitted, stats.n_accepted, stats.n_rejected
+
+    assert deployment.deliver(submissions) == [True] * 4 + [False] * 4
+    assert counts() == (8, 4, 0)
+    assert [s.n_rejected for s in servers] == [0, 0]
+    servers[1].crash_sids = frozenset()
+    assert deployment.deliver(submissions[4:]) == [True] * 4
+    assert counts() == (12, 8, 0)
+    assert deployment.publish() == sum(values)
 
 
 def test_dead_worker_process_fails_batches_without_hanging(rng):
@@ -451,39 +479,33 @@ def test_worker_death_after_sync_surfaces_state_loss(rng):
 def test_sweep_cancellation_wins_over_worker_error():
     """Cancellation arriving while a sweep drains after a worker error
     must surface as CancelledError — folding it into the error slot
-    would consume the stage task's one-shot cancellation and hang the
-    pipeline shutdown."""
+    would consume the driving task's one-shot cancellation."""
     import asyncio
 
-    deployment = _twin_deployment(n_servers=2)
-    fanout, _ = resolve_fanout(deployment.servers, "thread")
-    release = threading.Event()
+    class HeldFanout(ServerFanout):
+        """Each call is a loop future the test completes by hand."""
 
-    class FakeOps:
-        def __init__(self, fail):
-            self.fail = fail
+        def __init__(self):
+            self.futures = []
 
-        def op(self):
-            if self.fail:
-                raise RuntimeError("worker error")
-            release.wait(5)
-            return "ok"
+        def call(self, s, op, *args):
+            future = asyncio.get_running_loop().create_future()
+            self.futures.append(future)
+            return future
 
-    fanout.ops = [FakeOps(True), FakeOps(False)]
+    fanout = HeldFanout()
 
     async def main():
         task = asyncio.create_task(fanout.sweep("op", [(), ()]))
-        await asyncio.sleep(0.05)  # op 0 has failed, op 1 is blocked
+        await asyncio.sleep(0)  # both calls made; awaiting server 0
+        fanout.futures[0].set_exception(RuntimeError("worker error"))
+        await asyncio.sleep(0)  # error kept; awaiting server 1
+        assert len(fanout.futures) == 2 and not task.done()
         task.cancel()
-        release.set()
         with pytest.raises(asyncio.CancelledError):
             await task
 
-    try:
-        asyncio.run(main())
-    finally:
-        release.set()
-        fanout.close()
+    asyncio.run(main())
 
 
 # ----------------------------------------------------------------------
@@ -498,10 +520,10 @@ def test_repeated_runs_leak_no_threads_or_processes(backend, rng):
     total = 0
     for round_index in range(4):
         values, submissions = _prepared_stream(deployment, rng, n=6)
-        pipeline = AsyncPrioPipeline(
-            deployment.servers, batch_size=4, executor=backend
+        decisions, _ = run_pipelined(
+            deployment.servers, submissions, batch_size=4, executor=backend
         )
-        assert pipeline.run(submissions) == [True] * 6
+        assert decisions == [True] * 6
         total += sum(values)
     after_threads, children = _no_leaks()
     assert after_threads <= before_threads

@@ -10,7 +10,7 @@
     bytes: one seeded stream (honest + corrupted + replayed uploads,
     cleartext and sealed) gives identical decisions, counters and
     published shares through ``PrioDeployment.deliver``,
-    ``run_pipelined`` on inline / thread / sharded-process backends,
+    ``run_pipelined`` on inline / sharded-process backends,
     ``PrioTransportServer`` over TCP, and the simulated cluster.
 """
 
@@ -203,7 +203,6 @@ def _via_tcp(encrypt, submissions):
 DRIVERS = {
     "deliver": _via_deliver,
     "pipeline-inline": _via_pipeline("inline"),
-    "pipeline-thread": _via_pipeline("thread"),
     "pipeline-process:2": _via_pipeline("process:2"),
     "tcp": _via_tcp,
 }

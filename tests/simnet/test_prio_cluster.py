@@ -203,11 +203,12 @@ def test_byte_accounting_over_wan(rng):
     assert report.server_tx_bytes[1] == expected
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["inline:2", "process"])
 def test_cluster_executor_backends_match_inline(executor):
     """The fan-out backend must be unobservable: same decisions, same
     aggregate, same wire bytes whether each simulated server's CPU work
-    runs inline, on threads, or in a dedicated worker process."""
+    runs inline, across two inline shards, or in a dedicated worker
+    process."""
     import multiprocessing
 
     afe = IntegerSumAfe(FIELD87, 6)
