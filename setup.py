@@ -1,11 +1,27 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``, the Prio reproduction.
 
-The execution environment has no ``wheel`` package, so PEP 517 editable
-installs fail; this shim lets ``pip install -e . --no-use-pep517
---no-build-isolation`` use the classic develop-mode path.  All real
-metadata lives in ``pyproject.toml``.
+The code lives under ``src/``; numpy is optional (every batch kernel
+has a pure-Python fallback), so it is an extra rather than a hard
+requirement.  Offline, install in development mode with::
+
+    pip install -e . --no-build-isolation --no-deps
+
+which needs the ``wheel`` package; where it is missing, use
+``python setup.py develop --no-deps`` instead, or skip installing and
+run from the checkout with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description=(
+        "Prio: private, robust, and scalable computation of aggregate "
+        "statistics (reproduction)"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    python_requires=">=3.9",
+    extras_require={"numpy": ["numpy"]},
+)

@@ -47,16 +47,21 @@ server time was not field math but the *crossing*: wire bytes ->
 ``int.from_bytes`` -> Python bigints -> limb planes, plus one scalar
 PRG expansion per seed packet.  The byte codecs here close that gap —
 the 24-bit limb radix was chosen so each limb is exactly three wire
-bytes, which lets both directions run as pure numpy reshapes:
+bytes.  Limb ``i`` of every fixed-width big-endian record in a joined
+byte blob is then one strided big-endian ``u4`` view, ending ``3i``
+bytes before each record's end (:func:`_limb_window`), so bytes become
+planes with no padded copy, and a range check reads only the top limb
+of every record (:func:`_ge_modulus`):
 
 * :func:`decode_bytes_batch` maps concatenated big-endian wire bodies
   straight to ``(L, B, n)`` int64 planes (checked variant rejects
   out-of-range elements; ``check=False`` Barrett-canonicalizes),
 * :func:`encode_bytes_batch` is the inverse,
 * :func:`rejection_sample_batch` is the vectorized core of the PRG:
-  fixed-width XOF windows -> masked candidates -> ``< p`` acceptance
-  flags -> first-``n`` survivors per row, bit-exact with the scalar
-  sampler in :mod:`repro.sharing.prg`,
+  masked top limbs of the XOF windows -> ``< p`` acceptance flags ->
+  each row's first ``n`` survivors at its ``cumsum`` offset in the flat
+  survivor list -> limb planes of just those records, bit-exact with
+  the scalar sampler in :mod:`repro.sharing.prg`,
 * :func:`assemble_rows` stacks rows of existing batches (plane copies,
   no re-encode) into the per-server ``(B, z_len)`` share matrix, and
 * :func:`dot_batch_planes` applies prepared weight functionals to an
@@ -1294,78 +1299,66 @@ class BatchVector:
 # ----------------------------------------------------------------------
 
 
-def _bytes_to_words(ctx: _LimbContext, arr):
-    """uint8 array ``(..., width)`` of big-endian elements -> u32 limbs.
+#: zero bytes joined after the last record, so the four-byte top-limb
+#: window of a record narrower than four bytes stays inside the blob
+_WINDOW_TAIL = bytes(3)
 
-    ``width`` is the per-element byte width (``field.encoded_size`` or
-    the PRG candidate width); always <= 3L because any multiple of 24
-    covering ``bits`` also covers the byte-rounded width.  Returns a
-    ``(..., L)`` uint32 array with the *least-significant limb first*
-    (matching the plane order of :func:`_words_to_planes`).
 
-    Each three-byte limb is embedded in the low bytes of a big-endian
-    four-byte word and reinterpreted via an ndarray view — two byte
-    copies, no per-byte integer arithmetic (the shift-or formulation
-    this replaces spent most of ingest widening every wire byte to
-    int64 before combining).
+def _limb_window(blob, size: int, count: int, limb: int, index=None, out=None):
+    """Limb ``limb`` of ``count`` back-to-back ``size``-byte records.
+
+    ``blob`` holds the big-endian records followed by
+    :data:`_WINDOW_TAIL`.  Limb ``i`` is the low three bytes of the four
+    ending ``3i`` bytes before a record's end, so across all records it
+    is one strided ``>u4`` view at byte offset ``size - 4 - 3i``.  A
+    top limb narrower than that (negative offset) is viewed from the
+    record's first byte instead and shifted right past the bytes that
+    belong to the next record.  ``index`` reads a subset of records.
+    Returns the limbs as a new uint32 array, or writes them into
+    ``out`` (an int64 plane).
+    """
+    offset = size - 4 - 3 * limb
+    words = _np.ndarray((count,), ">u4", blob, max(offset, 0), (size,))
+    if index is not None:
+        words = words[index]
+    if out is None:
+        out = words.astype(_np.uint32)
+    else:
+        out[...] = words
+    if offset < 0:
+        out >>= -8 * offset
+    else:
+        out &= LIMB_MASK
+    return out
+
+
+def _ge_modulus(ctx: _LimbContext, blob, size: int, count: int, top):
+    """``value >= p`` flags of ``count`` records with top limbs ``top``.
+
+    Lexicographic compare from the top limb.  Only records still tied
+    with ``p`` read their next limb, as an index subset, so the compare
+    is about two passes over ``top``: a uniform record ties the top limb
+    of a shipped modulus with probability 2^-15 or less, except F265,
+    whose one-bit top limb sends half its records to a second limb.
     """
     L = ctx.n_limbs
-    width = arr.shape[-1]
-    full = _np.zeros(arr.shape[:-1] + (L, 4), dtype=_np.uint8)
-    flat = full.reshape(arr.shape[:-1] + (4 * L,))
-    # big-endian groups: limb g (most-significant first) occupies word
-    # bytes [4g+1, 4g+4); the element's bytes right-align into them.
-    pad = 3 * L - width
-    for g in range(L):
-        lo = max(0, 3 * g - pad)
-        hi = 3 * (g + 1) - pad
-        if hi <= 0:
-            continue
-        flat[..., 4 * g + 4 - (hi - lo): 4 * g + 4] = arr[..., lo:hi]
-    words = full.view(_np.dtype(">u4"))[..., 0]
-    return words[..., ::-1]
-
-
-def _words_to_planes(words):
-    """``(..., L)`` u32 limb words -> ``(L, ...)`` int64 planes.
-
-    ``order="C"`` matters: the moveaxis view is limb-innermost, and a
-    layout-preserving copy would leave every plane strided, and every
-    downstream kernel (round 1's float64 plane copies among them) would
-    read it with a stride of ``L`` elements.
-    """
-    return _np.moveaxis(words, -1, 0).astype(_np.int64, order="C")
-
-
-def _words_ge_modulus(ctx: _LimbContext, words):
-    """Vectorized ``value >= p`` on ``(..., L)`` u32 limb words.
-
-    Lexicographic compare from the most-significant limb, with an
-    early exit once no candidate is still tied with ``p`` — for the
-    shipped moduli that is almost always after one or two limbs, so
-    the compare costs ~2 passes instead of ``2L``.
-    """
-    L = ctx.n_limbs
-    gt = None
-    eq = None
-    for i in range(L - 1, -1, -1):
-        limb = words[..., i]
-        pi = _np.uint32(ctx.p_planes[i])
-        if gt is None:
-            gt = limb > pi
-            eq = limb == pi
-        else:
-            gt |= eq & (limb > pi)
-            eq &= limb == pi
-        if not eq.any():
-            return gt
-    return gt | eq
+    p = ctx.p_planes.tolist()          # Python ints keep uint32 compares
+    ge = top > p[L - 1]
+    tied = _np.flatnonzero(top == p[L - 1])
+    for i in range(L - 2, -1, -1):
+        if not tied.size:
+            return ge
+        limb = _limb_window(blob, size, count, i, index=tied)
+        ge[tied[limb > p[i]]] = True
+        tied = tied[limb == p[i]]
+    ge[tied] = True
+    return ge
 
 
 def _planes_to_bytes(ctx: _LimbContext, planes, width: int):
     """Canonical ``(L, ...)`` planes -> uint8 array ``(..., width)``.
 
-    Inverse of :func:`_bytes_to_words` + :func:`_words_to_planes`;
+    Inverse of the limb windows :func:`decode_bytes_batch` reads;
     canonical values never carry bits above ``width`` bytes, so the
     high pad is provably zero.
     """
@@ -1406,7 +1399,8 @@ def decode_bytes_batch(
     Each body is the fixed-width big-endian element vector the wire
     format ships (``field.encode_vector`` layout).  On the numpy
     backend the bytes land in limb planes without any per-element
-    ``int.from_bytes`` — one reshape plus L shift-or passes.
+    ``int.from_bytes`` — one strided window read per limb
+    (:func:`_limb_window`) straight off the joined bodies.
 
     ``check=True`` (the default, matching ``field.decode_vector``)
     rejects elements >= p with a :class:`FieldError` naming the batch
@@ -1438,18 +1432,24 @@ def decode_bytes_batch(
             rows.append(row)
         return BatchVector(field, (len(bodies), n), rows, False)
     ctx = _ctx(field)
-    arr = _np.frombuffer(b"".join(bodies), dtype=_np.uint8)
-    words = _bytes_to_words(ctx, arr.reshape(len(bodies), n, size))
-    ge_p = _words_ge_modulus(ctx, words)
-    if bool(ge_p.any()):
-        if check:
-            r, c = (int(v) for v in _np.argwhere(ge_p)[0])
-            raise _out_of_range_error(r, c)
-        return BatchVector(
-            field, (len(bodies), n),
-            _barrett(ctx, _words_to_planes(words)), True,
-        )
-    return BatchVector(field, (len(bodies), n), _words_to_planes(words), True)
+    L = ctx.n_limbs
+    B = len(bodies)
+    count = B * n
+    planes = _np.empty((L, B, n), dtype=_np.int64)
+    if count:
+        blob = b"".join(bodies) + _WINDOW_TAIL
+        flat = planes.reshape(L, count)
+        _limb_window(blob, size, count, L - 1, out=flat[L - 1])
+        ge_p = _ge_modulus(ctx, blob, size, count, flat[L - 1])
+        out_of_range = bool(ge_p.any())
+        if out_of_range and check:
+            # argmax of the flat flags is the row-major first offender
+            raise _out_of_range_error(*divmod(int(ge_p.argmax()), n))
+        for i in range(L - 1):
+            _limb_window(blob, size, count, i, out=flat[i])
+        if out_of_range:
+            planes = _barrett(ctx, planes)
+    return BatchVector(field, (B, n), planes, True)
 
 
 def encode_bytes_batch(
@@ -1492,70 +1492,58 @@ def rejection_sample_batch(
     :func:`repro.sharing.prg.expand_seed` on the same stream.  Returns
     the ``(B, length)`` batch plus the indices of rows whose byte run
     held fewer than ``length`` survivors (left zero-filled; the caller
-    retries those through the scalar sampler).
+    retries those through the scalar sampler).  Rows must share one
+    length; a trailing partial window is ignored, as the scalar sampler
+    ignores it.
+
+    Only the top limb of every candidate is read (masked, then range
+    checked by :func:`_ge_modulus`).  The flat indices of the accepted
+    candidates list each row's survivors in stream order, row after
+    row, so row ``b``'s first ``length`` sit at its ``cumsum`` offset;
+    just those records are gathered and split into limb planes.
     """
     if _np is None:
         raise FieldError("rejection_sample_batch needs the numpy backend")
     ctx = _ctx(field)
+    L = ctx.n_limbs
     size = field.encoded_size
     B = len(byte_rows)
+    row_len = len(byte_rows[0]) if B else 0
+    if any(len(row) != row_len for row in byte_rows):
+        raise FieldError("ragged rows in candidate batch")
     if B == 0 or length == 0:
-        out = _np.zeros((ctx.n_limbs, B, length), dtype=_np.int64)
-        return BatchVector(field, (B, length), out, True), []
-    n_cand = len(byte_rows[0]) // size
-    arr = _np.frombuffer(b"".join(byte_rows), dtype=_np.uint8)
-    arr = arr.reshape(B, n_cand, size)
-    mask_value = (1 << field.bits) - 1
-    if size <= 16:
-        # Fast acceptance: each candidate as two big-endian u64 words.
-        # Only survivors are widened to limb planes, so ~1/accept_rate
-        # of the limb-split work disappears.
-        wide = _np.empty((B, n_cand, 16), dtype=_np.uint8)
-        wide[..., : 16 - size] = 0
-        wide[..., 16 - size:] = arr
-        halves = wide.view(_np.dtype(">u8"))           # (B, n_cand, 2)
-        hi = halves[..., 0]
-        lo = halves[..., 1]
-        hi_mask = _np.uint64(mask_value >> 64)
-        lo_mask = _np.uint64(mask_value & ((1 << 64) - 1))
-        if int(hi_mask) != (1 << 64) - 1:
-            hi = hi & hi_mask
-        if int(lo_mask) != (1 << 64) - 1:
-            lo = lo & lo_mask
-        p_hi = _np.uint64(field.modulus >> 64)
-        p_lo = _np.uint64(field.modulus & ((1 << 64) - 1))
-        accept = (hi < p_hi) | ((hi == p_hi) & (lo < p_lo))
-    else:
-        words_all = _bytes_to_words(ctx, arr)
-        mask = _np.array(
-            _int_limbs(mask_value, ctx.n_limbs), dtype=_np.uint32
-        )
-        if int((mask != LIMB_MASK).sum()):
-            words_all = words_all & mask
-        accept = ~_words_ge_modulus(ctx, words_all)    # (B, n_cand)
-    short = accept.sum(axis=1) < length
-    short_rows = [int(b) for b in _np.flatnonzero(short)]
-    # Stable argsort on the reject flags gathers each row's accepted
-    # candidate indices, in stream order, into the first `length`
-    # positions — the whole batch's selection in one C-level pass.
-    order = _np.argsort(~accept, axis=1, kind="stable")[:, :length]
-    if size <= 16:
-        # Gather survivors as u64 halves (an order of magnitude fewer
-        # elements than a per-byte gather), re-view as bytes, and widen
-        # only them to limb words.
-        chosen = _np.take_along_axis(halves, order[:, :, None], axis=1)
-        chosen_bytes = _np.ascontiguousarray(chosen).view(_np.uint8)
-        chosen_bytes = chosen_bytes.reshape(B, length, 16)[..., 16 - size:]
-        words = _bytes_to_words(ctx, chosen_bytes)     # survivors only
-        limb_mask = _int_limbs(mask_value, ctx.n_limbs)
-        for i, mask_limb in enumerate(limb_mask):
-            if mask_limb != LIMB_MASK:
-                words[..., i] = words[..., i] & _np.uint32(mask_limb)
-    else:
-        words = _np.take_along_axis(
-            words_all, order[:, :, None], axis=1
-        )
-    planes = _words_to_planes(words)                   # (L, B, length)
+        return BatchVector.zeros(field, (B, length), False), []
+    n_cand = row_len // size
+    if n_cand * size != row_len:
+        byte_rows = [row[: n_cand * size] for row in byte_rows]
+    count = B * n_cand
+    blob = b"".join(byte_rows) + _WINDOW_TAIL
+    top_mask = ((1 << field.bits) - 1) >> (LIMB_BITS * (L - 1))
+    top = _limb_window(blob, size, count, L - 1)
+    top &= top_mask
+    accept = ~_ge_modulus(ctx, blob, size, count, top)
+    counts = accept.reshape(B, n_cand).sum(axis=1)
+    short = counts < length
+    short_rows = _np.flatnonzero(short).tolist()
+    survivors = _np.flatnonzero(accept)
+    if not survivors.size:
+        return BatchVector.zeros(field, (B, length), False), short_rows
+    planes = _np.empty((L, B, length), dtype=_np.int64)
+    pick = (_np.cumsum(counts) - counts)[:, None] + _np.arange(length)
+    if short_rows:
+        # a short row runs into later rows' survivors, or past the last
+        # one; it is zeroed below, so any in-bounds index will do
+        _np.minimum(pick, survivors.size - 1, out=pick)
+    record = _np.dtype((_np.void, size))
+    gathered = _np.zeros(B * length * size + len(_WINDOW_TAIL), _np.uint8)
+    _np.take(
+        _np.ndarray((count,), record, blob), survivors[pick.ravel()],
+        out=gathered[: B * length * size].view(record),
+    )
+    flat = planes.reshape(L, B * length)
+    for i in range(L):
+        _limb_window(gathered, size, B * length, i, out=flat[i])
+    flat[L - 1] &= top_mask
     if short_rows:
         planes[:, short, :] = 0
     return BatchVector(field, (B, length), planes, True), short_rows

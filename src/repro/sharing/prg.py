@@ -134,11 +134,13 @@ def expand_seed_batch(
     Row ``i`` of the returned ``(len(seeds), length)``
     :class:`~repro.field.batch.BatchVector` is bit-identical to
     ``expand_seed(field, seeds[i], length)``: the XOF streams are
-    digested per seed (C-speed hashing), but candidate decoding,
-    masking, and rejection run across the whole batch as limb planes
-    (:func:`repro.field.batch.rejection_sample_batch`).  The rare row
-    whose five-sigma candidate budget still falls short is retried
-    through the scalar sampler — same stream, same survivors.
+    digested per seed (C-speed hashing), and the joined digests go to
+    :func:`repro.field.batch.rejection_sample_batch`, which range-checks
+    every candidate's top limb as a strided window over those bytes and
+    splits only the first ``length`` survivors of each row into limb
+    planes — cheap enough that the digest is about half the stage.  The
+    rare row whose five-sigma candidate budget still falls short is
+    retried through the scalar sampler — same stream, same survivors.
     """
     from repro.field.batch import BatchVector, rejection_sample_batch, use_numpy
 
@@ -161,7 +163,7 @@ def expand_seed_batch(
         PrgStream(seed, reserve=n_bytes).read(n_bytes) for seed in seeds
     ]
     batch, short_rows = rejection_sample_batch(field, byte_rows, length)
-    for row in short_rows:  # pragma: no cover - ~5-sigma-rare retry
+    for row in short_rows:
         # repro: allow(plane-discipline) - scalar retry only for rows
         # whose candidate budget fell short (~5-sigma rare)
         batch.set_row_ints(row, expand_seed(field, seeds[row], length))

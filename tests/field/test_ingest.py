@@ -28,9 +28,10 @@ from repro.field import (
     encode_bytes_batch,
     poly_mul,
     poly_mul_ntt,
+    rejection_sample_batch,
     use_numpy,
 )
-from repro.field.batch import dot_batch_planes
+from repro.field.batch import dot_batch_planes, numpy_available
 from repro.protocol import PendingSubmission, PrioDeployment, PrioServer
 from repro.protocol.wire import (
     MAX_N_ELEMENTS,
@@ -39,14 +40,20 @@ from repro.protocol.wire import (
     WireError,
     new_submission_id,
 )
-from repro.sharing import expand_seed, expand_seed_batch, new_seed
-from repro.sharing.prg import SEED_SIZE
+from repro.sharing import expand_seed, expand_seed_batch, new_seed, prg
+from repro.sharing.prg import SEED_SIZE, PrgStream, _candidates_for
 from repro.snip import ServerRandomness
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 
 #: both backends — or just the pure one when numpy is absent / forced off
 BACKENDS = [True] + ([None] if use_numpy(None) else [])
+
+#: the vectorized sampler only exists on numpy; it needs numpy present,
+#: not the default backend, so it runs under REPRO_FORCE_PURE=1 too
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="rejection_sample_batch needs numpy"
+)
 
 
 def backend_id(force_pure):
@@ -100,6 +107,30 @@ def test_encode_bytes_matches_scalar(field, force_pure, rng):
     ]
 
 
+def edge_values(field):
+    """Encodable values around ``p``: ``(in_range, out_of_range)``.
+
+    ``p - 1``, ``p`` and ``p + 1``; for each limb below the top, values
+    tying ``p`` on every limb above it and differing first there (the
+    lower limbs set against the verdict: all ones below a smaller
+    limb, zero below a larger one); and values carrying bits above
+    ``field.bits``, which the PRG sampler masks off.
+    """
+    p = field.modulus
+    width = 8 * field.encoded_size
+    below, above = [p - 1], [p, p + 1]
+    for i in range(-(-field.bits // 24) - 1):
+        high = (p >> (24 * (i + 1))) << (24 * (i + 1))
+        limb = (p >> (24 * i)) & 0xFFFFFF
+        if limb:
+            below.append(high | (limb - 1) << (24 * i) | ((1 << (24 * i)) - 1))
+        if limb < 0xFFFFFF:
+            above.append(high | (limb + 1) << (24 * i))
+    if width > field.bits:
+        above += [(1 << field.bits) | (p - 1), (1 << width) - 1]
+    return below, [v for v in above if v < 1 << width]
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_decode_bytes_rejects_out_of_range(field, force_pure, rng):
@@ -108,18 +139,35 @@ def test_decode_bytes_rejects_out_of_range(field, force_pure, rng):
     if field.modulus == (1 << (8 * size)):
         pytest.skip("every encoding is in range for this field")
     rows = random_rows(field, 6, 11, rng)
-    bodies = [bytearray(field.encode_vector(row)) for row in rows]
-    r, c = rng.randrange(6), rng.randrange(11)
-    # Plant the modulus itself: the smallest out-of-range encoding.
-    bodies[r][c * size : (c + 1) * size] = field.modulus.to_bytes(size, "big")
-    bodies = [bytes(b) for b in bodies]
-    with pytest.raises(FieldError, match=f"row {r}, element {c}"):
-        decode_bytes_batch(field, bodies, force_pure)
-    # The unchecked variant canonicalizes instead (p -> 0).
-    relaxed = decode_bytes_batch(field, bodies, force_pure, check=False)
-    expected = [list(row) for row in rows]
-    expected[r][c] = 0
-    assert relaxed.to_ints() == expected
+    in_range, out_of_range = edge_values(field)
+
+    def planted(cells):
+        bodies = [bytearray(field.encode_vector(row)) for row in rows]
+        expected = [list(row) for row in rows]
+        for (r, c), value in cells.items():
+            bodies[r][c * size : (c + 1) * size] = value.to_bytes(size, "big")
+            expected[r][c] = value % field.modulus
+        return [bytes(b) for b in bodies], expected
+
+    # Every in-range edge value decodes as itself.
+    bodies, expected = planted({
+        (rng.randrange(6), rng.randrange(11)): v for v in in_range
+    })
+    assert decode_bytes_batch(field, bodies, force_pure).to_ints() == expected
+    # The modulus itself is the smallest out-of-range encoding; every
+    # other offender is caught at its position too.
+    cases = [{(rng.randrange(6), rng.randrange(11)): v} for v in out_of_range]
+    # Two offenders: the error names the row-major first, though the
+    # other one sits in an earlier column.
+    cases.append({(3, 2): out_of_range[-1], (1, 9): field.modulus})
+    for cells in cases:
+        bodies, expected = planted(cells)
+        r, c = min(cells)
+        with pytest.raises(FieldError, match=f"row {r}, element {c}"):
+            decode_bytes_batch(field, bodies, force_pure)
+        # The unchecked variant canonicalizes instead (v -> v mod p).
+        relaxed = decode_bytes_batch(field, bodies, force_pure, check=False)
+        assert relaxed.to_ints() == expected
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
@@ -159,6 +207,107 @@ def test_expand_seed_batch_empty(force_pure):
 def test_expand_seed_batch_rejects_bad_seed():
     with pytest.raises(FieldError):
         expand_seed_batch(FIELD87, [b"short"], 4)
+
+
+def scalar_sample(field, row, length):
+    """The scalar sampler's rule applied to one row of candidate bytes:
+    ``(survivors, short)``, survivors zero-filled when short."""
+    size = field.encoded_size
+    mask = (1 << field.bits) - 1
+    survivors = [
+        v for v in (
+            int.from_bytes(row[j : j + size], "big") & mask
+            for j in range(0, len(row) - size + 1, size)
+        )
+        if v < field.modulus
+    ][:length]
+    if len(survivors) < length:
+        return [0] * length, True
+    return survivors, False
+
+
+@needs_numpy
+def test_rejection_sample_batch_rejects_ragged_rows():
+    f = FIELD87
+    with pytest.raises(FieldError, match="ragged"):
+        rejection_sample_batch(f, [bytes(22), bytes(33)], 1)
+    # A trailing partial window is ignored, as the scalar sampler does.
+    rows = [bytes(range(23)), bytes(range(23, 46))]
+    batch, short_rows = rejection_sample_batch(f, rows, 2)
+    assert batch.to_ints() == [scalar_sample(f, row, 2)[0] for row in rows]
+    assert short_rows == []
+    batch, short_rows = rejection_sample_batch(f, rows, 3)
+    assert batch.to_ints() == [[0] * 3] * 2
+    assert short_rows == [0, 1]
+
+
+@needs_numpy
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_rejection_sample_batch_short_rows(field, rng):
+    """Rows with too few survivors are reported exactly and zeroed;
+    every other row matches the scalar sampler."""
+    size = field.encoded_size
+    length = 40
+    # One row leads with planted edge windows: the sampler masks bits
+    # above field.bits and keeps exactly the values below p.
+    in_range, out_of_range = edge_values(field)
+    edges = b"".join(
+        v.to_bytes(size, "big") for v in in_range + out_of_range
+    )
+    n_cand = _candidates_for(field, length) + len(edges) // size
+    seeds = [new_seed(rng) for _ in range(7)]
+    rows = [PrgStream(seed).read(size * n_cand) for seed in seeds]
+    rows[3] = (edges + rows[3])[: size * n_cand]
+
+    def stream_then_rejects(row, n_kept):
+        # 2^(8 size) - 1 masks to 2^bits - 1 >= p: always rejected
+        reject = ((1 << (8 * size)) - 1).to_bytes(size, "big")
+        return row[: size * n_kept] + reject * (n_cand - n_kept)
+
+    rows[1] = stream_then_rejects(rows[1], 0)
+    rows[4] = stream_then_rejects(rows[4], length - 1)
+    rows[6] = stream_then_rejects(rows[6], length // 2)
+    batch, short_rows = rejection_sample_batch(field, rows, length)
+    expected = [scalar_sample(field, row, length) for row in rows]
+    assert short_rows == [r for r, (_, short) in enumerate(expected) if short]
+    assert short_rows == [1, 4, 6]
+    assert batch.to_ints() == [survivors for survivors, _ in expected]
+    for r in (0, 2, 5):
+        assert batch.row_ints(r) == expand_seed(field, seeds[r], length)
+    # Every row short: nothing survives anywhere.
+    batch, short_rows = rejection_sample_batch(field, [rows[1]] * 3, length)
+    assert short_rows == [0, 1, 2]
+    assert batch.to_ints() == [[0] * length] * 3
+
+
+@needs_numpy
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_expand_seed_batch_retries_short_rows(field, rng, monkeypatch):
+    """With the candidate budget cut to the expected count, about half
+    the rows fall short, and the scalar retry still makes every row
+    equal the scalar sampler."""
+    from repro.field import batch as batch_module
+
+    seeds = [new_seed(rng) for _ in range(16)]
+    length = 30
+    expected = [expand_seed(field, seed, length) for seed in seeds]
+    monkeypatch.setattr(
+        prg, "_candidates_for",
+        lambda f, n: int(n / prg._acceptance_rate(f)),
+    )
+    sampled = batch_module.rejection_sample_batch
+    seen = []
+
+    def spy(*args):
+        out = sampled(*args)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(batch_module, "rejection_sample_batch", spy)
+    assert expand_seed_batch(field, seeds, length, False).to_ints() == expected
+    [short_rows] = seen
+    if prg._acceptance_rate(field) < 0.9:
+        assert 0 < len(short_rows) < len(seeds)
 
 
 # ----------------------------------------------------------------------
