@@ -10,12 +10,21 @@ The original Go/FLINT implementation's exact moduli were not published
 in the paper, so this reproduction generated its own with the same
 properties.  All parameters below were produced by 40-round
 Miller-Rabin searches; the stated generators were checked against the
-full factorization of ``p - 1``.
+full factorization of ``p - 1``, and ``tests/field/test_parameters.py``
+re-checks primality, exact 2-adicity and every generator.
 
 FIELD87
-    ``p = 2^86 + 2^35 + 1`` (87 bits).  2-adicity 30: supports NTT
-    domains up to 2^30 elements, far beyond the 2^18 the largest
-    benchmark circuit needs.
+    ``p = 32761 * 2^72 + 1 = 2^87 - 7 * 2^72 + 1`` (87 bits), with
+    ``p - 1 = 2^72 * 181^2`` and generator 3.  2-adicity 72: NTT
+    domains far beyond the 2^18 elements the largest benchmark circuit
+    needs.  The prime sits just below 2^87 on purpose: PRG seed
+    expansion draws uniform 87-bit candidates and rejects those
+    ``>= p`` (``sharing.prg``), so acceptance is ``p / 2^87 = 0.99979``
+    and almost no XOF output is thrown away (a prime just above 2^86
+    would keep only half).  In base 2^24 its limbs are
+    ``[1, 0, 0, 0x7ff9]``: ``p = 1 mod 2^24`` and only two limbs are
+    non-zero, which keeps the Montgomery reduction's multiply by ``p``
+    short.
 
 FIELD265
     ``p = 524321 * 2^245 + 1`` (265 bits, a Proth prime).
@@ -43,9 +52,9 @@ from repro.field.prime_field import PrimeField
 
 #: 87-bit FFT-friendly field (the paper's default evaluation field).
 FIELD87 = PrimeField(
-    modulus=(1 << 86) + (1 << 35) + 1,
-    two_adicity=30,
-    generator=5,
+    modulus=32761 * (1 << 72) + 1,
+    two_adicity=72,
+    generator=3,
     name="F87",
 )
 

@@ -22,6 +22,7 @@ derived from the stream by rejection sampling so they are uniform in
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from typing import Sequence
 
@@ -71,9 +72,9 @@ def _acceptance_rate(field: PrimeField) -> float:
     """Probability that a masked candidate lands in ``[0, p)``.
 
     Candidates are uniform ``field.bits``-bit integers, so this is
-    ``p / 2^bits`` — about 0.5 for the near-power-of-two F87/F265
-    moduli (the lone top bit buys almost no range), and ~1 for
-    Goldilocks-shaped moduli just below a power of two.
+    ``p / 2^bits`` — 0.99979 for F87 and ~1 for Goldilocks, primes just
+    below a power of two, but about 0.5 for F265 (``2^264 < p``: the
+    lone top bit buys almost no range).
     """
     return field.modulus / (1 << field.bits)
 
@@ -81,17 +82,20 @@ def _acceptance_rate(field: PrimeField) -> float:
 def _candidates_for(field: PrimeField, n_elements: int) -> int:
     """Candidates to draw so ``n_elements`` survive rejection w.h.p.
 
-    Expected draws plus five-sigma binomial slack — derived from the
-    field's actual rejection probability rather than a flat "+8
-    elements" guess (which under-read by ~2x on F87, where half of all
-    candidates are rejected, and over-read on Goldilocks).
+    The draws needed for ``n`` survivors at acceptance ``a`` are
+    negative binomial: mean ``n/a``, standard deviation
+    ``sqrt(n(1-a))/a``.  The budget is the draws for ``n`` survivors
+    plus five standard deviations plus six more, which covers the
+    skewed tail at small ``n`` (five deviations alone draw 10
+    candidates for one survivor at ``a = 0.5``, short 1 time in
+    1 000).  A row then falls short with probability below 1e-6 on
+    every shipped field, at every length.
     """
     if n_elements <= 0:
         return 0
     accept = _acceptance_rate(field)
-    expected = n_elements / accept
-    sigma = (expected * (1.0 - accept)) ** 0.5
-    return int(expected + 5.0 * sigma) + 1
+    slack = 5.0 * math.sqrt(n_elements * (1.0 - accept)) + 6.0
+    return math.ceil((n_elements + slack) / accept)
 
 
 def expand_seed(field: PrimeField, seed: bytes, length: int) -> list[int]:
@@ -138,9 +142,11 @@ def expand_seed_batch(
     :func:`repro.field.batch.rejection_sample_batch`, which range-checks
     every candidate's top limb as a strided window over those bytes and
     splits only the first ``length`` survivors of each row into limb
-    planes — cheap enough that the digest is about half the stage.  The
-    rare row whose five-sigma candidate budget still falls short is
-    retried through the scalar sampler — same stream, same survivors.
+    planes — cheap enough that on F87, which rejects almost nothing,
+    the SHAKE digest is a third of the stage at 12 021 elements and
+    over half at 1 540.  The rare row whose candidate budget still
+    falls short (below 1e-6 per row) is retried through the scalar
+    sampler — same stream, same survivors.
     """
     from repro.field.batch import BatchVector, rejection_sample_batch, use_numpy
 
@@ -165,7 +171,7 @@ def expand_seed_batch(
     batch, short_rows = rejection_sample_batch(field, byte_rows, length)
     for row in short_rows:
         # repro: allow(plane-discipline) - scalar retry only for rows
-        # whose candidate budget fell short (~5-sigma rare)
+        # whose candidate budget fell short (below 1e-6 per row)
         batch.set_row_ints(row, expand_seed(field, seeds[row], length))
     return batch
 

@@ -10,6 +10,7 @@ backends, for SEED and EXPLICIT packets alike.  Adversarial bodies
 batch positions and must be rejected at exactly that position.
 """
 
+import math
 import random
 
 import pytest
@@ -280,16 +281,49 @@ def test_rejection_sample_batch_short_rows(field, rng):
     assert batch.to_ints() == [[0] * length] * 3
 
 
+def short_row_probability(field, n_candidates, length):
+    """Exact ``P(Binomial(n_candidates, a) < length)``: the chance that
+    ``n_candidates`` uniform candidates keep fewer than ``length``."""
+    size = 1 << field.bits
+    log_accept = math.log(field.modulus / size)
+    log_reject = math.log((size - field.modulus) / size)
+    log_n = math.lgamma(n_candidates + 1)
+    return sum(
+        math.exp(
+            log_n - math.lgamma(k + 1) - math.lgamma(n_candidates - k + 1)
+            + k * log_accept + (n_candidates - k) * log_reject
+        )
+        for k in range(length)
+    )
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_candidate_budget_rarely_falls_short(field):
+    """The sampler's candidate budget leaves a row short (and so pays a
+    scalar retry) with probability at most 1e-6, from one element up to
+    ``highres``'s share length."""
+    for length in (1, 12, 30, 1540, 12021):
+        n_cand = _candidates_for(field, length)
+        assert short_row_probability(field, n_cand, length) <= 1e-6
+
+
 @needs_numpy
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
 def test_expand_seed_batch_retries_short_rows(field, rng, monkeypatch):
-    """With the candidate budget cut to the expected count, about half
-    the rows fall short, and the scalar retry still makes every row
-    equal the scalar sampler."""
+    """With the candidate budget cut to the expected count, the seeded
+    rows mix short and full ones, and the scalar retry still makes
+    every row equal the scalar sampler."""
     from repro.field import batch as batch_module
 
+    accept = prg._acceptance_rate(field)
+    # F64 rejects one candidate in 2^32, so none of its rows falls short
+    # on its own: every other row gets an always-rejected first window.
+    plant = accept > 1 - 1e-6
+    # A row is full about half the time: at a budget of length / a while
+    # rejections are common, and once they are rare at a budget equal to
+    # the length, which a row fills with probability a^length ~ 1/2.
+    length = 30 if plant else max(30, round(math.log(2) / -math.log(accept)))
     seeds = [new_seed(rng) for _ in range(16)]
-    length = 30
     expected = [expand_seed(field, seed, length) for seed in seeds]
     monkeypatch.setattr(
         prg, "_candidates_for",
@@ -298,16 +332,22 @@ def test_expand_seed_batch_retries_short_rows(field, rng, monkeypatch):
     sampled = batch_module.rejection_sample_batch
     seen = []
 
-    def spy(*args):
-        out = sampled(*args)
+    def spy(f, byte_rows, n):
+        if plant:
+            size = f.encoded_size
+            reject = ((1 << (8 * size)) - 1).to_bytes(size, "big")
+            byte_rows = [
+                reject + row[size:] if r % 2 == 0 else row
+                for r, row in enumerate(byte_rows)
+            ]
+        out = sampled(f, byte_rows, n)
         seen.append(out[1])
         return out
 
     monkeypatch.setattr(batch_module, "rejection_sample_batch", spy)
     assert expand_seed_batch(field, seeds, length, False).to_ints() == expected
     [short_rows] = seen
-    if prg._acceptance_rate(field) < 0.9:
-        assert 0 < len(short_rows) < len(seeds)
+    assert 0 < len(short_rows) < len(seeds)
 
 
 # ----------------------------------------------------------------------

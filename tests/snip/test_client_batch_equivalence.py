@@ -20,6 +20,7 @@ is ``slow``-marked (run with ``-m slow``).
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -45,7 +46,14 @@ from repro.afe import (
     VarianceAfe,
     VectorSumAfe,
 )
-from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
+from repro.field import (
+    FIELD64,
+    FIELD87,
+    FIELD265,
+    FIELD_SMALL,
+    PrimeField,
+    use_numpy,
+)
 from repro.protocol import (
     PrioClient,
     PrioDeployment,
@@ -155,17 +163,49 @@ def test_batched_client_proof_free_afe(force_pure):
         )
 
 
-#: SHA-256 over the framed vec256 uploads below, taken on the commit
-#: before the lazy-Montgomery NTT landed: kernel rewrites in the client
-#: prover must not move a single upload byte.
-VEC256_UPLOADS_SHA256 = (
-    "157d7cd4c8fcaf5797549ec2c36bcdb35c80376284f8453d79b36c28546cf02e"
+#: The 87-bit modulus ``FIELD87`` had before it moved just below 2^87.
+#: The digests first pinned on it stay, byte for byte, so the old pins
+#: keep checking the kernels.
+LEGACY_F87 = PrimeField(
+    (1 << 86) + (1 << 35) + 1, two_adicity=30, generator=5, name="F87-legacy"
 )
 
 
-@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_vec256_uploads_pinned_bytes(force_pure):
-    afe = VectorSumAfe(FIELD87, 256, n_bits=1)
+def _pinned_cases(*axes):
+    """``(force_pure, *axes, field)`` over both backends and both 87-bit
+    fields.  Ids add ``F87`` on ``FIELD87`` only, so the ``LEGACY_F87``
+    pins keep the ids they had before ``FIELD87`` moved."""
+    return [
+        pytest.param(
+            force_pure, *combo, field,
+            id="-".join(
+                [backend_id(force_pure), *map(str, combo)]
+                + ([field.name] if field is FIELD87 else [])
+            ),
+        )
+        for field in (LEGACY_F87, FIELD87)
+        for force_pure in BACKENDS
+        for combo in itertools.product(*axes)
+    ]
+
+
+#: SHA-256 over the framed vec256 uploads below, by field.  The
+#: ``LEGACY_F87`` digest was taken on the commit before the
+#: lazy-Montgomery NTT landed: kernel rewrites in the client prover must
+#: not move a single upload byte.  The ``FIELD87`` digest was taken on
+#: the tree before ``FIELD87`` changed, with only that definition
+#: swapped, so nothing else moved a byte.
+VEC256_UPLOADS_SHA256 = {
+    LEGACY_F87:
+        "157d7cd4c8fcaf5797549ec2c36bcdb35c80376284f8453d79b36c28546cf02e",
+    FIELD87:
+        "4aff0672b6573d452b783d3f042e0e623caab6e88e93f8d483fa279671a2275b",
+}
+
+
+@pytest.mark.parametrize("force_pure, field", _pinned_cases())
+def test_vec256_uploads_pinned_bytes(force_pure, field):
+    afe = VectorSumAfe(field, 256, n_bits=1)
     rng = random.Random(0x5EC256)
     values = [[rng.randrange(2) for _ in range(256)] for _ in range(8)]
     client = PrioClient(afe, 2, rng=random.Random(0xF1DE))
@@ -174,23 +214,37 @@ def test_vec256_uploads_pinned_bytes(force_pure):
         values, force_pure=force_pure
     ):
         digest.update(TransportClient.frame_submission(sub))
-    assert digest.hexdigest() == VEC256_UPLOADS_SHA256
+    assert digest.hexdigest() == VEC256_UPLOADS_SHA256[field]
 
 
-#: SHA-256 over the framed *sealed* uploads below, by batch size, taken
-#: on the commit before the fixed-base tables and the wNAF ladder
-#: replaced the 4-bit ladder: an EC kernel swap must not move a sealed
-#: byte (same ephemeral scalars drawn, same points, same keystream).
+#: SHA-256 over the framed *sealed* uploads below, by batch size and
+#: field.  The ``LEGACY_F87`` digests were taken on the commit before
+#: the fixed-base tables and the wNAF ladder replaced the 4-bit ladder:
+#: an EC kernel swap must not move a sealed byte (same ephemeral scalars
+#: drawn, same points, same keystream).  The ``FIELD87`` digests were
+#: taken as for the vec256 pin.
 SEALED_UPLOADS_SHA256 = {
-    8: "571471331494de97d058ffc396d1a539da0bf4551e3acbb84dc2b1a8d1159cbc",
-    1: "5cbdd4a35959ad1808a2707eb80c1474bf66acf95a37c4867c01dd5db61e71e2",
+    8: {
+        LEGACY_F87:
+            "571471331494de97d058ffc396d1a539da0bf4551e3acbb84dc2b1a8d1159cbc",
+        FIELD87:
+            "fec8a89454bcbe296b0e1f97c8e9cba8d1da398d6d115ba37ca637a81139a49a",
+    },
+    1: {
+        LEGACY_F87:
+            "5cbdd4a35959ad1808a2707eb80c1474bf66acf95a37c4867c01dd5db61e71e2",
+        FIELD87:
+            "40edaa9451fa47f2282486521b087668357d0adc0a3ad7755042613c9f3b7c14",
+    },
 }
 
 
-@pytest.mark.parametrize("n_values", sorted(SEALED_UPLOADS_SHA256))
-@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
-def test_sealed_uploads_pinned_bytes(force_pure, n_values):
-    afe = VectorSumAfe(FIELD87, 8, n_bits=1)
+@pytest.mark.parametrize(
+    "force_pure, n_values, field",
+    _pinned_cases(sorted(SEALED_UPLOADS_SHA256)),
+)
+def test_sealed_uploads_pinned_bytes(force_pure, n_values, field):
+    afe = VectorSumAfe(field, 8, n_bits=1)
     deployment = PrioDeployment.create(
         afe, n_servers=2, seed=b"sealed-pin-seed",
         rng=random.Random(0x5EA1ED), encrypt=True,
@@ -205,7 +259,7 @@ def test_sealed_uploads_pinned_bytes(force_pure, n_values):
             digest.update(TransportClient.frame_submission(sub, sealed=True))
     finally:
         deployment.close()
-    assert digest.hexdigest() == SEALED_UPLOADS_SHA256[n_values]
+    assert digest.hexdigest() == SEALED_UPLOADS_SHA256[n_values][field]
 
 
 @pytest.mark.slow
