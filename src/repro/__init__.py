@@ -19,8 +19,8 @@ predicates), ``repro.mpc`` (Beaver triples), ``repro.snip`` (the
 paper's core contribution), ``repro.afe`` (encodings for every
 supported statistic), ``repro.ec``/``repro.crypto``/``repro.nizk`` (the
 public-key baseline), ``repro.protocol`` (the full pipeline),
-``repro.simnet`` (deployment simulation), and ``repro.workloads``
-(Section 6.2 scenarios).
+``repro.simnet`` (throughput model for the paper figures), and
+``repro.workloads`` (Section 6.2 scenarios).
 
 Public surface
 --------------
@@ -41,10 +41,10 @@ Scalar oracles (the references the batched paths are tested
 against): ``build_proof``, ``prove_and_share``, ``verify_snip``.
 
 Tests only (the rest of Section 5's statistics, each run by
-``tests/afe``, and the 64-bit field): ``ApproxMaxAfe``, ``GeometricMeanAfe``,
+``tests/afe``): ``ApproxMaxAfe``, ``GeometricMeanAfe``,
 ``IntegerMeanAfe``, ``MaxAfe``, ``MinAfe``, ``MostPopularStringAfe``,
 ``ProductAfe``, ``SetIntersectionAfe``, ``SetUnionAfe``,
-``StddevAfe``, ``VarianceAfe``, ``FIELD64``.
+``StddevAfe``, ``VarianceAfe``.
 
 BLAS threads
 ------------
@@ -86,7 +86,7 @@ from repro.afe import (
     StddevAfe,
     VarianceAfe,
 )
-from repro.field import FIELD64, FIELD87, FIELD265, GF2, PrimeField
+from repro.field import FIELD87, FIELD265, GF2, PrimeField
 from repro.protocol import PrioClient, PrioDeployment, PrioServer
 from repro.snip import (
     ServerRandomness,
@@ -119,7 +119,6 @@ __all__ = [
     "SetUnionAfe",
     "StddevAfe",
     "VarianceAfe",
-    "FIELD64",
     "FIELD87",
     "FIELD265",
     "GF2",

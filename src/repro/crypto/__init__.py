@@ -10,25 +10,14 @@ Used in ``src/``: ``BoxKeyPair``, ``open_box``, ``seal``, ``KEY_SIZE``,
 ``MAC_SIZE``, ``CryptoError``, ``hkdf_sha256``, ``mac_tag``,
 ``mac_verify``, ``stream_xor``, ``SigningKeyPair``, ``sign``,
 ``verify``.
-
-Tests only (the box's byte overhead, and the keystream that
-``stream_xor`` applies): ``box_overhead``, ``sealed_overhead``,
-``keystream``.
 """
 
-from repro.crypto.box import (
-    BoxKeyPair,
-    box_overhead,
-    open_box,
-    seal,
-    sealed_overhead,
-)
+from repro.crypto.box import BoxKeyPair, open_box, seal
 from repro.crypto.primitives import (
     KEY_SIZE,
     MAC_SIZE,
     CryptoError,
     hkdf_sha256,
-    keystream,
     mac_tag,
     mac_verify,
     stream_xor,
@@ -37,15 +26,12 @@ from repro.crypto.sign import SigningKeyPair, sign, verify
 
 __all__ = [
     "BoxKeyPair",
-    "box_overhead",
     "open_box",
     "seal",
-    "sealed_overhead",
     "KEY_SIZE",
     "MAC_SIZE",
     "CryptoError",
     "hkdf_sha256",
-    "keystream",
     "mac_tag",
     "mac_verify",
     "stream_xor",

@@ -150,20 +150,3 @@ def open_box(
         raise CryptoError("box authentication failed")
     nonce = ephemeral_pub.encode()[:16]
     return stream_xor(enc_key, nonce, ciphertext)
-
-
-def box_overhead() -> int:
-    """Bytes the box itself adds over its plaintext (point + tag)."""
-    return _POINT_SIZE + MAC_SIZE
-
-
-def sealed_overhead() -> int:
-    """Bytes added per sealed *packet* (for wire-format accounting).
-
-    A sealed packet on the wire is ``envelope || box``: the 21-byte
-    cleartext envelope (:data:`repro.protocol.wire.ENVELOPE_SIZE`)
-    plus the box's own point-and-tag overhead.
-    """
-    from repro.protocol.wire import ENVELOPE_SIZE
-
-    return box_overhead() + ENVELOPE_SIZE

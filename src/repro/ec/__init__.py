@@ -11,9 +11,6 @@ Used in ``src/``: ``GENERATOR``, ``INFINITY``, ``ORDER``, ``EcError``,
 
 Paper experiments (Table 2 counts public-key operations):
 ``reset_op_counter``, ``scalar_mult_count``.
-
-Tests only (the affine form of the fixed-base ladder that
-``repro.crypto.box`` runs in Jacobian form): ``fixed_base_mult``.
 """
 
 from repro.ec.p256 import (
@@ -22,7 +19,6 @@ from repro.ec.p256 import (
     ORDER,
     EcError,
     Point,
-    fixed_base_mult,
     random_scalar,
     reset_op_counter,
     scalar_mult,
@@ -35,7 +31,6 @@ __all__ = [
     "ORDER",
     "EcError",
     "Point",
-    "fixed_base_mult",
     "random_scalar",
     "reset_op_counter",
     "scalar_mult",

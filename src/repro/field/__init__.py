@@ -13,8 +13,8 @@ This docstring is the one place the exports are listed
 checks that each name sits in the paragraph naming its callers, so a
 batch entry point only tests call cannot accumulate unnoticed).
 
-Used in ``src/``: ``FieldError``, ``PrimeField``, ``FIELD64``,
-``FIELD87``, ``FIELD265``, ``GF2``, ``EvaluationDomain``,
+Used in ``src/``: ``FieldError``, ``PrimeField``, ``FIELD87``,
+``FIELD265``, ``GF2``, ``EvaluationDomain``,
 ``next_power_of_two``, ``lagrange_coefficients_at``,
 ``lagrange_interpolate``, ``poly_eval``, ``poly_mul``,
 ``poly_mul_ntt``, ``BatchVector``, ``PreparedWeights``,
@@ -25,8 +25,8 @@ Scalar oracles (the references every batch kernel is tested
 against): ``ntt``, ``intt``, ``batch_inverse``, ``poly_add``,
 ``poly_sub``, ``poly_scale``, ``poly_degree``, ``poly_normalize``.
 
-Test fields and backend probes: ``FIELD_SMALL``, ``FIELD_TINY``,
-``backend_name``, ``numpy_available``.
+Test fields and backend probes: ``FIELD64``, ``FIELD_SMALL``,
+``FIELD_TINY``, ``backend_name``, ``numpy_available``.
 
 Batched verification
 --------------------

@@ -1,9 +1,9 @@
 """Per-server execution backends behind one batch-id-keyed op seam.
 
 Prio's deployment model assumes each server runs on its own hardware
-(NSDI 2017 §6).  This module is where a driver — the batch protocol in
-:mod:`repro.protocol.pipeline`, the simulated cluster's nodes — hands
-per-server work to wherever that server's state lives.
+(NSDI 2017 §6).  This module is where the batch protocol in
+:mod:`repro.protocol.pipeline` hands per-server work to wherever that
+server's state lives.
 
 The op seam
 -----------

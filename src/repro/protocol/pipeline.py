@@ -29,9 +29,7 @@ other — await the ingest half, then the verify half: the socket front
 end (``PrioTransportServer._process_batch`` in
 :mod:`repro.transport.server`) and the in-memory loop here, which
 :func:`run_pipelined`, :class:`~repro.protocol.runner.PrioDeployment`
-and :class:`~repro.protocol.registration.GatedDeployment` run.  The
-simulated cluster (:mod:`repro.simnet.prio_cluster`) keeps its
-message-driven schedule but speaks the same ops.
+and :class:`~repro.protocol.registration.GatedDeployment` run.
 
 The per-server CPU work inside each half fans out over an execution
 backend (:mod:`repro.protocol.fanout`: ``"inline"`` or ``"process"``,

@@ -521,13 +521,9 @@ class PrioServer:
         self.n_accepted += 1
 
     def _settle(self, pending: PendingSubmission) -> None:
-        """Bookkeeping per decided submission, accepted or rejected.
-
-        Order matters: the id enters the replay set *before* leaving
-        ``_pending_ids``, so a concurrent replay check (the async
-        pipeline receives batch ``N+1`` on executor threads while batch
-        ``N`` accumulates) always sees it in at least one set.
-        """
+        """Bookkeeping per decided submission, accepted or rejected:
+        its id moves from ``_pending_ids`` to the replay set, so a
+        later upload under that id is refused as a replay."""
         sid = pending.submission_id
         self._replay.add(sid)
         if self._replay_delta is not None:

@@ -34,8 +34,8 @@ envelope is trusted only for *routing* and the cheap replay pre-check
 (both of which the server re-validates against the authenticated inner
 header after opening); share data, packet kind, and lengths come
 exclusively from inside the box.  Sealing therefore adds a constant
-``sealed_overhead()`` = 21 (envelope) + 49 (point + tag) = 70 bytes
-per packet.
+21 (envelope) + 49 (33-byte point + 16-byte tag) = 70 bytes per
+packet.
 """
 
 from __future__ import annotations

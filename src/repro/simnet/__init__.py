@@ -1,4 +1,4 @@
-"""Simulated WAN substrate: topology, event network, throughput model.
+"""Throughput model for the paper figures: topology plus measured CPU.
 
 Public surface
 --------------
@@ -6,25 +6,14 @@ Public surface
 ``tests/test_package_surface.py`` checks that ``__all__`` is exactly
 the names below and that each sits in the paragraph naming its callers.
 
-Used in ``src/``: ``SimError``, ``SimNetwork``, ``Topology``.
+Used in ``src/``: ``Topology``.
 
 Paper experiments (Figures 4 and 5, Table 9): ``paper_wan_topology``,
 ``same_datacenter``, ``PipelineCosts``, ``cluster_throughput``,
 ``leader_amortized_tx``.
-
-Tests only (``run_cluster`` is the executable spec of one Prio round
-per server over the simulated network): ``ClusterReport``,
-``run_cluster``, ``wan_subset``.
 """
 
-from repro.simnet.network import SimError, SimNetwork
-from repro.simnet.regions import (
-    Topology,
-    paper_wan_topology,
-    same_datacenter,
-    wan_subset,
-)
-from repro.simnet.prio_cluster import ClusterReport, run_cluster
+from repro.simnet.regions import Topology, paper_wan_topology, same_datacenter
 from repro.simnet.throughput import (
     PipelineCosts,
     cluster_throughput,
@@ -32,14 +21,9 @@ from repro.simnet.throughput import (
 )
 
 __all__ = [
-    "SimError",
-    "SimNetwork",
     "Topology",
     "paper_wan_topology",
     "same_datacenter",
-    "wan_subset",
-    "ClusterReport",
-    "run_cluster",
     "PipelineCosts",
     "cluster_throughput",
     "leader_amortized_tx",

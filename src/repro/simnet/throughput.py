@@ -2,8 +2,8 @@
 
 The paper reports cluster throughput (submissions/second) on real EC2
 hardware.  This reproduction measures the *computational* cost of each
-pipeline on the local machine and combines it with the simulated
-topology to model cluster throughput:
+pipeline on the local machine and combines it with the modelled
+topology to estimate cluster throughput:
 
     rate = 1 / max( cpu_seconds / cores,            # compute-bound
                     bytes_per_submission / bandwidth )  # network-bound
@@ -38,11 +38,7 @@ class PipelineCosts:
     server_rx_bytes: float = 0.0
 
 
-def cluster_throughput(
-    costs: PipelineCosts,
-    topology: Topology,
-    utilization: float = 1.0,
-) -> float:
+def cluster_throughput(costs: PipelineCosts, topology: Topology) -> float:
     """Modelled sustained submissions/second for the whole cluster."""
     compute_limit = costs.server_cpu_s / topology.cores_per_server
     wire_limit = (
@@ -52,7 +48,7 @@ def cluster_throughput(
     bottleneck = max(compute_limit, wire_limit)
     if bottleneck <= 0:
         raise ValueError("costs must be positive")
-    return utilization / bottleneck
+    return 1 / bottleneck
 
 
 def leader_amortized_tx(
@@ -60,11 +56,9 @@ def leader_amortized_tx(
 ) -> float:
     """Average per-submission transmit bytes with rotating leadership.
 
-    The leader transmits to s-1 peers; each server leads 1/s of the
-    time (Section 6.1's load-balancing), so the average transmit cost
-    per server is ((s-1) + (s-1)/s... ) — simplified: a leader sends
-    (s-1)*b, a non-leader sends b, and each server is leader with
-    probability 1/s:
+    A leader sends ``b`` to each of its s-1 peers, a non-leader sends
+    ``b`` to the leader, and each server leads 1/s of the time (Section
+    6.1's load-balancing), so the average per server is
 
         avg = (1/s) * (s-1) * b + ((s-1)/s) * b = 2b(s-1)/s
     """

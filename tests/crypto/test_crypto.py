@@ -9,18 +9,16 @@ from repro.crypto import (
     BoxKeyPair,
     CryptoError,
     SigningKeyPair,
-    box_overhead,
     hkdf_sha256,
-    keystream,
     mac_tag,
     mac_verify,
     open_box,
     seal,
-    sealed_overhead,
     sign,
     stream_xor,
     verify,
 )
+from repro.crypto.primitives import keystream
 from repro.ec import GENERATOR, INFINITY, Point, p256
 
 
@@ -110,18 +108,27 @@ def test_box_roundtrip(rng):
 
 
 def test_box_overhead_constant(rng):
+    # 33-byte compressed ephemeral point + MAC tag
     keypair = BoxKeyPair.generate(rng)
     for size in (0, 10, 1000):
         sealed = seal(keypair.public, b"x" * size, rng)
-        assert len(sealed) == size + box_overhead()
+        assert len(sealed) == size + 49
 
 
-def test_sealed_overhead_accounts_for_the_envelope():
+def test_sealed_overhead_accounts_for_the_envelope(rng):
     # a sealed *packet* on the wire = 21-byte envelope + the box
+    from repro.afe import IntegerSumAfe
+    from repro.field import FIELD87
+    from repro.protocol import PrioClient, seal_packet
     from repro.protocol.wire import ENVELOPE_SIZE
 
     assert ENVELOPE_SIZE == 21
-    assert sealed_overhead() == box_overhead() + ENVELOPE_SIZE
+    keypair = BoxKeyPair.generate(rng)
+    client = PrioClient(IntegerSumAfe(FIELD87, 4), 2, rng=rng)
+    (submission,) = client.prepare_submissions([5])
+    for packet in submission.packets:  # one seed, one explicit share
+        sealed = seal_packet(keypair.public, packet, rng)
+        assert len(sealed) == len(packet.encode()) + 70
 
 
 def test_box_associated_data_binds(rng):

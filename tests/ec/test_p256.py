@@ -12,14 +12,13 @@ from repro.ec import (
     ORDER,
     EcError,
     Point,
-    fixed_base_mult,
     random_scalar,
     reset_op_counter,
     scalar_mult,
     scalar_mult_count,
 )
 from repro.ec import p256
-from repro.ec.p256 import A, B, P
+from repro.ec.p256 import A, B, P, fixed_base_mult
 
 
 @pytest.fixture

@@ -10,8 +10,8 @@
     bytes: one seeded stream (honest + corrupted + replayed uploads,
     cleartext and sealed) gives identical decisions, counters and
     published shares through ``PrioDeployment.deliver``,
-    ``run_pipelined`` on inline / sharded-process backends,
-    ``PrioTransportServer`` over TCP, and the simulated cluster.
+    ``run_pipelined`` on inline / sharded-process backends and
+    ``PrioTransportServer`` over TCP, at every batch size.
 """
 
 import asyncio
@@ -35,8 +35,6 @@ from repro.protocol import (
     seal_packet,
 )
 from repro.protocol.fanout import _ServerOps
-from repro.simnet import same_datacenter
-from repro.simnet.prio_cluster import run_cluster
 from repro.transport import (
     PrioTransportServer,
     Status,
@@ -99,17 +97,17 @@ def test_every_op_has_a_shard_planner():
 SEED = b"surface-equivalence"
 VALUES = [3, 14, 1, 5, 9, 2, 6, 5, 3, 8]
 CORRUPT = 3
-#: replay index -> replayed index: one inside a verification batch,
-#: one across batches
+#: replay index -> replayed index: at batch size 4, one inside a
+#: verification batch and one across batches
 REPLAYS = {6: 5, 9: 0}
 EXPECTED = [i != CORRUPT and i not in REPLAYS for i in range(len(VALUES))]
 
 
-def _deployment(encrypt, executor=None):
+def _deployment(encrypt, batch_size=4):
     """Twins: same server randomness, client rng and (sealed) box keys."""
     return PrioDeployment.create(
         IntegerSumAfe(FIELD87, 4), 3, seed=SEED, rng=random.Random(0x5EAF),
-        batch_size=4, encrypt=encrypt, executor=executor,
+        batch_size=batch_size, encrypt=encrypt,
     )
 
 
@@ -162,17 +160,17 @@ def _outcome(decisions, servers):
     )
 
 
-def _via_deliver(encrypt, submissions):
-    with _deployment(encrypt) as dep:
+def _via_deliver(encrypt, batch_size, submissions):
+    with _deployment(encrypt, batch_size) as dep:
         return _outcome(dep.deliver(submissions), dep.servers)
 
 
 def _via_pipeline(executor):
-    def run(encrypt, submissions):
-        dep = _deployment(encrypt)
+    def run(encrypt, batch_size, submissions):
+        dep = _deployment(encrypt, batch_size)
         decisions, stats = run_pipelined(
-            dep.servers, submissions, batch_size=4, encrypt=encrypt,
-            executor=executor,
+            dep.servers, submissions, batch_size=batch_size,
+            encrypt=encrypt, executor=executor,
         )
         assert stats.n_worker_failures == 0
         return _outcome(decisions, dep.servers)
@@ -180,12 +178,12 @@ def _via_pipeline(executor):
     return run
 
 
-def _via_tcp(encrypt, submissions):
-    dep = _deployment(encrypt)
+def _via_tcp(encrypt, batch_size, submissions):
+    dep = _deployment(encrypt, batch_size)
 
     async def serve():
         config = TransportConfig(
-            batch_size=4, linger_s=0.001, executor="inline"
+            batch_size=batch_size, linger_s=0.001, executor="inline"
         )
         async with PrioTransportServer(dep.servers, config) as server:
             host, port = await server.serve_tcp("127.0.0.1", 0)
@@ -208,11 +206,15 @@ DRIVERS = {
 }
 
 
+@pytest.mark.parametrize("batch_size", [1, 4, 10], ids=lambda b: f"B{b}")
 @pytest.mark.parametrize("encrypt", [False, True], ids=["cleartext", "sealed"])
-def test_every_driver_gives_the_same_outcome(encrypt):
+def test_every_driver_gives_the_same_outcome(encrypt, batch_size):
+    """In the in-memory drivers both replays cross batches at B = 1
+    and both sit inside the one batch at B = 10 (the TCP client sends
+    one upload at a time, so its batches hold one)."""
     submissions = _uploads(encrypt)
     outcomes = {
-        name: driver(encrypt, copy.deepcopy(submissions))
+        name: driver(encrypt, batch_size, copy.deepcopy(submissions))
         for name, driver in DRIVERS.items()
     }
     reference = outcomes["deliver"]
@@ -221,18 +223,3 @@ def test_every_driver_gives_the_same_outcome(encrypt):
     for name, outcome in outcomes.items():
         assert outcome == reference, name
     assert multiprocessing.active_children() == []
-
-    if encrypt:
-        return  # the simulated cluster has no sealed lane
-    afe = IntegerSumAfe(FIELD87, 4)
-    client_rng = random.Random(0x5EAF)
-    report = run_cluster(
-        afe, same_datacenter(3), VALUES, client_rng, seed=SEED,
-        batch_size=4, mutate=_mutate(None),
-    )
-    shares = reference[2]
-    assert (report.n_accepted, report.n_rejected) == (7, 1)
-    assert report.aggregate == afe.decode(FIELD87.vec_sum(shares), 7)
-    assert report.aggregate == sum(
-        v for v, accepted in zip(VALUES, EXPECTED) if accepted
-    )

@@ -54,9 +54,9 @@ EXEMPT = {
     repro.field: (ORACLES, "Test fields and backend probes"),
     repro.snip: (ORACLES, "Paper experiments", TESTS_ONLY),
     repro.sharing: (ORACLES,),
-    repro.simnet: ("Paper experiments", TESTS_ONLY),
-    repro.crypto: (TESTS_ONLY,),
-    repro.ec: ("Paper experiments", TESTS_ONLY),
+    repro.simnet: ("Paper experiments",),
+    repro.crypto: (),
+    repro.ec: ("Paper experiments",),
     repro.mpc: (TESTS_ONLY,),
 }
 
@@ -66,14 +66,11 @@ EXEMPT = {
 TESTS_ONLY_CEILING = frozenset({
     "ApproxMaxAfe", "GeometricMeanAfe", "IntegerMeanAfe", "MaxAfe",
     "MinAfe", "MostPopularStringAfe", "ProductAfe", "SetIntersectionAfe",
-    "SetUnionAfe", "StddevAfe", "VarianceAfe", "FIELD64",
+    "SetUnionAfe", "StddevAfe", "VarianceAfe",
     "SoundnessReport", "run_soundness_experiment", "AdversaryView",
     "SnipSimulator", "real_adversary_view", "ReferenceProof",
     "ReferenceProofShare", "MpcSubmissionShare", "MpcVerificationOutcome",
     "build_triple_validity_circuit", "mpc_upload_elements",
-    "ClusterReport", "run_cluster", "wan_subset",
-    "box_overhead", "sealed_overhead", "keystream",
-    "fixed_base_mult",
     "CircuitMpcParty", "MpcResult", "mul_gate_levels",
 })
 
