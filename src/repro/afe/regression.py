@@ -26,7 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
+try:  # numpy solves the normal equations; encoding and proving need none
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on numpy-free hosts
+    np = None
 
 from repro.afe.base import Afe, AfeError, bits_of
 from repro.circuit.circuit import Circuit, CircuitBuilder
@@ -135,6 +138,8 @@ class LinRegAfe(Afe):
         """
         if n_clients < 1:
             raise AfeError("cannot fit a model to zero clients")
+        if np is None:
+            raise AfeError("solving the normal equations needs numpy")
         m = self.moment_sums(sigma, n_clients)
         d = self.dimension
         size = d + 1

@@ -16,8 +16,9 @@ Figures 7/8), upload bytes (Figure 6), and "one public-key operation"
 
 ``prepare_submissions`` runs the same pipeline for a whole batch of
 values through the plane-resident batch prover
-(:mod:`repro.snip.batch_prover`), producing uploads bit-identical to
-the per-value path under the same rng — see its docstring.
+(:mod:`repro.snip.batch_prover`), in cache-sized row blocks
+(``BLOCK_ELEMENTS``), producing uploads bit-identical to the per-value
+path under the same rng — see its docstring.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.sharing.additive import (
     share_vectors_explicit_batch,
 )
 from repro.sharing.prg import new_seed, prg_share_vector
-from repro.circuit.compiled import compile_circuit
+from repro.circuit.compiled import CompiledCircuit, compile_circuit
 from repro.mpc.beaver import generate_triple
 from repro.snip.batch_prover import (
     ProofRandomness,
@@ -58,6 +59,39 @@ from repro.protocol.wire import (
     seal_packet,
     total_upload_bytes,
 )
+
+
+#: Phase 2 of :meth:`PrioClient.prepare_submissions` runs over row
+#: blocks of at most this many field elements per limb plane, i.e.
+#: ``BLOCK_ELEMENTS // submission_elements()`` values (at least one),
+#: so the prover's NTT planes and the sharing planes stay in a core's
+#: L2 cache instead of streaming from L3.  Set by a sweep of median
+#: ms/value, one process, alternating runs, on a 2-vCPU Xeon with
+#: 2 MiB of L2 per core ("whole" = the call as one block):
+#:
+#: - ``highres`` (12 021 elements per value), 64 values per call:
+#:   whole 32.3, 32 768 -> 21.0, 49 152 -> 18.6, 65 536 -> 18.4;
+#:   16 per call: whole 29.4, 16 384 -> 29.0, 32 768 -> 23.7,
+#:   65 536 -> 22.2, 131 072 -> 24.4.
+#: - ``vec256`` (1 541 elements), 64 per call: whole 2.77,
+#:   16 384 -> 2.58, 32 768 -> 2.29-2.33, 49 152 -> 2.24,
+#:   65 536 -> 2.40-2.46, 131 072 -> 2.71.
+#:
+#: Below about 32 768 each block's fixed cost starts to show; above
+#: 65 536 the planes leave L2 again.
+BLOCK_ELEMENTS = 49_152
+
+
+def _row_blocks(n_rows: int, row_elements: int) -> list[slice]:
+    """``ceil(n_rows / b)`` near-equal row slices, ``b`` rows at most,
+    ``b = BLOCK_ELEMENTS // row_elements`` (at least 1): a ragged tail
+    row never pays a whole block's fixed cost on its own."""
+    per_block = max(1, BLOCK_ELEMENTS // row_elements)
+    n_blocks = -(-n_rows // per_block)
+    return [
+        slice(i * n_rows // n_blocks, (i + 1) * n_rows // n_blocks)
+        for i in range(n_blocks)
+    ]
 
 
 @dataclass
@@ -111,20 +145,26 @@ class PrioClient:
     ) -> list[ClientSubmission]:
         """Encode, prove, share, and frame many values at once.
 
-        The whole batch runs through the plane-resident client prover:
-        proof polynomials for every value ride one batch NTT sweep
-        (:mod:`repro.snip.batch_prover`), the PRG-compressed sharing
+        Phase 1 draws every value's randomness, in scalar order, over
+        the whole call.  Phase 2 then runs the plane-resident client
+        prover over row blocks of ``b = BLOCK_ELEMENTS //
+        submission_elements()`` values (at least one), split into
+        ``ceil(B / b)`` near-equal blocks: each block's proof
+        polynomials ride one batch NTT sweep
+        (:mod:`repro.snip.batch_prover`), its PRG-compressed sharing
         expands all seeds in one vectorized pass
         (:func:`~repro.sharing.additive.share_vectors_client_batch`),
-        and the explicit wire bodies come straight out of
+        and its explicit wire bodies come straight out of
         :func:`~repro.field.batch.encode_bytes_batch` — no per-element
         Python-int crossing between the circuit trace and the wire
-        bytes.
+        bytes.  Blocks keep the planes cache-sized, so the cost per
+        value does not climb with the call size.  The backend is
+        chosen once per call; a one-value call is one block.
 
         Per-submission randomness is drawn in exactly scalar order, so
         the uploads are *bit-identical* to repeated
         :meth:`prepare_submission` calls — the scalar oracle — under
-        the same rng, in any chunking (asserted by
+        the same rng, in any chunking and any blocking (asserted by
         ``tests/snip/test_client_batch_equivalence.py``) — except when
         sealing is configured, where this path seals after the whole
         batch's shares are drawn (equivalent in distribution, not
@@ -147,7 +187,7 @@ class PrioClient:
         # Phase 1 — every rng draw, per submission, in scalar order:
         # encode, f(0)/g(0)/triple, submission id, share seeds/randoms.
         # The circuit trace itself consumes no randomness, so it lifts
-        # out of this loop into one compiled-plan sweep below without
+        # out of this loop into phase 2's compiled-plan sweeps without
         # perturbing the draw sequence.
         encodings: list[list[int]] = []
         randoms: list = []
@@ -180,10 +220,39 @@ class PrioClient:
                         for _ in range(n_servers - 1)
                     ]
                 )
-        # Phase 2 — deterministic batch work: the compiled-plan trace,
-        # h sweep, x || proof assembly, sharing, wire bodies; planes
-        # throughout.
+        # Phase 2 — deterministic batch work, block by block (see
+        # ``BLOCK_ELEMENTS``).  The backend is decided once for the
+        # whole call, so a block's size never flips it.
         force = tiny_batch_force_pure(len(values) * n_total, force_pure)
+        packet_lists: list[list[ClientPacket]] = []
+        for rows in _row_blocks(len(values), n_total):
+            packet_lists += self._prove_and_pack(
+                plan, encodings[rows], randoms[rows], sids[rows],
+                seed_rows[rows], random_rows[rows], force,
+            )
+        # Phase 3 — framing bookkeeping (and the optional box seal, the
+        # client's one public-key operation per server).
+        return [
+            self._seal_and_wrap(sid, packets)
+            for sid, packets in zip(sids, packet_lists)
+        ]
+
+    def _prove_and_pack(
+        self,
+        plan: "CompiledCircuit | None",
+        encodings: "list[list[int]]",
+        randoms: list,
+        sids: "list[bytes]",
+        seed_rows: "list[list[bytes]]",
+        random_rows: "list[list[list[int]]]",
+        force: "bool | None",
+    ) -> "list[list[ClientPacket]]":
+        """Phase 2 for one block of rows: the compiled-plan trace, h
+        sweep, x || proof assembly, sharing and wire bodies; planes
+        throughout.  Every input was drawn in phase 1."""
+        field = self.field
+        n_servers = self.n_servers
+        n_total = self.submission_elements()
         if plan is not None:
             trace = plan.evaluate_batch(encodings, force)
             if not trace.all_valid:
@@ -197,39 +266,32 @@ class PrioClient:
             )
         else:
             vectors = BatchVector.from_ints(field, encodings, force)
-        if compress:
+        if self.use_prg_compression and n_servers > 1:
             _, explicit = share_vectors_client_batch(
                 field, vectors, n_servers, seeds=seed_rows, force_pure=force
             )
             bodies = encode_bytes_batch(field, explicit, explicit.force_pure)
-            packet_lists = [
+            return [
                 packets_for_share_bodies(
                     sid, seed_rows[i], bodies[i], n_total
                 )
                 for i, sid in enumerate(sids)
             ]
-        else:
-            shares = share_vectors_explicit_batch(
-                field, vectors, n_servers,
-                random_rows=random_rows, force_pure=force,
-            )
-            bodies_by_server = [
-                encode_bytes_batch(field, share, share.force_pure)
-                for share in shares
-            ]
-            packet_lists = [
-                packets_for_explicit_bodies(
-                    sid,
-                    [bodies_by_server[j][i] for j in range(n_servers)],
-                    n_total,
-                )
-                for i, sid in enumerate(sids)
-            ]
-        # Phase 3 — framing bookkeeping (and the optional box seal, the
-        # client's one public-key operation per server).
+        shares = share_vectors_explicit_batch(
+            field, vectors, n_servers,
+            random_rows=random_rows, force_pure=force,
+        )
+        bodies_by_server = [
+            encode_bytes_batch(field, share, share.force_pure)
+            for share in shares
+        ]
         return [
-            self._seal_and_wrap(sid, packets)
-            for sid, packets in zip(sids, packet_lists)
+            packets_for_explicit_bodies(
+                sid,
+                [bodies_by_server[j][i] for j in range(n_servers)],
+                n_total,
+            )
+            for i, sid in enumerate(sids)
         ]
 
     def _seal_and_wrap(

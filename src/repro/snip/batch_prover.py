@@ -15,9 +15,17 @@ treatment.  A batch of submissions flows
            ──share_vectors_client_batch──► PRG seeds + explicit planes
            ──encode_bytes_batch──► wire bodies
 
-with the deterministic polynomial work batched across the whole
-submission set and no per-element Python-int crossing between the
-circuit trace and the wire bytes.
+with no per-element Python-int crossing between the circuit trace and
+the wire bytes.
+
+``PrioClient.prepare_submissions`` draws every value's randomness over
+the whole call first, then runs everything from the trace down in row
+blocks of ``BLOCK_ELEMENTS // submission_elements()`` values
+(``repro.protocol.client.BLOCK_ELEMENTS``, a module constant set by
+measurement).  A block's ``(2b, N)`` transform planes stay in a core's
+L2 cache; a whole call of ``highres`` values would stream them from
+L3 on each of the NTT's passes.  Nothing here sees the blocking: each
+function below is called once per block, on that block's rows.
 
 Draw-order contract
 -------------------

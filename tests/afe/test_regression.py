@@ -2,8 +2,9 @@
 
 import random
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,8 +2,9 @@
 
 import random
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87

@@ -74,6 +74,7 @@ def test_max_pipeline(rng):
 
 
 def test_regression_pipeline(rng):
+    pytest.importorskip("numpy")  # LinRegAfe.decode solves with numpy
     afe = LinRegAfe(FIELD87, dimension=1, n_bits=10)
     deployment = PrioDeployment.create(afe, 3, rng=rng)
     data = [([x], 5 * x + 2) for x in range(1, 30)]

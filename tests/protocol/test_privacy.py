@@ -3,8 +3,9 @@ defence (Section 7, Appendix A)."""
 
 import random
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87

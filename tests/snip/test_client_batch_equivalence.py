@@ -60,7 +60,8 @@ from repro.protocol import (
     PrioServer,
     run_pipelined,
 )
-from repro.snip import ServerRandomness
+from repro.protocol import client as client_module
+from repro.snip import ServerRandomness, SnipError
 from repro.snip.proof import snip_domain_sizes
 from repro.transport import TransportClient
 from repro.workloads.scenarios import scenario_by_name
@@ -296,6 +297,98 @@ def test_batched_client_rejects_invalid_value_at_scalar_rng_point():
         [scalar.prepare_submission(v) for v in good_then_bad]
     assert type(batched_exc.value) is type(scalar_exc.value)
     assert client.rng.getstate() == scalar.rng.getstate()
+
+
+# ----------------------------------------------------------------------
+# Row blocks: phase 2 runs in blocks of BLOCK_ELEMENTS // row width
+# ----------------------------------------------------------------------
+
+
+def _force_block_rows(monkeypatch, afe, rows):
+    """Shrink the client's element budget to ``rows`` values per block;
+    returns the row width in elements."""
+    n_total = PrioClient(afe, 2).submission_elements()
+    monkeypatch.setattr(client_module, "BLOCK_ELEMENTS", rows * n_total)
+    return n_total
+
+
+@pytest.fixture
+def one_value_blocks(monkeypatch):
+    """Every ``prepare_submissions`` call runs in blocks of one value."""
+    monkeypatch.setattr(client_module, "BLOCK_ELEMENTS", 1)
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["seeds", "explicit"])
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize(
+    "rows, sizes", [(1, [1] * 5), (2, [1, 2, 2]), (5, [5])],
+    ids=["blocks-of-1", "blocks-of-2", "one-block"],
+)
+def test_block_boundaries_invisible_in_bytes(
+    monkeypatch, rows, sizes, force_pure, compress
+):
+    afe = _afe_for(FIELD87)
+    n_total = _force_block_rows(monkeypatch, afe, rows)
+    assert [
+        s.stop - s.start for s in client_module._row_blocks(5, n_total)
+    ] == sizes
+    values = _values(5, random.Random(0xB10C))
+    scalar_client = PrioClient(
+        afe, 3, use_prg_compression=compress, rng=random.Random(1234)
+    )
+    batched_client = PrioClient(
+        afe, 3, use_prg_compression=compress, rng=random.Random(1234)
+    )
+    _assert_same_submissions(
+        [scalar_client.prepare_submission(v) for v in values],
+        batched_client.prepare_submissions(values, force_pure=force_pure),
+    )
+    assert scalar_client.rng.getstate() == batched_client.rng.getstate()
+
+
+@pytest.mark.parametrize("force_pure, field", _pinned_cases())
+def test_vec256_uploads_pinned_bytes_in_one_value_blocks(
+    one_value_blocks, force_pure, field
+):
+    test_vec256_uploads_pinned_bytes(force_pure, field)
+
+
+@pytest.mark.parametrize(
+    "force_pure, n_values, field",
+    _pinned_cases(sorted(SEALED_UPLOADS_SHA256)),
+)
+def test_sealed_uploads_pinned_bytes_in_one_value_blocks(
+    one_value_blocks, force_pure, n_values, field
+):
+    test_sealed_uploads_pinned_bytes(force_pure, n_values, field)
+
+
+class _LastBitLies(VectorSumAfe):
+    """Encodes the all-ones vector with a last "bit" of 2: the encoding
+    succeeds and Valid fails, so the refusal comes from phase 2."""
+
+    def encode(self, values, rng=None):
+        out = super().encode(values, rng)
+        if all(values):
+            out[-1] = 2
+        return out
+
+
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_refusal_in_last_block_matches_unblocked(monkeypatch, force_pure):
+    """A value failing Valid in the last block refuses the whole call,
+    and leaves the rng where the unblocked call leaves it: phase 1 has
+    drawn for every value before any block runs."""
+    afe = _LastBitLies(FIELD87, length=5, n_bits=1)
+    values = _values(4, random.Random(0xBAD)) + [[1] * 5]
+    states = []
+    for rows in (1, len(values)):
+        _force_block_rows(monkeypatch, afe, rows)
+        client = PrioClient(afe, 3, rng=random.Random(77))
+        with pytest.raises(SnipError):
+            client.prepare_submissions(values, force_pure=force_pure)
+        states.append(client.rng.getstate())
+    assert states[0] == states[1]
 
 
 # ----------------------------------------------------------------------
