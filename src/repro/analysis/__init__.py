@@ -23,7 +23,7 @@ Architecture
 * :mod:`repro.analysis.suppress` — ``# repro: allow(<rule>)``
   suppression comments and the ``# repro: lint-as(<module>)`` pragma
   (fixture files opt in to a hot-path module's rules).
-* :mod:`repro.analysis.rules` — the six shipped rules.
+* :mod:`repro.analysis.rules` — the seven shipped rules.
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis <paths>``
   with human and JSON output and CI-friendly exit codes.
 """

@@ -2,6 +2,7 @@
 
 from repro.analysis.rules import (  # noqa: F401 - registration side effects
     canonical_crossing,
+    exception_retention,
     executor_lifecycle,
     plane_discipline,
     rng_draw_order,

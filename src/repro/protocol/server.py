@@ -193,9 +193,11 @@ class PrioServer:
         :class:`PendingSubmission` where the packet was received and
         the typed exception object where it was refused — a malformed
         header, wrong server, replay, wrong length or out-of-range
-        element rejects its position alone.  Header fields parse per
-        packet (a cheap fixed-offset slice); every EXPLICIT body joins
-        one fused checked decode.
+        element rejects its position alone.  Refusals carry no
+        traceback: one would hold this sweep's frames, and with them
+        the batch's decoded planes, until the cyclic GC ran.  Header
+        fields parse per packet (a cheap fixed-offset slice); every
+        EXPLICIT body joins one fused checked decode.
         """
         out: "list[PendingSubmission | Exception]" = [None] * len(payloads)
         packets: "list[tuple[int, ClientPacket]]" = []
@@ -205,7 +207,7 @@ class PrioServer:
                     (i, ClientPacket.decode(bytes(data), self.field))
                 )
             except WireError as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
         self._receive_packets(packets, out)
         return out
 
@@ -235,7 +237,7 @@ class PrioServer:
             try:
                 sid, server_index, box_bytes = parse_envelope(data)
             except WireError as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             if self.box_keypair is None:
                 out[i] = ProtocolError("server has no box key configured")
@@ -261,12 +263,12 @@ class PrioServer:
                     self.box_keypair, box_bytes, associated_data=envelope
                 )
             except CryptoError as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             try:
                 packet = ClientPacket.decode(plaintext, self.field)
             except WireError as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             if (
                 packet.submission_id != sid
@@ -335,7 +337,7 @@ class PrioServer:
             try:
                 pending = self._check_frame(packet)
             except (ProtocolError, WireError) as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             out[i] = pending
             if packet.kind is PacketKind.EXPLICIT:
@@ -361,7 +363,7 @@ class PrioServer:
                     raise
                 i, pending, _ = explicit.pop(row)
                 self._pending_ids.discard(pending.submission_id)
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             for t, (i, pending, _) in enumerate(explicit):
                 pending._source = (decoded, t)

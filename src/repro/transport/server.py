@@ -16,6 +16,17 @@ vectorized sweep per server per batch.
 
 The production ingredients a real front end forces:
 
+**Batching.**  Uploads join one partial batch, which flushes to the
+verify worker the moment it reaches ``batch_size``.  While the worker
+holds a batch (or batches wait in its queue) a partial batch just
+grows: the loop reads between verification ops, so frames that land
+meanwhile fill the next batch instead of becoming a batch of their
+own.  Only an idle verifier starts the ``linger_s`` clock — on the
+first frame of a partial batch, or when it finishes a batch and finds
+the queue empty — and flushes whatever the batch holds when it fires.
+Verification cost per submission falls with batch size, so this is
+what keeps the deployed path at full batches.
+
 **Watermark backpressure.**  ``pending`` counts submissions accepted
 off the wire but not yet decided.  At ``high_watermark`` every
 connection's reads pause (``transport.pause_reading``); kernel socket
@@ -76,12 +87,14 @@ class TransportConfig:
     """Tuning knobs for one :class:`PrioTransportServer`.
 
     Defaults derive from ``batch_size``: pause reads at four batches
-    of undecided submissions, resume at two, shed at eight.
+    of undecided submissions, resume at two, shed at eight.  A batch
+    flushes when full; ``linger_s`` bounds how long an idle verifier
+    waits for a partial one.
     """
 
     batch_size: int = 64
-    #: seconds a partial batch may wait for more frames before it
-    #: flushes to verification anyway
+    #: seconds an idle verifier waits for a partial batch to fill
+    #: before it flushes anyway (a busy verifier lets it grow)
     linger_s: float = 0.005
     max_frame: int = DEFAULT_MAX_FRAME
     high_watermark: "int | None" = None
@@ -305,6 +318,8 @@ class PrioTransportServer:
         self._batch_q: "asyncio.Queue | None" = None
         self._linger: "asyncio.TimerHandle | None" = None
         self._worker: "asyncio.Task | None" = None
+        #: the worker holds a batch (waiting at the gate or verifying)
+        self._verifying = False
         self._pending = 0
         self._paused = False
         self._draining = False
@@ -501,11 +516,22 @@ class PrioTransportServer:
                 other.set_flow_paused(True)
         if len(self._batch) >= self.config.batch_size:
             self._flush_batch()
-        elif self._linger is None:
+        else:
+            self._arm_linger()
+        return True
+
+    def _arm_linger(self) -> None:
+        """Start the linger clock for a partial batch, but only while
+        the verifier is idle: a busy verifier lets the batch grow."""
+        if (
+            self._batch
+            and self._linger is None
+            and not self._verifying
+            and self._batch_q.empty()
+        ):
             self._linger = self._loop.call_later(
                 self.config.linger_s, self._linger_flush
             )
-        return True
 
     def _linger_flush(self) -> None:
         self._linger = None
@@ -533,6 +559,7 @@ class PrioTransportServer:
     async def _verify_worker(self) -> None:
         while True:
             batch = await self._batch_q.get()
+            self._verifying = True
             try:
                 await self._verify_gate.wait()
                 await self._process_batch(batch)
@@ -544,7 +571,9 @@ class PrioTransportServer:
                 self._draining = True
                 self._commit_failure = self._commit_failure or exc
             finally:
+                self._verifying = False
                 self._batch_q.task_done()
+                self._arm_linger()
 
     def _payloads_for(self, server_slot: int, batch) -> "list[bytes]":
         """One server's packet bytes, routed by *protocol* index (a

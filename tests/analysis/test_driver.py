@@ -31,9 +31,10 @@ def test_normalize_module_strips_prefixes():
     assert normalize_module("elsewhere/tool.py") == "elsewhere/tool.py"
 
 
-def test_all_six_rules_registered():
+def test_all_seven_rules_registered():
     assert sorted(all_checkers()) == [
         "canonical-crossing",
+        "exception-retention",
         "executor-lifecycle",
         "plane-discipline",
         "rng-draw-order",

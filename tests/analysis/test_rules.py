@@ -422,3 +422,58 @@ def test_wire_bounds_suppression_honored():
     )
     assert _rules(findings) == []
     assert _rules(findings, suppressed=True) == ["wire-bounds"]
+
+
+# ---------------------------------------------------------------------
+# exception-retention
+# ---------------------------------------------------------------------
+
+def test_exception_retention_flags_stored_exception():
+    findings = _run(
+        """
+        def receive(payloads, out, log):
+            for i, data in enumerate(payloads):
+                try:
+                    decode(data)
+                except ValueError as exc:
+                    out[i] = exc
+                    log.append(exc)
+                    self.last_error = exc
+        """
+    )
+    assert _rules(findings) == ["exception-retention"] * 3
+
+
+def test_exception_retention_clean_patterns_pass():
+    findings = _run(
+        """
+        def receive(payloads, out):
+            error = None
+            for i, data in enumerate(payloads):
+                try:
+                    decode(data)
+                except ValueError as exc:
+                    out[i] = exc.with_traceback(None)
+                    error = exc
+                except KeyError as exc:
+                    raise RuntimeError(str(exc)) from exc
+            out.append(error)
+            return error
+        """
+    )
+    assert _rules(findings) == []
+
+
+def test_exception_retention_suppression_honored():
+    findings = _run(
+        """
+        def receive(data, out):
+            try:
+                decode(data)
+            except ValueError as exc:
+                # repro: allow(exception-retention) - fixture rationale
+                out[0] = exc
+        """
+    )
+    assert _rules(findings) == []
+    assert _rules(findings, suppressed=True) == ["exception-retention"]

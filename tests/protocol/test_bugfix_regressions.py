@@ -18,16 +18,27 @@ Each test fails on the pre-fix code:
   already in flight, so the first decision future never resolved.
 * ``TransportClient.send_frame`` after the server closed the connection
   waited forever on a future nothing could resolve.
+* the receive sweep stored each refusal with its traceback, whose
+  frames held the result list (a cycle) and the batch's decoded share
+  planes, so only the cyclic GC could free a batch with a refusal.
 """
 
 import asyncio
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87, FieldError
-from repro.protocol import PrioDeployment, resolve_fanout, run_pipelined
+from repro.field.batch import numpy_available
+from repro.protocol import (
+    PrioDeployment,
+    ProtocolError,
+    resolve_fanout,
+    run_pipelined,
+)
 from repro.protocol.wire import ClientPacket, PacketKind, WireError
 
 
@@ -143,6 +154,65 @@ def test_receive_batch_attributed_field_error_still_per_packet():
     assert isinstance(out[1], FieldError)
     assert not isinstance(out[0], Exception)
     assert not isinstance(out[2], Exception)
+
+
+# ---------------------------------------------------------------------
+# a stored refusal must not pin the batch it was refused from
+# ---------------------------------------------------------------------
+
+
+def _batch_with_refusals(dep):
+    """One server's payloads: two honest EXPLICIT packets, a replay of
+    the first, an out-of-range body and a malformed header."""
+    first, second, third = (
+        _explicit_packet(s)
+        for s in dep.client.prepare_submissions([1, 2, 3])
+    )
+    out_of_range = ClientPacket(
+        submission_id=third.submission_id,
+        server_index=third.server_index,
+        kind=third.kind,
+        n_elements=third.n_elements,
+        body=b"\xff" * len(third.body),
+    )
+    server = dep.servers[first.server_index]
+    payloads = [
+        first.encode(), second.encode(), first.encode(),
+        out_of_range.encode(), b"\x00",
+    ]
+    return server, payloads
+
+
+def test_refusals_are_stored_without_tracebacks():
+    server, payloads = _batch_with_refusals(_deployment())
+    out = server.receive_wire_batch(payloads)
+    refusals = out[2:]
+    assert [type(r) for r in refusals] == [
+        ProtocolError, FieldError, WireError,
+    ]
+    assert all(r.__traceback__ is None for r in refusals)
+    assert not isinstance(out[0], Exception)
+    assert not isinstance(out[1], Exception)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_refusals_do_not_pin_the_decoded_planes():
+    dep = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 4), 3, seed=b"regr", batch_size=4,
+        rng=random.Random(42), force_pure_backend=False,
+    )
+    server, payloads = _batch_with_refusals(dep)
+    gc.disable()
+    try:
+        out = server.receive_wire_batch(payloads)
+        planes = weakref.ref(out[0]._source[0]._data)
+        # Pre-fix: each refusal's traceback held the receive frames,
+        # whose locals hold ``out`` and the decoded planes, so the
+        # planes outlived the result until a GC pass.
+        del out
+        assert planes() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------

@@ -240,3 +240,81 @@ def test_shed_responds_busy_without_touching_core():
     assert all(s is Status.ACCEPTED for s in kept)
     assert n_shed == len(shed) == 3
     assert dep.publish() == 3
+
+
+async def _send_and_wait(server, client, submissions):
+    """Send ``submissions`` without awaiting decisions; return once the
+    server has read them all."""
+    target = server.stats.n_submissions + len(submissions)
+    futures = [
+        await client.send_frame(client.frame_submission(s), s.submission_id)
+        for s in submissions
+    ]
+
+    async def landed():
+        while server.stats.n_submissions < target:
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(landed(), timeout=10.0)
+    return futures
+
+
+def test_partial_batch_grows_while_verifier_is_busy():
+    """A partial batch does not linger-flush while the verifier holds a
+    batch: frames that arrive meanwhile fill it to ``batch_size``."""
+    afe = IntegerSumAfe(FIELD87, 2)
+    _, dep = _twin_deployments(afe, n_servers=2)
+    submissions = dep.client.prepare_submissions([1] * 8)
+
+    async def scenario():
+        async with PrioTransportServer(
+            dep.servers, _config(batch_size=4, linger_s=0.001)
+        ) as server:
+            server.hold_verification()
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) as client:
+                # the first four flush by size and hold the worker
+                futures = await _send_and_wait(server, client, submissions[:4])
+                futures += await _send_and_wait(server, client, submissions[4:6])
+                # well past linger_s: the busy verifier keeps these two
+                # waiting for batchmates
+                await asyncio.sleep(0.02)
+                futures += await _send_and_wait(server, client, submissions[6:])
+                server.release_verification()
+                statuses = await asyncio.wait_for(
+                    asyncio.gather(*futures), timeout=10.0
+                )
+            return statuses, server.stats.n_batches
+
+    statuses, n_batches = asyncio.run(scenario())
+    assert statuses == [Status.ACCEPTED] * 8
+    assert n_batches == 2
+    assert dep.publish() == 8
+
+
+def test_partial_batch_flushes_once_verifier_goes_idle():
+    """A partial batch left behind a busy verifier still decides: the
+    worker starts the linger clock when it finishes and finds no work."""
+    afe = IntegerSumAfe(FIELD87, 2)
+    _, dep = _twin_deployments(afe, n_servers=2)
+    submissions = dep.client.prepare_submissions([1] * 6)
+
+    async def scenario():
+        async with PrioTransportServer(
+            dep.servers, _config(batch_size=4, linger_s=0.001)
+        ) as server:
+            server.hold_verification()
+            host, port = await server.serve_tcp("127.0.0.1", 0)
+            async with await TransportClient.connect_tcp(host, port) as client:
+                futures = await _send_and_wait(server, client, submissions[:4])
+                futures += await _send_and_wait(server, client, submissions[4:])
+                server.release_verification()
+                statuses = await asyncio.wait_for(
+                    asyncio.gather(*futures), timeout=10.0
+                )
+            return statuses, server.stats.n_batches
+
+    statuses, n_batches = asyncio.run(scenario())
+    assert statuses == [Status.ACCEPTED] * 6
+    assert n_batches == 2
+    assert dep.publish() == 6
