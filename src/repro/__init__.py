@@ -51,8 +51,8 @@ BLAS threads
 
 Importing ``repro`` sets ``OPENBLAS_NUM_THREADS=1`` unless the
 environment already names a value; an operator's explicit value wins.
-Prio's parallelism is servers, shards and worker processes, which
-inherit the setting.  The verifier's round-1 product is a float64
+Prio's parallelism is servers and worker processes, which inherit
+the setting.  The verifier's round-1 product is a float64
 BLAS call, and a second OpenBLAS thread spin-waiting after each call
 costs more CPU than it saves: on a 2-vCPU host, ``highres`` server CPU
 read about twice as high with two BLAS threads as with one.  If numpy

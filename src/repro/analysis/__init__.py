@@ -4,7 +4,7 @@ Prio's robustness guarantee survives refactors only if the
 implementation preserves invariants the type system cannot see: field
 values stay canonical when they cross a public API boundary, batched
 code consumes randomness in exactly the scalar draw order, executors
-and tasks are torn down on every path, state crossing a process-shard
+and tasks are torn down on every path, state crossing a process-worker
 seam pickles, and attacker-influenced integers are bound-checked
 before they hit fixed-width wire encodings.  Each of those has already
 cost a real bug (see ``docs/ANALYSIS.md`` for the PR that motivated

@@ -1,6 +1,6 @@
-"""shard-pickle-safety: shard-visible classes must stay picklable.
+"""shard-pickle-safety: worker-visible classes must stay picklable.
 
-``ProcessFanout``/``ShardedFanout`` ship servers (replay sets
+``ProcessFanout`` ships servers (replay sets
 included) and verifier state to worker processes via pickle (and each
 worker's ``snapshot_state`` delta pickles back for
 ``fold_shard_state``, the one run-end merge).  An attribute holding a

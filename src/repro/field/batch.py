@@ -969,26 +969,6 @@ class BatchVector:
             self.field, shape, [list(self._data[i]) for i in indices], False
         )
 
-    def take_elements(self, indices: Sequence[int]) -> "BatchVector":
-        """A new 1-D batch holding the selected elements (in order).
-
-        The 1-D analog of :meth:`take_rows`; repeats are allowed.  The
-        sharded fan-out's round merge/split runs on this: per-shard
-        ``(B_k,)`` round planes gather into the global survivor order
-        (and back) without decoding a single element.
-        """
-        if len(self.shape) != 1:
-            raise FieldError("take_elements needs a 1-D batch")
-        indices = list(indices)
-        shape = (len(indices),)
-        if self._numpy:
-            return BatchVector(
-                self.field, shape, self._data[:, indices], True
-            )
-        return BatchVector(
-            self.field, shape, [self._data[i] for i in indices], False
-        )
-
     def take_columns(self, indices: Sequence[int]) -> "BatchVector":
         """A new batch holding the selected columns (in the given order).
 
@@ -1745,50 +1725,6 @@ def concat_columns(
             for i, row in enumerate(part):
                 rows_out[i].extend(v % p for v in row)
     return BatchVector(field, (n_rows, total), rows_out, False)
-
-
-def concat_vectors(
-    field: PrimeField,
-    parts: "Sequence[BatchVector]",
-    force_pure: bool | None = None,
-) -> BatchVector:
-    """Concatenate 1-D batches along the batch axis into one ``(n,)``.
-
-    The 1-D analog of :func:`stack_rows`, but *backend-normalizing*:
-    parts may mix backends (a tiny shard's round planes drop to the
-    pure backend under the tiny-batch heuristic while its siblings stay
-    numpy), and the result lands on the backend ``force_pure`` resolves
-    to — numpy parts copy planes, pure parts encode once.
-    """
-    parts = list(parts)
-    for part in parts:
-        if not isinstance(part, BatchVector) or len(part.shape) != 1:
-            raise FieldError("concat_vectors needs 1-D BatchVector parts")
-        if part.field.modulus != field.modulus:
-            raise FieldError("field mismatch in concat_vectors")
-    n = sum(part.shape[0] for part in parts)
-    if use_numpy(force_pure):
-        ctx = _ctx(field)
-        out = _np.empty((ctx.n_limbs, n), dtype=_np.int64)
-        col = 0
-        for part in parts:
-            width = part.shape[0]
-            if width == 0:
-                continue
-            if part._numpy:
-                out[:, col:col + width] = part._data
-            else:
-                out[:, col:col + width] = _encode_checked(
-                    ctx, list(part._data)
-                )
-            col += width
-        return BatchVector(field, (n,), out, True)
-    flat: list[int] = []
-    for part in parts:
-        # repro: allow(plane-discipline) - pure fallback: parts are 1-D
-        # int lists already; one materialization per part
-        flat.extend(part.to_ints())
-    return BatchVector(field, (n,), flat, False)
 
 
 def stack_rows(parts: "Sequence[BatchVector]") -> BatchVector:

@@ -13,13 +13,13 @@ two receives — sealed is a pre-stage that opens boxes into the same
 fused sweep), ``begin_verification_batch``,
 ``finish_verification_batch``, ``decide_batch``, ``accumulate_batch``,
 ``reject``, ``abandon``, ``add_dp_noise``, ``publish``; and the
-state-residency seam the fan-out backends use — a worker copy or a
-shard runs on a delta that one fold brings home: ``make_shard``,
-``begin_run``, ``snapshot_state``, ``fold_shard_state``.
+state-residency seam the process backend uses — a worker copy runs on
+a delta that one fold brings home: ``begin_run``, ``snapshot_state``,
+``fold_shard_state``.
 
 Replay protection is one Python set of decided submission ids per
-server (per shard under ``":K"``); only the ids one run decided cross
-back to the driver at its end.
+server; only the ids one run decided cross back to the driver at its
+end.
 
 ``PrioDeployment``: ``create``, then three ways in — ``submit``,
 ``submit_many``, ``deliver`` — and ``publish``, ``publish_shares``,
@@ -29,11 +29,6 @@ back to the driver at its end.
 ``round1``, ``round2``, ``accumulate``, ``reject_all``,
 ``abandon_all``, ``abandon_open``, ``snapshot``.
 
-``ShardedFanout``: one table, ``ShardedFanout._ROUTES``, sends every
-op above but snapshot down one of three routes — ``_by_sid`` (by
-submission id), ``_by_rank`` (split by survivor rank) or ``_to_all``
-(to every shard).
-
 The per-batch protocol itself — receive, survivor intersection,
 ingest, the two SNIP rounds, decide, accumulate, and the one crash
 policy — is written once, as :func:`receive_and_ingest` and
@@ -41,10 +36,10 @@ policy — is written once, as :func:`receive_and_ingest` and
 :func:`run_pipelined` and the deployment drive it one batch after the
 other, like the socket front end, over an execution backend chosen by
 one ``executor`` spelling (:func:`resolve_fanout`: ``"inline"`` — also
-what ``None`` means — or ``"process"``, ``":K"`` to shard, or a ready
-``ServerFanout``).  The scalar SNIP oracle
-(:func:`repro.snip.verify_snip`, ``PrioClient.prepare_submission``)
-stays as the differential reference.
+what ``None`` means — or ``"process"``, or a ready ``ServerFanout``).
+The scalar SNIP oracle (:func:`repro.snip.verify_snip`,
+``PrioClient.prepare_submission``) stays as the differential
+reference.
 """
 
 from repro.protocol.client import ClientSubmission, PrioClient
@@ -61,9 +56,7 @@ from repro.protocol.fanout import (
     LocalFanout,
     ProcessFanout,
     ServerFanout,
-    ShardedFanout,
     resolve_fanout,
-    shard_of,
 )
 from repro.protocol.pipeline import (
     IngestedBatch,
@@ -114,9 +107,7 @@ __all__ = [
     "LocalFanout",
     "ProcessFanout",
     "ServerFanout",
-    "ShardedFanout",
     "resolve_fanout",
-    "shard_of",
     "ClientRegistry",
     "GatedDeployment",
     "GatedServer",

@@ -307,8 +307,8 @@ class PrioClient:
             if len(self.server_box_keys) != self.n_servers:
                 raise ValueError("need one box key per server")
             # envelope || box(packet, ad=envelope): the cleartext
-            # envelope lets the transport and the sharded fan-out
-            # route on the submission id without a decryption key.
+            # envelope lets the transport route on the submission
+            # id without a decryption key.
             sealed = [
                 seal_packet(key, packet, self.rng)
                 for key, packet in zip(self.server_box_keys, packets)

@@ -22,8 +22,8 @@ Backends
 --------
 
 A backend is named one way (:func:`resolve_fanout`): a kind from
-:data:`EXECUTOR_KINDS`, optionally with a ``":K"`` shard suffix, or a
-ready :class:`ServerFanout`.  ``None`` means ``"inline"``.
+:data:`EXECUTOR_KINDS` or a ready :class:`ServerFanout`.  ``None``
+means ``"inline"``.
 
 ``inline``
     Ops run on the event loop's thread, each op's future completing one
@@ -39,11 +39,6 @@ ready :class:`ServerFanout`.  ``None`` means ``"inline"``.
     exactly one process — ops for server ``i`` always execute where
     server ``i`` lives — while distinct servers verify genuinely in
     parallel, GIL-free.
-
-``"kind:K"``
-    :class:`ShardedFanout`: K workers of that kind per logical server,
-    partitioned by submission id.  One table (``ShardedFanout._ROUTES``)
-    says how each op crosses the shards and how their results merge.
 
 What crosses the process boundary
 ---------------------------------
@@ -61,8 +56,8 @@ Everything crosses in plane form, never as per-element Python ints:
   ids + epoch clock) folded into the driver's server objects by
   :meth:`PrioServer.fold_shard_state
   <repro.protocol.server.PrioServer.fold_shard_state>` — the one
-  run-end merge, shared with the sharded backend — so ``publish()``
-  and the deployment statistics keep working unchanged.
+  run-end merge — so ``publish()`` and the deployment statistics keep
+  working unchanged.
 
 The ingested ``(B, z_len)`` share matrix and the verifier party never
 cross at all: they are born and die inside the worker.
@@ -77,15 +72,10 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import fields, is_dataclass
 
-from repro.field.batch import concat_vectors
 from repro.protocol.server import PendingSubmission, PrioServer
-from repro.protocol.wire import WireError, routing_id
 
-#: the executor kinds :func:`resolve_fanout` accepts; each also takes a
-#: ``":K"`` suffix (e.g. ``"process:4"``) to shard each logical server
-#: across K workers of that kind
+#: the executor kinds :func:`resolve_fanout` accepts
 EXECUTOR_KINDS = ("inline", "process")
 
 
@@ -131,8 +121,8 @@ class _BatchState:
 class _ServerOps:
     """Batch-id-keyed protocol ops over one :class:`PrioServer`.
 
-    Every backend — inline, process, sharded — executes exactly this
-    class, so the protocol's semantics cannot drift between them.  In
+    Every backend — inline or process — executes exactly this class,
+    so the protocol's semantics cannot drift between them.  In
     process mode an instance lives in the worker that owns the server;
     locally one instance per server lives in the driver process.  All
     state is keyed by an opaque ``batch_id`` the driver picks.
@@ -279,7 +269,7 @@ class ServerFanout:
     ``call`` is the asyncio seam the drivers await; ``call_sync`` is
     its blocking twin for callers without an event loop.
     ``begin_run``/``end_run`` bracket one run: where server state lives
-    away from the driver (process workers, shards), ``begin_run``
+    away from the driver (process workers), ``begin_run``
     starts a run delta there and ``end_run`` folds it home, once — a
     second ``end_run`` must not add it again.  ``close`` releases
     every worker, waiting for them — no leaked threads or child
@@ -478,321 +468,6 @@ class ProcessFanout(ServerFanout):
 
 
 # ----------------------------------------------------------------------
-# Sharded fan-out: K workers per logical server
-# ----------------------------------------------------------------------
-
-
-def shard_of(sid: bytes, n_shards: int) -> int:
-    """Stable shard assignment for a submission id.
-
-    The low 8 id bytes (little-endian) mod K — identical at every
-    server (all servers see the same submission ids), so a submission's
-    shares land on the *same shard index* everywhere and the SNIP
-    rounds run shard-local with no cross-shard coordination.
-    """
-    return int.from_bytes(sid[:8], "little") % n_shards
-
-
-class _ShardPlan:
-    """Driver-side bookkeeping for one batch across one server's shards."""
-
-    __slots__ = ("positions", "ok", "ranks")
-
-    def __init__(self, positions: "list[list[int]]") -> None:
-        #: per shard: global payload positions routed there (ascending)
-        self.positions = positions
-        #: global positions this server received successfully
-        self.ok: "set[int]" = set()
-        #: shard -> the global survivor ranks of its survivors, in
-        #: shard-local (ascending) order; only shards holding one, in
-        #: ascending shard order.  ``None`` until ``ingest`` fixes them.
-        self.ranks: "dict[int, list[int]] | None" = None
-
-
-def _take(values, ranks):
-    """One shard's slice of a per-survivor argument: a list with one
-    entry per survivor, or one plane-form round batch per server."""
-    if values and is_dataclass(values[0]):
-        return [
-            type(batch)(*(
-                getattr(batch, f.name).take_elements(ranks)
-                for f in fields(batch)
-            ))
-            for batch in values
-        ]
-    return [values[r] for r in ranks]
-
-
-class ShardedFanout(ServerFanout):
-    """K sharded workers per logical server, behind the one-op seam.
-
-    Submissions partition by submission id (:func:`shard_of`); each
-    shard is a full :class:`PrioServer` (:meth:`PrioServer.make_shard`)
-    owning its slice of the id space — replay set, epoch counters,
-    plane accumulator — and runs the ordinary :class:`_ServerOps` over
-    its sub-batch on an inner backend (``inline``/``process``)
-    resolved over the ``S x K`` flat shard-server list.
-    Because the partition is identical across servers, shard ``k`` at
-    every server holds the same submissions and the SNIP rounds run
-    shard-local; the driver merges each shard's ``(B_k,)`` round planes
-    into the global survivor order (one plane concat + gather), so the
-    pipeline, the transport, and ``decide_batch`` are unchanged.
-    :attr:`_ROUTES` is the whole of what crosses: one route per op.
-
-    Replay protection is exact: a given id always routes to the same
-    shard, so shard-local replay and pending sets see every copy.
-    Sealed payloads carry the id in their cleartext envelope
-    (:mod:`repro.protocol.wire`), so encrypted batches partition
-    across shards exactly like raw frames; a forged envelope sid can
-    only misroute its own upload to a shard that then rejects it when
-    the authenticated inner header disagrees.
-
-    ``begin_run``/``end_run`` bracket a run: each shard takes its slice
-    of the logical server's replay ids and starts a run delta
-    (:meth:`PrioServer.begin_run`, which also moves its epoch clock past
-    the logical server's), runs, then folds it back into the logical
-    server via :meth:`PrioServer.fold_shard_state` — the same fold
-    process workers use — so ``publish()``, statistics, and cross-run
-    replay protection keep working unchanged, whichever backend the
-    logical servers ran on in between.
-    """
-
-    def __init__(
-        self,
-        servers: "list[PrioServer]",
-        n_shards: int,
-        executor=None,
-    ) -> None:
-        if n_shards < 1:
-            raise FanoutError("n_shards must be >= 1")
-        self.servers = servers
-        self.n_shards = n_shards
-        #: per logical server: its K shard servers (driver-side objects,
-        #: persistent across runs)
-        self.shards: "list[list[PrioServer]]" = [
-            [server.make_shard(k, n_shards) for k in range(n_shards)]
-            for server in servers
-        ]
-        #: per logical server: batch_id -> plan
-        self._plans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
-        self._run_open = False
-        flat = [shard for shard_row in self.shards for shard in shard_row]
-        self.inner, self._own_inner = resolve_fanout(flat, executor)
-        self.kind = f"sharded({self.inner.kind}x{n_shards})"
-        try:
-            self.begin_run()
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def degraded(self) -> bool:
-        return getattr(self.inner, "degraded", False)
-
-    # -- run lifecycle --------------------------------------------------
-
-    def begin_run(self) -> None:
-        # Re-split each logical server's replay ids on every run: the
-        # servers may have decided submissions through another backend
-        # since this fan-out last ran, and the shard that owns an id's
-        # slice must catch its replay.
-        self._run_open = False
-        for server, shard_row in zip(self.servers, self.shards):
-            slices: "list[set[bytes]]" = [set() for _ in shard_row]
-            for sid in server._replay:
-                slices[shard_of(sid, self.n_shards)].add(sid)
-            for shard, seen in zip(shard_row, slices):
-                shard._replay = seen
-                shard.begin_run(server)
-        self.inner.begin_run()
-        self._run_open = True
-
-    def end_run(self) -> None:
-        # Fold worker-side deltas into the driver-side shard objects
-        # first (process inner; no-op for inline).
-        self.inner.end_run()
-        if not self._run_open:
-            return  # a second fold would double-add the shard deltas
-        self._run_open = False
-        for server, shard_row in zip(self.servers, self.shards):
-            for shard in shard_row:
-                server.fold_shard_state(shard.snapshot_state())
-
-    def close(self) -> None:
-        if self._own_inner:
-            self.inner.close()
-
-    # -- the op seam ----------------------------------------------------
-
-    def call(self, s: int, op: str, *args):
-        calls, merge = self._route(s, op, args)
-        futures = [
-            self.inner.call(s * self.n_shards + k, op, *shard_args)
-            for k, shard_args in calls
-        ]
-        return asyncio.ensure_future(self._finish(futures, merge))
-
-    async def _finish(self, futures, merge):
-        try:
-            results = await asyncio.gather(*futures, return_exceptions=True)
-        except asyncio.CancelledError:
-            for future in futures:
-                future.add_done_callback(_consume_exception)
-            raise
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return merge(results) if merge else None
-
-    def call_sync(self, s: int, op: str, *args):
-        calls, merge = self._route(s, op, args)
-        results = [
-            self.inner.call_sync(s * self.n_shards + k, op, *shard_args)
-            for k, shard_args in calls
-        ]
-        return merge(results) if merge else None
-
-    def _route(self, s: int, op: str, args):
-        """Partition one logical-server op into per-shard calls.
-
-        Returns ``(calls, merge)``: ``calls`` is ``[(shard_index,
-        shard_args), ...]`` and ``merge`` (``None``: nothing to merge)
-        combines the per-shard results, in ``calls`` order, into the
-        logical result.  Routing and merging are pure driver-side
-        bookkeeping; every shard call is dispatched before any result
-        is awaited.
-        """
-        route = self._ROUTES.get(op)
-        if route is None:
-            raise FanoutError(f"op not supported by the sharded fan-out: {op}")
-        return route(self, s, *args)
-
-    # -- the three routes ------------------------------------------------
-
-    def _by_sid(self, s, batch_id, payloads):
-        """Open a plan: partition the payloads by submission id, and
-        scatter the shards' per-position verdicts back."""
-        # Raw or sealed, the id sits at a fixed cleartext offset
-        # (``routing_id``).  It is only a routing hint — each shard
-        # re-validates everything, and a sealed packet's envelope sid
-        # against the authenticated inner header.  Too-short payloads
-        # route to shard 0, whose receive rejects them with the same
-        # WireError the unsharded path raises.
-        positions: "list[list[int]]" = [[] for _ in range(self.n_shards)]
-        for pos, data in enumerate(payloads):
-            try:
-                k = shard_of(routing_id(data), self.n_shards)
-            except WireError:
-                k = 0
-            positions[k].append(pos)
-        plan = self._plans[s][batch_id] = _ShardPlan(positions)
-        calls = [
-            (k, (batch_id, [payloads[p] for p in pos]))
-            for k, pos in enumerate(positions)
-            if pos
-        ]
-
-        def merge(results):
-            out = [None] * len(payloads)
-            for (k, _), verdicts in zip(calls, results):
-                for p, verdict in zip(positions[k], verdicts):
-                    out[p] = verdict
-            plan.ok = {p for p, v in enumerate(out) if v is None}
-            return out
-
-        return calls, merge
-
-    def _by_rank(self, s, batch_id, *args):
-        """Split per-survivor arguments by survivor rank, and gather the
-        shards' per-survivor round planes back into rank order."""
-        plan = self._plans[s][batch_id]
-        if plan.ranks is None:
-            return self._fix_ranks(s, batch_id, plan, *args), None
-        calls = [
-            (k, (batch_id, *(_take(arg, ranks) for arg in args)))
-            for k, ranks in plan.ranks.items()
-        ]
-
-        def merge(results):
-            if results[0] is None:
-                # accumulate: the batch is settled at every shard
-                del self._plans[s][batch_id]
-                return None
-            server = self.servers[s]
-            order = [r for ranks in plan.ranks.values() for r in ranks]
-            inv = sorted(range(len(order)), key=order.__getitem__)
-            return type(results[0])(*(
-                concat_vectors(
-                    server.field,
-                    [getattr(batch, f.name) for batch in results],
-                    server.force_pure_backend,
-                ).take_elements(inv)
-                for f in fields(results[0])
-            ))
-
-        return calls, merge
-
-    def _fix_ranks(self, s, batch_id, plan, keep):
-        """``ingest(keep)``: the survivors fix every shard's ranks.
-
-        Survivors are the kept positions this server received, in
-        ascending position order — the unsharded server's order.  Every
-        shard holding part of the batch ingests, so it abandons its
-        non-survivors too.
-        """
-        local = {
-            p: (k, i)
-            for k, pos in enumerate(plan.positions)
-            for i, p in enumerate(pos)
-        }
-        local_keep: "list[list[int]]" = [[] for _ in range(self.n_shards)]
-        ranks: "list[list[int]]" = [[] for _ in range(self.n_shards)]
-        for rank, p in enumerate(sorted(set(keep) & plan.ok)):
-            k, i = local[p]
-            local_keep[k].append(i)
-            ranks[k].append(rank)
-        plan.ranks = {k: r for k, r in enumerate(ranks) if r}
-        if not plan.ranks:
-            # No survivors anywhere: every shard's ingest settles its
-            # sub-batch (the unsharded op deletes the batch likewise).
-            del self._plans[s][batch_id]
-        return [
-            (k, (batch_id, local_keep[k]))
-            for k, pos in enumerate(plan.positions)
-            if pos
-        ]
-
-    def _to_all(self, s, *args):
-        """The same call at every shard; nothing to merge.
-
-        For the cleanup sweeps: the per-shard op tolerates unknown
-        batch ids, and a partially-dispatched batch may be open at any
-        subset of the shards.  The batch's plan — every plan, for
-        ``abandon_open`` — is dropped first.
-        """
-        if args:
-            self._plans[s].pop(args[0], None)
-        else:
-            self._plans[s].clear()
-        return [(k, args) for k in range(self.n_shards)], None
-
-    #: How each :class:`_ServerOps` op crosses the shards — every op but
-    #: ``snapshot``, the process backend's run-end delta.  Changing what
-    #: crosses the seam is an edit here.
-    _ROUTES = {
-        "receive_wire": _by_sid,
-        "receive_sealed": _by_sid,
-        "ingest": _by_rank,
-        "round1": _by_rank,
-        "round2": _by_rank,
-        "accumulate": _by_rank,
-        "reject_all": _to_all,
-        "abandon_all": _to_all,
-        "abandon_open": _to_all,
-    }
-
-
-# ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------
 
@@ -804,11 +479,9 @@ def resolve_fanout(
 ) -> "tuple[ServerFanout, bool]":
     """Resolve the ``executor`` knob to a backend instance.
 
-    Accepts one of :data:`EXECUTOR_KINDS` — optionally with a ``":K"``
-    shard-count suffix (``"process:4"`` = four sharded workers of that
-    kind per logical server) — ``None`` (``"inline"``), or a ready
-    :class:`ServerFanout` (reused verbatim — the caller owns it).
-    Anything else raises :class:`FanoutError`.  Returns ``(fanout,
+    Accepts one of :data:`EXECUTOR_KINDS`, ``None`` (``"inline"``), or
+    a ready :class:`ServerFanout` (reused verbatim — the caller owns
+    it).  Anything else raises :class:`FanoutError`.  Returns ``(fanout,
     owned)``; callers close only backends they own.
 
     ``"process"`` falls back to ``"inline"``, with a warning, when
@@ -819,21 +492,9 @@ def resolve_fanout(
         return executor, False
     if executor is None:
         executor = "inline"
-    if not isinstance(executor, str):
+    if executor not in EXECUTOR_KINDS:
         raise FanoutError(f"unknown executor selection: {executor!r}")
-    kind, sharded, count = executor.partition(":")
-    if sharded:
-        try:
-            n_shards = int(count)
-        except ValueError:
-            raise FanoutError(
-                f"bad shard count in executor spec: {executor!r}"
-            ) from None
-        if n_shards != 1:
-            return ShardedFanout(servers, n_shards, kind), True
-    if kind not in EXECUTOR_KINDS:
-        raise FanoutError(f"unknown executor selection: {executor!r}")
-    if kind == "process":
+    if executor == "process":
         try:
             return ProcessFanout(servers), True
         except Exception as exc:  # noqa: BLE001 - automatic fallback

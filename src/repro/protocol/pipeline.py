@@ -32,8 +32,8 @@ end (``PrioTransportServer._process_batch`` in
 and :class:`~repro.protocol.registration.GatedDeployment` run.
 
 The per-server CPU work inside each half fans out over an execution
-backend (:mod:`repro.protocol.fanout`: ``"inline"`` or ``"process"``,
-optionally ``":K"`` sharded).  Parallelism comes from there — distinct
+backend (:mod:`repro.protocol.fanout`: ``"inline"`` or
+``"process"``).  Parallelism comes from there — distinct
 servers in distinct processes, as in the paper's deployment — not
 from staging batches inside one event loop.  The one overlap that pays is
 the client's: :meth:`PrioDeployment.submit_many
@@ -75,8 +75,7 @@ class PipelineStats:
     #: released — and the stream continued
     n_worker_failures: int = 0
     batch_sizes: list[int] = dc_field(default_factory=list)
-    #: resolved execution backend ("inline" | "process", or
-    #: "sharded(<kind>xK)")
+    #: resolved execution backend ("inline" | "process")
     executor: str = ""
 
 
@@ -331,7 +330,7 @@ def run_pipelined(
     ``stats.n_worker_failures`` tells them apart).  ``executor``
     selects the per-server backend: a kind from
     :data:`~repro.protocol.fanout.EXECUTOR_KINDS` (``None`` is
-    ``"inline"``), optionally ``":K"`` sharded, or a ready
+    ``"inline"``), or a ready
     :class:`~repro.protocol.fanout.ServerFanout` (reused, caller-owned).
     """
     if batch_size < 1:

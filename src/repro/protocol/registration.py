@@ -168,6 +168,17 @@ class GatedServer(PrioServer):
         if contributor is not None:
             self._contributors.add(contributor)
 
+    def snapshot_state(self) -> dict:
+        state = super().snapshot_state()
+        state["contributors"] = set(self._contributors)
+        return state
+
+    def fold_shard_state(self, state: dict) -> None:
+        # A process worker credits contributors on its copy; a union
+        # brings them home, and folding the same set twice adds none.
+        super().fold_shard_state(state)
+        self._contributors |= state["contributors"]
+
     @property
     def n_contributors(self) -> int:
         return len(self._contributors)

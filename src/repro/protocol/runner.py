@@ -70,8 +70,8 @@ class PrioDeployment:
         self.client = client
         self.encrypt = encrypt
         self.batch_size = batch_size
-        #: execution backend ("inline" | "process", optionally ":K"
-        #: sharded, or a ServerFanout); None = inline
+        #: execution backend ("inline" | "process", or a
+        #: ServerFanout); None = inline
         self.executor = executor
         #: the backend, resolved on first use and reused by every call
         #: until :meth:`close` (spawning process workers per call would
@@ -98,9 +98,9 @@ class PrioDeployment:
         in batches of that size (``submit_many`` chunks accordingly);
         decisions and statistics remain per submission.  ``executor``
         selects the per-server execution backend
-        (``"inline"``/``"process"``, optionally with a ``":K"`` shard
-        suffix; see :mod:`repro.protocol.fanout`); the
-        default runs every server inline on the calling thread."""
+        (``"inline"``/``"process"``, or a ready ``ServerFanout``; see
+        :mod:`repro.protocol.fanout`); the default runs every server
+        inline on the calling thread."""
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
         if batch_size < 1:

@@ -133,10 +133,6 @@ class PrioServer:
         self._submissions_this_epoch = 0
         #: challenge index of the current epoch
         self._epoch = 0
-        #: ``(k, K)``: this server draws only challenge indices that are
-        #: ``k mod K`` — shard k of K (:meth:`make_shard`); ``(0, 1)``,
-        #: every index, for a logical server
-        self._epoch_slot = (0, 1)
         self._ctx: VerificationContext | None = None
         #: server-to-server field elements broadcast (Figure 6 metric)
         self.elements_broadcast = 0
@@ -150,7 +146,7 @@ class PrioServer:
             return None
         if self._ctx is None or self._submissions_this_epoch >= self.epoch_size:
             if self._submissions_this_epoch >= self.epoch_size:
-                self._epoch += self._epoch_slot[1]
+                self._epoch += 1
                 self._submissions_this_epoch = 0
             challenge = self.randomness.challenge(
                 self.field, self.circuit, self._epoch
@@ -578,44 +574,18 @@ class PrioServer:
         )
 
     # ------------------------------------------------------------------
-    # State residency (the fan-out seam): worker copies and shards run
+    # State residency (the fan-out seam): a process worker's copy runs
     # on a delta, which one fold brings home
     # ------------------------------------------------------------------
 
-    def make_shard(self, index: int, n_shards: int) -> "PrioServer":
-        """Shard ``index`` of ``n_shards``: same configuration, no state.
-
-        :class:`~repro.protocol.fanout.ShardedFanout` gives each
-        logical server K of these; every shard owns its slice of the
-        submission-id space (stable hash partition), so shard-local
-        replay sets give complete replay protection.  A shard starts
-        with an empty set; the fan-out fills it with its slice of this
-        server's ids at every run start.  Shard ``index`` draws only
-        the challenge indices that are ``index`` mod ``n_shards``, so
-        no two shards verify under the same r.
-        """
-        shard = PrioServer(
-            self.afe,
-            self.server_index,
-            self.n_servers,
-            self.randomness,
-            epoch_size=self.epoch_size,
-            box_keypair=self.box_keypair,
-            force_pure_backend=self.force_pure_backend,
-        )
-        shard._epoch_slot = (index, n_shards)
-        return shard
-
-    def begin_run(self, parent: "PrioServer | None" = None) -> None:
-        """Start a run delta on a worker copy or a shard.
+    def begin_run(self) -> None:
+        """Start a run delta on a process worker's copy.
 
         Zeroes what a run adds — accumulator, counters, broadcast
         tally, pending ids, the replay delta — so
         :meth:`snapshot_state` then holds exactly this run's delta for
-        :meth:`fold_shard_state`.  A process worker's copy keeps the
-        epoch clock it arrived with.  A shard (``parent`` is its
-        logical server) moves to its first challenge index past every
-        index ``parent`` has used, with a fresh count.
+        :meth:`fold_shard_state`.  The copy keeps the epoch clock it
+        arrived with.
         """
         self._replay_delta = set()
         self._accumulator = BatchVector.zeros(
@@ -627,12 +597,6 @@ class PrioServer:
         self.n_replayed = 0
         self.elements_broadcast = 0
         self._pending_ids = set()
-        if parent is not None:
-            index, n_shards = self._epoch_slot
-            after = parent._epoch + 1
-            self._epoch = after + (index - after) % n_shards
-            self._submissions_this_epoch = 0
-            self._ctx = None
 
     def snapshot_state(self) -> dict:
         """The run delta since :meth:`begin_run`, picklable.
@@ -656,10 +620,9 @@ class PrioServer:
         }
 
     def fold_shard_state(self, state: dict) -> None:
-        """Fold a worker copy's or a shard's run delta into this server.
+        """Fold a process worker copy's run delta into this server.
 
-        The one run-end merge of every fan-out backend (a process
-        worker's copy is its server's only shard): planes, counters
+        The one run-end merge of the fan-out: planes, counters
         and the broadcast tally add, replay and pending ids union, and
         the epoch clock moves to the folded one if it is further on —
         so the next run never re-enters an epoch past its count.
@@ -675,14 +638,14 @@ class PrioServer:
         self.n_replayed += state["n_replayed"]
         self._replay |= state["seen_delta"]
         if self._replay_delta is not None:
-            # a driver-side shard passes its worker's ids on to its
-            # logical server at the next fold
+            # a server with its own run open passes the folded ids on
+            # in its own delta
             self._replay_delta |= state["seen_delta"]
         self._pending_ids |= state["pending_ids"]
         self.elements_broadcast += state["elements_broadcast"]
-        # Shards start past this clock (begin_run) and each index has
-        # one owner, so the furthest (index, count) is the only one a
-        # later run may continue.  Rotation stays lazy in _context().
+        # The worker's clock only moves forward from the one it arrived
+        # with, so the furthest (index, count) is the one a later run
+        # continues.  Rotation stays lazy in _context().
         clock = (state["epoch"], state["submissions_this_epoch"])
         if clock > (self._epoch, self._submissions_this_epoch):
             self._epoch, self._submissions_this_epoch = clock

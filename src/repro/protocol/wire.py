@@ -17,9 +17,8 @@ Packet layout (big-endian):
 Sealed packets.  Packets may additionally be sealed with the recipient
 server's box key (:mod:`repro.crypto.box`).  A sealed packet is not a
 bare box: it carries a cleartext *envelope header* so that routing
-infrastructure (the socket transport's response frames, the sharded
-fan-out's id partition) can see the submission id without holding a
-decryption key::
+infrastructure (the socket transport's response frames) can see the
+submission id without holding a decryption key::
 
     envelope = magic(2)="PS" | version(1) | submission_id(16) |
                server_index(2)
@@ -213,10 +212,10 @@ def routing_id(payload: bytes) -> bytes:
     """Submission id of one uploaded payload, raw or sealed.
 
     The one owner of the header offsets routing infrastructure needs
-    (the transport's response frames, the sharded fan-out's id
-    partition): raw packets carry the id in the :class:`ClientPacket`
-    header, sealed packets in their cleartext envelope — a fixed-offset
-    slice either way, the box is never touched.  The id is a routing
+    (the transport's response frames): raw packets carry the id in the
+    :class:`ClientPacket` header, sealed packets in their cleartext
+    envelope — a fixed-offset slice either way, the box is never
+    touched.  The id is a routing
     hint only; the receiving server re-validates everything.  Raises
     :class:`WireError` when the bytes are too short to hold the id.
     """

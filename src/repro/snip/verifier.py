@@ -184,10 +184,9 @@ def _match_backend(
     """Re-encode ``vector`` onto ``target``'s backend if they differ.
 
     Both backends are bit-exact, so this changes representation only.
-    Needed at the sharded-fan-out seams, where a merged round plane
-    (built on the logical server's backend) can meet a tiny shard's
-    party whose planes dropped to the pure backend under the
-    tiny-batch heuristic.
+    Each server picks its plane backend on its own
+    (``force_pure_backend`` is per server), so round planes from
+    different servers may meet on different backends.
     """
     if vector.backend == target.backend:
         return vector

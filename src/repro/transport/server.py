@@ -56,8 +56,8 @@ the offending upload is ``REJECTED``, batchmates are unaffected.
 **Graceful drain.**  :meth:`stop` closes the listeners, flushes the
 partial batch, waits for every in-flight batch to be *decided*,
 answers stragglers ``BUSY``, releases any still-open ids (nothing is
-ever stranded in ``_pending_ids``), folds worker and shard state back
-(process and sharded fan-out), and closes the connections.
+ever stranded in ``_pending_ids``), folds worker state back (process
+fan-out), and closes the connections.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ class TransportConfig:
     rate_limit: "float | None" = None
     #: per-connection burst allowance in frames
     rate_burst: "int | None" = None
-    #: execution backend: "inline" (also None) | "process" (optionally
-    #: with a ":K" shard suffix, e.g. "process:4"), or a ready
+    #: execution backend: "inline" (also None) | "process", or a ready
     #: ServerFanout
     executor: object = None
 

@@ -173,4 +173,4 @@ def test_whole_tree_has_zero_unsuppressed_findings():
     # every suppression in the tree is an annotated intentional
     # exception; if this number drifts, re-audit rather than rubber-
     # stamping (it is a count of exceptions, not a budget)
-    assert len(result.suppressed) <= 20
+    assert len(result.suppressed) == 9

@@ -11,9 +11,6 @@ Each test fails on the pre-fix code:
   runs, so a second run reported cumulative nonsense.
 * ``ClientPacket.encode`` let out-of-range header fields escape as a
   bare ``OverflowError`` from ``to_bytes``.
-* a reused ``ShardedFanout`` never re-split the logical servers'
-  replay ids, so a submission decided through another backend in
-  between was accepted again.
 * ``TransportClient.send_frame`` overwrote the pending entry of an id
   already in flight, so the first decision future never resolved.
 * ``TransportClient.send_frame`` after the server closed the connection
@@ -345,40 +342,6 @@ def test_transport_batch_queue_is_bounded():
     maxsize = asyncio.run(scenario())
     assert maxsize == config.shed_limit
     assert maxsize > 0
-
-
-# ---------------------------------------------------------------------
-# ShardedFanout split the logical servers' replay ids across its shards
-# only once, at construction: ids the same servers decided through
-# another backend before a reused sharded fan-out ran again were missing
-# from the shards, so their replays were accepted a second time
-# ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["inline:2", "process:2"])
-def test_reused_sharded_fanout_catches_replays_decided_elsewhere(kind):
-    dep = PrioDeployment.create(
-        IntegerSumAfe(FIELD87, 1), 2, seed=b"regr", rng=random.Random(7),
-    )
-    submissions = dep.client.prepare_submissions([1] * 4)
-    fanout, _ = resolve_fanout(dep.servers, kind)
-    try:
-        first, _ = run_pipelined(
-            dep.servers, submissions[:2], batch_size=4, executor=fanout
-        )
-        between, _ = run_pipelined(
-            dep.servers, submissions[2:], batch_size=4, executor="inline"
-        )
-        replayed, _ = run_pipelined(
-            dep.servers, submissions, batch_size=4, executor=fanout
-        )
-    finally:
-        fanout.close()
-    assert first == between == [True, True]
-    # Pre-fix: [False, False, True, True], and publish() read 6.
-    assert replayed == [False] * 4
-    assert dep.publish() == 4
-    assert all(s.n_replayed == 4 for s in dep.servers)
 
 
 # ---------------------------------------------------------------------

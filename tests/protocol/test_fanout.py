@@ -12,6 +12,7 @@ stream flowing, and leave no leaked executors or child processes.
 import multiprocessing
 import random
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -137,7 +138,7 @@ def test_replay_across_runs_and_backends(rng):
     deployment = _twin_deployment(batch_size=2)
     values, submissions = _prepared_stream(deployment, rng, n=3)
     first, _ = run_pipelined(
-        deployment.servers, submissions, batch_size=2, executor="inline:2"
+        deployment.servers, submissions, batch_size=2, executor="inline"
     )
     second, _ = run_pipelined(
         deployment.servers, submissions, batch_size=2, executor="process"
@@ -234,15 +235,23 @@ def test_resolve_fanout_rejects_raw_process_pool():
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 def test_every_listed_kind_resolves(kind):
-    """``EXECUTOR_KINDS`` is the list the resolver checks: each kind,
-    and its two-shard form, gives an owned backend of that kind."""
+    """``EXECUTOR_KINDS`` is the list the resolver checks: each kind
+    gives an owned backend of that kind."""
     deployment = _twin_deployment(n_servers=2)
-    for spec, expected in ((kind, kind), (f"{kind}:2", f"sharded({kind}x2)")):
-        fanout, owned = resolve_fanout(deployment.servers, spec)
-        try:
-            assert owned and fanout.kind == expected
-        finally:
-            fanout.close()
+    fanout, owned = resolve_fanout(deployment.servers, kind)
+    try:
+        assert owned and fanout.kind == kind
+    finally:
+        fanout.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_resolve_fanout_rejects_shard_suffix():
+    """A ``":K"`` suffix names no backend, ``":1"`` included."""
+    deployment = _twin_deployment(n_servers=2)
+    for spec in ("inline:1", "process:2", "inline:x"):
+        with pytest.raises(FanoutError):
+            resolve_fanout(deployment.servers, spec)
     assert multiprocessing.active_children() == []
 
 
@@ -279,6 +288,89 @@ def test_deployment_level_process_executor_caches_pools(rng):
         assert deployment.publish() == total
     assert deployment._fanout is None
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# Run-end fold and fixed-r epochs
+# ----------------------------------------------------------------------
+
+
+def test_end_run_fold_is_idempotent(rng):
+    """A second end_run (the pipeline's finally sweep on a reused
+    backend) must not fold the process workers' run deltas into the
+    driver-side servers twice."""
+
+    def run_end_state(servers):
+        return (
+            [s.publish() for s in servers],
+            [s.n_accepted for s in servers],
+            [sorted(s._replay) for s in servers],
+        )
+
+    deployment = _twin_deployment(batch_size=8, n_servers=2)
+    _, submissions = _prepared_stream(deployment, rng, n=6)
+    fanout, _ = resolve_fanout(deployment.servers, "process")
+    try:
+        run_pipelined(
+            deployment.servers, submissions, batch_size=8, executor=fanout
+        )
+        state = run_end_state(deployment.servers)
+        assert state[1] == [6, 6]
+        fanout.end_run()
+        fanout.end_run()
+        assert run_end_state(deployment.servers) == state
+    finally:
+        fanout.close()
+        deployment.close()
+    assert multiprocessing.active_children() == []
+
+
+class _EpochLogServer(PrioServer):
+    """Appends ``server challenge-index count`` per verified batch to
+    ``log_path`` — a file, so process workers log too."""
+
+    log_path = None
+
+    def begin_verification_batch(self, pendings):
+        party, batch = super().begin_verification_batch(pendings)
+        with open(self.log_path, "a") as log:
+            log.write(f"{self.server_index} {self._epoch} {len(pendings)}\n")
+        return party, batch
+
+
+@pytest.mark.parametrize("executor", BACKENDS)
+def test_no_challenge_verifies_past_its_epoch(executor, tmp_path):
+    """The fixed-r optimization's bound holds on every backend: one
+    (server, challenge index) verifies at most ``epoch_size +
+    batch_size - 1`` submissions (an epoch's count, plus the batch that
+    crosses it), and no index is verified in two runs."""
+    epoch_size, batch_size = 8, 4
+    afe = IntegerSumAfe(FIELD87, 1)
+    randomness = ServerRandomness(b"epoch-bound")
+    log_path = tmp_path / "challenges.log"
+    servers = [
+        _EpochLogServer(afe, i, 2, randomness, epoch_size=epoch_size)
+        for i in range(2)
+    ]
+    for server in servers:
+        server.log_path = str(log_path)
+    deployment = PrioDeployment(
+        afe, servers, PrioClient(afe, 2, rng=random.Random(5)),
+        encrypt=False, batch_size=batch_size, executor=executor,
+    )
+    runs = []
+    with deployment:
+        for _ in range(2):
+            assert deployment.submit_many([1] * 32) == 32
+            used = Counter()
+            for line in log_path.read_text().split("\n")[:-1]:
+                server, index, n = map(int, line.split())
+                used[server, index] += n
+            log_path.unlink()
+            runs.append(used)
+    assert all(sum(used.values()) == 2 * 32 for used in runs)
+    assert max((runs[0] + runs[1]).values()) <= epoch_size + batch_size - 1
+    assert not set(runs[0]) & set(runs[1])
 
 
 # ----------------------------------------------------------------------

@@ -132,3 +132,29 @@ def test_deployment_needs_two_servers():
 
     with pytest.raises(ProtocolError):
         GatedDeployment(IntegerSumAfe(FIELD87, 4), 1, publish_threshold=1)
+
+
+def test_process_run_keeps_contributors(rng):
+    """A process worker's copy credits the contributors; the run-end
+    fold must bring them home, or ``publish()`` refuses a deployment
+    that met its threshold."""
+    from repro.protocol import ClientSubmission, run_pipelined
+
+    deployment = GatedDeployment(
+        IntegerSumAfe(FIELD87, 4), n_servers=2, publish_threshold=4
+    )
+    submissions = []
+    for value in range(4):
+        signed = deployment.new_client(rng).prepare_submission(value)
+        for server, packet in zip(deployment.servers, signed):
+            server.admit(packet)
+        packets = [sp.packet for sp in signed]
+        submissions.append(
+            ClientSubmission(packets[0].submission_id, packets)
+        )
+    decisions, _ = run_pipelined(
+        deployment.servers, submissions, executor="process"
+    )
+    assert decisions == [True] * 4
+    assert [s.n_contributors for s in deployment.servers] == [4, 4]
+    assert deployment.publish() == 0 + 1 + 2 + 3

@@ -18,7 +18,7 @@ from repro.afe import IntegerSumAfe
 from repro.field import FIELD87
 from repro.protocol import ClientSubmission, PrioDeployment, run_pipelined
 
-EXECUTORS = ["inline", "inline:2", "process"]
+EXECUTORS = ["inline", "process"]
 
 
 def _deployment(executor):

@@ -3,8 +3,8 @@
 A sealed upload is the same submission in a box — so every observable
 outcome (per-submission verdicts, published aggregates, replay
 behavior, per-server statistics) must be bit-identical to the
-cleartext delivery of the same prepared stream, at every shard count,
-on both field backends, and whether the sealed bytes arrive in memory
+cleartext delivery of the same prepared stream, on both execution
+backends and both field backends, and whether the sealed bytes arrive in memory
 or over a real TCP socket.  Corrupted rows are tampered *before*
 sealing (and re-sealed), so both paths see the same bad submission and
 must reject it identically.
@@ -20,12 +20,7 @@ import pytest
 
 from repro.afe import VectorSumAfe
 from repro.field import FIELD87
-from repro.protocol import (
-    PrioDeployment,
-    ShardedFanout,
-    resolve_fanout,
-    seal_packet,
-)
+from repro.protocol import PrioDeployment, seal_packet
 from repro.transport import (
     PrioTransportServer,
     Status,
@@ -33,7 +28,6 @@ from repro.transport import (
     TransportConfig,
 )
 
-SHARD_COUNTS = [1, 2, 4]
 SEED = b"sealed-diff-seed"
 
 
@@ -77,15 +71,14 @@ def _server_stats(dep):
 
 
 # ----------------------------------------------------------------------
-# Sealed vs cleartext, K x backend
+# Sealed vs cleartext, executor x field backend
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("force_pure", [None, True],
                          ids=["auto-backend", "pure-backend"])
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_sealed_matches_cleartext(n_shards, force_pure):
-    executor = "inline" if n_shards == 1 else f"inline:{n_shards}"
+@pytest.mark.parametrize("executor", ["inline", "process"])
+def test_sealed_matches_cleartext(executor, force_pure):
     corrupt = (3, 10, 17)
 
     sealed_dep = _deployment(force_pure, executor=executor)
@@ -161,35 +154,25 @@ def test_sealed_over_tcp_matches_sealed_in_memory():
     tx_dep.close()
 
 
-def test_sealed_over_tcp_process4_spreads_all_shards():
+def test_sealed_over_tcp_process_matches_cleartext():
     """The acceptance scenario: sealed uploads over a real socket with
-    ``executor="process:4"`` partition across all 4 shards of every
-    server and decide bit-identically to the cleartext pipeline."""
+    ``executor="process"`` decide bit-identically to the cleartext
+    pipeline, and the workers' replay ids fold home."""
     mem_dep = _deployment(executor="inline", encrypt=False)
     tx_dep = _deployment(executor="inline")
     submissions = _stream(tx_dep, n=24, corrupt=(5, 13))
     mem_decisions = mem_dep.deliver(copy.deepcopy(submissions))
 
-    # pre-built fan-out so the driver-side shard state stays
-    # inspectable after the transport server stops
-    fanout, owned = resolve_fanout(tx_dep.servers, "process:4")
-    assert owned and isinstance(fanout, ShardedFanout)
-    try:
-        statuses, _ = asyncio.run(_serve_sealed(
-            tx_dep, submissions, _config(executor=fanout)
-        ))
-        tx_decisions = [s is Status.ACCEPTED for s in statuses]
-        assert tx_decisions == mem_decisions
-        assert tx_dep.publish() == mem_dep.publish()
-        # the 2 corrupted rows reject at receive (FieldError), before
-        # any replay id is recorded; every decided id is in exactly
-        # one shard's cache, and every shard saw traffic
-        for shard_row in fanout.shards:
-            counts = [len(shard._replay) for shard in shard_row]
-            assert all(count > 0 for count in counts), counts
-            assert sum(counts) == len(submissions) - 2
-    finally:
-        fanout.close()
+    statuses, _ = asyncio.run(_serve_sealed(
+        tx_dep, submissions, _config(executor="process")
+    ))
+    tx_decisions = [s is Status.ACCEPTED for s in statuses]
+    assert tx_decisions == mem_decisions
+    assert tx_dep.publish() == mem_dep.publish()
+    # the 2 corrupted rows reject at receive (FieldError), before any
+    # replay id is recorded
+    for server in tx_dep.servers:
+        assert len(server._replay) == len(submissions) - 2
     assert multiprocessing.active_children() == []
     mem_dep.close()
     tx_dep.close()

@@ -10,7 +10,7 @@
     bytes: one seeded stream (honest + corrupted + replayed uploads,
     cleartext and sealed) gives identical decisions, counters and
     published shares through ``PrioDeployment.deliver``,
-    ``run_pipelined`` on inline / sharded-process backends and
+    ``run_pipelined`` on inline / process backends and
     ``PrioTransportServer`` over TCP, at every batch size.
 """
 
@@ -30,7 +30,6 @@ from repro.field import FIELD87
 from repro.protocol import (
     PrioDeployment,
     PrioServer,
-    ShardedFanout,
     run_pipelined,
     seal_packet,
 )
@@ -64,30 +63,17 @@ def _public(name):
     return not name.startswith("_")
 
 
-def _is_route(fn):
-    """One of the routes ``ShardedFanout._ROUTES`` sends ops down."""
-    return any(fn is route for route in ShardedFanout._ROUTES.values())
-
-
 @pytest.mark.parametrize(
     "cls,keep",
     [
         (PrioServer, _public),
         (PrioDeployment, _public),
         (_ServerOps, _public),
-        (ShardedFanout, lambda name: _is_route(getattr(ShardedFanout, name))),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
 def test_listed_surface_matches_code(cls, keep):
     assert _defined(cls, keep) == _listed(cls.__name__)
-
-
-def test_every_op_has_a_shard_planner():
-    """The sharded fan-out's one op table routes exactly the ops it can
-    be asked for (``snapshot`` is the process backend's run-end
-    delta)."""
-    assert set(ShardedFanout._ROUTES) == _listed("_ServerOps") - {"snapshot"}
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +187,7 @@ def _via_tcp(encrypt, batch_size, submissions):
 DRIVERS = {
     "deliver": _via_deliver,
     "pipeline-inline": _via_pipeline("inline"),
-    "pipeline-process:2": _via_pipeline("process:2"),
+    "pipeline-process": _via_pipeline("process"),
     "tcp": _via_tcp,
 }
 
