@@ -1,11 +1,11 @@
 """NIST P-256 elliptic-curve group, implemented from scratch.
 
 The paper's NIZK comparison system "uses OpenSSL's NIST P256 code" via
-a Go wrapper; with no crypto libraries available offline, this module
-provides the same group: the short-Weierstrass curve
-``y^2 = x^3 - 3x + b`` over the P-256 prime, with Jacobian-coordinate
-arithmetic and two scalar-multiplication kernels that share one mixed
-(Jacobian + affine) addition:
+a Go wrapper.  This module provides the same group with no dependency:
+the short-Weierstrass curve ``y^2 = x^3 - 3x + b`` over the P-256
+prime, with Jacobian-coordinate arithmetic and two
+scalar-multiplication kernels that share one mixed (Jacobian + affine)
+addition:
 
 * :func:`scalar_mult` — any base.  The scalar is recoded to signed
   width-5 wNAF and walked from the top: one doubling per bit, one
@@ -19,7 +19,9 @@ arithmetic and two scalar-multiplication kernels that share one mixed
   Only the box *sender* uses it (:func:`repro.crypto.box.seal`: the
   generator and each server's long-term key); servers, signatures and
   the NIZK baseline stay on :func:`scalar_mult` and never pay for a
-  table.
+  table.  A server opens boxes on OpenSSL where the optional
+  ``cryptography`` package imports; this ladder is then the fallback
+  and the oracle its differential test opens every box against.
 
 Neither kernel is constant-time, and neither was the 4-bit ladder they
 replaced: the digits of a secret scalar choose which table entry is
@@ -38,7 +40,9 @@ It serves three consumers:
 
 A module-level operation counter records scalar multiplications (one
 per call of either kernel) so the benchmarks can report exact
-"exponentiation" counts without profiling.
+"exponentiation" counts without profiling.  It counts only these pure
+kernels: a box opened on OpenSSL adds nothing.  Table 2 counts client
+and NIZK exponentiations, never opens.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ def reset_op_counter() -> None:
 
 
 def scalar_mult_count() -> int:
-    """Scalar multiplications ("exponentiations") since the last reset."""
+    """Scalar multiplications ("exponentiations") since the last reset.
+
+    Only this module's kernels count; an OpenSSL box open does not.
+    """
     return _scalar_mult_count
 
 

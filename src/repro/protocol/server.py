@@ -217,8 +217,9 @@ class PrioServer:
         (:mod:`repro.protocol.wire` envelope layout).  Per position:
         the envelope parses (cheap slice), the wrong-server and replay
         checks run against the *cleartext* envelope fields — before
-        paying the two scalar multiplications of
-        :func:`~repro.crypto.box.open_box` — then the box opens with
+        paying the one ECDH of :func:`~repro.crypto.box.open_box`
+        (OpenSSL's where ``cryptography`` imports, else the pure
+        ladder's scalar multiplication) — then the box opens with
         the envelope as associated data (so a grafted envelope fails
         authentication), and the opened packet's inner header must
         agree with its envelope.  Survivors join the same fused sweep

@@ -1,6 +1,7 @@
 """Tests for the crypto substrate (stream, HKDF, box, signatures)."""
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -202,6 +203,35 @@ def test_only_the_sender_builds_fixed_base_tables(rng):
     assert verify(signer.public, b"m", sign(signer, b"m", rng))
     assert list(p256._TABLE_CACHE) == before
     assert other.public not in p256._TABLE_CACHE
+
+
+@pytest.mark.parametrize("secret", [0, -1, p256.ORDER, 2 * p256.ORDER + 5])
+def test_box_keypair_rejects_secret_outside_the_group(secret):
+    # a multiple of the order makes every shared secret the identity,
+    # so every box would open under keys anyone can derive
+    with pytest.raises(CryptoError, match="secret"):
+        BoxKeyPair(secret=secret, public=GENERATOR)
+
+
+def test_box_keypair_accepts_the_extreme_secrets(rng):
+    for secret in (1, p256.ORDER - 1):
+        keypair = BoxKeyPair(
+            secret=secret, public=p256.scalar_mult(secret, GENERATOR)
+        )
+        sealed = seal(keypair.public, b"edge", rng)
+        assert open_box(keypair, sealed) == b"edge"
+
+
+def test_box_keypair_pickles_after_an_open(rng):
+    # process workers receive the server's key pair: whatever the open
+    # cached must stay out of the pickle
+    keypair = BoxKeyPair.generate(rng)
+    sealed = seal(keypair.public, b"payload", rng)
+    assert open_box(keypair, sealed) == b"payload"
+    copy = pickle.loads(pickle.dumps(keypair))
+    assert copy == keypair
+    assert vars(copy) == {"secret": keypair.secret, "public": keypair.public}
+    assert open_box(copy, sealed) == b"payload"
 
 
 def test_box_tamper_detected(rng):

@@ -330,8 +330,8 @@ def test_sealed_to_keyless_server_rejects_per_position():
 
 
 def test_sealed_replay_precheck_never_opens_the_box(monkeypatch):
-    """A replayed envelope sid is refused before the two scalar
-    multiplications of open_box are paid."""
+    """A replayed envelope sid is refused before open_box's ECDH is
+    paid."""
     dep = _sealed_deployment()
     subs = dep.client.prepare_submissions([1])
     server = dep.servers[0]
