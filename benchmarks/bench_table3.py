@@ -3,9 +3,9 @@
 Paper rows: field multiplication microbenchmark plus client submission
 time for L in {10, 100, 1000}, on a workstation and a phone, in the
 87-bit and 265-bit fields.  We measure the workstation column directly
-(full prepare_submission: encode + SNIP + PRG-share + frame) and scale
-by the paper's own phone/workstation field-multiplication ratio for the
-phone column.
+(the deployed client, ``PrioClient.prepare_submissions`` on one value:
+encode + SNIP + PRG-share + frame) and scale by the paper's own
+phone/workstation field-multiplication ratio for the phone column.
 """
 
 import random
@@ -13,7 +13,14 @@ import time
 
 import pytest
 
-from common import PHONE_SLOWDOWN, emit_table, fmt_seconds, time_call
+from common import (
+    CLIENT_PATH_NOTE,
+    PHONE_SLOWDOWN,
+    emit_table,
+    fmt_seconds,
+    prepare_one,
+    time_call,
+)
 
 from repro.afe import VectorSumAfe
 from repro.field import FIELD87, FIELD265
@@ -57,7 +64,7 @@ def table3_data():
             client = PrioClient(afe, N_SERVERS, rng=rng)
             values = [rng.randrange(16) for _ in range(length)]
             seconds = time_call(
-                client.prepare_submission, values,
+                prepare_one, client, values,
                 repeat=3 if length < 1000 else 1,
             )
             client_times[(field.name, length)] = seconds
@@ -70,6 +77,10 @@ def table3_data():
                 )
             )
         rows.append(row)
+    longest = LENGTHS[-1]
+    at_longest = client_times[(FIELD87.name, longest)]
+    big_field = client_times[(FIELD265.name, longest)] / at_longest
+    growth = at_longest / client_times[(FIELD87.name, LENGTHS[-2])]
     emit_table(
         "table3",
         "Table 3 — client submission time, L four-bit integers "
@@ -78,10 +89,13 @@ def table3_data():
          "phone-est 87-bit", "phone-est 265-bit"],
         rows,
         notes=[
+            CLIENT_PATH_NOTE,
             "paper (workstation, 87-bit): L=10: 3ms, L=100: 24ms, "
-            "L=1000: 221ms — native bigints put this reproduction "
-            "within ~1.2x of the paper's absolute client numbers; "
-            "shape (linear in L, ~1.5x for the bigger field) preserved",
+            "L=1000: 221ms",
+            f"measured at L={longest}: {fmt_seconds(at_longest)} "
+            f"(87-bit), {big_field:.1f}x that in the 265-bit field; "
+            f"L={LENGTHS[-2]} -> L={longest} grows {growth:.1f}x "
+            f"(linear: {longest // LENGTHS[-2]}x)",
         ],
     )
     return client_times
@@ -93,7 +107,7 @@ def test_client_submission_L100_field87(benchmark, table3_data):
     afe = VectorSumAfe(FIELD87, length=100, n_bits=4)
     client = PrioClient(afe, N_SERVERS, rng=rng)
     values = [rng.randrange(16) for _ in range(100)]
-    benchmark.pedantic(client.prepare_submission, args=(values,),
+    benchmark.pedantic(prepare_one, args=(client, values),
                        rounds=5, iterations=1)
 
 
@@ -103,5 +117,5 @@ def test_client_submission_L100_field265(benchmark, table3_data):
     afe = VectorSumAfe(FIELD265, length=100, n_bits=4)
     client = PrioClient(afe, N_SERVERS, rng=rng)
     values = [rng.randrange(16) for _ in range(100)]
-    benchmark.pedantic(client.prepare_submission, args=(values,),
+    benchmark.pedantic(prepare_one, args=(client, values),
                        rounds=5, iterations=1)

@@ -108,6 +108,19 @@ def time_call(fn, *args, repeat: int = 3, min_time: float = 0.0):
     return best
 
 
+#: The table note each client figure carries: what its Prio line ran.
+CLIENT_PATH_NOTE = (
+    "prio = the deployed client, PrioClient.prepare_submissions, "
+    "one value per call"
+)
+
+
+def prepare_one(client, value):
+    """One upload through the deployed client entry point: a
+    ``PrioClient.prepare_submissions`` call holding one value."""
+    return client.prepare_submissions([value])[0]
+
+
 def fmt_seconds(seconds: float) -> str:
     if seconds < 1e-3:
         return f"{seconds * 1e6:.0f}us"

@@ -21,6 +21,10 @@ Replay protection is one Python set of decided submission ids per
 server; only the ids one run decided cross back to the driver at its
 end.
 
+``PrioClient``: ``prepare_submissions`` (the one client entry point —
+an upload of one value is a call with one value) and
+``submission_elements``.
+
 ``PrioDeployment``: ``create``, then three ways in — ``submit``,
 ``submit_many``, ``deliver`` — and ``publish``, ``publish_shares``,
 ``close``.
@@ -37,9 +41,9 @@ policy — is written once, as :func:`receive_and_ingest` and
 other, like the socket front end, over an execution backend chosen by
 one ``executor`` spelling (:func:`resolve_fanout`: ``"inline"`` — also
 what ``None`` means — or ``"process"``, or a ready ``ServerFanout``).
-The scalar SNIP oracle (:func:`repro.snip.verify_snip`,
-``PrioClient.prepare_submission``) stays as the differential
-reference.
+The scalar SNIP oracles (:func:`repro.snip.build_proof`,
+:func:`repro.snip.verify_snip`) stay as differential references; the
+scalar client built from them lives with the tests, not here.
 """
 
 from repro.protocol.client import ClientSubmission, PrioClient
@@ -88,9 +92,7 @@ from repro.protocol.wire import (
     routing_id,
     seal_packet,
     packets_for_explicit_bodies,
-    packets_for_explicit_shares,
     packets_for_share_bodies,
-    packets_for_shares,
     total_upload_bytes,
 )
 
@@ -136,8 +138,6 @@ __all__ = [
     "routing_id",
     "seal_packet",
     "packets_for_explicit_bodies",
-    "packets_for_explicit_shares",
     "packets_for_share_bodies",
-    "packets_for_shares",
     "total_upload_bytes",
 ]

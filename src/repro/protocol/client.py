@@ -1,24 +1,23 @@
 """The Prio client (Appendix H, step 1 — "Upload").
 
-``PrioClient.prepare_submission`` performs the full client pipeline:
+``PrioClient.prepare_submissions`` is the one client entry point; an
+upload of one value is a call with one value.  For each value it
 
-1. AFE-encode the private value (Section 5),
-2. build the SNIP proof for the AFE's Valid circuit (Section 4) —
+1. AFE-encodes the private value (Section 5),
+2. builds the SNIP proof for the AFE's Valid circuit (Section 4) —
    skipped entirely for AFEs where every vector is valid,
-3. concatenate ``encoding || proof`` and split it into per-server
+3. concatenates ``encoding || proof`` and splits it into per-server
    shares, PRG-compressed by default (Appendix I), and
-4. frame one wire packet per server, optionally sealed with each
+4. frames one wire packet per server, optionally sealed with each
    server's box public key.
 
 The client triad of costs the paper measures — encode time (Table 3,
 Figures 7/8), upload bytes (Figure 6), and "one public-key operation"
-(the box seal) — all live in this method.
-
-``prepare_submissions`` runs the same pipeline for a whole batch of
-values through the plane-resident batch prover
-(:mod:`repro.snip.batch_prover`), in cache-sized row blocks
-(``BLOCK_ELEMENTS``), producing uploads bit-identical to the per-value
-path under the same rng — see its docstring.
+(the box seal) — all live in this method.  It proves through the
+plane-resident batch prover (:mod:`repro.snip.batch_prover`) in
+cache-sized row blocks (``BLOCK_ELEMENTS``); its per-value reference,
+with the same rng draw order and the same bytes, is the test suite's
+``oracle.scalar_prepare_submission``.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ from repro.field.batch import (
     tiny_batch_force_pure,
 )
 from repro.sharing.additive import (
-    share_vector,
     share_vectors_client_batch,
     share_vectors_explicit_batch,
 )
-from repro.sharing.prg import new_seed, prg_share_vector
+from repro.sharing.prg import new_seed
 from repro.circuit.compiled import CompiledCircuit, compile_circuit
 from repro.mpc.beaver import generate_triple
 from repro.snip.batch_prover import (
@@ -48,14 +46,11 @@ from repro.snip.batch_prover import (
     submission_planes,
 )
 from repro.snip.proof import SnipError
-from repro.snip.prover import build_proof
 from repro.protocol.wire import (
     ClientPacket,
     new_submission_id,
     packets_for_explicit_bodies,
-    packets_for_explicit_shares,
     packets_for_share_bodies,
-    packets_for_shares,
     seal_packet,
     total_upload_bytes,
 )
@@ -120,6 +115,8 @@ class PrioClient:
         server_box_keys: list[Point] | None = None,
         rng=None,
     ) -> None:
+        if server_box_keys is not None and len(server_box_keys) != n_servers:
+            raise ValueError("need one box key per server")
         self.afe = afe
         self.field = afe.field
         self.n_servers = n_servers
@@ -127,16 +124,6 @@ class PrioClient:
         self.server_box_keys = server_box_keys
         self.rng = rng if rng is not None else _random.Random(os.urandom(16))
         self.circuit = afe.valid_circuit()
-
-    def prepare_submission(self, value) -> ClientSubmission:
-        """Encode, prove, share, and frame one private value."""
-        encoding = self.afe.encode(value, self.rng)
-        if self.circuit is not None:
-            proof = build_proof(self.field, self.circuit, encoding, self.rng)
-            vector = encoding + proof.flatten()
-        else:
-            vector = list(encoding)
-        return self._frame_vector(vector)
 
     def prepare_submissions(
         self,
@@ -162,14 +149,16 @@ class PrioClient:
         chosen once per call; a one-value call is one block.
 
         Per-submission randomness is drawn in exactly scalar order, so
-        the uploads are *bit-identical* to repeated
-        :meth:`prepare_submission` calls — the scalar oracle — under
-        the same rng, in any chunking and any blocking (asserted by
+        the uploads are *bit-identical* to the scalar per-value oracle
+        (``oracle.scalar_prepare_submission`` in the test suite) run
+        over the same values under the same rng, in any chunking and
+        any blocking (asserted by
         ``tests/snip/test_client_batch_equivalence.py``) — except when
-        sealing is configured, where this path seals after the whole
-        batch's shares are drawn (equivalent in distribution, not
-        bit-identical).  ``force_pure`` overrides the batch backend for
-        this call (``None`` auto-selects).
+        sealing is configured and the call holds more than one value:
+        this path seals after the whole call's shares are drawn
+        (equivalent in distribution, not bit-identical).
+        ``force_pure`` overrides the batch backend for this call
+        (``None`` auto-selects).
         """
         values = list(values)
         if not values:
@@ -297,15 +286,11 @@ class PrioClient:
     def _seal_and_wrap(
         self, submission_id: bytes, packets: "list[ClientPacket]"
     ) -> ClientSubmission:
-        """Optionally box-seal framed packets and wrap the submission.
-
-        Shared by the scalar and batched framers so the sealing rules
-        (one key per server, one seal per packet) live in one place.
-        """
+        """Seal each framed packet to its server when box keys are
+        configured (``__init__`` checked there is one per server), and
+        wrap the submission."""
         sealed = None
         if self.server_box_keys is not None:
-            if len(self.server_box_keys) != self.n_servers:
-                raise ValueError("need one box key per server")
             # envelope || box(packet, ad=envelope): the cleartext
             # envelope lets the transport route on the submission
             # id without a decryption key.
@@ -316,23 +301,6 @@ class PrioClient:
         return ClientSubmission(
             submission_id=submission_id, packets=packets, sealed_packets=sealed
         )
-
-    def _frame_vector(self, vector: list[int]) -> ClientSubmission:
-        """Share and frame one already-proved submission vector."""
-        submission_id = new_submission_id(self.rng)
-        if self.use_prg_compression and self.n_servers > 1:
-            seeds, explicit = prg_share_vector(
-                self.field, vector, self.n_servers, self.rng
-            )
-            packets = packets_for_shares(
-                self.field, submission_id, seeds, explicit
-            )
-        else:
-            shares = share_vector(self.field, vector, self.n_servers, self.rng)
-            packets = packets_for_explicit_shares(
-                self.field, submission_id, shares
-            )
-        return self._seal_and_wrap(submission_id, packets)
 
     def submission_elements(self) -> int:
         """Share-vector length in field elements (Figures 4/6 x-axis is

@@ -101,7 +101,7 @@ class RegisteredClient:
         self._inner = PrioClient(afe, n_servers, rng=self.rng)
 
     def prepare_submission(self, value) -> list[SignedPacket]:
-        submission = self._inner.prepare_submission(value)
+        [submission] = self._inner.prepare_submissions([value])
         return [
             SignedPacket(
                 packet=packet,
@@ -231,7 +231,10 @@ class GatedDeployment:
 
     def deliver(self, signed_packets: list[SignedPacket]) -> bool:
         """Admit one signed submission at every server, then run it
-        through the batch protocol as a batch of one."""
+        through the batch protocol as a batch of one.  A list that does
+        not hold one packet per server is refused before any admit."""
+        if len(signed_packets) != self.n_servers:
+            return False
         try:
             for server, signed in zip(self.servers, signed_packets):
                 server.admit(signed)

@@ -156,14 +156,6 @@ class ClientPacket:
             body=body,
         )
 
-    def share_vector(self, field: PrimeField) -> list[int]:
-        """Materialize this packet's share vector."""
-        if self.kind is PacketKind.SEED:
-            from repro.sharing.prg import expand_seed
-
-            return expand_seed(field, self.body, self.n_elements)
-        return field.decode_vector(self.body)
-
     def encoded_size(self) -> int:
         return _HEADER_SIZE + len(self.body)
 
@@ -252,9 +244,8 @@ def packets_for_share_bodies(
 
     The one place the compressed layout is defined: SEED packets for
     servers ``0 .. len(seeds) - 1``, the explicit share at the last
-    index.  Both the scalar client (via :func:`packets_for_shares`)
-    and the batched client (bodies from
-    :func:`~repro.field.batch.encode_bytes_batch`) build here.
+    index.  The client builds here from bodies
+    :func:`~repro.field.batch.encode_bytes_batch` wrote.
     """
     packets = [
         ClientPacket(
@@ -278,21 +269,6 @@ def packets_for_share_bodies(
     return packets
 
 
-def packets_for_shares(
-    field: PrimeField,
-    submission_id: bytes,
-    seeds: list[bytes],
-    explicit_share: list[int],
-) -> list[ClientPacket]:
-    """Build the per-server packets from a PRG-compressed sharing."""
-    return packets_for_share_bodies(
-        submission_id,
-        seeds,
-        field.encode_vector(explicit_share),
-        len(explicit_share),
-    )
-
-
 def packets_for_explicit_bodies(
     submission_id: bytes,
     bodies: list[bytes],
@@ -309,21 +285,6 @@ def packets_for_explicit_bodies(
         )
         for i, body in enumerate(bodies)
     ]
-
-
-def packets_for_explicit_shares(
-    field: PrimeField,
-    submission_id: bytes,
-    shares: list[list[int]],
-) -> list[ClientPacket]:
-    """Uncompressed variant (the PRG ablation's baseline)."""
-    if not shares:
-        return []
-    return packets_for_explicit_bodies(
-        submission_id,
-        [field.encode_vector(share) for share in shares],
-        len(shares[0]),
-    )
 
 
 def total_upload_bytes(packets: list[ClientPacket]) -> int:

@@ -8,13 +8,14 @@ the names below and that each sits in the paragraph naming its callers.
 
 Used in ``src/``: ``share_scalar``, ``share_vector``,
 ``share_vectors_client_batch``, ``share_vectors_explicit_batch``,
-``SEED_SIZE``, ``expand_seed``, ``expand_seed_batch``, ``new_seed``,
-``prg_share_vector``.
+``SEED_SIZE``, ``expand_seed_batch``, ``new_seed``.
 
 Scalar oracles (what the deployment's accumulate-and-publish
-reconstruction and its batched seed expansion are tested against):
-``reconstruct_scalar``, ``reconstruct_vector``,
-``prg_reconstruct_vector``, ``share_of_constant``, ``PrgStream``.
+reconstruction, its batched seed expansion and its batched client
+sharing are tested against): ``reconstruct_scalar``,
+``reconstruct_vector``, ``prg_reconstruct_vector``,
+``share_of_constant``, ``PrgStream``, ``expand_seed``,
+``prg_share_vector``.
 """
 
 from repro.sharing.additive import (

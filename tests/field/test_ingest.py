@@ -4,7 +4,7 @@ The fast path — wire bytes / PRG streams straight into limb planes
 (``decode_bytes_batch`` / ``expand_seed_batch`` / the server's
 ``receive_wire_batch`` -> ``_ingest_batch``) — must be *bit-exact* with
 the scalar path (``field.decode_vector`` / ``expand_seed`` /
-``ClientPacket.share_vector``) across every shipped modulus, on both
+``oracle.packet_share_vector``) across every shipped modulus, on both
 backends, for SEED and EXPLICIT packets alike.  Adversarial bodies
 (out-of-range elements, truncated/padded bodies) are planted at random
 batch positions and must be rejected at exactly that position.
@@ -44,6 +44,8 @@ from repro.protocol.wire import (
 from repro.sharing import expand_seed, expand_seed_batch, new_seed, prg
 from repro.sharing.prg import SEED_SIZE, PrgStream, _candidates_for
 from repro.snip import ServerRandomness
+
+from oracle import packet_share_vector
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 
@@ -383,7 +385,7 @@ def _assert_ingests_like_scalar(field, server, packets, received, bad=()):
     assert all(isinstance(received[i], PendingSubmission) for i in kept)
     matrix = server._ingest_batch([received[i] for i in kept])
     assert matrix.to_ints() == [
-        packets[i].share_vector(field) for i in kept
+        packet_share_vector(packets[i], field) for i in kept
     ]
     # refused positions hold no id; received ones are replay-protected
     assert server._pending_ids == {packets[i].submission_id for i in kept}

@@ -12,6 +12,8 @@ from repro.afe import AfeError, BoolOrAfe, FrequencyCountAfe, IntegerSumAfe
 from repro.field import FIELD87
 from repro.protocol import LocalFanout, PrioDeployment, run_pipelined
 
+from oracle import scalar_prepare_submission
+
 
 @pytest.fixture
 def rng():
@@ -142,7 +144,7 @@ def test_submit_many_matches_scalar_client_uploads(rng):
     values = [rng.randrange(256) for _ in range(9)]
     assert batched_dep.submit_many(values) == 9
     assert scalar_dep.deliver(
-        [scalar_dep.client.prepare_submission(v) for v in values]
+        [scalar_prepare_submission(scalar_dep.client, v) for v in values]
     ) == [True] * 9
     assert batched_dep.publish() == scalar_dep.publish() == sum(values)
     assert (
@@ -177,7 +179,7 @@ def test_pipeline_framing_failure_releases_other_servers(rng):
     servers that did receive it (honest retry succeeds)."""
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, batch_size=3, rng=rng)
-    submission = deployment.client.prepare_submission(9)
+    submission = deployment.client.prepare_submissions([9])[0]
     good_packet = submission.packets[1]
     submission.packets[1] = replace(
         good_packet, n_elements=good_packet.n_elements - 1,

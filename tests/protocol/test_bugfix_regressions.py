@@ -18,6 +18,8 @@ Each test fails on the pre-fix code:
 * the receive sweep stored each refusal with its traceback, whose
   frames held the result list (a cycle) and the batch's decoded share
   planes, so only the cyclic GC could free a batch with a refusal.
+* ``GatedDeployment.deliver`` given fewer signed packets than servers
+  admitted the ones it had, then raised ``IndexError`` from framing.
 """
 
 import asyncio
@@ -62,7 +64,7 @@ def _explicit_packet(submission):
 
 def test_abandon_releases_share_sources():
     dep = _deployment()
-    packet = _explicit_packet(dep.client.prepare_submission(1))
+    packet = _explicit_packet(dep.client.prepare_submissions([1])[0])
     server = dep.servers[packet.server_index]
     [pending] = server.receive_wire_batch([packet.encode()])
     # receive left a live source (the whole decoded batch matrix for
@@ -84,7 +86,7 @@ def test_abandon_releases_share_sources():
 
 def test_abandon_releases_seed_source():
     dep = _deployment()
-    submission = dep.client.prepare_submission(1)
+    submission = dep.client.prepare_submissions([1])[0]
     seed_packet = next(
         p for p in submission.packets if p.kind is PacketKind.SEED
     )
@@ -103,7 +105,7 @@ def test_abandon_releases_seed_source():
 def test_receive_batch_unattributed_field_error_raises(monkeypatch):
     dep = _deployment()
     explicit = [
-        _explicit_packet(dep.client.prepare_submission(1))
+        _explicit_packet(dep.client.prepare_submissions([1])[0])
         for _ in range(4)
     ]
     server = dep.servers[explicit[0].server_index]
@@ -133,7 +135,7 @@ def test_receive_batch_attributed_field_error_still_per_packet():
     evict-one-and-continue behavior."""
     dep = _deployment()
     packets = [
-        _explicit_packet(dep.client.prepare_submission(1))
+        _explicit_packet(dep.client.prepare_submissions([1])[0])
         for _ in range(3)
     ]
     server = dep.servers[packets[0].server_index]
@@ -363,7 +365,7 @@ def test_transport_client_refuses_an_id_already_in_flight():
         IntegerSumAfe(FIELD87, 2), 2, seed=b"regr", batch_size=4,
         rng=random.Random(42),
     )
-    submission = dep.client.prepare_submission(3)
+    submission = dep.client.prepare_submissions([3])[0]
     sid = submission.submission_id
     frame = TransportClient.frame_submission(submission)
     config = TransportConfig(batch_size=4, linger_s=0.001, executor="inline")
@@ -406,7 +408,7 @@ def test_transport_client_send_after_server_close_raises():
         IntegerSumAfe(FIELD87, 2), 2, seed=b"regr", batch_size=4,
         rng=random.Random(42),
     )
-    submission = dep.client.prepare_submission(3)
+    submission = dep.client.prepare_submissions([3])[0]
     config = TransportConfig(batch_size=4, linger_s=0.001, executor="inline")
 
     async def scenario():
@@ -427,3 +429,25 @@ def test_transport_client_send_after_server_close_raises():
     stats = asyncio.run(asyncio.wait_for(scenario(), 10))
     assert stats.n_poisoned == 1
     assert stats.n_submissions == 0
+
+
+# ---------------------------------------------------------------------
+# GatedDeployment.deliver admitted a short packet list at the servers it
+# covered, then raised IndexError framing it for the ones it did not
+# ---------------------------------------------------------------------
+
+
+def test_gated_deliver_refuses_a_short_packet_list():
+    from repro.protocol import GatedDeployment
+
+    dep = GatedDeployment(
+        IntegerSumAfe(FIELD87, 4), n_servers=3, publish_threshold=1
+    )
+    signed = dep.new_client(random.Random(43)).prepare_submission(5)
+    assert not dep.deliver(signed[:2])
+    for server in dep.servers:
+        assert not server._admitted
+        assert not server._pending_ids
+    # the id was never spent: the honest full retry is accepted
+    assert dep.deliver(signed)
+    assert dep.publish() == 5

@@ -30,17 +30,18 @@ def make_server(afe, index=0, n=2, epoch_size=1024):
 
 
 def test_client_box_key_count_mismatch(rng):
+    """A key list of the wrong length fails at construction, before
+    any value is proved or any rng draw is spent."""
     afe = IntegerSumAfe(FIELD87, 4)
     keys = [BoxKeyPair.generate(rng).public]  # one key for two servers
-    client = PrioClient(afe, 2, server_box_keys=keys, rng=rng)
-    with pytest.raises(ValueError):
-        client.prepare_submission(3)
+    with pytest.raises(ValueError, match="one box key per server"):
+        PrioClient(afe, 2, server_box_keys=keys, rng=rng)
 
 
 def test_client_submission_elements_accounting(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     client = PrioClient(afe, 3, rng=rng)
-    submission = client.prepare_submission(5)
+    submission = client.prepare_submissions([5])[0]
     assert submission.packets[0].n_elements == client.submission_elements()
     # Proof-free AFE: elements == k.
     or_client = PrioClient(BoolOrAfe(lambda_bits=8), 3, rng=rng)
@@ -50,7 +51,7 @@ def test_client_submission_elements_accounting(rng):
 def test_server_rejects_misdelivered_packet(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     client = PrioClient(afe, 2, rng=rng)
-    submission = client.prepare_submission(3)
+    submission = client.prepare_submissions([3])[0]
     server1 = make_server(afe, index=1, n=2)
     # packet for server 0
     [refusal] = server1.receive_wire_batch([submission.packets[0].encode()])

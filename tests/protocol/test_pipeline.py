@@ -105,7 +105,7 @@ def test_uncompressed_sharing(rng):
 def test_replay_rejected(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, rng=rng)
-    submission = deployment.client.prepare_submission(5)
+    submission = deployment.client.prepare_submissions([5])[0]
     assert deployment.deliver([submission]) == [True]
     assert deployment.deliver([submission]) == [False]  # replay
     assert deployment.publish() == 5
@@ -131,8 +131,8 @@ def test_deterministic_with_seeded_rng():
     afe = IntegerSumAfe(FIELD87, 4)
     d1 = PrioDeployment.create(afe, 2, seed=b"s", rng=random.Random(1))
     d2 = PrioDeployment.create(afe, 2, seed=b"s", rng=random.Random(1))
-    s1 = d1.client.prepare_submission(9)
-    s2 = d2.client.prepare_submission(9)
+    s1 = d1.client.prepare_submissions([9])[0]
+    s2 = d2.client.prepare_submissions([9])[0]
     assert s1.packets[0].encode() == s2.packets[0].encode()
 
 
@@ -208,7 +208,7 @@ def test_retry_after_partial_receive_failure(rng):
 
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, rng=rng)
-    submission = deployment.client.prepare_submission(9)
+    submission = deployment.client.prepare_submissions([9])[0]
     good_packet = submission.packets[1]
     submission.packets[1] = replace(
         good_packet, n_elements=good_packet.n_elements - 1,

@@ -97,7 +97,7 @@ def test_upload_packets_carry_no_plaintext(rng):
     afe = IntegerSumAfe(FIELD87, 8)
     deployment = PrioDeployment.create(afe, 2, rng=rng)
     value = 200
-    submission = deployment.client.prepare_submission(value)
+    submission = deployment.client.prepare_submissions([value])[0]
     explicit = FIELD87.decode_vector(submission.packets[-1].body)
     # First element is a share of 200 — a uniform field element; the
     # probability it literally equals 200 is ~2^-87.

@@ -61,7 +61,7 @@ def test_run_delta_update():
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_replay_inside_a_batch_rejects(executor):
     with _deployment(executor) as deployment:
-        submission = deployment.client.prepare_submission(7)
+        submission = deployment.client.prepare_submissions([7])[0]
         first, second = deployment.deliver([submission, submission])
         assert first is True and second is False
         # Every server refuses the copy at receive: the first one's id
@@ -85,7 +85,7 @@ def test_abandon_then_retry_is_not_a_replay(executor):
     is abandoned — no decision was made, so an honest retry of the very
     same upload must be accepted, not treated as a replay."""
     with _deployment(executor) as deployment:
-        submission = deployment.client.prepare_submission(5)
+        submission = deployment.client.prepare_submissions([5])[0]
         # Server 0 receives its real packet; server 1 gets server 0's
         # (wrong server index -> framing reject).  Server 0 must
         # *abandon* — no decision was made.

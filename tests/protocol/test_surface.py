@@ -2,8 +2,8 @@
 
 (a) The entry points listed in the ``repro.protocol`` module docstring
     are exactly the ones the code has, so the surface cannot regrow
-    (a second receive path, a scalar wrapper, another way into the
-    deployment) without that list — the one place it is written down —
+    (a second receive path, a scalar client wrapper, another way into
+    the deployment) without that list — the one place it is written down —
     changing too.
 
 (b) Every driver runs the same per-batch protocol on the same wire
@@ -28,6 +28,7 @@ import repro.protocol
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87
 from repro.protocol import (
+    PrioClient,
     PrioDeployment,
     PrioServer,
     run_pipelined,
@@ -67,6 +68,7 @@ def _public(name):
     "cls,keep",
     [
         (PrioServer, _public),
+        (PrioClient, _public),
         (PrioDeployment, _public),
         (_ServerOps, _public),
     ],

@@ -10,16 +10,30 @@ from repro.protocol import (
     PacketKind,
     WireError,
     new_submission_id,
-    packets_for_explicit_shares,
-    packets_for_shares,
+    packets_for_explicit_bodies,
+    packets_for_share_bodies,
     total_upload_bytes,
 )
 from repro.sharing import prg_share_vector, share_vector
+
+from oracle import packet_share_vector
 
 
 @pytest.fixture
 def rng():
     return random.Random(9090)
+
+
+def _compressed_packets(f, sid, seeds, explicit):
+    return packets_for_share_bodies(
+        sid, seeds, f.encode_vector(explicit), len(explicit)
+    )
+
+
+def _explicit_packets(f, sid, shares):
+    return packets_for_explicit_bodies(
+        sid, [f.encode_vector(share) for share in shares], len(shares[0])
+    )
 
 
 def test_explicit_packet_roundtrip(rng):
@@ -34,14 +48,14 @@ def test_explicit_packet_roundtrip(rng):
     )
     decoded = ClientPacket.decode(packet.encode(), f)
     assert decoded == packet
-    assert decoded.share_vector(f) == vec
+    assert packet_share_vector(decoded, f) == vec
 
 
 def test_seed_packet_roundtrip(rng):
     f = FIELD87
     xs = f.rand_vector(10, rng)
     seeds, explicit = prg_share_vector(f, xs, 3, rng)
-    packets = packets_for_shares(f, new_submission_id(rng), seeds, explicit)
+    packets = _compressed_packets(f, new_submission_id(rng), seeds, explicit)
     assert len(packets) == 3
     assert packets[0].kind is PacketKind.SEED
     assert packets[-1].kind is PacketKind.EXPLICIT
@@ -49,7 +63,7 @@ def test_seed_packet_roundtrip(rng):
     total = [0] * 10
     for packet in packets:
         decoded = ClientPacket.decode(packet.encode(), f)
-        share = decoded.share_vector(f)
+        share = packet_share_vector(decoded, f)
         total = f.vec_add(total, share)
     assert total == xs
 
@@ -58,9 +72,9 @@ def test_explicit_shares_builder(rng):
     f = FIELD87
     xs = f.rand_vector(4, rng)
     shares = share_vector(f, xs, 2, rng)
-    packets = packets_for_explicit_shares(f, new_submission_id(rng), shares)
+    packets = _explicit_packets(f, new_submission_id(rng), shares)
     assert all(p.kind is PacketKind.EXPLICIT for p in packets)
-    reconstructed = f.vec_sum([p.share_vector(f) for p in packets])
+    reconstructed = f.vec_sum([packet_share_vector(p, f) for p in packets])
     assert reconstructed == xs
 
 
@@ -117,9 +131,9 @@ def test_compression_saves_bandwidth(rng):
     xs = f.rand_vector(500, rng)
     sid = new_submission_id(rng)
     seeds, explicit = prg_share_vector(f, xs, 5, rng)
-    compressed = total_upload_bytes(packets_for_shares(f, sid, seeds, explicit))
-    shares = share_vector(f, xs, 5, rng)
-    uncompressed = total_upload_bytes(
-        packets_for_explicit_shares(f, sid, shares)
+    compressed = total_upload_bytes(
+        _compressed_packets(f, sid, seeds, explicit)
     )
+    shares = share_vector(f, xs, 5, rng)
+    uncompressed = total_upload_bytes(_explicit_packets(f, sid, shares))
     assert compressed < uncompressed / 4

@@ -2,11 +2,12 @@
 
 The batched client path (``PrioClient.prepare_submissions``
 → ``repro.snip.batch_prover`` → ``share_vectors_client_batch`` →
-``encode_bytes_batch``) must be *bit-identical* to the scalar
-``prepare_submission`` loop under a shared rng: same submission ids,
-same seeds, same wire bytes, same ``upload_bytes`` — on every shipped
-NTT-friendly modulus, on both backends, at every batch size, in both
-the PRG-seed-compressed and the explicit share forms.
+``encode_bytes_batch``) must be *bit-identical* to the scalar client
+oracle (``oracle.scalar_prepare_submission``) looped under a shared
+rng: same submission ids, same seeds, same wire bytes, same
+``upload_bytes`` — on every shipped NTT-friendly modulus, on both
+backends, at every batch size, in both the PRG-seed-compressed and the
+explicit share forms.
 
 The adversarial half round-trips batched uploads through real
 ``PrioServer`` instances (the batch protocol: wire-bytes receive →
@@ -66,6 +67,8 @@ from repro.snip.proof import snip_domain_sizes
 from repro.transport import TransportClient
 from repro.workloads.scenarios import scenario_by_name
 
+from oracle import scalar_prepare_submission
+
 BACKENDS = [True] + ([False] if use_numpy(None) else [])
 MODULI = [FIELD_SMALL, FIELD64, FIELD87, FIELD265]
 MODULI_IDS = [f.name for f in MODULI]
@@ -94,7 +97,7 @@ def _assert_same_submissions(scalar_subs, batched_subs):
 
 
 # ----------------------------------------------------------------------
-# Differential: batched client vs the scalar prepare_submission loop
+# Differential: batched client vs the scalar client oracle loop
 # ----------------------------------------------------------------------
 
 
@@ -111,7 +114,9 @@ def test_batched_client_bit_identical(field, force_pure, compress, batch):
     batched_client = PrioClient(
         afe, 3, use_prg_compression=compress, rng=random.Random(1207)
     )
-    scalar_subs = [scalar_client.prepare_submission(v) for v in values]
+    scalar_subs = [
+        scalar_prepare_submission(scalar_client, v) for v in values
+    ]
     batched_subs = batched_client.prepare_submissions(
         values, force_pure=force_pure
     )
@@ -137,7 +142,7 @@ def test_batched_client_bit_identical_sweep(field, force_pure):
             afe, 3, use_prg_compression=compress, rng=random.Random(seed)
         )
         _assert_same_submissions(
-            [scalar_client.prepare_submission(v) for v in values],
+            [scalar_prepare_submission(scalar_client, v) for v in values],
             batched_client.prepare_submissions(
                 values, force_pure=force_pure
             ),
@@ -157,7 +162,7 @@ def test_batched_client_proof_free_afe(force_pure):
             afe, 3, use_prg_compression=compress, rng=random.Random(99)
         )
         _assert_same_submissions(
-            [scalar_client.prepare_submission(v) for v in values],
+            [scalar_prepare_submission(scalar_client, v) for v in values],
             batched_client.prepare_submissions(
                 values, force_pure=force_pure
             ),
@@ -279,7 +284,7 @@ def test_highres_sized_proofs_bit_identical_to_scalar_build_proof(
     scalar_client = PrioClient(afe, 2, rng=random.Random(4096))
     batched_client = PrioClient(afe, 2, rng=random.Random(4096))
     _assert_same_submissions(
-        [scalar_client.prepare_submission(v) for v in values],
+        [scalar_prepare_submission(scalar_client, v) for v in values],
         batched_client.prepare_submissions(values, force_pure=force_pure),
     )
     assert scalar_client.rng.getstate() == batched_client.rng.getstate()
@@ -294,7 +299,7 @@ def test_batched_client_rejects_invalid_value_at_scalar_rng_point():
         client.prepare_submissions(good_then_bad)
     scalar = PrioClient(afe, 3, rng=random.Random(5))
     with pytest.raises(Exception) as scalar_exc:
-        [scalar.prepare_submission(v) for v in good_then_bad]
+        [scalar_prepare_submission(scalar, v) for v in good_then_bad]
     assert type(batched_exc.value) is type(scalar_exc.value)
     assert client.rng.getstate() == scalar.rng.getstate()
 
@@ -340,7 +345,7 @@ def test_block_boundaries_invisible_in_bytes(
         afe, 3, use_prg_compression=compress, rng=random.Random(1234)
     )
     _assert_same_submissions(
-        [scalar_client.prepare_submission(v) for v in values],
+        [scalar_prepare_submission(scalar_client, v) for v in values],
         batched_client.prepare_submissions(values, force_pure=force_pure),
     )
     assert scalar_client.rng.getstate() == batched_client.rng.getstate()
@@ -570,7 +575,7 @@ AFE_CASES = [
 def test_upload_bytes_matches_encoded_length_every_afe(afe, values):
     """Figure 6's overhead accounting: the reported client upload cost
     must equal the bytes actually on the wire, for every AFE, on both
-    the batched and the scalar framer, in both share forms."""
+    the batched client and the scalar oracle, in both share forms."""
     for compress in (True, False):
         batched_client = PrioClient(
             afe, 3, use_prg_compression=compress, rng=random.Random(83)
@@ -579,7 +584,9 @@ def test_upload_bytes_matches_encoded_length_every_afe(afe, values):
             afe, 3, use_prg_compression=compress, rng=random.Random(83)
         )
         batched = batched_client.prepare_submissions(values)
-        scalar = [scalar_client.prepare_submission(v) for v in values]
+        scalar = [
+            scalar_prepare_submission(scalar_client, v) for v in values
+        ]
         for sub, ref in zip(batched, scalar):
             actual = sum(len(p.encode()) for p in sub.packets)
             assert sub.upload_bytes == actual

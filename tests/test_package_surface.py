@@ -15,8 +15,8 @@ paragraphs, and each label names who calls the names under it:
     with (that list may only shrink);
 (d) no name in any other exemption paragraph has a ``src/`` caller
     either, so a label cannot go stale.  "Scalar oracles" alone are
-    exempt: the scalar client path and the paper experiments run
-    them, and each is named;
+    exempt: the pure backend's fallbacks and the paper experiments
+    run them, and each is named;
 (e) every top-level ``repro`` name is in its subpackage's ``__all__``.
 
 Callers are found by identifier (AST names, attributes and imports,

@@ -105,7 +105,7 @@ def test_mid_frame_disconnect_is_harmless():
 
     async def attack(reader, writer, server):  # noqa: ARG001
         frame = TransportClient.frame_submission(
-            dep.client.prepare_submission(1)
+            dep.client.prepare_submissions([1])[0]
         )
         writer.write(frame[: len(frame) // 2])
         await writer.drain()
@@ -132,7 +132,7 @@ def test_corrupt_share_rejects_submission_not_connection():
     the same connection's other submissions decide normally."""
     dep = _deployment()
     good = dep.client.prepare_submissions([2, 3])
-    bad = dep.client.prepare_submission(1)
+    bad = dep.client.prepare_submissions([1])[0]
     tampered = bytearray(bad.packets[1].encode())
     tampered[-1] ^= 0x01
     frame = encode_upload([bad.packets[0].encode(), bytes(tampered)])
@@ -167,7 +167,7 @@ def test_sealed_frames_to_keyless_deployment_reject_not_busy():
         rng=random.Random(14),
     )
     sealed = sealing.client.prepare_submissions([1, 2, 3])
-    honest = dep.client.prepare_submission(5)
+    honest = dep.client.prepare_submissions([5])[0]
 
     async def scenario():
         async with PrioTransportServer(dep.servers, _config()) as server:
@@ -342,7 +342,7 @@ def test_slow_loris_drip_does_not_block_honest_traffic():
     bounded buffer; honest connections decide at full speed, and the
     dripped frame still decides once it finally completes."""
     dep = _deployment()
-    loris_sub = dep.client.prepare_submission(1)
+    loris_sub = dep.client.prepare_submissions([1])[0]
     honest_subs = dep.client.prepare_submissions([2, 3, 4])
     frame = TransportClient.frame_submission(loris_sub)
 
@@ -413,8 +413,8 @@ def test_concurrent_replay_across_connections_counts_once():
     """The same submission id raced over two connections lands at most
     once — even when both copies share a verification batch."""
     dep = _deployment()
-    target = dep.client.prepare_submission(3)
-    honest = dep.client.prepare_submission(2)
+    target = dep.client.prepare_submissions([3])[0]
+    honest = dep.client.prepare_submissions([2])[0]
     frame = TransportClient.frame_submission(target)
 
     async def scenario():

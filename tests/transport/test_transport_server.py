@@ -109,7 +109,7 @@ def test_replay_rejected_second_connection():
     """The same submission id on two connections is accepted once."""
     afe = IntegerSumAfe(FIELD87, 2)
     _, dep = _twin_deployments(afe, n_servers=2)
-    submission = dep.client.prepare_submission(3)
+    submission = dep.client.prepare_submissions([3])[0]
 
     async def scenario():
         async with PrioTransportServer(dep.servers, _config()) as server:
