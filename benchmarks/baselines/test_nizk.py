@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.ec import GENERATOR, INFINITY, scalar_mult
-from repro.nizk import (
+from baselines.nizk import (
+    UPLOAD_BYTES_PER_ELEMENT,
+    ElGamalCiphertext,
     NizkDeployment,
     NizkError,
     ServerKeyPair,
@@ -21,7 +22,17 @@ from repro.nizk import (
     verify_bit,
     verify_dleq,
 )
-from repro.nizk.system import UPLOAD_BYTES_PER_ELEMENT
+from repro.afe import VectorSumAfe
+from repro.ec import (
+    GENERATOR,
+    INFINITY,
+    random_scalar,
+    reset_op_counter,
+    scalar_mult,
+    scalar_mult_count,
+)
+from repro.field import FIELD87
+from repro.snip import build_proof
 
 
 @pytest.fixture
@@ -102,13 +113,9 @@ def test_bit_proof_rejects_large_plaintext(rng):
     """The attack Prio and the baseline both exist to stop: encrypting
     v = 5 instead of a bit.  A proof for 'bit' semantics cannot verify."""
     kp = ServerKeyPair.generate(rng)
-    from repro.ec import random_scalar
-
     k = random_scalar(rng)
     c1 = scalar_mult(k, GENERATOR)
     c2 = scalar_mult(k, kp.public) + scalar_mult(5, GENERATOR)
-    from repro.nizk.elgamal import ElGamalCiphertext
-
     ct = ElGamalCiphertext(c1, c2)
     # Forge attempt: claim it's a 1 with the true randomness.
     proof = prove_bit(kp.public, ct, 1, k, rng)
@@ -183,9 +190,6 @@ def test_malicious_submission_rejected_end_to_end(rng):
     good = nizk_client_submit(deployment.combined_pub, [1, 0], rng)
     assert deployment.submit(good)
     # Tamper: swap in an encryption of 5 with a junk proof.
-    from repro.ec import random_scalar
-    from repro.nizk.elgamal import ElGamalCiphertext
-
     k = random_scalar(rng)
     evil_ct = ElGamalCiphertext(
         scalar_mult(k, GENERATOR),
@@ -196,6 +200,30 @@ def test_malicious_submission_rejected_end_to_end(rng):
     assert not deployment.submit(evil)
     totals = deployment.publish(max_total=2, rng=rng)
     assert totals == [1, 0]  # only the good submission counted
+
+
+def test_publish_rejects_bad_decryption_share(rng):
+    """A server that shifts one partial decryption, keeping its honest
+    DLEQ proof, cannot move a published total: ``publish`` refuses."""
+    deployment = NizkDeployment.create(n_servers=3, length=2, rng=rng)
+    for vec in ([1, 0], [1, 1]):
+        assert deployment.submit(
+            nizk_client_submit(deployment.combined_pub, vec, rng)
+        )
+    cheat = deployment.servers[1]
+    honest = cheat.decryption_shares
+
+    def tampered(rng):
+        shares = honest(rng)
+        share, proof = shares[0]
+        shares[0] = (share + GENERATOR, proof)
+        return shares
+
+    cheat.decryption_shares = tampered
+    with pytest.raises(NizkError, match="server 1"):
+        deployment.publish(max_total=2, rng=rng)
+    cheat.decryption_shares = honest
+    assert deployment.publish(max_total=2, rng=rng) == [2, 1]
 
 
 def test_wrong_length_rejected(rng):
@@ -220,3 +248,29 @@ def test_transfer_scales_linearly():
     large = nizk_server_transfer_bytes(1024, 5)
     # Linear in L up to integer-division rounding.
     assert abs(large - small * 64) <= 64
+
+
+# ----------------------------------------------------------------------
+# Table 2's exponentiation counts
+# ----------------------------------------------------------------------
+
+
+def test_table2_exponentiation_counts_unchanged():
+    """``benchmarks/bench_table2.py::table2_data`` at M = 32: the NIZK
+    baseline's counts are a property of the protocol, not the ladder.
+    A client pays 8 scalar mults per element (2 to encrypt, 6 for the
+    OR-proof), a verifying server 8."""
+    m = 32
+    rng = random.Random(2)
+    afe = VectorSumAfe(FIELD87, length=m, n_bits=1)
+    bits = [rng.randrange(2) for _ in range(m)]
+    reset_op_counter()
+    build_proof(FIELD87, afe.valid_circuit(), afe.encode(bits), rng)
+    assert scalar_mult_count() == 0
+    deployment = NizkDeployment.create(n_servers=2, length=m, rng=rng)
+    reset_op_counter()
+    submission = nizk_client_submit(deployment.combined_pub, bits, rng)
+    assert scalar_mult_count() == 256
+    reset_op_counter()
+    deployment.servers[0].process(submission)
+    assert scalar_mult_count() == 256

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet import (
+from baselines.throughput import (
     PipelineCosts,
     cluster_throughput,
     leader_amortized_tx,
@@ -17,17 +17,16 @@ from repro.simnet import (
 
 
 def test_paper_topology_shape():
+    # the paper's c3.2xlarge servers: eight cores, 1 Gbps between regions
     topo = paper_wan_topology()
-    assert topo.n_sites == 5
-    assert "frankfurt" in topo.names
-    assert len(set(topo.names)) == 5
+    assert topo.cores_per_server == 8
+    assert topo.bandwidth_bps == pytest.approx(1e9)
 
 
 def test_same_datacenter_uniform():
-    # n servers behind one switch: one link speed, faster than the WAN's
-    topo = same_datacenter(4)
-    assert topo.n_sites == 4
-    assert len(set(topo.names)) == 4
+    # servers behind one switch: same machines, a faster link than the WAN
+    topo = same_datacenter()
+    assert topo.cores_per_server == paper_wan_topology().cores_per_server
     assert topo.bandwidth_bps > paper_wan_topology().bandwidth_bps
 
 

@@ -18,27 +18,32 @@ exactly the work each scheme's server does per submission:
 
 Transport decryption is excluded uniformly (identical across schemes).
 CPU combines with the simulated 5-region WAN via
-:func:`repro.simnet.cluster_throughput`.  The reproducible claims are
-the *ratios*: Prio within ~an order of magnitude of no-privacy, NIZK
-orders of magnitude below (paper: 5.7x and 267x respectively).
+:func:`baselines.throughput.cluster_throughput`.  The reproducible
+claims are the *ratios*: Prio within ~an order of magnitude of
+no-privacy, NIZK orders of magnitude below (paper: 5.7x and 267x
+respectively).
 """
 
 import random
 
 import pytest
 
-from common import FULL, emit_table, fmt_rate, time_call
-
-from repro.afe import VectorSumAfe
-from repro.field import FIELD87
-from repro.nizk import (
+from baselines.nizk import (
     NizkDeployment,
     nizk_client_submit,
     nizk_server_transfer_bytes,
 )
+from baselines.throughput import (
+    PipelineCosts,
+    cluster_throughput,
+    leader_amortized_tx,
+    paper_wan_topology,
+)
+from common import FULL, emit_table, fmt_rate, time_call
+
+from repro.afe import VectorSumAfe
+from repro.field import FIELD87
 from repro.sharing import expand_seed
-from repro.simnet import PipelineCosts, cluster_throughput, paper_wan_topology
-from repro.simnet.throughput import leader_amortized_tx
 from repro.snip import (
     ServerRandomness,
     VerificationContext,

@@ -14,14 +14,18 @@ import random
 
 import pytest
 
+from baselines.nizk import nizk_server_transfer_bytes
+from baselines.throughput import (
+    PipelineCosts,
+    cluster_throughput,
+    leader_amortized_tx,
+    same_datacenter,
+)
 from common import FULL, emit_table, fmt_rate, time_call
 
 from repro.afe import VectorSumAfe
 from repro.field import FIELD87
-from repro.nizk import nizk_server_transfer_bytes
 from repro.sharing import expand_seed
-from repro.simnet import PipelineCosts, cluster_throughput, same_datacenter
-from repro.simnet.throughput import leader_amortized_tx
 from repro.snip import (
     ServerRandomness,
     VerificationContext,
@@ -32,6 +36,7 @@ from repro.snip.proof import proof_num_elements
 
 LENGTH = 1024 if FULL else 256
 SERVER_COUNTS = (2, 3, 4, 5, 6, 8, 10)
+TOPOLOGY = same_datacenter()
 ELEMENT_BYTES = FIELD87.encoded_size
 
 
@@ -65,7 +70,6 @@ def fig5_data():
     rows = []
     rates_by_s = {}
     for n_servers in SERVER_COUNTS:
-        topo = same_datacenter(n_servers)
         prio_cpu = per_server_prio_cpu(n_servers, rng)
         prio_costs = PipelineCosts(
             server_cpu_s=prio_cpu,
@@ -77,8 +81,8 @@ def fig5_data():
             server_tx_bytes=nizk_server_transfer_bytes(LENGTH, n_servers),
             server_rx_bytes=nizk_server_transfer_bytes(LENGTH, n_servers),
         )
-        prio_rate = cluster_throughput(prio_costs, topo)
-        nizk_rate = cluster_throughput(nizk_costs, topo)
+        prio_rate = cluster_throughput(prio_costs, TOPOLOGY)
+        nizk_rate = cluster_throughput(nizk_costs, TOPOLOGY)
         rates_by_s[n_servers] = prio_rate
         rows.append([
             n_servers, fmt_rate(prio_rate), fmt_rate(nizk_rate),
@@ -92,6 +96,9 @@ def fig5_data():
         notes=[
             "paper: both lines roughly flat in s — verification is "
             "load-balanced, per-server work independent of s",
+            "one same-DC topology models every s: only Prio's measured "
+            "per-server CPU and the modelled bytes vary with s, so the "
+            "CPU-bound NIZK rate is one number by construction",
         ],
     )
     return rates_by_s

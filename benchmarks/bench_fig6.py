@@ -15,11 +15,11 @@ import random
 
 import pytest
 
+from baselines.nizk import nizk_server_transfer_bytes
 from common import FULL, emit_table, fmt_bytes
 
 from repro.afe import VectorSumAfe
 from repro.field import FIELD87
-from repro.nizk import nizk_server_transfer_bytes
 from repro.snip import (
     ServerRandomness,
     build_mpc_submission,

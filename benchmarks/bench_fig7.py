@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from baselines.nizk import NizkDeployment, nizk_client_submit
 from common import (
     CLIENT_PATH_NOTE,
     FULL,
@@ -36,7 +37,6 @@ from common import (
 
 from repro.ec import GENERATOR, scalar_mult
 from repro.field import FIELD87
-from repro.nizk import NizkDeployment, nizk_client_submit
 from repro.protocol import PrioClient
 from repro.snip import build_mpc_submission
 from repro.workloads import all_scenarios

@@ -11,15 +11,12 @@ import random
 
 import pytest
 
+from baselines.nizk import NizkDeployment, nizk_client_submit
 from common import emit_table, fmt_bytes, time_call
 
 from repro.afe import VectorSumAfe
 from repro.ec import reset_op_counter, scalar_mult_count
 from repro.field import FIELD87
-from repro.nizk import (
-    NizkDeployment,
-    nizk_client_submit,
-)
 from repro.snip import build_proof, proof_num_elements
 from repro.snip.verifier import VerificationOutcome
 

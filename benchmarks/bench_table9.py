@@ -14,13 +14,17 @@ import random
 
 import pytest
 
+from baselines.throughput import (
+    PipelineCosts,
+    cluster_throughput,
+    leader_amortized_tx,
+    paper_wan_topology,
+)
 from common import emit_table, fmt_rate, time_call
 
 from repro.afe import LinRegAfe
 from repro.field import FIELD87
 from repro.sharing import expand_seed
-from repro.simnet import PipelineCosts, cluster_throughput, paper_wan_topology
-from repro.simnet.throughput import leader_amortized_tx
 from repro.snip import (
     ServerRandomness,
     VerificationContext,

@@ -17,10 +17,11 @@ Subpackages: ``repro.field`` (prime fields + NTT), ``repro.sharing``
 (additive and PRG-compressed sharing), ``repro.circuit`` (Valid
 predicates), ``repro.mpc`` (Beaver triples), ``repro.snip`` (the
 paper's core contribution), ``repro.afe`` (encodings for every
-supported statistic), ``repro.ec``/``repro.crypto``/``repro.nizk`` (the
-public-key baseline), ``repro.protocol`` (the full pipeline),
-``repro.simnet`` (throughput model for the paper figures), and
-``repro.workloads`` (Section 6.2 scenarios).
+supported statistic), ``repro.ec``/``repro.crypto`` (P-256, sealed
+boxes and client signatures), ``repro.protocol`` (the full pipeline),
+and ``repro.workloads`` (Section 6.2 scenarios).  The paper's
+comparison baselines (the NIZK system and the throughput model behind
+the figures) live beside the figures, in ``benchmarks/baselines/``.
 
 Public surface
 --------------

@@ -1,4 +1,5 @@
-"""NIST P-256 group, built from scratch (substrate for NIZKs and crypto).
+"""NIST P-256 group, built from scratch (substrate for ``repro.crypto``
+and the NIZK baseline in ``benchmarks/baselines/``).
 
 Public surface
 --------------
@@ -6,11 +7,12 @@ Public surface
 ``tests/test_package_surface.py`` checks that ``__all__`` is exactly
 the names below and that each sits in the paragraph naming its callers.
 
-Used in ``src/``: ``GENERATOR``, ``INFINITY``, ``ORDER``, ``EcError``,
-``Point``, ``random_scalar``, ``scalar_mult``.
+Used in ``src/``: ``GENERATOR``, ``ORDER``, ``EcError``, ``Point``,
+``random_scalar``, ``scalar_mult``.
 
-Paper experiments (Table 2 counts public-key operations):
-``reset_op_counter``, ``scalar_mult_count``.
+Paper experiments (Table 2 counts public-key operations; the NIZK
+baseline's identity ciphertext): ``INFINITY``, ``reset_op_counter``,
+``scalar_mult_count``.
 """
 
 from repro.ec.p256 import (

@@ -31,8 +31,9 @@ subject is the cost of the protocol, not a hardened library.
 
 It serves three consumers:
 
-* :mod:`repro.nizk` — ElGamal bit encryptions and Chaum-Pedersen proofs
-  (the baseline Prio is compared against in Figures 4-7);
+* ``benchmarks/baselines/nizk.py`` — ElGamal bit encryptions and
+  Chaum-Pedersen proofs (the baseline Prio is compared against in
+  Figures 4-7);
 * :mod:`repro.crypto` — the ECIES "box" construction standing in for
   NaCl box, and Schnorr signatures for client registration;
 * benchmarks — exponentiation counts and measured scalar-mult times

@@ -316,30 +316,6 @@ def test_op_counter_counts_one_per_call_of_either_kernel(rng, some_base):
     assert scalar_mult_count() == 1
 
 
-def test_table2_exponentiation_counts_unchanged():
-    """``benchmarks/bench_table2.py::table2_data`` at M = 32: the NIZK
-    baseline's counts are a property of the protocol, not the ladder."""
-    from repro.afe import VectorSumAfe
-    from repro.field import FIELD87
-    from repro.nizk import NizkDeployment, nizk_client_submit
-    from repro.snip import build_proof
-
-    m = 32
-    rng = random.Random(2)
-    afe = VectorSumAfe(FIELD87, length=m, n_bits=1)
-    bits = [rng.randrange(2) for _ in range(m)]
-    reset_op_counter()
-    build_proof(FIELD87, afe.valid_circuit(), afe.encode(bits), rng)
-    assert scalar_mult_count() == 0
-    deployment = NizkDeployment.create(n_servers=2, length=m, rng=rng)
-    reset_op_counter()
-    submission = nizk_client_submit(deployment.combined_pub, bits, rng)
-    assert scalar_mult_count() == 256
-    reset_op_counter()
-    deployment.servers[0].process(submission)
-    assert scalar_mult_count() == 256
-
-
 def test_ecdh_agrees_with_openssl(rng):
     pytest.importorskip("cryptography")
     from cryptography.hazmat.primitives.asymmetric import ec

@@ -36,7 +36,6 @@ import repro.ec
 import repro.field
 import repro.mpc
 import repro.sharing
-import repro.simnet
 import repro.snip
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -54,7 +53,6 @@ EXEMPT = {
     repro.field: (ORACLES, "Test fields and backend probes"),
     repro.snip: (ORACLES, "Paper experiments", TESTS_ONLY),
     repro.sharing: (ORACLES,),
-    repro.simnet: ("Paper experiments",),
     repro.crypto: (),
     repro.ec: ("Paper experiments",),
     repro.mpc: (TESTS_ONLY,),
