@@ -3,8 +3,8 @@
 The code lives under ``src/``; numpy is optional (every batch kernel
 has a pure-Python fallback), so it is an extra rather than a hard
 requirement.  ``cryptography`` is optional too: where it imports,
-servers open sealed boxes on OpenSSL instead of the pure P-256
-ladder.  Offline, install in development mode with::
+clients seal and servers open boxes on OpenSSL instead of the pure
+P-256 kernels.  Offline, install in development mode with::
 
     pip install -e . --no-build-isolation --no-deps
 

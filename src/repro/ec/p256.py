@@ -16,12 +16,14 @@ addition:
   ``d = 1..16`` is built on the first use of ``Q`` and cached; a
   multiplication is then one mixed addition per nonzero signed window
   digit (at most 52) and no doubling at all, about five times faster.
-  Only the box *sender* uses it (:func:`repro.crypto.box.seal`: the
-  generator and each server's long-term key); servers, signatures and
-  the NIZK baseline stay on :func:`scalar_mult` and never pay for a
-  table.  A server opens boxes on OpenSSL where the optional
-  ``cryptography`` package imports; this ladder is then the fallback
-  and the oracle its differential test opens every box against.
+  Only the pure seal fallback uses it (:func:`repro.crypto.box.seal`
+  without ``cryptography``, or to a recipient ``+-G``: the generator
+  and each server's long-term key); servers, signatures and the NIZK
+  baseline stay on :func:`scalar_mult` and never pay for a table.
+  Where the optional ``cryptography`` package imports, clients seal
+  and servers open boxes on OpenSSL; these kernels are then the
+  fallback and the oracle the differential tests seal and open every
+  box against.
 
 Neither kernel is constant-time, and neither was the 4-bit ladder they
 replaced: the digits of a secret scalar choose which table entry is
@@ -42,8 +44,8 @@ It serves three consumers:
 A module-level operation counter records scalar multiplications (one
 per call of either kernel) so the benchmarks can report exact
 "exponentiation" counts without profiling.  It counts only these pure
-kernels: a box opened on OpenSSL adds nothing.  Table 2 counts client
-and NIZK exponentiations, never opens.
+kernels: a box sealed or opened on OpenSSL adds nothing.  Table 2
+counts client and NIZK exponentiations, never seals or opens.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def reset_op_counter() -> None:
 def scalar_mult_count() -> int:
     """Scalar multiplications ("exponentiations") since the last reset.
 
-    Only this module's kernels count; an OpenSSL box open does not.
+    Only this module's kernels count; a box seal or open on OpenSSL
+    does not.
     """
     return _scalar_mult_count
 
@@ -333,12 +336,12 @@ def scalar_mult(scalar: int, point: Point) -> Point:
 #: multiplication recodes the scalar into 52 digits in ``[-15, 16]``
 #: and adds one entry (negated for a negative digit) per nonzero digit.
 #: Measured on the 2-vCPU benchmark host, table build / multiply in ms:
-#: 4 bits 4.3 / 0.33, 5 bits 7.0 / 0.28, 6 bits 11.3 / 0.23.  A sealing
-#: client's first submission builds three tables (the generator, two
-#: servers); the benchmark's set-up elsewhere gets ~29 ms cheaper (that
-#: submission's four multiplications, and the ~130 wNAF ones of key
-#: generation and the warm-up batch's opens), so five bits (21 ms of
-#: builds) is the widest window that does not make set-up slower.
+#: 4 bits 4.3 / 0.33, 5 bits 7.0 / 0.28, 6 bits 11.3 / 0.23.  A client
+#: on the pure seal builds three tables on its first submission (the
+#: generator, two servers), and five bits (21 ms of builds) is the
+#: widest window that does not make the benchmark's set-up slower on
+#: that path.  Where ``cryptography`` imports, seals run on OpenSSL and
+#: build no table.
 _FIXED_WIDTH = 5
 _FIXED_MASK = (1 << _FIXED_WIDTH) - 1
 _FIXED_HALF = 1 << (_FIXED_WIDTH - 1)
@@ -347,11 +350,23 @@ _FIXED_ROWS = 256 // _FIXED_WIDTH + 1
 
 _FixedTable = list[list[_AffinePoint]]
 
-#: Tables by base point.  A sealing client uses s + 1 bases (the
-#: generator and its s servers' keys); a process that cycles through
-#: more than the bound starts over rather than grow.
+#: Tables by base point.  A client on the pure seal uses s + 1 bases
+#: (the generator and its s servers' keys); a process that cycles
+#: through more than the bound starts over rather than grow.
 _TABLE_CACHE: dict[Point, _FixedTable] = {}
 _TABLE_CACHE_SIZE = 32
+
+
+def _check_fixed_base(point: Point) -> None:
+    """The one validation of a recurring base (a fixed-base table, a
+    box recipient): a multiple of the identity or of an off-curve point
+    is a constant anyone can compute."""
+    if (
+        point.infinity
+        or not (0 <= point.x < P and 0 <= point.y < P)
+        or not point.is_on_curve()
+    ):
+        raise EcError("fixed base must be a finite point on the curve")
 
 
 def _fixed_base_table(point: Point) -> _FixedTable:
@@ -359,14 +374,7 @@ def _fixed_base_table(point: Point) -> _FixedTable:
     table = _TABLE_CACHE.get(point)
     if table is not None:
         return table
-    # The one validation of a fixed base: a multiple of the identity
-    # or of an off-curve point is a constant anyone can compute.
-    if (
-        point.infinity
-        or not (0 <= point.x < P and 0 <= point.y < P)
-        or not point.is_on_curve()
-    ):
-        raise EcError("fixed base must be a finite point on the curve")
+    _check_fixed_base(point)
     jac = []
     base = _to_jacobian(point)
     for _ in range(_FIXED_ROWS):

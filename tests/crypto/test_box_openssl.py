@@ -1,10 +1,12 @@
-"""The OpenSSL box open against the pure ladder it replaces.
+"""The OpenSSL box seal and open against the pure kernels they replace.
 
-:func:`repro.crypto.box.open_box` runs its ECDH on OpenSSL when
-``cryptography`` imports.  The pure path (the loader patched to find
-nothing) is the oracle: every box of a seeded sealed batch, honest or
-tampered, must open to the same plaintext or fail with the same
-:class:`CryptoError` both ways.
+:func:`repro.crypto.box.seal` and :func:`repro.crypto.box.open_box`
+run their scalar products on OpenSSL when ``cryptography`` imports.
+The pure path (the loader patched to find nothing) is the oracle: a
+seeded seal must give the same bytes or fail with the same
+:class:`CryptoError` both ways, and every box of a seeded sealed batch,
+honest or tampered, must open to the same plaintext or fail with the
+same :class:`CryptoError` both ways.
 """
 
 import random
@@ -15,7 +17,8 @@ pytest.importorskip("cryptography")
 
 from repro.afe import IntegerSumAfe  # noqa: E402
 from repro.crypto import BoxKeyPair, CryptoError, box, seal  # noqa: E402
-from repro.ec import Point, p256, reset_op_counter  # noqa: E402
+from repro.ec import GENERATOR, INFINITY, Point, p256  # noqa: E402
+from repro.ec import reset_op_counter  # noqa: E402
 from repro.ec import scalar_mult, scalar_mult_count  # noqa: E402
 from repro.field import FIELD87  # noqa: E402
 from repro.protocol import PrioDeployment  # noqa: E402
@@ -152,3 +155,122 @@ def test_malformed_point_errors_hold_no_frames(monkeypatch):
         with pytest.raises(CryptoError, match="ephemeral point") as info:
             box.open_box(keypair, sealed)
         assert info.value.__cause__.__traceback__ is None
+
+
+# ----------------------------------------------------------------------
+# Seal
+# ----------------------------------------------------------------------
+
+
+def _seal_outcome(recipient, seed):
+    try:
+        return box.seal(
+            recipient, b"payload %d" % seed, random.Random(seed), b"env"
+        )
+    except CryptoError as exc:
+        return (type(exc), str(exc))
+
+
+def _seal_both_ways(monkeypatch, recipients, seeds):
+    """Seal outcomes on OpenSSL and on the pure path, and the pure
+    scalar multiplications each path ran."""
+    outcomes, counts = [], []
+    for loader in (box._openssl_ec, lambda: None):
+        with monkeypatch.context() as patched:
+            patched.setattr(box, "_openssl_ec", loader)
+            reset_op_counter()
+            outcomes.append([
+                _seal_outcome(r, seed) for r in recipients for seed in seeds
+            ])
+            counts.append(scalar_mult_count())
+    return outcomes, counts
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(box, "_RECIPIENT_CACHE", {})
+    monkeypatch.setattr(p256, "_TABLE_CACHE", {})
+
+
+def test_seeded_seals_are_identical(monkeypatch, fresh_caches):
+    rng = random.Random(0x5EA1)
+    keypairs = [BoxKeyPair.generate(rng) for _ in range(2)]
+    seeds = range(48)
+    (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
+        monkeypatch, [k.public for k in keypairs], seeds
+    )
+    assert fast == pure
+    # OpenSSL did both products; the pure path two per seal
+    assert (fast_mults, pure_mults) == (0, 2 * len(fast))
+    # y's parity is a compressed point's prefix: both occur for k * G
+    # (the box's first byte) and for the recovered k * Pub
+    openers = [k for k in keypairs for _ in seeds]
+    assert {sealed[0] for sealed in fast} == {0x02, 0x03}
+    assert {
+        scalar_mult(k.secret, Point.decode(sealed[:33])).y & 1
+        for k, sealed in zip(openers, fast)
+    } == {0, 1}
+
+
+def test_recipients_plus_or_minus_g_take_the_tables(monkeypatch, fresh_caches):
+    # the public keys of secrets 1 and ORDER - 1: k * Pub = +-k * G,
+    # where the chord the recovery needs does not exist
+    recipients = [GENERATOR, -GENERATOR]
+    seeds = range(4)
+    (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
+        monkeypatch, recipients, seeds
+    )
+    assert fast == pure
+    assert fast_mults == pure_mults == 2 * len(fast)
+    assert box._RECIPIENT_CACHE == dict.fromkeys(recipients)
+
+
+@pytest.mark.parametrize(
+    "recipient",
+    [
+        INFINITY,
+        Point(GENERATOR.x, GENERATOR.y + 1),
+        Point(GENERATOR.x + p256.P, GENERATOR.y),
+        Point(GENERATOR.x, GENERATOR.y + p256.P),
+    ],
+    ids=["identity", "off-curve", "x>=p", "y>=p"],
+)
+def test_invalid_recipients_fail_identically(
+    monkeypatch, fresh_caches, recipient
+):
+    (fast, pure), _ = _seal_both_ways(monkeypatch, [recipient], range(2))
+    assert fast == pure
+    assert set(fast) == {(CryptoError, "invalid recipient public key")}
+    assert box._RECIPIENT_CACHE == {}
+    assert recipient not in p256._TABLE_CACHE
+
+
+def test_a_failed_recovery_falls_back(monkeypatch, fresh_caches):
+    # a second exchange against the wrong key yields a foreign x3: the
+    # recovered y fails the curve equation and the seal takes the tables
+    rng = random.Random(0xFA11)
+    keypair = BoxKeyPair.generate(rng)
+    ec = box._openssl_ec()
+    pub_key, _ = box._recipient_keys(ec, keypair.public)
+    wrong = ec.EllipticCurvePublicKey.from_encoded_point(
+        ec.SECP256R1(), (keypair.public + GENERATOR + GENERATOR).encode()
+    )
+    box._RECIPIENT_CACHE[keypair.public] = (pub_key, wrong)
+    seeds = range(6)
+    (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
+        monkeypatch, [keypair.public], seeds
+    )
+    assert fast == pure
+    assert fast_mults == pure_mults == 2 * len(seeds)
+    assert all(box.open_box(keypair, sealed, b"env") for sealed in fast)
+
+
+def test_recipient_cache_stays_bounded(monkeypatch, fresh_caches):
+    rng = random.Random(0xCAC4E)
+    bound = box._RECIPIENT_CACHE_SIZE
+    keypairs = [BoxKeyPair.generate(rng) for _ in range(bound + 3)]
+    for keypair in keypairs:
+        sealed = box.seal(keypair.public, b"m", rng)
+        assert box.open_box(keypair, sealed) == b"m"
+        assert len(box._RECIPIENT_CACHE) <= bound
+    assert p256._TABLE_CACHE == {}

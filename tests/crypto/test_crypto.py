@@ -10,6 +10,7 @@ from repro.crypto import (
     BoxKeyPair,
     CryptoError,
     SigningKeyPair,
+    box,
     hkdf_sha256,
     mac_tag,
     mac_verify,
@@ -189,13 +190,20 @@ def test_seal_rejects_invalid_recipient(rng, recipient):
         seal(recipient, b"hello", rng)  # and nothing bad was cached
 
 
-def test_only_the_sender_builds_fixed_base_tables(rng):
-    # seal caches a table for the generator and the recipient; key
-    # generation, opening, signing and verifying (what a server
-    # process does) never touch the cache
+def test_only_the_sender_builds_fixed_base_tables(rng, monkeypatch):
+    # a seal on OpenSSL builds no table; the pure seal (its fallback)
+    # caches the generator's and the recipient's; key generation,
+    # opening, signing and verifying (what a server process does)
+    # never touch the cache
+    monkeypatch.setattr(p256, "_TABLE_CACHE", {})
     keypair = BoxKeyPair.generate(rng)
-    sealed = seal(keypair.public, b"payload", rng)
-    assert {GENERATOR, keypair.public} <= set(p256._TABLE_CACHE)
+    if box._openssl_ec() is not None:
+        assert open_box(keypair, seal(keypair.public, b"a", rng)) == b"a"
+        assert p256._TABLE_CACHE == {}
+    with monkeypatch.context() as pure:
+        pure.setattr(box, "_openssl_ec", lambda: None)
+        sealed = seal(keypair.public, b"payload", rng)
+    assert set(p256._TABLE_CACHE) == {GENERATOR, keypair.public}
     before = list(p256._TABLE_CACHE)
     other = BoxKeyPair.generate(rng)
     assert open_box(keypair, sealed) == b"payload"

@@ -1,11 +1,11 @@
 """``cryptography`` is optional and loaded late.
 
-Where it cannot be imported, a sealed deployment still opens every box
-on the pure P-256 ladder.  Where it can, nothing imports it until the
-first box is opened, so a cleartext server never pays for it.  Both
-checks run in a fresh interpreter; the first blocks ``cryptography``
-with a ``sys.meta_path`` finder, as ``tests/test_numpy_optional.py``
-blocks numpy.
+Where it cannot be imported, a sealed deployment still seals and opens
+every box on the pure P-256 kernels.  Where it can, nothing imports it
+until the first box is sealed or opened, so a cleartext client or
+server never pays for it.  Both checks run in a fresh interpreter; the
+first blocks ``cryptography`` with a ``sys.meta_path`` finder, as
+``tests/test_numpy_optional.py`` blocks numpy.
 """
 
 import os
@@ -58,12 +58,26 @@ BLOCKED = textwrap.dedent(
 
 LAZY = textwrap.dedent(
     """
+    import random
     import sys
 
     import repro
     import repro.protocol
     import repro.transport
+    from repro.afe import IntegerSumAfe
+    from repro.field import FIELD87
+    from repro.protocol import PrioDeployment
 
+    values = [5, 19, 3, 200]
+    deployment = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 8), 2, batch_size=4, rng=random.Random(7),
+    )
+    try:
+        deployment.submit_many(values)
+        assert deployment.publish() == sum(values)
+    finally:
+        deployment.close()
+    # only a seal or an open loads it: a cleartext deployment never does
     assert not any(m.split(".")[0] == "cryptography" for m in sys.modules)
     print("ok")
     """
