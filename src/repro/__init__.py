@@ -33,10 +33,10 @@ each name's paragraph says who calls it.
 Used in ``src/``: ``Afe``, ``AfeError``, ``BoolAndAfe``,
 ``BoolOrAfe``, ``CountMinSketchAfe``, ``FrequencyCountAfe``,
 ``IntegerSumAfe``, ``LinRegAfe``, ``FIELD87``, ``GF2``,
-``PrimeField``, ``PrioClient``, ``PrioServer``, ``ServerRandomness``,
-``VerificationContext``.
+``PrimeField``, ``PrioClient``, ``PrioDeployment``, ``PrioServer``,
+``ServerRandomness``, ``VerificationContext``.
 
-Examples: ``PrioDeployment``, ``R2Afe``, ``FIELD265``.
+Examples: ``R2Afe``, ``FIELD265``.
 
 Scalar oracles (the references the batched paths are tested
 against): ``build_proof``, ``prove_and_share``, ``verify_snip``.

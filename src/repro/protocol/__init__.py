@@ -37,10 +37,11 @@ The per-batch protocol itself — receive, survivor intersection,
 ingest, the two SNIP rounds, decide, accumulate, and the one crash
 policy — is written once, as :func:`receive_and_ingest` and
 :func:`verify_and_accumulate` in :mod:`repro.protocol.pipeline`;
-:func:`run_pipelined` and the deployment drive it one batch after the
-other, like the socket front end, over an execution backend chosen by
-one ``executor`` spelling (:func:`resolve_fanout`: ``"inline"`` — also
-what ``None`` means — or ``"process"``, or a ready ``ServerFanout``).
+the deployment — the one in-memory driver, which ``GatedDeployment``
+extends — drives it one batch after the other, like the socket front
+end, over an execution backend chosen by one ``executor`` spelling
+(:func:`resolve_fanout`: ``"inline"`` — also what ``None`` means — or
+``"process"``, or a ready ``ServerFanout``).
 The scalar SNIP oracles (:func:`repro.snip.build_proof`,
 :func:`repro.snip.verify_snip`) stay as differential references; the
 scalar client built from them lives with the tests, not here.
@@ -64,9 +65,7 @@ from repro.protocol.fanout import (
 )
 from repro.protocol.pipeline import (
     IngestedBatch,
-    PipelineStats,
     receive_and_ingest,
-    run_pipelined,
     verify_and_accumulate,
 )
 from repro.protocol.registration import (
@@ -117,9 +116,7 @@ __all__ = [
     "RegistrationError",
     "SignedPacket",
     "IngestedBatch",
-    "PipelineStats",
     "receive_and_ingest",
-    "run_pipelined",
     "verify_and_accumulate",
     "DeploymentStats",
     "PrioDeployment",

@@ -1,4 +1,4 @@
-"""The per-batch server protocol, written once, and its in-memory loop.
+"""The per-batch server protocol, written once.
 
 Appendix H defines one server protocol — Upload, Validate (two SNIP
 rounds), Aggregate — and this module holds its one implementation, as
@@ -27,9 +27,9 @@ it propagates.
 Both batch loops call these halves the same way, one batch after the
 other — await the ingest half, then the verify half: the socket front
 end (``PrioTransportServer._process_batch`` in
-:mod:`repro.transport.server`) and the in-memory loop here, which
-:func:`run_pipelined`, :class:`~repro.protocol.runner.PrioDeployment`
-and :class:`~repro.protocol.registration.GatedDeployment` run.
+:mod:`repro.transport.server`) and the one in-memory driver,
+:class:`~repro.protocol.runner.PrioDeployment`, whose loop
+:class:`~repro.protocol.registration.GatedDeployment` inherits.
 
 The per-server CPU work inside each half fans out over an execution
 backend (:mod:`repro.protocol.fanout`: ``"inline"`` or
@@ -38,9 +38,9 @@ servers in distinct processes, as in the paper's deployment — not
 from staging batches inside one event loop.  The one overlap that pays is
 the client's: :meth:`PrioDeployment.submit_many
 <repro.protocol.runner.PrioDeployment.submit_many>` proves the next
-chunk on a worker thread while this loop verifies the current one.
+chunk on a worker thread while its loop verifies the current one.
 
-Everything that enters a server is wire bytes: the loop hands
+Everything that enters a server is wire bytes: the deployment hands
 ``packet.encode()`` (or the sealed packet) to the receive ops, exactly
 what the socket front end reads off the wire, so decisions are
 bit-identical across drivers and backends by construction.
@@ -48,35 +48,12 @@ bit-identical across drivers and backends by construction.
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from repro.protocol.fanout import ServerFanout, resolve_fanout
+from repro.protocol.fanout import ServerFanout
 from repro.protocol.server import PrioServer
-from repro.protocol.wire import WireError
 
-__all__ = [
-    "IngestedBatch",
-    "PipelineStats",
-    "receive_and_ingest",
-    "run_pipelined",
-    "verify_and_accumulate",
-]
-
-
-@dataclass
-class PipelineStats:
-    """Counters one in-memory run keeps (all per submission)."""
-
-    n_batches: int = 0
-    n_receive_failures: int = 0
-    #: submissions failed by a worker/backend crash (not a protocol
-    #: rejection): the batch was abandoned — nothing decided, ids
-    #: released — and the stream continued
-    n_worker_failures: int = 0
-    batch_sizes: list[int] = dc_field(default_factory=list)
-    #: resolved execution backend ("inline" | "process")
-    executor: str = ""
+__all__ = ["IngestedBatch", "receive_and_ingest", "verify_and_accumulate"]
 
 
 @dataclass
@@ -196,152 +173,3 @@ async def verify_and_accumulate(
     # publishing garbage.
     await fanout.sweep("accumulate", [(batch_id, decisions)] * n_servers)
     return decisions
-
-
-def _payloads(server: PrioServer, chunk, encrypt: bool) -> "list[bytes]":
-    """One server's slice of a batch as wire bytes.
-
-    Packets are selected by the server's *protocol* index, not its
-    position in the server list — a shuffled list must still route
-    every share to the server it was addressed to.  A (mutated) packet
-    whose header fields cannot be encoded goes out as an empty payload,
-    which the server refuses as a malformed frame — that submission's
-    receive failure, like any other.
-    """
-    index = server.server_index
-    if encrypt:
-        return [submission.sealed_packets[index] for submission in chunk]
-    payloads = []
-    for submission in chunk:
-        try:
-            payloads.append(submission.packets[index].encode())
-        except WireError:
-            payloads.append(b"")
-    return payloads
-
-
-async def _run_batches(
-    servers: "list[PrioServer]",
-    executor: "str | ServerFanout | None",
-    encrypt: bool,
-    chunks,
-    record,
-) -> PipelineStats:
-    """Drive ``servers`` through the batch protocol, one chunk at a time.
-
-    ``chunks`` is an async generator of submission lists, each one
-    verification batch; the loop closes it on the way out.  After each
-    batch, ``record(chunk, decided)`` gets one entry per submission:
-    ``True`` (accepted), ``False`` (rejected), or ``None`` (a worker
-    failure abandoned it: nothing decided, the id released).  A run
-    that raises has recorded every batch it decided.  ``executor`` is
-    any :func:`~repro.protocol.fanout.resolve_fanout` spelling; a ready
-    fan-out is the caller's to close.
-    """
-    stats = PipelineStats()
-    fanout, owned = resolve_fanout(servers, executor)
-    stats.executor = fanout.kind
-    synced = True
-    try:
-        if not owned:
-            # A reused backend may hold state from a previous run;
-            # re-sync it from the driver-side servers.  A failed push
-            # is not fatal — every batch below fails without touching
-            # the backend — but the run must NOT execute ops against
-            # whatever stale state the workers kept, and end_run must
-            # not fold a stale delta into the driver-side servers.
-            try:
-                fanout.begin_run()
-            except Exception:  # noqa: BLE001
-                synced = False
-        async for chunk in chunks:
-            batch_id = stats.n_batches
-            stats.n_batches += 1
-            if not synced:
-                stats.n_worker_failures += len(chunk)
-                stats.batch_sizes.append(0)
-                record(chunk, [None] * len(chunk))
-                continue
-            ingested = await receive_and_ingest(
-                fanout,
-                batch_id,
-                [_payloads(server, chunk, encrypt) for server in servers],
-                encrypt,
-            )
-            # A refused position is rejected; a kept one awaits its verdict.
-            decided: "list[bool | None]" = [
-                None if refusal is None else False
-                for refusal in ingested.refusals
-            ]
-            keep = ingested.keep
-            stats.n_receive_failures += len(chunk) - len(keep)
-            verdicts = None
-            if ingested.abandoned:
-                stats.batch_sizes.append(0)
-            else:
-                stats.batch_sizes.append(len(keep))
-                verdicts = await verify_and_accumulate(
-                    fanout, servers, ingested
-                )
-            if verdicts is None:
-                stats.n_worker_failures += len(keep)
-            else:
-                for pos, accepted in zip(keep, verdicts):
-                    decided[pos] = accepted
-            record(chunk, decided)
-    except BaseException:
-        # The open batch was received but will never be decided: release
-        # its ids (an honest retry must not look like a replay) and its
-        # batch state (a reused backend must not pin plane matrices
-        # forever).
-        try:
-            await fanout.sweep("abandon_open", [()] * len(servers))
-        except BaseException:  # noqa: BLE001 - cleanup only
-            pass
-        raise
-    finally:
-        await chunks.aclose()
-        try:
-            if synced:
-                fanout.end_run()
-        finally:
-            if owned:
-                fanout.close()
-    return stats
-
-
-async def _slices(submissions, batch_size: int):
-    """Prepared submissions as chunks of ``batch_size``."""
-    for start in range(0, len(submissions), batch_size):
-        yield submissions[start:start + batch_size]
-
-
-def run_pipelined(
-    servers: "list[PrioServer]",
-    submissions,
-    batch_size: int = 64,
-    encrypt: bool = False,
-    executor: "str | ServerFanout | None" = None,
-) -> tuple[list[bool], PipelineStats]:
-    """One-call in-memory run over prepared submissions.
-
-    Returns ``(decisions, stats)`` with one decision per submission in
-    stream order (``False`` for rejected *and* for abandoned ones —
-    ``stats.n_worker_failures`` tells them apart).  ``executor``
-    selects the per-server backend: a kind from
-    :data:`~repro.protocol.fanout.EXECUTOR_KINDS` (``None`` is
-    ``"inline"``), or a ready
-    :class:`~repro.protocol.fanout.ServerFanout` (reused, caller-owned).
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    submissions = list(submissions)
-    decisions: list[bool] = []
-
-    def record(chunk, decided) -> None:
-        decisions.extend(map(bool, decided))
-
-    stats = asyncio.run(_run_batches(
-        servers, executor, encrypt, _slices(submissions, batch_size), record
-    ))
-    return decisions, stats

@@ -18,19 +18,24 @@ This module implements that defence on top of the base pipeline:
   Schnorr public keys;
 * :class:`RegisteredClient` — wraps :class:`PrioClient`, signing every
   packet with the client's registered key;
-* :class:`GatedServer` — wraps :class:`PrioServer`, rejecting packets
-  from unregistered keys or with bad signatures, counting *distinct*
-  registered contributors (a Sybil submitting twice counts once), and
-  refusing to publish below the threshold.
+* :class:`GatedServer` — a :class:`PrioServer` that receives only
+  packets it admitted (registered key, good signature), counts
+  *distinct* registered contributors (a Sybil submitting twice counts
+  once), and refuses to publish below the threshold;
+* :class:`GatedDeployment` — a :class:`PrioDeployment` over
+  :class:`GatedServer` s, with a signed entry point.
 
 Registration is a pre-stage of the ordinary ingest: a signed packet is
 *admitted* (key and signature checked), and its signed bytes then enter
-the server through the same ``receive_wire_batch`` and the same batch
-protocol (:mod:`repro.protocol.pipeline`) every other upload uses.
+the server like every other upload, through the deployment's one batch
+loop (or the socket front end) and the batch protocol of
+:mod:`repro.protocol.pipeline`.  The server checks admission in the
+frame check both of its receives share, so no driver can skip the gate.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random as _random
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from repro.afe.base import Afe
 from repro.crypto.sign import SigningKeyPair, sign, verify
 from repro.ec.p256 import Point
 from repro.protocol.client import ClientSubmission, PrioClient
-from repro.protocol.pipeline import run_pipelined
+from repro.protocol.runner import PrioDeployment
 from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
 from repro.protocol.wire import ClientPacket
 from repro.snip.verifier import ServerRandomness
@@ -138,8 +143,8 @@ class GatedServer(PrioServer):
         """Check a packet's registration and signature (the pre-stage).
 
         Raises :class:`RegistrationError`; on success the packet's
-        signed bytes may enter through :meth:`receive_wire_batch`,
-        which credits the submission to this client.
+        signed bytes may enter through either receive, which credits
+        the submission to this client.
         """
         if not self.registry.is_registered(signed.client_id):
             raise RegistrationError("client is not registered")
@@ -148,36 +153,44 @@ class GatedServer(PrioServer):
             raise RegistrationError("bad submission signature")
         self._admitted[signed.packet.submission_id] = signed.client_id
 
-    def receive_wire_batch(self, payloads):
-        # Tag each received submission with its contributor so
+    def _check_frame(self, packet: ClientPacket) -> PendingSubmission:
+        # The registration gate, where both receives meet.  An
+        # admission is consumed by the receive that follows it,
+        # whatever its outcome; a packet this server did not admit is
+        # refused alone, before its id is held, so an admitted retry
+        # is accepted.  The pending carries its contributor so
         # acceptance can be attributed (one Sybil key = one
-        # contributor).  Admissions are consumed by the receive that
-        # follows them, whatever its outcome.
-        admitted, self._admitted = self._admitted, {}
-        received = super().receive_wire_batch(payloads)
-        for result in received:
-            if isinstance(result, PendingSubmission):
-                result.contributor_id = (  # type: ignore[attr-defined]
-                    admitted.get(result.submission_id)
-                )
-        return received
+        # contributor).
+        contributor = self._admitted.pop(packet.submission_id, None)
+        if contributor is None:
+            raise RegistrationError("submission was not admitted")
+        pending = super()._check_frame(packet)
+        pending.contributor_id = contributor  # type: ignore[attr-defined]
+        return pending
 
     def _note_accepted(self, pending: PendingSubmission) -> None:
         super()._note_accepted(pending)
-        contributor = getattr(pending, "contributor_id", None)
-        if contributor is not None:
-            self._contributors.add(contributor)
+        self._contributors.add(
+            pending.contributor_id  # type: ignore[attr-defined]
+        )
 
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["contributors"] = set(self._contributors)
+        state["admitted"] = set(self._admitted)
         return state
 
     def fold_shard_state(self, state: dict) -> None:
         # A process worker credits contributors on its copy; a union
         # brings them home, and folding the same set twice adds none.
+        # It also consumes admissions there: the ones it no longer
+        # holds were settled by the run, and must not ship again.
         super().fold_shard_state(state)
         self._contributors |= state["contributors"]
+        self._admitted = {
+            sid: client_id for sid, client_id in self._admitted.items()
+            if sid in state["admitted"]
+        }
 
     @property
     def n_contributors(self) -> int:
@@ -199,8 +212,9 @@ class GatedServer(PrioServer):
         return super().publish()
 
 
-class GatedDeployment:
-    """In-process deployment with registration + publish gating."""
+class GatedDeployment(PrioDeployment):
+    """A :class:`PrioDeployment` over :class:`GatedServer` s: inline,
+    one submission per batch, with registration and publish gating."""
 
     def __init__(
         self,
@@ -211,10 +225,9 @@ class GatedDeployment:
     ) -> None:
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
-        self.afe = afe
         self.registry = ClientRegistry()
         randomness = ServerRandomness(seed)
-        self.servers = [
+        servers = [
             GatedServer(
                 afe, i, n_servers, randomness,
                 registry=self.registry,
@@ -222,34 +235,29 @@ class GatedDeployment:
             )
             for i in range(n_servers)
         ]
-        self.n_servers = n_servers
+        # The deployment's own client is registered nowhere: what it
+        # submits is refused, like any unsigned upload.
+        super().__init__(
+            afe, servers, PrioClient(afe, n_servers), encrypt=False,
+            batch_size=1, executor="inline",
+        )
 
     def new_client(self, rng=None) -> RegisteredClient:
         keypair = SigningKeyPair.generate(rng)
         self.registry.register(keypair.public)
-        return RegisteredClient(self.afe, self.n_servers, keypair, rng=rng)
+        return RegisteredClient(self.afe, len(self.servers), keypair, rng=rng)
 
-    def deliver(self, signed_packets: list[SignedPacket]) -> bool:
+    def deliver_signed(self, signed_packets: list[SignedPacket]) -> bool:
         """Admit one signed submission at every server, then run it
-        through the batch protocol as a batch of one.  A list that does
-        not hold one packet per server is refused before any admit."""
-        if len(signed_packets) != self.n_servers:
+        through :meth:`deliver`.  A server whose admission fails refuses
+        the submission at receive.  A list that does not hold one packet
+        per server is refused before any admit."""
+        if len(signed_packets) != len(self.servers):
             return False
-        try:
-            for server, signed in zip(self.servers, signed_packets):
+        for server, signed in zip(self.servers, signed_packets):
+            with contextlib.suppress(RegistrationError):
                 server.admit(signed)
-        except RegistrationError:
-            return False
         packets = [signed.packet for signed in signed_packets]
-        decisions, _ = run_pipelined(
-            self.servers,
-            [ClientSubmission(packets[0].submission_id, packets)],
-            batch_size=1,
-            executor="inline",
-        )
-        return decisions[0]
-
-    def publish(self):
-        shares = [server.publish() for server in self.servers]
-        sigma = self.afe.field.vec_sum(shares)
-        return self.afe.decode(sigma, self.servers[0].n_accepted)
+        return self.deliver(
+            [ClientSubmission(packets[0].submission_id, packets)]
+        )[0]

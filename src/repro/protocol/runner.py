@@ -11,8 +11,9 @@ two-round SNIP verification, accumulate, publish, decode — with every
 server a real :class:`~repro.protocol.server.PrioServer`, and keeps
 the bandwidth/acceptance statistics the benchmarks report.
 
-There are three ways in, and all of them run the one per-batch loop
-(:mod:`repro.protocol.pipeline`) over the deployment's fan-out:
+It is the one in-memory driver.  There are three ways in, and all of
+them run its one batch loop over the deployment's fan-out, which calls
+the per-batch protocol of :mod:`repro.protocol.pipeline`:
 :meth:`PrioDeployment.submit` (one value, with a fault-injection
 hook), :meth:`PrioDeployment.submit_many` (values; the batched client
 prover prepares the next chunk while the servers verify this one) and
@@ -38,8 +39,9 @@ from repro.afe.base import Afe
 from repro.crypto.box import BoxKeyPair
 from repro.protocol.client import PrioClient
 from repro.protocol.fanout import ServerFanout, resolve_fanout
-from repro.protocol.pipeline import _run_batches, _slices
+from repro.protocol.pipeline import receive_and_ingest, verify_and_accumulate
 from repro.protocol.server import PrioServer, ProtocolError
+from repro.protocol.wire import WireError
 from repro.snip.verifier import ServerRandomness
 
 
@@ -65,6 +67,8 @@ class PrioDeployment:
         batch_size: int = 1,
         executor=None,
     ) -> None:
+        if batch_size < 1:
+            raise ProtocolError("batch_size must be >= 1")
         self.afe = afe
         self.servers = servers
         self.client = client
@@ -103,8 +107,6 @@ class PrioDeployment:
         inline on the calling thread."""
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
-        if batch_size < 1:
-            raise ProtocolError("batch_size must be >= 1")
         if rng is None:
             rng = _random.Random(os.urandom(16))
         randomness = ServerRandomness(seed or rng.randbytes(16))
@@ -178,13 +180,15 @@ class PrioDeployment:
         next chunk's prepare in flight while the caller verifies."""
         size = self.batch_size
         slices = [values[i:i + size] for i in range(0, len(values), size)]
+        if not slices:
+            return
 
         def prepare(chunk_values):
             return asyncio.ensure_future(asyncio.to_thread(
                 self.client.prepare_submissions, chunk_values
             ))
 
-        ahead = prepare(slices[0]) if slices else None
+        ahead = prepare(slices[0])
         try:
             for following in slices[1:] + [None]:
                 prepared = await ahead
@@ -208,30 +212,101 @@ class PrioDeployment:
         every submission is accepted or rejected — and counted in the
         statistics — individually.
         """
-        return self._run(_slices(list(submissions), self.batch_size))
+        submissions = list(submissions)
+        size = self.batch_size
+
+        async def chunks():
+            for start in range(0, len(submissions), size):
+                yield submissions[start:start + size]
+
+        return self._run(chunks())
 
     def _run(self, chunks) -> list[bool]:
         """One run of ``chunks`` over the deployment's fan-out (resolved
-        on first use), counting each batch as it is decided."""
+        on first use); one decision per submission, stream order."""
         if self._fanout is None:
             self._fanout, self._owns_fanout = resolve_fanout(
                 self.servers, self.executor
             )
         decisions: list[bool] = []
-
-        def record(chunk, decided) -> None:
-            self.stats.n_submitted += len(chunk)
-            self.stats.upload_bytes_total += sum(
-                submission.upload_bytes for submission in chunk
-            )
-            self.stats.n_accepted += decided.count(True)
-            self.stats.n_rejected += decided.count(False)
-            decisions.extend(map(bool, decided))
-
-        asyncio.run(_run_batches(
-            self.servers, self._fanout, self.encrypt, chunks, record
-        ))
+        asyncio.run(self._run_batches(chunks, decisions))
         return decisions
+
+    async def _run_batches(self, chunks, decisions: list[bool]) -> None:
+        """Drive the servers through the batch protocol, one chunk at a
+        time — the one in-memory batch loop.
+
+        ``chunks`` is an async generator of submission lists, each one
+        verification batch; the loop closes it on the way out.  Each
+        decided batch extends ``decisions`` and moves the statistics,
+        so a run that raises has counted every batch it decided.  A
+        submission a worker failure abandoned (nothing decided, id
+        released) is ``False`` in ``decisions`` and counts as
+        submitted, never as accepted or rejected.
+        """
+        fanout = self._fanout
+        stats = self.stats
+        synced = True
+        try:
+            try:
+                # The backend may hold state from a previous run;
+                # re-sync it from the driver-side servers.  A failed
+                # push is not fatal — every batch below is abandoned
+                # without touching the backend — but the run must NOT
+                # execute ops against whatever stale state the workers
+                # kept, and end_run must not fold a stale delta into the
+                # driver-side servers.
+                fanout.begin_run()
+            except Exception:  # noqa: BLE001
+                synced = False
+            batch_id = 0
+            async for chunk in chunks:
+                # A refused position is rejected, a kept one awaits its
+                # verdict, and None marks an abandoned one.
+                decided: "list[bool | None]" = [None] * len(chunk)
+                if synced:
+                    payloads = [
+                        _payloads(server, chunk, self.encrypt)
+                        for server in self.servers
+                    ]
+                    ingested = await receive_and_ingest(
+                        fanout, batch_id, payloads, self.encrypt
+                    )
+                    decided = [
+                        None if refusal is None else False
+                        for refusal in ingested.refusals
+                    ]
+                    verdicts = None if ingested.abandoned else (
+                        await verify_and_accumulate(
+                            fanout, self.servers, ingested
+                        )
+                    )
+                    for pos, accepted in zip(ingested.keep, verdicts or ()):
+                        decided[pos] = accepted
+                batch_id += 1
+                stats.n_submitted += len(chunk)
+                stats.upload_bytes_total += sum(
+                    submission.upload_bytes for submission in chunk
+                )
+                stats.n_accepted += decided.count(True)
+                stats.n_rejected += decided.count(False)
+                decisions.extend(map(bool, decided))
+        except BaseException:
+            # The open batch was received but will never be decided:
+            # release its ids (an honest retry must not look like a
+            # replay) and its batch state (a reused backend must not
+            # pin plane matrices forever).
+            try:
+                await fanout.sweep(
+                    "abandon_open", [()] * len(self.servers)
+                )
+            except BaseException:  # noqa: BLE001 - cleanup only
+                pass
+            raise
+        finally:
+            await chunks.aclose()
+            if synced:
+                fanout.end_run()
 
     # ------------------------------------------------------------------
 
@@ -247,3 +322,25 @@ class PrioDeployment:
             server.elements_broadcast for server in self.servers
         ]
         return self.afe.decode(sigma, n)
+
+
+def _payloads(server: PrioServer, chunk, encrypt: bool) -> "list[bytes]":
+    """One server's slice of a batch as wire bytes.
+
+    Packets are selected by the server's *protocol* index, not its
+    position in the server list — a shuffled list must still route
+    every share to the server it was addressed to.  A (mutated) packet
+    whose header fields cannot be encoded goes out as an empty payload,
+    which the server refuses as a malformed frame — that submission's
+    receive failure, like any other.
+    """
+    index = server.server_index
+    if encrypt:
+        return [submission.sealed_packets[index] for submission in chunk]
+    payloads = []
+    for submission in chunk:
+        try:
+            payloads.append(submission.packets[index].encode())
+        except WireError:
+            payloads.append(b"")
+    return payloads

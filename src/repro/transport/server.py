@@ -7,8 +7,8 @@ into verification batches and hands each batch to the one batch
 protocol (:func:`~repro.protocol.pipeline.receive_and_ingest` then
 :func:`~repro.protocol.pipeline.verify_and_accumulate`) the in-memory
 loop runs — so decisions, and what happens when a worker crashes,
-are identical to :func:`~repro.protocol.pipeline.run_pipelined` on the
-same uploads.
+are identical to :meth:`~repro.protocol.runner.PrioDeployment.deliver`
+on the same uploads.
 Packet bytes go from the socket buffer to the fused batch decode with
 no intermediate per-packet materialization: frames split into byte
 slices, headers parse as fixed-offset views, and every body joins one

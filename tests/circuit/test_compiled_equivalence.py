@@ -28,7 +28,7 @@ from repro.circuit import (
 )
 from repro.field import FIELD64, FIELD87, FIELD265, FIELD_SMALL, use_numpy
 from repro.field.batch import BatchVector
-from repro.protocol import PrioClient, PrioServer, run_pipelined
+from repro.protocol import PrioClient, PrioDeployment, PrioServer
 from repro.snip import ServerRandomness
 from repro.workloads.scenarios import all_scenarios, scenario_by_name
 
@@ -226,10 +226,12 @@ def _corrupt_element(field, packet, element, delta=1):
 
 def _run_batch(servers, submissions):
     """One batch through the batch protocol; per-submission results."""
-    decisions, _ = run_pipelined(
-        servers, submissions, batch_size=len(submissions), executor="inline"
-    )
-    return decisions
+    afe = servers[0].afe
+    with PrioDeployment(
+        afe, servers, PrioClient(afe, len(servers)), encrypt=False,
+        batch_size=len(submissions), executor="inline",
+    ) as deployment:
+        return deployment.deliver(submissions)
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)

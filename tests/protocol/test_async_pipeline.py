@@ -10,7 +10,7 @@ import pytest
 
 from repro.afe import AfeError, BoolOrAfe, FrequencyCountAfe, IntegerSumAfe
 from repro.field import FIELD87
-from repro.protocol import LocalFanout, PrioDeployment, run_pipelined
+from repro.protocol import LocalFanout, PrioDeployment, ProtocolError
 
 from oracle import scalar_prepare_submission
 
@@ -253,16 +253,47 @@ def test_pipeline_histogram_many_batches(rng):
 
 def test_pipeline_stats_and_validation(rng):
     afe = IntegerSumAfe(FIELD87, 4)
-    deployment = PrioDeployment.create(afe, 2, batch_size=3, rng=rng)
-    with pytest.raises(ValueError):
-        run_pipelined(deployment.servers, [], batch_size=0)
-    submissions = deployment.client.prepare_submissions([1, 2, 3, 4, 5])
-    decisions, stats = run_pipelined(
-        deployment.servers, submissions, batch_size=2
-    )
-    assert decisions == [True] * 5
-    assert stats.n_batches == 3
-    assert stats.batch_sizes == [2, 2, 1]
+    with pytest.raises(ProtocolError):
+        PrioDeployment.create(afe, 2, batch_size=0, rng=rng)
+    with PrioDeployment.create(afe, 2, batch_size=2, rng=rng) as deployment:
+        submissions = deployment.client.prepare_submissions([1, 2, 3, 4, 5])
+        packets = submissions[3].packets
+        packets[0] = replace(packets[0], body=b"")  # refused at receive
+        assert deployment.deliver(submissions) == [True] * 3 + [False, True]
+        stats = deployment.stats
+        assert (stats.n_submitted, stats.n_accepted, stats.n_rejected) == (
+            5, 4, 1
+        )
+        # refused at receive, not by the SNIP: no server rejected it
+        assert [s.n_rejected for s in deployment.servers] == [0, 0]
+        assert deployment.publish() == 1 + 2 + 3 + 5
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_deployment_validates_batch_size(batch_size, rng):
+    """Every way in goes through the constructor, which refuses a batch
+    size below one — it used to drop a whole stream uncounted (-1) or
+    fail inside the loop (0)."""
+    afe = IntegerSumAfe(FIELD87, 4)
+    deployment = PrioDeployment.create(afe, 2, rng=rng)
+    with pytest.raises(ProtocolError, match="batch_size"):
+        PrioDeployment(
+            afe, deployment.servers, deployment.client, encrypt=False,
+            batch_size=batch_size,
+        )
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_submit_many_of_nothing_counts_nothing(batch_size, rng):
+    afe = IntegerSumAfe(FIELD87, 4)
+    with PrioDeployment.create(
+        afe, 2, batch_size=batch_size, rng=rng
+    ) as deployment:
+        assert deployment.submit_many([]) == 0
+        assert deployment.deliver([]) == []
+        assert deployment.stats.n_submitted == 0
+        assert deployment.submit_many([3]) == 1
+        assert deployment.publish() == 3
 
 
 def test_pipeline_run_is_repeatable_without_thread_leaks(rng):
@@ -271,19 +302,16 @@ def test_pipeline_run_is_repeatable_without_thread_leaks(rng):
     import threading
 
     afe = IntegerSumAfe(FIELD87, 4)
-    deployment = PrioDeployment.create(afe, 2, batch_size=2, rng=rng)
     before = len(threading.enumerate())
     total = 0
-    for round_index in range(5):
-        values = [rng.randrange(16) for _ in range(5)]
-        submissions = deployment.client.prepare_submissions(values)
-        decisions, _ = run_pipelined(
-            deployment.servers, submissions, batch_size=2
-        )
-        assert decisions == [True] * 5
-        total += sum(values)
-    assert len(threading.enumerate()) <= before
-    assert deployment.publish() == total
+    with PrioDeployment.create(afe, 2, batch_size=2, rng=rng) as deployment:
+        for round_index in range(5):
+            values = [rng.randrange(16) for _ in range(5)]
+            submissions = deployment.client.prepare_submissions(values)
+            assert deployment.deliver(submissions) == [True] * 5
+            total += sum(values)
+        assert len(threading.enumerate()) <= before
+        assert deployment.publish() == total
 
 
 def test_pipeline_fatal_error_cancels_cleanly_and_recovers(rng):
@@ -305,19 +333,18 @@ def test_pipeline_fatal_error_cancels_cleanly_and_recovers(rng):
     submissions = deployment.client.prepare_submissions([1, 2, 3, 4])
     before = len(threading.enumerate())
     fanout = KaboomFanout(deployment.servers)
-    with pytest.raises(KeyboardInterrupt):
-        run_pipelined(
-            deployment.servers, submissions, batch_size=2, executor=fanout
-        )
+    with PrioDeployment(
+        afe, deployment.servers, deployment.client, encrypt=False,
+        batch_size=2, executor=fanout,
+    ) as kaboom, pytest.raises(KeyboardInterrupt):
+        kaboom.deliver(submissions)
     fanout.close()
     assert len(threading.enumerate()) <= before
     # The abnormal exit abandoned the in-flight batches: nothing stays
     # pending, and retrying the *same* submissions is not a replay.
     assert deployment.servers[0]._pending_ids == set()
-    decisions, _ = run_pipelined(
-        deployment.servers, submissions, batch_size=2
-    )
-    assert decisions == [True] * 4
+    with deployment:
+        assert deployment.deliver(submissions) == [True] * 4
     assert deployment.servers[0].n_replayed == 0
     assert deployment.publish() == 10
 
@@ -326,11 +353,9 @@ def test_pipeline_records_executor_kind(rng):
     afe = IntegerSumAfe(FIELD87, 4)
     deployment = PrioDeployment.create(afe, 2, batch_size=2, rng=rng)
     submissions = deployment.client.prepare_submissions([1, 2])
-    decisions, stats = run_pipelined(
-        deployment.servers, submissions, batch_size=2, executor="inline"
-    )
-    assert decisions == [True, True]
-    assert stats.executor == "inline"
+    with deployment:
+        assert deployment.deliver(submissions) == [True, True]
+        assert deployment._fanout.kind == "inline"
 
 
 def test_pipeline_epoch_rotation(rng):

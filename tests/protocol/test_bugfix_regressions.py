@@ -18,7 +18,7 @@ Each test fails on the pre-fix code:
 * the receive sweep stored each refusal with its traceback, whose
   frames held the result list (a cycle) and the batch's decoded share
   planes, so only the cyclic GC could free a batch with a refusal.
-* ``GatedDeployment.deliver`` given fewer signed packets than servers
+* ``GatedDeployment.deliver_signed`` given fewer signed packets than servers
   admitted the ones it had, then raised ``IndexError`` from framing.
 """
 
@@ -36,7 +36,6 @@ from repro.protocol import (
     PrioDeployment,
     ProtocolError,
     resolve_fanout,
-    run_pipelined,
 )
 from repro.protocol.wire import ClientPacket, PacketKind, WireError
 
@@ -224,22 +223,26 @@ def test_pipeline_reuse_resets_per_run_state():
     fanout, _ = resolve_fanout(dep.servers, "inline")
     first = dep.client.prepare_submissions([1] * 9)
     second = dep.client.prepare_submissions([2] * 5)
+    batches = []
+    receive = fanout.call
 
-    decisions, stats = run_pipelined(
-        dep.servers, first, batch_size=4, executor=fanout
-    )
-    assert decisions == [True] * 9
-    assert stats.n_batches == 3
-    decisions, stats = run_pipelined(
-        dep.servers, second, batch_size=4, executor=fanout
-    )
-    assert decisions == [True] * 5
+    def spy(s, op, *args):
+        if s == 0 and op == "receive_wire":
+            batches.append((args[0], len(args[1])))
+        return receive(s, op, *args)
 
-    # Pre-fix, stats accumulated across runs and batch ids resumed
-    # from the previous stream's counter.
-    assert stats.n_batches == 2
-    assert stats.batch_sizes == [4, 1]
-    assert stats.n_receive_failures == 0
+    fanout.call = spy
+    with PrioDeployment(
+        dep.afe, dep.servers, dep.client, encrypt=False, batch_size=4,
+        executor=fanout,
+    ) as reused:
+        assert reused.deliver(first) == [True] * 9
+        assert batches == [(0, 4), (1, 4), (2, 1)]
+        del batches[:]
+        assert reused.deliver(second) == [True] * 5
+        # Pre-fix, batch ids resumed from the previous stream's counter.
+        assert batches == [(0, 4), (1, 1)]
+        assert reused.stats.n_rejected == 0
     assert dep.publish() == 9 * 1 + 5 * 2
 
 
@@ -432,7 +435,7 @@ def test_transport_client_send_after_server_close_raises():
 
 
 # ---------------------------------------------------------------------
-# GatedDeployment.deliver admitted a short packet list at the servers it
+# GatedDeployment.deliver_signed admitted a short packet list at the servers it
 # covered, then raised IndexError framing it for the ones it did not
 # ---------------------------------------------------------------------
 
@@ -444,10 +447,10 @@ def test_gated_deliver_refuses_a_short_packet_list():
         IntegerSumAfe(FIELD87, 4), n_servers=3, publish_threshold=1
     )
     signed = dep.new_client(random.Random(43)).prepare_submission(5)
-    assert not dep.deliver(signed[:2])
+    assert not dep.deliver_signed(signed[:2])
     for server in dep.servers:
         assert not server._admitted
         assert not server._pending_ids
     # the id was never spent: the honest full retry is accepted
-    assert dep.deliver(signed)
+    assert dep.deliver_signed(signed)
     assert dep.publish() == 5

@@ -28,7 +28,6 @@ from repro.protocol import (
     ProcessFanout,
     ServerFanout,
     resolve_fanout,
-    run_pipelined,
 )
 from repro.snip.verifier import ServerRandomness
 
@@ -50,6 +49,21 @@ def _twin_deployment(batch_size=4, n_servers=3, **kwargs):
         IntegerSumAfe(FIELD87, 8), n_servers, seed=b"fanout",
         batch_size=batch_size, rng=random.Random(1207), **kwargs,
     )
+
+
+def _deliver(servers, submissions, batch_size=4, executor=None):
+    """``submissions`` through one deployment over ``servers``."""
+    afe = servers[0].afe
+    with PrioDeployment(
+        afe, servers, PrioClient(afe, len(servers)), encrypt=False,
+        batch_size=batch_size, executor=executor,
+    ) as deployment:
+        return deployment.deliver(submissions), deployment.stats
+
+
+def _abandoned(stats):
+    """Submissions a run counted as neither accepted nor rejected."""
+    return stats.n_submitted - stats.n_accepted - stats.n_rejected
 
 
 def _prepared_stream(deployment, rng, n=13, corrupt=None):
@@ -94,17 +108,31 @@ def test_backends_bit_identical_decisions_and_aggregate(rng):
     assert outcomes[0][0] == [True] * 6 + [False] + [True] * 6
 
 
+def _spy_batches(fanout):
+    """Record ``(batch_id, size)`` of every receive sweep ``fanout``
+    runs (server 0's call; the driver makes it in any backend)."""
+    batches = []
+    call = fanout.call
+
+    def spy(s, op, *args):
+        if s == 0 and op.startswith("receive"):
+            batches.append((args[0], len(args[1])))
+        return call(s, op, *args)
+
+    fanout.call = spy
+    return batches
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_stats_and_batching(backend, rng):
-    deployment = _twin_deployment(batch_size=2)
+    deployment = _twin_deployment(batch_size=2, executor=backend)
     submissions = deployment.client.prepare_submissions([1, 2, 3, 4, 5])
-    decisions, stats = run_pipelined(
-        deployment.servers, submissions, batch_size=2, executor=backend
-    )
-    assert decisions == [True] * 5
-    assert stats.n_batches == 3
-    assert stats.batch_sizes == [2, 2, 1]
-    assert stats.executor == backend
+    with deployment:
+        assert deployment.deliver([]) == []  # resolves the backend
+        assert deployment._fanout.kind == backend
+        batches = _spy_batches(deployment._fanout)
+        assert deployment.deliver(submissions) == [True] * 5
+    assert batches == [(0, 2), (1, 2), (2, 1)]
     assert deployment.servers[0].n_accepted == 5
 
 
@@ -123,7 +151,7 @@ def test_process_state_syncs_back_for_replay_protection(rng):
     replay-protected afterward in the driver process (state merge)."""
     deployment = _twin_deployment(batch_size=4)
     values, submissions = _prepared_stream(deployment, rng, n=4)
-    decisions, _ = run_pipelined(
+    decisions, _ = _deliver(
         deployment.servers, submissions, batch_size=4, executor="process"
     )
     assert decisions == [True] * 4
@@ -137,10 +165,10 @@ def test_replay_across_runs_and_backends(rng):
     """Replay protection spans runs executed on different backends."""
     deployment = _twin_deployment(batch_size=2)
     values, submissions = _prepared_stream(deployment, rng, n=3)
-    first, _ = run_pipelined(
+    first, _ = _deliver(
         deployment.servers, submissions, batch_size=2, executor="inline"
     )
-    second, _ = run_pipelined(
+    second, _ = _deliver(
         deployment.servers, submissions, batch_size=2, executor="process"
     )
     assert first == [True] * 3
@@ -157,7 +185,7 @@ def test_persistent_process_fanout_reuse(rng):
         total = 0
         for round_index in range(3):
             values, submissions = _prepared_stream(deployment, rng, n=5)
-            decisions, _ = run_pipelined(
+            decisions, _ = _deliver(
                 deployment.servers, submissions, batch_size=4,
                 executor=fanout,
             )
@@ -179,7 +207,7 @@ def test_failed_state_push_fails_run_without_clobbering_state(rng):
     fanout = ProcessFanout(deployment.servers)
 
     def run(submissions):
-        return run_pipelined(
+        return _deliver(
             deployment.servers, submissions, batch_size=4, executor=fanout
         )[0]
 
@@ -261,7 +289,7 @@ def test_shuffled_server_list_routes_by_protocol_index(rng):
     deployment = _twin_deployment(batch_size=4)
     values, submissions = _prepared_stream(deployment, rng, n=5)
     shuffled = [deployment.servers[i] for i in (2, 0, 1)]
-    decisions, _ = run_pipelined(
+    decisions, _ = _deliver(
         shuffled, submissions, batch_size=4, executor="inline"
     )
     assert decisions == [True] * 5
@@ -311,7 +339,7 @@ def test_end_run_fold_is_idempotent(rng):
     _, submissions = _prepared_stream(deployment, rng, n=6)
     fanout, _ = resolve_fanout(deployment.servers, "process")
     try:
-        run_pipelined(
+        _deliver(
             deployment.servers, submissions, batch_size=8, executor=fanout
         )
         state = run_end_state(deployment.servers)
@@ -442,11 +470,9 @@ def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
     servers, values, submissions = _crashy_setup(
         CrashOnRound1Server, crash_batch=1, rng=rng
     )
-    decisions, stats = run_pipelined(
-        servers, submissions, batch_size=4, executor=backend
-    )
+    decisions, stats = _deliver(servers, submissions, executor=backend)
     assert decisions == [True] * 4 + [False] * 4 + [True] * 4
-    assert stats.n_worker_failures == 4
+    assert _abandoned(stats) == 4
     # The crashed batch was abandoned, not decided, at every server.
     for server in servers:
         assert server.n_accepted == 8
@@ -454,9 +480,7 @@ def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
         assert server._pending_ids == set()
     # Clear the fault and re-run the crashed four: accepted, no replay.
     servers[1].crash_sids = frozenset()
-    retry, _ = run_pipelined(
-        servers, submissions[4:8], batch_size=4, executor=backend
-    )
+    retry, _ = _deliver(servers, submissions[4:8], executor=backend)
     assert retry == [True] * 4
     assert servers[0].n_accepted == 12
     assert servers[0].n_replayed == 0
@@ -472,17 +496,13 @@ def test_worker_crash_at_ingest_releases_ids_for_retry(backend, rng):
     servers, values, submissions = _crashy_setup(
         CrashOnIngestServer, crash_batch=1, rng=rng
     )
-    decisions, stats = run_pipelined(
-        servers, submissions, batch_size=4, executor=backend
-    )
+    decisions, stats = _deliver(servers, submissions, executor=backend)
     assert decisions == [True] * 4 + [False] * 4 + [True] * 4
-    assert stats.n_worker_failures == 4
+    assert _abandoned(stats) == 4
     assert servers[0]._pending_ids == set()
     # Clear the fault and retry the abandoned batch: accepted, no replay.
     servers[1].crash_sids = frozenset()
-    retry, _ = run_pipelined(
-        servers, submissions[4:8], batch_size=4, executor=backend
-    )
+    retry, _ = _deliver(servers, submissions[4:8], executor=backend)
     assert retry == [True] * 4
     assert servers[0].n_accepted == 12
     assert servers[0].n_replayed == 0
@@ -498,7 +518,7 @@ def test_crash_at_commit_point_is_fatal_not_silent(backend, rng):
         CrashOnAccumulateServer, crash_batch=1, rng=rng
     )
     with pytest.raises(RuntimeError, match="accumulate crash"):
-        run_pipelined(servers, submissions, batch_size=4, executor=backend)
+        _deliver(servers, submissions, executor=backend)
     assert multiprocessing.active_children() == []
 
 
@@ -536,7 +556,7 @@ def test_dead_worker_process_fails_batches_without_hanging(rng):
     try:
         for child in multiprocessing.active_children():
             child.kill()
-        decisions, _ = run_pipelined(
+        decisions, _ = _deliver(
             deployment.servers, submissions, batch_size=4, executor=fanout
         )
         assert decisions == [False] * 8
@@ -612,7 +632,7 @@ def test_repeated_runs_leak_no_threads_or_processes(backend, rng):
     total = 0
     for round_index in range(4):
         values, submissions = _prepared_stream(deployment, rng, n=6)
-        decisions, _ = run_pipelined(
+        decisions, _ = _deliver(
             deployment.servers, submissions, batch_size=4, executor=backend
         )
         assert decisions == [True] * 6

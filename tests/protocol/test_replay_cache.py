@@ -16,7 +16,7 @@ import pytest
 
 from repro.afe import IntegerSumAfe
 from repro.field import FIELD87
-from repro.protocol import ClientSubmission, PrioDeployment, run_pipelined
+from repro.protocol import ClientSubmission, PrioDeployment
 
 EXECUTORS = ["inline", "process"]
 
@@ -41,10 +41,11 @@ def test_run_delta_update():
     copies = [pickle.loads(pickle.dumps(s)) for s in deployment.servers]
     for server_copy in copies:
         server_copy.begin_run()
-    decisions, _ = run_pipelined(
-        copies, after + before[:1], batch_size=4, executor="inline"
-    )
-    assert decisions == [True, True, False]
+    with PrioDeployment(
+        deployment.afe, copies, deployment.client, encrypt=False,
+        batch_size=4, executor="inline",
+    ) as on_copies:
+        assert on_copies.deliver(after + before[:1]) == [True, True, False]
     for server, server_copy in zip(deployment.servers, copies):
         state = server_copy.snapshot_state()
         assert state["seen_delta"] == {s.submission_id for s in after}

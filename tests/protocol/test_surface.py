@@ -9,9 +9,9 @@
 (b) Every driver runs the same per-batch protocol on the same wire
     bytes: one seeded stream (honest + corrupted + replayed uploads,
     cleartext and sealed) gives identical decisions, counters and
-    published shares through ``PrioDeployment.deliver``,
-    ``run_pipelined`` on inline / process backends and
-    ``PrioTransportServer`` over TCP, at every batch size.
+    published shares through ``PrioDeployment.deliver`` on the inline
+    and process backends and ``PrioTransportServer`` over TCP, at
+    every batch size.
 """
 
 import asyncio
@@ -31,7 +31,6 @@ from repro.protocol import (
     PrioClient,
     PrioDeployment,
     PrioServer,
-    run_pipelined,
     seal_packet,
 )
 from repro.protocol.fanout import _ServerOps
@@ -91,11 +90,11 @@ REPLAYS = {6: 5, 9: 0}
 EXPECTED = [i != CORRUPT and i not in REPLAYS for i in range(len(VALUES))]
 
 
-def _deployment(encrypt, batch_size=4):
+def _deployment(encrypt, batch_size=4, executor=None):
     """Twins: same server randomness, client rng and (sealed) box keys."""
     return PrioDeployment.create(
         IntegerSumAfe(FIELD87, 4), 3, seed=SEED, rng=random.Random(0x5EAF),
-        batch_size=batch_size, encrypt=encrypt,
+        batch_size=batch_size, encrypt=encrypt, executor=executor,
     )
 
 
@@ -148,20 +147,14 @@ def _outcome(decisions, servers):
     )
 
 
-def _via_deliver(encrypt, batch_size, submissions):
-    with _deployment(encrypt, batch_size) as dep:
-        return _outcome(dep.deliver(submissions), dep.servers)
-
-
-def _via_pipeline(executor):
+def _via_deliver(executor):
     def run(encrypt, batch_size, submissions):
-        dep = _deployment(encrypt, batch_size)
-        decisions, stats = run_pipelined(
-            dep.servers, submissions, batch_size=batch_size,
-            encrypt=encrypt, executor=executor,
-        )
-        assert stats.n_worker_failures == 0
-        return _outcome(decisions, dep.servers)
+        with _deployment(encrypt, batch_size, executor) as dep:
+            decisions = dep.deliver(submissions)
+            stats = dep.stats
+            # nothing abandoned: every upload was accepted or rejected
+            assert stats.n_accepted + stats.n_rejected == len(submissions)
+            return _outcome(decisions, dep.servers)
 
     return run
 
@@ -187,9 +180,8 @@ def _via_tcp(encrypt, batch_size, submissions):
 
 
 DRIVERS = {
-    "deliver": _via_deliver,
-    "pipeline-inline": _via_pipeline("inline"),
-    "pipeline-process": _via_pipeline("process"),
+    "deliver": _via_deliver("inline"),
+    "deliver-process": _via_deliver("process"),
     "tcp": _via_tcp,
 }
 

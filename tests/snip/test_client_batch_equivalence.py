@@ -59,7 +59,6 @@ from repro.protocol import (
     PrioClient,
     PrioDeployment,
     PrioServer,
-    run_pipelined,
 )
 from repro.protocol import client as client_module
 from repro.snip import ServerRandomness, SnipError
@@ -413,10 +412,12 @@ def _servers(afe, n_servers=3, force_pure=None):
 
 def _run_batch(servers, submissions):
     """One batch through the batch protocol; per-submission results."""
-    decisions, _ = run_pipelined(
-        servers, submissions, batch_size=len(submissions), executor="inline"
-    )
-    return decisions
+    afe = servers[0].afe
+    with PrioDeployment(
+        afe, servers, PrioClient(afe, len(servers)), encrypt=False,
+        batch_size=len(submissions), executor="inline",
+    ) as deployment:
+        return deployment.deliver(submissions)
 
 
 def _corrupt_element(field, packet, element, delta=1):
