@@ -21,7 +21,12 @@ numpy limb backend (``"numpy"``)
     instead: weight limbs split into 12-bit halves make every product
     smaller than ``2^36``, so a float64 matrix product per share limb
     plane sums up to ``2^17`` of them exactly, with no lane or summation
-    order to worry about.  Canonical reduction mod ``p`` is a
+    order to worry about.  The prover's NTT puts its short spans on
+    BLAS too: matrix levels (radix 8 on FIELD87) whose whole 24-bit limb
+    products, at most 32 per output, sum below ``2^53`` against cached
+    twiddle matrices, then one Montgomery reduction per level
+    (:func:`_ntt_lazy`).
+    Canonical reduction mod ``p`` is a
     vectorized Barrett reduction (HAC 14.42 in radix ``2^24``), so
     every op returns exact canonical representatives — the backend is
     bit-for-bit equivalent to the scalar path, which the randomized
@@ -99,6 +104,17 @@ _HALF_BITS = LIMB_BITS // 2
 _HALF_MASK = (1 << _HALF_BITS) - 1
 #: ... and this many of them sum below 2^53, where float64 is exact
 _FLOAT_EXACT_TERMS = 1 << (53 - _HALF_BITS - LIMB_BITS)
+#: whole limb x limb products (below 2^48) that sum below 2^53: the
+#: NTT's matrix levels keep L * radix at or below this
+_FLOAT_EXACT_PRODUCTS = 1 << (53 - 2 * LIMB_BITS)
+#: the NTT's matrix levels merge sub-transforms of at most this length:
+#: a level over length-S sub-transforms needs S matrices, so the longer
+#: spans stay radix-2 (see _ntt_lazy)
+_MATRIX_SPAN_CAP = 64
+#: multiply-adds of the largest float64 product the NTT issues at once:
+#: OpenBLAS runs a product of at most 2^18 on the calling thread, and
+#: waking a second thread costs more than these products take
+_GEMM_SINGLE_THREAD_MACS = 1 << 18
 
 
 def numpy_available() -> bool:
@@ -157,8 +173,8 @@ class _LimbContext:
 
     __slots__ = (
         "field", "modulus", "n_limbs", "p_planes", "p_ext_planes",
-        "mu_planes", "max_dot_terms", "p_terms", "p_neg_inv",
-        "_twiddle_cache", "_mont_stage_cache", "_coset_cache",
+        "mu_planes", "max_dot_terms", "p_terms", "p_neg_inv", "ntt_radix",
+        "_twiddle_cache", "_plan_cache", "_coset_cache",
     )
 
     def __init__(self, field: PrimeField) -> None:
@@ -191,8 +207,19 @@ class _LimbContext:
             (j, limb) for j, limb in enumerate(_int_limbs(p, L)) if limb
         ]
         self.p_neg_inv = (-pow(p, -1, LIMB_BASE)) % LIMB_BASE if p & 1 else 0
+        # Radix of the NTT's matrix levels: the largest power of two R
+        # with (a) L*R limb products per output summing below 2^53 and
+        # (b) 2R*p <= base^L, so a level's REDC of R products of
+        # canonical weights by values below 2p stays below 2p.  A
+        # radix-2 level reduces every element where a butterfly reduces
+        # half, so below R = 4 (FIELD265) there are no matrix levels.
+        radix = 1
+        while (2 * radix * L <= _FLOAT_EXACT_PRODUCTS
+               and 4 * radix * p <= 1 << (LIMB_BITS * L)):
+            radix *= 2
+        self.ntt_radix = radix if radix >= 4 else 1
         self._twiddle_cache: dict = {}
-        self._mont_stage_cache: dict = {}
+        self._plan_cache: dict = {}
         self._coset_cache: dict = {}
 
     def twiddle_planes(self, root: int, length: int):
@@ -215,25 +242,38 @@ class _LimbContext:
         r = (1 << (LIMB_BITS * self.n_limbs)) % p
         return _encode(self, [v * r % p for v in values])
 
-    def mont_stage_twiddles(self, root: int, n: int):
-        """Per-stage Montgomery-form twiddle planes of a size-``n`` NTT.
+    def ntt_plan(self, root: int, n: int):
+        """The cached constants of a size-``n`` :func:`_ntt_lazy`.
 
-        Entry ``s`` serves the stage with butterfly span ``2 << s``:
-        ``[w^0 .. w^(half-1)]`` for ``w = root^(n / (2 half))``, shaped
-        ``(L, half)``.  Stage 0's lone twiddle is 1 and is never
-        multiplied, so its slot is None.
+        ``(levels, stages)``.  ``levels`` holds ``(radix, matrices)``
+        per matrix level, merging sub-transforms of length 1, R, R^2 ...
+        while that length is at most ``_MATRIX_SPAN_CAP`` (the last
+        level's radix shrinks to fit ``n``; see :func:`_level_matrices`).
+        ``stages`` holds, per radix-2 stage above them, the
+        Montgomery-form twiddles ``[w^0 .. w^(half-1)]`` for ``w =
+        root^(n / (2 half))``, shaped ``(L, half)``; a first stage's
+        lone twiddle is 1 and never multiplied, so its slot is None.
         """
         key = (root, n)
-        cached = self._mont_stage_cache.get(key)
+        cached = self._plan_cache.get(key)
         if cached is None:
             p = self.modulus
-            cached = [None]
-            half = 2
-            while half < n:
-                w = pow(root, n // (2 * half), p)
-                cached.append(self.mont_planes(_power_row(p, 1, w, half)))
-                half <<= 1
-            self._mont_stage_cache[key] = cached
+            levels = []
+            span = 1
+            while 1 < self.ntt_radix and span < n and span <= _MATRIX_SPAN_CAP:
+                radix = min(self.ntt_radix, n // span)
+                w = pow(root, n // (radix * span), p)
+                levels.append((radix, _level_matrices(self, w, span, radix)))
+                span *= radix
+            stages = []
+            while span < n:
+                w = pow(root, n // (2 * span), p)
+                stages.append(
+                    self.mont_planes(_power_row(p, 1, w, span))
+                    if span > 1 else None
+                )
+                span *= 2
+            cached = self._plan_cache[key] = (levels, stages)
         return cached
 
     def coset_constants(self, n: int):
@@ -622,12 +662,8 @@ def _mont_mul(ctx, a, w):
     ``a`` holds normalized limbs of any value below ``R``; ``w`` is a
     canonical value, so with ``w = v*R mod p`` (see
     :meth:`_LimbContext.mont_planes`) the result is ``a * v`` in
-    ordinary form.  One limb convolution, then a limb-by-limb REDC: each
-    step picks ``m`` with ``t + m * p * base^i = 0 mod base^(i+1)`` and
-    adds ``m`` times the *non-zero* limbs of ``p`` — for ``p = 1 mod
-    base`` (every NTT-friendly shipped modulus) ``m`` is a negation and
-    the low-limb product a plain add.  Returns ``L`` uncarried
-    nonnegative planes whose value lies in ``[0, 2p)``:
+    ordinary form: one limb convolution, then :func:`_redc`.  Returns
+    ``L`` uncarried nonnegative planes whose value lies in ``[0, 2p)``:
     ``(a*w + m*p) / R < p + p``.
     """
     L = ctx.n_limbs
@@ -641,7 +677,23 @@ def _mont_mul(ctx, a, w):
                 _np.multiply(a[i], w[j], out=t[i + j])
             else:
                 t[i + j] += _np.multiply(a[i], w[j], out=tmp)
+    return _redc(ctx, t, tmp)
+
+
+def _redc(ctx, t, tmp):
+    """Montgomery reduction ``T / R mod p`` of uncarried planes ``t``.
+
+    ``t`` holds ``2L`` nonnegative planes of a value ``T``, each below
+    ``2^53``, the top one zero; it is reduced in place.  Limb by limb,
+    each step picks ``m`` with ``t + m * p * base^i = 0 mod
+    base^(i+1)`` and adds ``m`` times the *non-zero* limbs of ``p`` —
+    for ``p = 1 mod base`` (every NTT-friendly shipped modulus) ``m``
+    is a negation and the low-limb product a plain add.  Returns the
+    planes from ``L`` up, uncarried and nonnegative, of ``(T + M*p) /
+    R < T / R + p``.  ``tmp`` is a scratch plane.
+    """
     neg_inv = ctx.p_neg_inv
+    L = ctx.n_limbs
     for i in range(L):
         if neg_inv == LIMB_MASK:
             m = _np.negative(t[i], out=tmp)
@@ -656,54 +708,120 @@ def _mont_mul(ctx, a, w):
     return t[L:]
 
 
-def _ntt_lazy(ctx, planes, root: int, c_in: int):
-    """Size-``n`` radix-2 NTT over the last axis, *without* the final
-    canonicalization: values below ``c_in * p`` in, normalized limbs of
-    values below ``(c_in + 2 * stages) * p`` out.
+def _level_matrices(ctx, w: int, span: int, radix: int):
+    """The float64 matrices of one NTT matrix level (see :func:`_ntt_lazy`).
 
-    The caller checks :meth:`_LimbContext.lazy_ntt_fits` first.  Input
-    limbs may be uncarried (a :func:`_mont_mul` result) as long as they
-    are nonnegative: stage 1 never multiplies, it only carries.
-
-    Layout: the first half of the stages pair elements a few slots
-    apart, which as views of the natural order would hand numpy inner
-    loops of length 1, 2, 4...  So the bit-reversal gather also
-    transposes each row to ``(n1, n2)`` — position inside a size-``n1``
-    block first, block index last — where those stages pair whole
-    contiguous rows; one transposing copy then restores natural order
-    for the stages with spans of ``n1`` and up.
+    The level merges ``radix`` sub-transforms of length ``span`` into
+    one of length ``radix * span``, whose root ``w`` has that order:
+    ``out[j + span*k] = sum_m w^(rev(m) * (j + span*k)) * sub_m[j]``,
+    ``rev`` the bit reversal on ``log2(radix)`` bits (the radix-2
+    gather's order of the sub-transforms).  Position ``j`` gets matrix
+    ``G_j[k, m]`` in Montgomery form, laid out block-Toeplitz over
+    limbs as ``((2L - 1) * radix, L * radix)``: the weight's limb ``a``
+    times the data's limb ``b`` lands on output limb ``a + b``.  Built
+    from one power row and one :meth:`_LimbContext.mont_planes` call.
     """
+    L = ctx.n_limbs
+    length = radix * span
+    powers = ctx.mont_planes(_power_row(ctx.modulus, 1, w, length))
+    rev = _bit_reverse_permutation(radix)
+    positions = _np.arange(span)[:, None, None] + span * _np.arange(
+        radix
+    )[None, :, None]
+    weights = powers[:, rev * positions % length]    # (L, span, k, m)
+    mats = _np.zeros((span, 2 * L - 1, radix, L, radix))
+    for a in range(L):
+        for b in range(L):
+            mats[:, a + b, :, b, :] = weights[a]
+    return mats.reshape(span, (2 * L - 1) * radix, L * radix)
+
+
+def _matrix_level(ctx, x, span: int, radix: int, mats):
+    """One matrix level of :func:`_ntt_lazy` on normalized (L, B, n)
+    planes of values below ``2p``: the same bound, normalized, out.
+
+    The planes go to float64 as ``(span, L * radix, B * n / (radix *
+    span))``, one column per (row, group) and position ``j``; one
+    batched product per column chunk multiplies each by its ``G_j``,
+    every sum an integer below ``2^53`` (at most ``L * radix <= 32``
+    limb products), hence exact.  Back in int64 and natural order, one
+    REDC and one carry finish the level.  Chunks keep every 2-D product
+    at or below ``_GEMM_SINGLE_THREAD_MACS``.
+    """
+    L = ctx.n_limbs
+    _, rows, n = x.shape
+    groups = n // (radix * span)
+    cols = rows * groups
+    data = x.reshape(L, rows, groups, radix, span).transpose(
+        4, 0, 3, 1, 2
+    ).astype(_np.float64, order="C").reshape(span, L * radix, cols)
+    prod = _np.empty((span, mats.shape[1], cols))
+    step = max(1, _GEMM_SINGLE_THREAD_MACS // mats[0].size)
+    for start in range(0, cols, step):
+        chunk = slice(start, start + step)
+        _np.matmul(mats, data[..., chunk], out=prod[..., chunk])
+    t = _np.empty((2 * L, rows, groups, radix, span), dtype=_np.int64)
+    t[2 * L - 1] = 0
+    t[:2 * L - 1] = prod.reshape(
+        span, 2 * L - 1, radix, rows, groups
+    ).transpose(1, 3, 4, 2, 0)
+    reduced = _redc(ctx, t, _np.empty(t.shape[1:], dtype=_np.int64))
+    return _carry(reduced, L).reshape(L, rows, n)
+
+
+def _ntt_lazy(ctx, planes, root: int, c_in: int):
+    """Size-``n`` NTT over the last axis, *without* the final
+    canonicalization: uncarried nonnegative limbs of values below
+    ``c_in * p`` in (``c_in`` of 1 or 2), normalized limbs of values
+    below ``(c_in + 2 * stages) * p`` out.  The caller checks
+    :meth:`_LimbContext.lazy_ntt_fits` first.
+
+    After the bit-reversal gather and one carry, the short spans run as
+    *matrix levels* (:func:`_matrix_level`): each merges ``R``
+    sub-transforms of length ``S`` (1, R, R^2 ... up to
+    ``_MATRIX_SPAN_CAP``) with one exact float64 product per position
+    against cached twiddle-folded matrices, then one REDC: values stay
+    below ``2p``.  ``R = ctx.ntt_radix``: 8 on FIELD87 and FIELD64, 32
+    on one-limb moduli, none on FIELD265, where every stage is radix-2.
+    Longer spans run as lazy radix-2 Montgomery butterflies (see
+    :func:`_np_ntt`), each adding ``2p`` to the bound.
+    """
+    lead = planes.shape[1:-1]
     n = planes.shape[-1]
     L = ctx.n_limbs
-    if n == 1:
-        return _carry(planes, L)
-    n1 = 1 << ((n.bit_length() - 1) // 2)
-    out = _np.ascontiguousarray(
-        planes[..., _bit_reverse_permutation(n, n1)]
-    )
-    lead = out.shape[:-1]
-    ones = (1,) * (len(lead) - 1)
-    # Stage 1 adds c_in*p to keep lo - hi nonnegative and doubles the
-    # bound (2*c_in <= c_in + 2: callers pass c_in of 1 or 2); every
-    # later stage adds a Montgomery product in [0, 2p), so 2p.
+    levels, stages = ctx.ntt_plan(root, n)
+    # Without matrix levels the first radix-2 stages pair elements a
+    # few slots apart, which as views of the natural order would hand
+    # numpy inner loops of length 2, 4, 8...  So the gather then also
+    # transposes each row to (n1, n / n1) — position inside a size-n1
+    # block first, block index last — where those stages pair whole
+    # contiguous rows; one transposing copy restores natural order for
+    # the spans from n1 up.
+    n1 = n if levels else 1 << ((n.bit_length() - 1) // 2)
+    out = _carry(planes[..., _bit_reverse_permutation(n, n1)], L)
+    out = out.reshape(L, -1, n)
+    half = 1
+    for radix, mats in levels:
+        out = _matrix_level(ctx, out, half, radix, mats)
+        half *= radix
+    # A first radix-2 stage adds c_in*p to keep lo - hi nonnegative
+    # and doubles the bound (2*c_in <= c_in + 2); every later stage adds
+    # a Montgomery product in [0, 2p), so 2p.
     offsets = [_int_limbs(c * ctx.modulus, L) for c in (c_in, 2)]
     inner = n // n1
-    half = 1
-    for tw in ctx.mont_stage_twiddles(root, n):
+    for tw in stages:
         if half == n1 and inner > 1:
             out = _np.ascontiguousarray(
-                out.reshape(lead + (n1, inner)).swapaxes(-1, -2)
+                out.reshape(L, -1, n1, inner).swapaxes(-1, -2)
             )
             inner = 1
-        shaped = out.reshape(
-            lead + (n // (2 * half * inner), 2 * half, inner)
-        )
+        shaped = out.reshape(L, -1, n // (2 * half * inner), 2 * half, inner)
         lo = shaped[..., :half, :]
         hi = shaped[..., half:, :]
         if tw is None:
             t, offset = hi, offsets[0]
         else:
-            t = _mont_mul(ctx, hi, tw.reshape((L,) + ones + (1, half, 1)))
+            t = _mont_mul(ctx, hi, tw.reshape(L, 1, 1, half, 1))
             offset = offsets[1]
         # s = lo + t and d = lo - t + offset: carried, never compared
         # against p; exact mod p throughout.
@@ -719,27 +837,30 @@ def _ntt_lazy(ctx, planes, root: int, c_in: int):
             _np.bitwise_and(vs, LIMB_MASK, out=lo[i])
             _np.bitwise_and(vd, LIMB_MASK, out=hi[i])
         half <<= 1
-    return out.reshape(lead + (n,))
+    return out.reshape((L,) + lead + (n,))
 
 
 def _np_ntt(ctx, planes, root: int):
-    """Radix-2 NTT over the last axis of (L, B, n) planes.
+    """NTT over the last axis of (L, B, n) planes.
 
-    Butterflies are *lazy Montgomery* when the limb headroom allows
-    (all shipped moduli).  Values stay in ordinary form; only the stage
-    twiddles are cached in Montgomery form ``w*R mod p`` (``R =
-    base^L``), so the twiddle product ``t = hi*w`` is one limb
-    convolution plus a REDC that multiplies by the non-zero limbs of
-    ``p`` alone (:func:`_mont_mul`) and lands in ``[0, 2p)`` whatever
-    ``hi`` was.  Sums ``lo + t`` skip the conditional subtraction and
-    differences add a flat ``2p`` instead of comparing, so a stage is
-    convolution/carry passes with no limb comparisons, and the value
-    bound grows by ``2p`` per stage: canonical inputs end below ``(1 +
-    2*stages)*p``, which the guard ``(c_in + 2*stages)*p <= base^L``
-    keeps inside ``L`` normalized limbs.  One Barrett pass at the end
-    canonicalizes, making the output bit-identical to the exact
-    per-stage path (:func:`_np_ntt_exact`, the fallback for
-    headroom-starved moduli).
+    The transform is *lazy Montgomery* when the limb headroom allows
+    (all shipped moduli): :func:`_ntt_lazy`.  Values stay in ordinary
+    form; only the twiddles are cached in Montgomery form ``w*R mod p``
+    (``R = base^L``), so a twiddle product is limb products plus a REDC
+    that multiplies by the non-zero limbs of ``p`` alone
+    (:func:`_redc`).  The short spans run as matrix levels, each an
+    exact float64 product against twiddle-folded matrices followed by
+    one REDC, which keeps values below ``2p``.  The longer spans are
+    radix-2 butterflies whose product ``t = hi*w`` (:func:`_mont_mul`)
+    lands in ``[0, 2p)`` whatever ``hi`` was; sums ``lo + t`` skip the
+    conditional subtraction and differences add a flat ``2p`` instead
+    of comparing, so such a stage is convolution/carry passes with no
+    limb comparisons, and the value bound grows by ``2p`` per stage.
+    Canonical inputs end below ``(1 + 2*stages)*p``, which the guard
+    ``(c_in + 2*stages)*p <= base^L`` keeps inside ``L`` normalized
+    limbs.  One Barrett pass at the end canonicalizes, making the
+    output bit-identical to the exact per-stage path
+    (:func:`_np_ntt_exact`, the fallback for headroom-starved moduli).
     """
     n = planes.shape[-1]
     if n == 1:
@@ -1247,7 +1368,7 @@ class BatchVector:
     def ntt(self, root: int) -> "BatchVector":
         """Forward NTT along the last axis (length must be a power of 2)."""
         n = self.shape[-1]
-        if n & (n - 1) != 0:
+        if n < 1 or n & (n - 1) != 0:
             raise FieldError(f"NTT size must be a power of two, got {n}")
         if self._numpy:
             planes = self._data if len(self.shape) == 2 else \

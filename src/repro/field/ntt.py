@@ -41,7 +41,7 @@ def ntt(field: PrimeField, values: Sequence[int], root: int) -> list[int]:
     bit-reversal permutation; all arithmetic on native bigints.
     """
     n = len(values)
-    if n & (n - 1) != 0:
+    if n < 1 or n & (n - 1) != 0:
         raise FieldError(f"NTT size must be a power of two, got {n}")
     p = field.modulus
     out = list(values)

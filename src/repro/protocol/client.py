@@ -62,18 +62,20 @@ from repro.protocol.wire import (
 #: so the prover's NTT planes and the sharing planes stay in a core's
 #: L2 cache instead of streaming from L3.  Set by a sweep of median
 #: ms/value, one process, alternating runs, on a 2-vCPU Xeon with
-#: 2 MiB of L2 per core ("whole" = the call as one block):
+#: 2 MiB of L2 per core ("whole" = the call as one block), re-run
+#: once the NTT's short spans moved to BLAS matrix levels:
 #:
 #: - ``highres`` (12 021 elements per value), 64 values per call:
-#:   whole 32.3, 32 768 -> 21.0, 49 152 -> 18.6, 65 536 -> 18.4;
-#:   16 per call: whole 29.4, 16 384 -> 29.0, 32 768 -> 23.7,
-#:   65 536 -> 22.2, 131 072 -> 24.4.
-#: - ``vec256`` (1 541 elements), 64 per call: whole 2.77,
-#:   16 384 -> 2.58, 32 768 -> 2.29-2.33, 49 152 -> 2.24,
-#:   65 536 -> 2.40-2.46, 131 072 -> 2.71.
+#:   whole 21.7, 32 768 -> 12.3, 49 152 -> 10.4, 65 536 -> 10.5;
+#:   16 per call: whole 17.2, 16 384 -> 16.4, 32 768 -> 14.1,
+#:   49 152 -> 11.9, 65 536 -> 12.5, 131 072 -> 11.7.
+#: - ``vec256`` (1 541 elements), 64 per call: whole 2.32,
+#:   16 384 -> 1.81, 32 768 -> 1.74, 49 152 -> 1.73,
+#:   65 536 -> 2.06, 131 072 -> 2.32.
 #:
 #: Below about 32 768 each block's fixed cost starts to show; above
-#: 65 536 the planes leave L2 again.
+#: 65 536 the planes leave L2 again (``highres`` at 16 per call is
+#: flat from 49 152 up, within this host's noise).
 BLOCK_ELEMENTS = 49_152
 
 

@@ -272,6 +272,22 @@ def test_zero_width_and_zero_row_inputs_agree_across_backends(force_pure):
         no_rows.sum_rows()
 
 
+@pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
+def test_zero_width_transforms_raise_like_the_scalar_ntt(force_pure):
+    """A size-0 transform is refused with the same FieldError by both
+    backends and the scalar ``ntt``/``intt``, in 2-D and 1-D."""
+    field = FIELD87
+    root = field.root_of_unity(2)
+    for transform in (ntt, intt):
+        with pytest.raises(FieldError, match="power of two, got 0"):
+            transform(field, [], root)
+    for shape in [(2, 0), (0,)]:
+        empty = BatchVector.zeros(field, shape, force_pure=force_pure)
+        for transform in (empty.ntt, empty.intt):
+            with pytest.raises(FieldError, match="power of two, got 0"):
+                transform(root)
+
+
 #: one highres-shaped round-1 product (FIELD87, K = 4, B = 64,
 #: D = 12 000), then the BLAS setting and this process's thread count
 _BLAS_PIN_PROBE = """
@@ -316,6 +332,39 @@ def test_import_pins_blas_to_one_thread_unless_the_operator_says_otherwise():
     assert _run_blas_probe(None) == ("1", 1)
     setting, _ = _run_blas_probe("2")
     assert setting == "2"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize(
+    "shape", [(2, 512), (8, 4096), (64, 512)], ids=lambda s: "%dx%d" % s
+)
+def test_ntt_products_stay_below_the_blas_threading_cutoff(
+    shape, monkeypatch
+):
+    """Every float64 product the NTT kernel issues is at most ``2^18``
+    multiply-adds, below which OpenBLAS stays on the calling thread
+    whatever ``OPENBLAS_NUM_THREADS`` says.  Past it a second BLAS
+    thread joins: on a 2-vCPU host with one busy process beside it, the
+    slowest tenth of two-thread (56x32)@(32x4096) products took 15.6 ms
+    or more, against 0.54 ms on one thread."""
+    import numpy as np
+
+    from repro.field.batch import _ntt_lazy
+
+    sizes = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, *args, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    height, size = shape
+    ctx = _ctx(FIELD87)
+    planes = np.zeros((ctx.n_limbs, height, size), dtype=np.int64)
+    _ntt_lazy(ctx, planes, FIELD87.root_of_unity(size), 1)
+    assert sizes, "the kernel issued no matrix product"
+    assert max(sizes) <= 1 << 18
 
 
 def test_two_backends_agree_when_both_available(rng):
@@ -397,17 +446,40 @@ def _adversarial_rows(field, size, rng):
     ]
 
 
-def _ntt_sizes(field, largest=4096):
+def _ntt_sizes(field, largest=8192):
     size = 2
     while size <= min(largest, 1 << field.two_adicity):
         yield size
         size *= 2
 
 
+#: batch heights of the kernel sweeps: one row, the prover's (f, g)
+#: pair, and blocks whose first matrix level crosses the GEMM column
+#: chunk.  A height is skipped past ``2^19`` limbs per call: on FIELD87
+#: B = 64 runs up to size 2048 and B = 16 up to 8192.
+KERNEL_BATCHES = (1, 2, 16, 64)
+_KERNEL_SWEEP_LIMBS = 1 << 19
+
+
+def _kernel_batches(field, size):
+    limbs = _ctx(field).n_limbs
+    return [
+        b for b in KERNEL_BATCHES if b * size * limbs <= _KERNEL_SWEEP_LIMBS
+    ]
+
+
+def _cycled(rows, height):
+    """``height`` rows cycling through ``rows`` (oracles run once per
+    distinct row)."""
+    return [rows[i % len(rows)] for i in range(height)]
+
+
 @pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
 def test_lazy_ntt_kernel_matches_scalar_on_adversarial_rows(field, rng):
-    """The lazy-Montgomery plane NTT against the scalar oracle: every
-    shipped modulus, sizes 2..4096, 2-D and 1-D shapes."""
+    """The plane NTT against the scalar oracle: every shipped modulus
+    (matrix levels at radix 8 or 32, or none on FIELD265), sizes
+    2..8192 (below the radix, matrix levels only, and matrix levels
+    under radix-2 stages), batch heights 1..64, 2-D and 1-D shapes."""
     if not use_numpy(None):
         pytest.skip("exercises the numpy NTT kernel")
     for size in _ntt_sizes(field):
@@ -415,14 +487,72 @@ def test_lazy_ntt_kernel_matches_scalar_on_adversarial_rows(field, rng):
         rows = _adversarial_rows(field, size, rng)
         forward = [ntt(field, row, root) for row in rows]
         inverse = [intt(field, row, root) for row in rows]
-        batched = BatchVector.from_ints(field, rows, force_pure=False)
-        assert batched.ntt(root).to_ints() == forward
-        assert batched.intt(root).to_ints() == inverse
+        for height in _kernel_batches(field, size):
+            batched = BatchVector.from_ints(
+                field, _cycled(rows, height), force_pure=False
+            )
+            assert batched.ntt(root).to_ints() == _cycled(forward, height)
+            assert batched.intt(root).to_ints() == _cycled(inverse, height)
         # 1-D shape, on the rows with the most and the least structure
         for i in (0, len(rows) - 1):
             single = BatchVector.from_ints(field, rows[i], force_pure=False)
             assert single.ntt(root).to_ints() == forward[i]
             assert single.intt(root).to_ints() == inverse[i]
+
+
+def _uncarried_planes(field, rows, seed):
+    """Limb planes of ``rows``, plus ``p`` on the even-indexed rows
+    (values up to ``2p - 1``), with a random part of every limb above
+    the lowest moved down into the limb below: nonnegative, not carried
+    — what the coset product's second transform receives."""
+    import numpy as np
+
+    from repro.field.batch import _carry, _encode
+
+    ctx = _ctx(field)
+    L = ctx.n_limbs
+    height, size = len(rows), len(rows[0])
+    planes = _encode(ctx, [x for row in rows for x in row]).reshape(
+        L, height, size
+    )
+    even = (np.arange(height) % 2 == 0)[None, :, None]
+    planes = _carry(planes + ctx.p_planes[:, None, None] * even, L)
+    moves = np.random.default_rng(seed)
+    for i in range(1, L):     # bottom up: limb i is still below 2^24
+        moved = moves.integers(0, planes[i] + 1)
+        planes[i] -= moved
+        planes[i - 1] += moved << LIMB_BITS
+    return planes
+
+
+@pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
+def test_lazy_ntt_kernel_takes_uncarried_input_below_2p(field, rng):
+    """``c_in = 2``: the kernel's contract for the coset product's
+    second transform.  Values up to ``2p - 1`` in uncarried limbs come
+    out normalized, inside the ``lazy_ntt_fits`` bound, and equal to the
+    scalar transform mod p."""
+    if not use_numpy(None):
+        pytest.skip("exercises the numpy NTT kernel")
+    from repro.field.batch import _barrett, _decode, _ntt_lazy
+
+    ctx = _ctx(field)
+    p = field.modulus
+    for size in _ntt_sizes(field):
+        if not ctx.lazy_ntt_fits(size, 2):
+            continue
+        root = field.root_of_unity(size)
+        rows = _adversarial_rows(field, size, rng)
+        planes = _uncarried_planes(field, rows, size)
+        assert (planes >> LIMB_BITS).any() or ctx.n_limbs == 1
+        out = _ntt_lazy(ctx, planes, root, 2)
+        assert out.shape == planes.shape
+        assert ((out >= 0) & (out < 1 << LIMB_BITS)).all()
+        n_stages = size.bit_length() - 1
+        bound = (2 + 2 * n_stages) * p
+        assert max(_decode(ctx, out.reshape(ctx.n_limbs, -1))) < bound
+        assert _decode(ctx, _barrett(ctx, out).reshape(ctx.n_limbs, -1)) == [
+            x for row in rows for x in ntt(field, row, root)
+        ]
 
 
 def _coset_oracle(field, f_row, g_row):
@@ -477,6 +607,35 @@ def test_coset_extend_product_matches_scalar_oracle(field, force_pure, rng):
         for _ in range(4)
     ]
     check(padded[:2], padded[2:])
+
+
+@pytest.mark.parametrize("field", NTT_FIELDS, ids=lambda f: f.name)
+def test_coset_kernel_matches_scalar_oracle_across_sizes_and_heights(
+    field, rng
+):
+    """The fused numpy prover sweep on adversarial rows: N up to 4096
+    (the ``highres`` shape) and batch heights 1..64, so its forward
+    transform runs on uncarried ``c_in = 2`` input at every matrix
+    level shape."""
+    if not use_numpy(None):
+        pytest.skip("exercises the numpy coset kernel")
+    from repro.field.batch import coset_extend_product
+
+    largest = min(4096, 1 << (field.two_adicity - 1))
+    for size in _ntt_sizes(field, largest):
+        f_rows = _adversarial_rows(field, size, rng)
+        g_rows = f_rows[::-1]
+        expected = [_coset_oracle(field, f, g) for f, g in zip(f_rows, g_rows)]
+        for height in _kernel_batches(field, 2 * size):
+            got = coset_extend_product(
+                BatchVector.from_ints(
+                    field, _cycled(f_rows, height), force_pure=False
+                ),
+                BatchVector.from_ints(
+                    field, _cycled(g_rows, height), force_pure=False
+                ),
+            )
+            assert got.to_ints() == _cycled(expected, height)
 
 
 def test_ntt_exact_fallback_on_headroom_starved_modulus():
