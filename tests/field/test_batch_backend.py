@@ -455,10 +455,11 @@ def _ntt_sizes(field, largest=8192):
 
 #: batch heights of the kernel sweeps: one row, the prover's (f, g)
 #: pair, and blocks whose first matrix level crosses the GEMM column
-#: chunk.  A height is skipped past ``2^19`` limbs per call: on FIELD87
-#: B = 64 runs up to size 2048 and B = 16 up to 8192.
+#: chunk.  A height is skipped past ``2^21`` limbs per call: FIELD87
+#: and FIELD64 run every height at every size, FIELD265 runs B = 64 up
+#: to size 2048 and B = 16 up to 8192.
 KERNEL_BATCHES = (1, 2, 16, 64)
-_KERNEL_SWEEP_LIMBS = 1 << 19
+_KERNEL_SWEEP_LIMBS = 1 << 21
 
 
 def _kernel_batches(field, size):
