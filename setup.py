@@ -2,9 +2,10 @@
 
 The code lives under ``src/``; numpy is optional (every batch kernel
 has a pure-Python fallback), so it is an extra rather than a hard
-requirement.  ``cryptography`` is optional too: where it imports,
-clients seal and servers open boxes on OpenSSL instead of the pure
-P-256 kernels.  Offline, install in development mode with::
+requirement.  ``cryptography`` is required: seed expansion, the PRG of
+PRG-compressed sharing, runs fixed-key AES-128 on OpenSSL through it,
+and clients seal and servers open boxes on it (the box keeps a pure
+P-256 fallback).  Offline, install in development mode with::
 
     pip install -e . --no-build-isolation --no-deps
 
@@ -25,5 +26,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
+    install_requires=["cryptography"],
     extras_require={"numpy": ["numpy"]},
 )

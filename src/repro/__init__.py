@@ -50,20 +50,18 @@ Tests only (the rest of Section 5's statistics, each run by
 BLAS threads
 ------------
 
-Importing ``repro`` sets ``OPENBLAS_NUM_THREADS=1`` unless the
-environment already names a value; an operator's explicit value wins.
-Prio's parallelism is servers and worker processes, which inherit
-the setting.  The verifier's round-1 product is a float64
-BLAS call, and a second OpenBLAS thread spin-waiting after each call
-costs more CPU than it saves: on a 2-vCPU host, ``highres`` server CPU
-read about twice as high with two BLAS threads as with one.  If numpy
-was imported before ``repro``, its BLAS keeps the threading it started
-with; results are exact either way.
+Importing ``repro`` sets OpenBLAS to one thread unless the environment
+names ``OPENBLAS_NUM_THREADS``; an operator's explicit value wins.
+Where ``repro`` is what loads numpy, OpenBLAS loads with one thread and
+starts no helper thread.  Where numpy was imported first, the count is
+set on the library it loaded (``openblas_set_num_threads``, reached
+with ``ctypes``).  Either way the environment is left as it was found.
+Prio's parallelism is servers and worker processes.  The verifier's
+round-1 product is a float64 BLAS call, and a second OpenBLAS thread
+spin-waiting after each call costs more CPU than it saves: on a 2-vCPU
+host, ``highres`` server CPU read about twice as high with two BLAS
+threads as with one.  Results are exact either way.
 """
-
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro.afe import (
     Afe,

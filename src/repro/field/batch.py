@@ -63,10 +63,11 @@ of every record (:func:`_ge_modulus`):
   out-of-range elements; ``check=False`` Barrett-canonicalizes),
 * :func:`encode_bytes_batch` is the inverse,
 * :func:`rejection_sample_batch` is the vectorized core of the PRG:
-  masked top limbs of the XOF windows -> ``< p`` acceptance flags ->
-  each row's first ``n`` survivors at its ``cumsum`` offset in the flat
-  survivor list -> limb planes of just those records, bit-exact with
-  the scalar sampler in :mod:`repro.sharing.prg`,
+  masked top limbs of the stream's candidate records -> ``< p``
+  acceptance flags -> each row's first ``n`` survivors at its
+  ``cumsum`` offset in the flat survivor list -> limb planes of just
+  those records, bit-exact with the scalar sampler in
+  :mod:`repro.sharing.prg`,
 * :func:`assemble_rows` stacks rows of existing batches (plane copies,
   no re-encode) into the per-server ``(B, z_len)`` share matrix, and
 * :func:`dot_batch_planes` applies prepared weight functionals to an
@@ -82,14 +83,27 @@ per submission), and the final published aggregate.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Sequence
 
 from repro.field.prime_field import FieldError, PrimeField
 
+#: OpenBLAS starts its helper threads when it loads, and each spins for
+#: about 0.1 s of CPU before it sleeps.  Where this import is what loads
+#: numpy, the variable is set for that load only, so none is started;
+#: it is removed again, so no child process inherits it.
+_LOAD_ONE_BLAS_THREAD = (
+    "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules
+)
+if _LOAD_ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:  # numpy is optional: every code path has a pure-Python fallback
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via REPRO_FORCE_PURE
     _np = None
+finally:
+    if _LOAD_ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 #: limb radix: 3 bytes per limb, 15 bits of lazy-reduction headroom
 LIMB_BITS = 24
@@ -120,6 +134,50 @@ _GEMM_SINGLE_THREAD_MACS = 1 << 18
 def numpy_available() -> bool:
     """True iff numpy imported successfully."""
     return _np is not None
+
+
+def _openblas(stem: str):
+    """OpenBLAS's ``stem`` function, from the library numpy loaded.
+
+    Found the way threadpoolctl finds it: the stem with an optional
+    ``scipy_`` prefix and an optional ``64_`` or ``_64`` suffix (numpy
+    2.4's wheel exports ``scipy_openblas_set_num_threads64_``).  The
+    lookup goes through numpy's core extension, whose handle also
+    searches the libraries it links.  None where numpy is absent or
+    links no OpenBLAS.
+    """
+    if _np is None:
+        return None
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_", "_64"):
+            function = getattr(lib, prefix + stem + suffix, None)
+            if function is not None:
+                return function
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """One OpenBLAS thread, unless ``OPENBLAS_NUM_THREADS`` names a
+    count.  Set on the loaded library, so it also holds where numpy was
+    imported before this module (see ``repro``'s docstring)."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    set_threads = _openblas("openblas_set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+
+
+_pin_blas_threads()
 
 
 def use_numpy(force_pure: bool | None = None) -> bool:
@@ -1581,21 +1639,24 @@ def encode_bytes_batch(
 
 def rejection_sample_batch(
     field: PrimeField,
-    byte_rows: Sequence[bytes],
+    blob,
+    shape: tuple[int, int],
     length: int,
 ) -> tuple[BatchVector, list[int]]:
     """Vectorized PRG rejection sampling (numpy backend only).
 
-    Each row of ``byte_rows`` is a run of fixed-width big-endian
-    candidate windows from one XOF stream.  Candidates are masked to
+    ``blob`` (bytes or a uint8 array) holds ``shape = (B, n_cand)``
+    rows of ``n_cand`` fixed-width big-endian candidate records, one
+    row per PRG stream, back to back, followed by at least
+    ``len(_WINDOW_TAIL)`` bytes the limb windows read past the last
+    record; :func:`repro.sharing.prg.expand_seed_batch` writes its
+    keystream straight into such a buffer.  Candidates are masked to
     the modulus bit width and accepted where ``< p`` — exactly the
     scalar sampler's rule, so survivors are bit-identical to
     :func:`repro.sharing.prg.expand_seed` on the same stream.  Returns
-    the ``(B, length)`` batch plus the indices of rows whose byte run
-    held fewer than ``length`` survivors (left zero-filled; the caller
-    retries those through the scalar sampler).  Rows must share one
-    length; a trailing partial window is ignored, as the scalar sampler
-    ignores it.
+    the ``(B, length)`` batch plus the indices of rows that held fewer
+    than ``length`` survivors (left zero-filled; the caller retries
+    those through the scalar sampler).
 
     Only the top limb of every candidate is read (masked, then range
     checked by :func:`_ge_modulus`).  The flat indices of the accepted
@@ -1608,17 +1669,16 @@ def rejection_sample_batch(
     ctx = _ctx(field)
     L = ctx.n_limbs
     size = field.encoded_size
-    B = len(byte_rows)
-    row_len = len(byte_rows[0]) if B else 0
-    if any(len(row) != row_len for row in byte_rows):
-        raise FieldError("ragged rows in candidate batch")
+    B, n_cand = shape
+    count = B * n_cand
+    if len(blob) < count * size + len(_WINDOW_TAIL):
+        raise FieldError(
+            f"candidate blob holds {len(blob)} bytes; {B} rows of "
+            f"{n_cand} records need {count * size} plus "
+            f"{len(_WINDOW_TAIL)} of tail"
+        )
     if B == 0 or length == 0:
         return BatchVector.zeros(field, (B, length), False), []
-    n_cand = row_len // size
-    if n_cand * size != row_len:
-        byte_rows = [row[: n_cand * size] for row in byte_rows]
-    count = B * n_cand
-    blob = b"".join(byte_rows) + _WINDOW_TAIL
     top_mask = ((1 << field.bits) - 1) >> (LIMB_BITS * (L - 1))
     top = _limb_window(blob, size, count, L - 1)
     top &= top_mask

@@ -20,7 +20,7 @@ FIELD87
     needs.  The prime sits just below 2^87 on purpose: PRG seed
     expansion draws uniform 87-bit candidates and rejects those
     ``>= p`` (``sharing.prg``), so acceptance is ``p / 2^87 = 0.99979``
-    and almost no XOF output is thrown away (a prime just above 2^86
+    and almost no PRG output is thrown away (a prime just above 2^86
     would keep only half).  In base 2^24 its limbs are
     ``[1, 0, 0, 0x7ff9]``: ``p = 1 mod 2^24`` and only two limbs are
     non-zero, which keeps the Montgomery reduction's multiply by ``p``

@@ -11,19 +11,42 @@ explicit vector:
 Total upload: ``L + O(1)`` elements — a ~5x bandwidth saving in the
 paper's five-server deployment.
 
-The paper's prototype uses AES in counter mode; this reproduction uses
-the SHAKE-256 XOF from ``hashlib`` (the only keyed PRG available
-offline), which has the same interface contract: a short uniform seed
-expands to an unbounded pseudorandom stream.  Field elements are
-derived from the stream by rejection sampling so they are uniform in
-``[0, p)`` with no modular bias.
+The paper's prototype runs the PRG as AES in counter mode.  Here the
+stream is fixed-key AES-128, the block function the VDAF draft's
+``XofFixedKeyAes128`` uses: with ``x_lo`` / ``x_hi`` the first / last
+8 bytes of a block and ``sigma(x) = x_hi || (x_hi XOR x_lo)``, block
+``i`` of seed ``s`` is
+
+    x = s XOR LE128(i),    block_i = AES_K(sigma(x)) XOR sigma(x)
+
+and the stream is the blocks in order.  The key ``K`` is public and
+fixed per ``domain`` (SHAKE-256 over a label and the domain), so one
+cipher context expands every seed: :func:`expand_seed_batch` builds
+all of a batch's blocks in one numpy pass and encrypts them in one
+OpenSSL call, instead of paying a key schedule per seed.  The draft
+derives ``K`` with TurboSHAKE128 over a per-report binder, which
+``hashlib`` lacks, so this stream does not interoperate with VDAF.
+``docs/ANALYSIS.md`` ("Seed expansion: fixed-key AES") gives the
+security argument and what one key per domain costs.
+
+AES runs on OpenSSL through the ``cryptography`` package, a required
+dependency, imported at the first expansion; without it that
+expansion raises :class:`ModuleNotFoundError` naming the package.
+Cipher contexts are cached per thread, never shared across threads
+and never held by an object that could be pickled.  Field elements
+are derived from the stream by rejection sampling so they are uniform
+in ``[0, p)`` with no modular bias.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
+import sys
+import threading
+from array import array
 from typing import Sequence
 
 from repro.field.prime_field import FieldError, PrimeField
@@ -31,41 +54,140 @@ from repro.field.prime_field import FieldError, PrimeField
 #: Seed length in bytes (128-bit security, matching the paper's lambda).
 SEED_SIZE = 16
 
-class PrgStream:
-    """An incremental SHAKE-256 output stream with a byte cursor.
+#: AES block length in bytes: the stream's unit of computation.
+BLOCK_SIZE = 16
 
-    ``hashlib``'s SHAKE objects only expose one-shot ``digest(n)``, so
-    every buffer growth re-digests the stream prefix from scratch.  The
-    produced bytes are memoized in ``_buffer`` (repeated small reads
-    just slice it), growth is geometric (total digest work stays linear
-    in bytes read), and callers that know their total demand up front
-    pass ``reserve`` so the first read digests once for the whole
-    expansion instead of growing through it.
+_DOMAIN = b"prio-prg"
+
+_local = threading.local()
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_key(domain: bytes) -> bytes:
+    """The public AES-128 key of ``domain``'s stream, derived once."""
+    label = b"prio-prg fixed-key aes128\x00"
+    return hashlib.shake_256(label + domain).digest(16)
+
+
+def _encryptor(domain: bytes):
+    """This thread's AES-128-ECB context under ``domain``'s fixed key.
+
+    ECB over whole blocks keeps no state between calls, so a context is
+    reused for every expansion on its thread.
+    """
+    contexts = _local.__dict__.setdefault("contexts", {})
+    context = contexts.get(domain)
+    if context is None:
+        try:
+            from cryptography.hazmat.primitives.ciphers import (
+                Cipher,
+                algorithms,
+                modes,
+            )
+        except ImportError as exc:
+            raise ModuleNotFoundError(
+                "seed expansion runs AES-128 on OpenSSL and needs the "
+                "'cryptography' package",
+                name="cryptography",
+            ) from exc
+        cipher = Cipher(algorithms.AES(_fixed_key(domain)), modes.ECB())
+        context = contexts[domain] = cipher.encryptor()
+    return context
+
+
+def _check_seed(seed: bytes) -> None:
+    if len(seed) != SEED_SIZE:
+        raise FieldError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
+
+
+@functools.lru_cache(maxsize=16)
+def _sigma_terms(first_block: int, n_blocks: int) -> tuple[int, int]:
+    """``(repeat, counters)`` for blocks ``first_block ..``, each one
+    little-endian integer over ``n_blocks`` blocks: ``repeat`` has a 1
+    at the start of every block, ``counters`` holds ``LE64(i)`` in the
+    high half of block ``i``.  Cached: building them is most of a short
+    read, and a deployment reads the same few shapes again and again."""
+    counters = array("Q", bytes(2 * 8 * n_blocks))
+    counters[1::2] = array("Q", range(first_block, first_block + n_blocks))
+    if sys.byteorder == "big":
+        counters.byteswap()
+    ones = (b"\x01" + bytes(BLOCK_SIZE - 1)) * n_blocks
+    return int.from_bytes(ones, "little"), int.from_bytes(counters, "little")
+
+
+def _keystream(
+    seed: bytes, first_block: int, n_blocks: int, domain: bytes
+) -> bytes:
+    """Blocks ``first_block .. first_block + n_blocks`` of ``seed``'s
+    stream, in one OpenSSL call and a few bigint operations.
+
+    For ``i < 2^64``, ``x_hi`` is the seed's high half and ``x_hi XOR
+    x_lo`` is ``s_hi XOR s_lo XOR i``: every sigma input is one 16-byte
+    pattern, XORed with block ``i``'s counter.
+    """
+    lo = int.from_bytes(seed[:8], "little")
+    hi = int.from_bytes(seed[8:], "little")
+    repeat, counters = _sigma_terms(first_block, n_blocks)
+    sigma = (hi | (hi ^ lo) << 64) * repeat ^ counters
+    n_bytes = BLOCK_SIZE * n_blocks
+    out = _encryptor(domain).update(sigma.to_bytes(n_bytes, "little"))
+    return (int.from_bytes(out, "little") ^ sigma).to_bytes(n_bytes, "little")
+
+
+def _keystream_rows(seeds: Sequence[bytes], n_blocks: int, domain: bytes):
+    """Blocks ``0 .. n_blocks`` of every seed's stream, row after row.
+
+    Returns one uint8 array: the ``len(seeds) * n_blocks`` blocks, then
+    ``BLOCK_SIZE - 1`` bytes of slack (OpenSSL's output bound, and the
+    tail :func:`~repro.field.batch.rejection_sample_batch` reads past
+    the last record).  Every seed's sigma inputs are written into that
+    array in one numpy pass, encrypted in place by one ``update_into``,
+    and XORed back in, so the batch needs no second buffer.
+    """
+    import numpy as np
+
+    words = np.frombuffer(b"".join(seeds), "<u8").reshape(-1, 2)
+    hi, mix = words[:, 1:], (words[:, 0] ^ words[:, 1])[:, None]
+    counters = np.arange(n_blocks, dtype="<u8")
+    n_bytes = len(seeds) * n_blocks * BLOCK_SIZE
+    out = np.empty(n_bytes + BLOCK_SIZE - 1, np.uint8)
+    blocks = out[:n_bytes].view("<u8").reshape(len(seeds), n_blocks, 2)
+    blocks[:, :, 0] = hi
+    np.bitwise_xor(mix, counters, out=blocks[:, :, 1])
+    _encryptor(domain).update_into(out[:n_bytes], out)
+    blocks[:, :, 0] ^= hi
+    blocks[:, :, 1] ^= mix
+    blocks[:, :, 1] ^= counters
+    return out
+
+
+class PrgStream:
+    """One seed's stream under ``domain``, read through a byte cursor.
+
+    Block ``i`` is computed from ``i`` directly, so a read costs just
+    the blocks it covers, wherever the cursor stands.
     """
 
-    def __init__(
-        self, seed: bytes, domain: bytes = b"prio-prg", reserve: int = 0
-    ) -> None:
-        if len(seed) != SEED_SIZE:
-            raise FieldError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-        self._xof = hashlib.shake_256(domain + b"\x00" + seed)
-        self._buffer = b""
+    def __init__(self, seed: bytes, domain: bytes = _DOMAIN) -> None:
+        _check_seed(seed)
+        self._seed = bytes(seed)
+        self._domain = domain
         self._cursor = 0
-        self._reserve = max(0, reserve)
 
     def read(self, n: int) -> bytes:
-        needed = self._cursor + n
-        if needed > len(self._buffer):
-            new_size = max(needed, 2 * len(self._buffer), self._reserve, 256)
-            self._buffer = self._xof.digest(new_size)
-        if self._cursor == 0 and n == len(self._buffer):
-            # The whole-buffer read (a reserved one-shot expansion):
-            # skip the slice copy.
-            self._cursor = n
-            return self._buffer
-        out = self._buffer[self._cursor : self._cursor + n]
-        self._cursor += n
-        return out
+        """The next ``n`` bytes of the stream."""
+        if n < 0:
+            raise FieldError(f"cannot read a negative byte count ({n})")
+        start = self._cursor
+        end = self._cursor = start + n
+        if n == 0:
+            return b""
+        first = start // BLOCK_SIZE
+        blocks = _keystream(
+            self._seed, first, -(-end // BLOCK_SIZE) - first, self._domain
+        )
+        offset = start - first * BLOCK_SIZE
+        return blocks[offset : offset + n]
 
 
 def _acceptance_rate(field: PrimeField) -> float:
@@ -98,30 +220,47 @@ def _candidates_for(field: PrimeField, n_elements: int) -> int:
     return math.ceil((n_elements + slack) / accept)
 
 
+@functools.lru_cache(maxsize=128)
+def _row_candidates(field: PrimeField, n_elements: int) -> int:
+    """:func:`_candidates_for` rounded up to whole stream blocks.
+
+    A row of that many ``encoded_size`` records is whole AES blocks, so
+    rows sit back to back in one batch blob and every read of the
+    scalar sampler starts on a block.  Acceptance is positional, so the
+    rounding never changes which candidates survive.
+    """
+    unit = BLOCK_SIZE // math.gcd(field.encoded_size, BLOCK_SIZE)
+    return -(-_candidates_for(field, n_elements) // unit) * unit
+
+
 def expand_seed(field: PrimeField, seed: bytes, length: int) -> list[int]:
     """Expand a seed into ``length`` uniform field elements.
 
     Rejection sampling: draw ``encoded_size`` bytes, mask to the modulus
     bit width, retry on >= p.  Acceptance is purely positional in the
-    XOF stream (candidate ``j`` occupies bytes ``[j*size, (j+1)*size)``
+    stream (candidate ``j`` occupies bytes ``[j*size, (j+1)*size)``
     regardless of read chunking), which is what lets the vectorized
     :func:`expand_seed_batch` reproduce this function bit for bit.
     """
+    _check_seed(seed)
     p = field.modulus
-    bits = field.bits
     size = field.encoded_size
-    excess_bits = size * 8 - bits
-    mask = (1 << bits) - 1
-    stream = PrgStream(seed, reserve=size * _candidates_for(field, length))
+    mask = (1 << field.bits) - 1
+    # local names: the candidate loop is most of a short expansion,
+    # such as a one-value client prepare
+    from_bytes = int.from_bytes
     out: list[int] = []
+    append = out.append
+    block = 0
     while len(out) < length:
-        chunk = stream.read(size * _candidates_for(field, length - len(out)))
-        for offset in range(0, len(chunk) - size + 1, size):
-            candidate = int.from_bytes(chunk[offset : offset + size], "big")
-            if excess_bits:
-                candidate &= mask
+        n_cand = _row_candidates(field, length - len(out))
+        n_blocks = size * n_cand // BLOCK_SIZE
+        chunk = _keystream(seed, block, n_blocks, _DOMAIN)
+        block += n_blocks
+        for offset in range(0, len(chunk), size):
+            candidate = from_bytes(chunk[offset : offset + size], "big") & mask
             if candidate < p:
-                out.append(candidate)
+                append(candidate)
                 if len(out) == length:
                     break
     return out
@@ -137,20 +276,21 @@ def expand_seed_batch(
 
     Row ``i`` of the returned ``(len(seeds), length)``
     :class:`~repro.field.batch.BatchVector` is bit-identical to
-    ``expand_seed(field, seeds[i], length)``: the XOF streams are
-    digested per seed (C-speed hashing), and the joined digests go to
-    :func:`repro.field.batch.rejection_sample_batch`, which range-checks
-    every candidate's top limb as a strided window over those bytes and
+    ``expand_seed(field, seeds[i], length)``.  On numpy, every seed's
+    candidate budget of stream blocks comes out of one OpenSSL call
+    (:func:`_keystream_rows`) as one blob, rows back to back, which
+    :func:`repro.field.batch.rejection_sample_batch` reads in place: it
+    range-checks every candidate's top limb as a strided window and
     splits only the first ``length`` survivors of each row into limb
-    planes — cheap enough that on F87, which rejects almost nothing,
-    the SHAKE digest is a third of the stage at 12 021 elements and
-    over half at 1 540.  The rare row whose candidate budget still
-    falls short (below 1e-6 per row) is retried through the scalar
-    sampler — same stream, same survivors.
+    planes.  The rare row whose budget still falls short (below 1e-6
+    per row) is retried through the scalar sampler — same stream, same
+    survivors.
     """
     from repro.field.batch import BatchVector, rejection_sample_batch, use_numpy
 
     seeds = list(seeds)
+    for seed in seeds:
+        _check_seed(seed)
     if not use_numpy(force_pure):
         if not seeds:
             return BatchVector.zeros(field, (0, max(0, length)), force_pure)
@@ -163,12 +303,13 @@ def expand_seed_batch(
         )
     if not seeds or length <= 0:
         return BatchVector.zeros(field, (len(seeds), max(0, length)), False)
-    size = field.encoded_size
-    n_bytes = size * _candidates_for(field, length)
-    byte_rows = [
-        PrgStream(seed, reserve=n_bytes).read(n_bytes) for seed in seeds
-    ]
-    batch, short_rows = rejection_sample_batch(field, byte_rows, length)
+    n_cand = _row_candidates(field, length)
+    blob = _keystream_rows(
+        seeds, n_cand * field.encoded_size // BLOCK_SIZE, _DOMAIN
+    )
+    batch, short_rows = rejection_sample_batch(
+        field, blob, (len(seeds), n_cand), length
+    )
     for row in short_rows:
         # repro: allow(plane-discipline) - scalar retry only for rows
         # whose candidate budget fell short (below 1e-6 per row)

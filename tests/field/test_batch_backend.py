@@ -33,7 +33,7 @@ from repro.field import (
     poly_eval,
     use_numpy,
 )
-from repro.field.batch import LIMB_BITS, _ctx, dot_batch_planes
+from repro.field.batch import LIMB_BITS, _ctx, _openblas, dot_batch_planes
 
 ALL_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY, GF2]
 NTT_FIELDS = [FIELD87, FIELD265, FIELD64, FIELD_SMALL, FIELD_TINY]
@@ -288,25 +288,35 @@ def test_zero_width_transforms_raise_like_the_scalar_ntt(force_pure):
                 transform(root)
 
 
-#: one highres-shaped round-1 product (FIELD87, K = 4, B = 64,
-#: D = 12 000), then the BLAS setting and this process's thread count
+#: numpy and ``repro`` imported in the order ``argv[1]`` names, one
+#: highres-shaped round-1 product (FIELD87, K = 4, B = 64, D = 12 000),
+#: then OpenBLAS's own thread count and whether the environment names one
 _BLAS_PIN_PROBE = """
 import os
 import random
+import sys
 
-import repro
+if sys.argv[1] == "numpy-first":
+    import numpy
+    import repro
+else:
+    import repro
+    import numpy
 from repro.field import FIELD87, BatchVector
-from repro.field.batch import dot_batch_planes
+from repro.field.batch import _openblas, dot_batch_planes
 
 rng = random.Random(7)
 row = [rng.randrange(FIELD87.modulus) for _ in range(12_000)]
 batch = BatchVector.from_ints(FIELD87, [row] * 64, force_pure=False)
 dot_batch_planes(FIELD87, [row] * 4, batch)
-print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+print(
+    _openblas("openblas_get_num_threads")(),
+    os.environ.get("OPENBLAS_NUM_THREADS", "-"),
+)
 """
 
 
-def _run_blas_probe(openblas_threads):
+def _run_blas_probe(order, openblas_threads):
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
@@ -316,22 +326,29 @@ def _run_blas_probe(openblas_threads):
         filter(None, [src, env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _BLAS_PIN_PROBE],
+        [sys.executable, "-c", _BLAS_PIN_PROBE, order],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    setting, n_threads = proc.stdout.split()
-    return setting, int(n_threads)
+    n_threads, setting = proc.stdout.split()
+    return int(n_threads), setting
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+    _openblas("openblas_get_num_threads") is None,
+    reason="numpy links no OpenBLAS",
 )
 def test_import_pins_blas_to_one_thread_unless_the_operator_says_otherwise():
-    assert _run_blas_probe(None) == ("1", 1)
-    setting, _ = _run_blas_probe("2")
-    assert setting == "2"
+    """Whichever of numpy and ``repro`` is imported first, OpenBLAS runs
+    one thread and the environment is left alone; an explicit count is
+    honoured."""
+    for order in ("numpy-first", "repro-first"):
+        assert _run_blas_probe(order, None) == (1, "-")
+        n_threads, setting = _run_blas_probe(order, "2")
+        assert setting == "2"
+        # OpenBLAS caps the count at the host's CPUs
+        assert n_threads == min(2, os.cpu_count() or 1)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

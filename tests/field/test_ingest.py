@@ -42,7 +42,12 @@ from repro.protocol.wire import (
     new_submission_id,
 )
 from repro.sharing import expand_seed, expand_seed_batch, new_seed, prg
-from repro.sharing.prg import SEED_SIZE, PrgStream, _candidates_for
+from repro.sharing.prg import (
+    SEED_SIZE,
+    PrgStream,
+    _candidates_for,
+    _row_candidates,
+)
 from repro.snip import ServerRandomness
 
 from oracle import packet_share_vector
@@ -192,7 +197,7 @@ def test_decode_bytes_rejects_ragged_and_partial(force_pure):
 @pytest.mark.parametrize("force_pure", BACKENDS, ids=backend_id)
 def test_expand_seed_batch_matches_scalar(field, force_pure, rng):
     seeds = [new_seed(rng) for _ in range(7)]
-    for length in (0, 1, 3, 150):
+    for length in (0, 1, 3, 15, 150, 1541):
         batch = expand_seed_batch(field, seeds, length, force_pure)
         assert batch.shape == (7, length)
         assert batch.to_ints() == [
@@ -229,17 +234,28 @@ def scalar_sample(field, row, length):
     return survivors, False
 
 
+def candidate_blob(rows):
+    """Equal candidate rows as the one blob ``rejection_sample_batch``
+    reads: back to back, then the tail its limb windows read past."""
+    return b"".join(rows) + bytes(3)
+
+
 @needs_numpy
-def test_rejection_sample_batch_rejects_ragged_rows():
+def test_rejection_sample_batch_rejects_short_blob():
     f = FIELD87
-    with pytest.raises(FieldError, match="ragged"):
-        rejection_sample_batch(f, [bytes(22), bytes(33)], 1)
-    # A trailing partial window is ignored, as the scalar sampler does.
-    rows = [bytes(range(23)), bytes(range(23, 46))]
-    batch, short_rows = rejection_sample_batch(f, rows, 2)
+    rows = [bytes(range(22)), bytes(range(22, 44))]
+    with pytest.raises(FieldError, match="candidate blob"):
+        rejection_sample_batch(f, b"".join(rows), (2, 2), 1)
+    with pytest.raises(FieldError, match="candidate blob"):
+        rejection_sample_batch(f, candidate_blob(rows), (2, 3), 1)
+    batch, short_rows = rejection_sample_batch(
+        f, candidate_blob(rows), (2, 2), 2
+    )
     assert batch.to_ints() == [scalar_sample(f, row, 2)[0] for row in rows]
     assert short_rows == []
-    batch, short_rows = rejection_sample_batch(f, rows, 3)
+    batch, short_rows = rejection_sample_batch(
+        f, candidate_blob(rows), (2, 2), 3
+    )
     assert batch.to_ints() == [[0] * 3] * 2
     assert short_rows == [0, 1]
 
@@ -257,7 +273,7 @@ def test_rejection_sample_batch_short_rows(field, rng):
     edges = b"".join(
         v.to_bytes(size, "big") for v in in_range + out_of_range
     )
-    n_cand = _candidates_for(field, length) + len(edges) // size
+    n_cand = _row_candidates(field, length) + len(edges) // size
     seeds = [new_seed(rng) for _ in range(7)]
     rows = [PrgStream(seed).read(size * n_cand) for seed in seeds]
     rows[3] = (edges + rows[3])[: size * n_cand]
@@ -270,7 +286,9 @@ def test_rejection_sample_batch_short_rows(field, rng):
     rows[1] = stream_then_rejects(rows[1], 0)
     rows[4] = stream_then_rejects(rows[4], length - 1)
     rows[6] = stream_then_rejects(rows[6], length // 2)
-    batch, short_rows = rejection_sample_batch(field, rows, length)
+    batch, short_rows = rejection_sample_batch(
+        field, candidate_blob(rows), (7, n_cand), length
+    )
     expected = [scalar_sample(field, row, length) for row in rows]
     assert short_rows == [r for r, (_, short) in enumerate(expected) if short]
     assert short_rows == [1, 4, 6]
@@ -278,7 +296,9 @@ def test_rejection_sample_batch_short_rows(field, rng):
     for r in (0, 2, 5):
         assert batch.row_ints(r) == expand_seed(field, seeds[r], length)
     # Every row short: nothing survives anywhere.
-    batch, short_rows = rejection_sample_batch(field, [rows[1]] * 3, length)
+    batch, short_rows = rejection_sample_batch(
+        field, candidate_blob([rows[1]] * 3), (3, n_cand), length
+    )
     assert short_rows == [0, 1, 2]
     assert batch.to_ints() == [[0] * length] * 3
 
@@ -318,31 +338,41 @@ def test_expand_seed_batch_retries_short_rows(field, rng, monkeypatch):
     from repro.field import batch as batch_module
 
     accept = prg._acceptance_rate(field)
-    # F64 rejects one candidate in 2^32, so none of its rows falls short
-    # on its own: every other row gets an always-rejected first window.
+    size = field.encoded_size
+    unit = prg.BLOCK_SIZE // math.gcd(size, prg.BLOCK_SIZE)
+    # F64 and GF2 reject one candidate in 2^32 or never, so none of
+    # their rows falls short on its own: every other row gets an
+    # always-rejected first window, and the budget equals the length.
     plant = accept > 1 - 1e-6
-    # A row is full about half the time: at a budget of length / a while
-    # rejections are common, and once they are rare at a budget equal to
-    # the length, which a row fills with probability a^length ~ 1/2.
-    length = 30 if plant else max(30, round(math.log(2) / -math.log(accept)))
+    # Budgets are whole stream blocks.  A row is full about half the
+    # time: where rejections are rare at a budget equal to the length,
+    # which a row fills with probability a^length ~ 1/2; where they are
+    # common at the length a budget of 64 keeps on average.
+    if plant:
+        budget = length = 32
+    elif accept > 0.99:
+        budget = length = unit * round(math.log(2) / -math.log(accept) / unit)
+    else:
+        budget = 64
+        length = round(budget * accept)
+    assert budget % unit == 0
     seeds = [new_seed(rng) for _ in range(16)]
     expected = [expand_seed(field, seed, length) for seed in seeds]
+    row_candidates = prg._row_candidates
     monkeypatch.setattr(
-        prg, "_candidates_for",
-        lambda f, n: int(n / prg._acceptance_rate(f)),
+        prg, "_row_candidates",
+        lambda f, n: budget if n == length else row_candidates(f, n),
     )
     sampled = batch_module.rejection_sample_batch
     seen = []
 
-    def spy(f, byte_rows, n):
+    def spy(f, blob, shape, n):
         if plant:
-            size = f.encoded_size
             reject = ((1 << (8 * size)) - 1).to_bytes(size, "big")
-            byte_rows = [
-                reject + row[size:] if r % 2 == 0 else row
-                for r, row in enumerate(byte_rows)
-            ]
-        out = sampled(f, byte_rows, n)
+            row = shape[1] * size
+            for r in range(0, shape[0], 2):
+                blob[r * row : r * row + size] = list(reject)
+        out = sampled(f, blob, shape, n)
         seen.append(out[1])
         return out
 

@@ -61,12 +61,14 @@ from repro.protocol import (
     PrioServer,
 )
 from repro.protocol import client as client_module
+from repro.sharing import prg
 from repro.snip import ServerRandomness, SnipError
 from repro.snip.proof import snip_domain_sizes
 from repro.transport import TransportClient
 from repro.workloads.scenarios import scenario_by_name
 
 from oracle import scalar_prepare_submission
+from oracle.aes import shake_stream
 
 BACKENDS = [True] + ([False] if use_numpy(None) else [])
 MODULI = [FIELD_SMALL, FIELD64, FIELD87, FIELD265]
@@ -194,22 +196,32 @@ def _pinned_cases(*axes):
     ]
 
 
-#: SHA-256 over the framed vec256 uploads below, by field.  The
+#: SHA-256 over the framed vec256 uploads below, by field, on the
+#: SHAKE-256 seed stream that preceded fixed-key AES.  The
 #: ``LEGACY_F87`` digest was taken on the commit before the
 #: lazy-Montgomery NTT landed: kernel rewrites in the client prover must
 #: not move a single upload byte.  The ``FIELD87`` digest was taken on
 #: the tree before ``FIELD87`` changed, with only that definition
 #: swapped, so nothing else moved a byte.
-VEC256_UPLOADS_SHA256 = {
+SHAKE_VEC256_UPLOADS_SHA256 = {
     LEGACY_F87:
         "157d7cd4c8fcaf5797549ec2c36bcdb35c80376284f8453d79b36c28546cf02e",
     FIELD87:
         "4aff0672b6573d452b783d3f042e0e623caab6e88e93f8d483fa279671a2275b",
 }
 
+#: The same uploads on the fixed-key AES-128 seed stream.  Re-pinned
+#: when the stream changed; :func:`test_vec256_uploads_on_shake_stream`
+#: shows the stream was the only thing that moved.
+VEC256_UPLOADS_SHA256 = {
+    LEGACY_F87:
+        "4fe886b9491dbb709a139dfe5e40c228ee6f833ea13cb17978761c9edebc28dd",
+    FIELD87:
+        "f3fd8b233eef8a18341d506d3df510945b9e5cddf78f71176c390cd88f9881f4",
+}
 
-@pytest.mark.parametrize("force_pure, field", _pinned_cases())
-def test_vec256_uploads_pinned_bytes(force_pure, field):
+
+def _vec256_digest(force_pure, field):
     afe = VectorSumAfe(field, 256, n_bits=1)
     rng = random.Random(0x5EC256)
     values = [[rng.randrange(2) for _ in range(256)] for _ in range(8)]
@@ -219,16 +231,21 @@ def test_vec256_uploads_pinned_bytes(force_pure, field):
         values, force_pure=force_pure
     ):
         digest.update(TransportClient.frame_submission(sub))
-    assert digest.hexdigest() == VEC256_UPLOADS_SHA256[field]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("force_pure, field", _pinned_cases())
+def test_vec256_uploads_pinned_bytes(force_pure, field):
+    assert _vec256_digest(force_pure, field) == VEC256_UPLOADS_SHA256[field]
 
 
 #: SHA-256 over the framed *sealed* uploads below, by batch size and
-#: field.  The ``LEGACY_F87`` digests were taken on the commit before
-#: the fixed-base tables and the wNAF ladder replaced the 4-bit ladder:
-#: an EC kernel swap must not move a sealed byte (same ephemeral scalars
-#: drawn, same points, same keystream).  The ``FIELD87`` digests were
-#: taken as for the vec256 pin.
-SEALED_UPLOADS_SHA256 = {
+#: field, on the SHAKE-256 seed stream.  The ``LEGACY_F87`` digests were
+#: taken on the commit before the fixed-base tables and the wNAF ladder
+#: replaced the 4-bit ladder: an EC kernel swap must not move a sealed
+#: byte (same ephemeral scalars drawn, same points, same keystream).
+#: The ``FIELD87`` digests were taken as for the vec256 pin.
+SHAKE_SEALED_UPLOADS_SHA256 = {
     8: {
         LEGACY_F87:
             "571471331494de97d058ffc396d1a539da0bf4551e3acbb84dc2b1a8d1159cbc",
@@ -243,12 +260,25 @@ SEALED_UPLOADS_SHA256 = {
     },
 }
 
+#: The same sealed uploads on the fixed-key AES-128 seed stream.  The
+#: box bytes around the shares are unchanged; only the shares moved.
+SEALED_UPLOADS_SHA256 = {
+    8: {
+        LEGACY_F87:
+            "291ad174dc47a99ee9782d0361a5cd1518ccf4acc0775819ae57a2f665a38506",
+        FIELD87:
+            "f02fc3040f9014a0efd0361296950f5281d712e0da2be0de8c97131859f41cfe",
+    },
+    1: {
+        LEGACY_F87:
+            "5a9ceeb9437c9c3580b0844a666c24ddde31e4cb7d48097fdfd1414741004a67",
+        FIELD87:
+            "b31cd91f829991939f16819fd262674a4731349ac02fab3eb8cef2bc09831a99",
+    },
+}
 
-@pytest.mark.parametrize(
-    "force_pure, n_values, field",
-    _pinned_cases(sorted(SEALED_UPLOADS_SHA256)),
-)
-def test_sealed_uploads_pinned_bytes(force_pure, n_values, field):
+
+def _sealed_digest(force_pure, n_values, field):
     afe = VectorSumAfe(field, 8, n_bits=1)
     deployment = PrioDeployment.create(
         afe, n_servers=2, seed=b"sealed-pin-seed",
@@ -264,7 +294,60 @@ def test_sealed_uploads_pinned_bytes(force_pure, n_values, field):
             digest.update(TransportClient.frame_submission(sub, sealed=True))
     finally:
         deployment.close()
-    assert digest.hexdigest() == SEALED_UPLOADS_SHA256[n_values][field]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "force_pure, n_values, field",
+    _pinned_cases(sorted(SEALED_UPLOADS_SHA256)),
+)
+def test_sealed_uploads_pinned_bytes(force_pure, n_values, field):
+    assert (
+        _sealed_digest(force_pure, n_values, field)
+        == SEALED_UPLOADS_SHA256[n_values][field]
+    )
+
+
+@pytest.fixture
+def shake_seed_stream(monkeypatch):
+    """Seed expansion on the retired SHAKE-256 stream: both keystream
+    seams (the scalar reader and the batch blob) return its bytes."""
+
+    def keystream(seed, first_block, n_blocks, domain):
+        data = shake_stream(seed, domain, 16 * (first_block + n_blocks))
+        return data[16 * first_block :]
+
+    def keystream_rows(seeds, n_blocks, domain):
+        rows = [shake_stream(seed, domain, 16 * n_blocks) for seed in seeds]
+        return b"".join(rows) + bytes(15)
+
+    monkeypatch.setattr(prg, "_keystream", keystream)
+    monkeypatch.setattr(prg, "_keystream_rows", keystream_rows)
+
+
+@pytest.mark.parametrize("force_pure, field", _pinned_cases())
+def test_vec256_uploads_on_shake_stream(
+    shake_seed_stream, force_pure, field
+):
+    """On the SHAKE-256 stream the current client reproduces the old
+    pins byte for byte: the re-pin moved PRG output and nothing else."""
+    assert (
+        _vec256_digest(force_pure, field)
+        == SHAKE_VEC256_UPLOADS_SHA256[field]
+    )
+
+
+@pytest.mark.parametrize(
+    "force_pure, n_values, field",
+    _pinned_cases(sorted(SHAKE_SEALED_UPLOADS_SHA256)),
+)
+def test_sealed_uploads_on_shake_stream(
+    shake_seed_stream, force_pure, n_values, field
+):
+    assert (
+        _sealed_digest(force_pure, n_values, field)
+        == SHAKE_SEALED_UPLOADS_SHA256[n_values][field]
+    )
 
 
 @pytest.mark.slow

@@ -1,11 +1,16 @@
-"""``cryptography`` is optional and loaded late.
+"""``cryptography`` is what seed expansion runs on, and it loads late.
 
-Where it cannot be imported, a sealed deployment still seals and opens
-every box on the pure P-256 kernels.  Where it can, nothing imports it
-until the first box is sealed or opened, so a cleartext client or
-server never pays for it.  Both checks run in a fresh interpreter; the
-first blocks ``cryptography`` with a ``sys.meta_path`` finder, as
-``tests/test_numpy_optional.py`` blocks numpy.
+PRG-compressed sharing expands seeds with fixed-key AES-128 on OpenSSL,
+so ``cryptography`` is a required dependency.  Where it cannot be
+imported, a PRG-compressed deployment fails at its first seed
+expansion with an error naming the package, while a deployment that
+ships explicit shares still seals and opens every box on the pure
+P-256 kernels.  Where it can be imported, nothing imports it before the
+first seed expansion, seal or open, so ``import repro`` and a
+deployment that does none of them never load it.  Both checks run in a
+fresh interpreter; the first blocks ``cryptography`` with a
+``sys.meta_path`` finder, as ``tests/test_numpy_optional.py`` blocks
+numpy.
 """
 
 import os
@@ -40,7 +45,7 @@ BLOCKED = textwrap.dedent(
     values = [5, 19, 3, 200, 0, 77]
     deployment = PrioDeployment.create(
         IntegerSumAfe(FIELD87, 8), 2, batch_size=4,
-        rng=random.Random(7), encrypt=True,
+        rng=random.Random(7), encrypt=True, use_prg_compression=False,
     )
     try:
         reset_op_counter()
@@ -51,6 +56,20 @@ BLOCKED = textwrap.dedent(
     assert box._openssl_ec() is None
     # each server opened each upload on the ladder
     assert scalar_mult_count() >= 2 * len(values), scalar_mult_count()
+
+    # seeds need AES: the first expansion names the missing package
+    deployment = PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 8), 2, batch_size=4, rng=random.Random(7),
+    )
+    try:
+        deployment.submit_many(values)
+    except ModuleNotFoundError as exc:
+        assert exc.name == "cryptography", exc.name
+        assert "cryptography" in str(exc), exc
+    else:
+        raise AssertionError("seeds expanded without cryptography")
+    finally:
+        deployment.close()
     assert not any(m.split(".")[0] == "cryptography" for m in sys.modules)
     print("ok")
     """
@@ -68,17 +87,23 @@ LAZY = textwrap.dedent(
     from repro.field import FIELD87
     from repro.protocol import PrioDeployment
 
+    def loaded():
+        return any(m.split(".")[0] == "cryptography" for m in sys.modules)
+
+    assert not loaded()
     values = [5, 19, 3, 200]
-    deployment = PrioDeployment.create(
-        IntegerSumAfe(FIELD87, 8), 2, batch_size=4, rng=random.Random(7),
-    )
-    try:
-        deployment.submit_many(values)
-        assert deployment.publish() == sum(values)
-    finally:
-        deployment.close()
-    # only a seal or an open loads it: a cleartext deployment never does
-    assert not any(m.split(".")[0] == "cryptography" for m in sys.modules)
+    for compress in (False, True):
+        deployment = PrioDeployment.create(
+            IntegerSumAfe(FIELD87, 8), 2, batch_size=4,
+            rng=random.Random(7), use_prg_compression=compress,
+        )
+        try:
+            deployment.submit_many(values)
+            assert deployment.publish() == sum(values)
+        finally:
+            deployment.close()
+        # explicit shares in cleartext never load it; seeds do
+        assert loaded() == compress
     print("ok")
     """
 )

@@ -30,12 +30,18 @@ SCRIPT = textwrap.dedent(
 
     sys.meta_path.insert(0, BlockNumpy())
 
+    import os
+
     import repro
     from repro.afe import AfeError, IntegerSumAfe, LinRegAfe
     from repro.field import FIELD87, backend_name
+    from repro.field.batch import _openblas
     from repro.protocol import PrioDeployment
 
     assert backend_name() == "pure", backend_name()
+    # no numpy, no BLAS to pin, and the environment is left alone
+    assert _openblas("openblas_set_num_threads") is None
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
     values = [5, 19, 3, 200, 0, 77]
     deployment = PrioDeployment.create(
         IntegerSumAfe(FIELD87, 8), 3, batch_size=4,
@@ -63,6 +69,7 @@ SCRIPT = textwrap.dedent(
 def test_import_and_round_trip_without_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("REPRO_FORCE_PURE", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         env=env, capture_output=True, text=True, timeout=120,
