@@ -14,8 +14,6 @@ Run:  python examples/cell_signal.py
 
 import random
 
-import numpy as np
-
 from repro import PrioDeployment
 from repro.field import FIELD87
 from repro.protocol.dp import discrete_laplace_scale
@@ -50,12 +48,12 @@ def main() -> None:
     # --- DP extension: each server noises its accumulator before
     # publishing.  Sensitivity per cell is 15 (one phone's max value).
     # The noise is sampled batched and added to the accumulator's limb
-    # planes — the aggregate only decodes to ints at publish().
-    generator = np.random.default_rng(123)
+    # planes — the aggregate only decodes to ints at publish().  Each
+    # server draws its share from its own OS-seeded generator: a seed
+    # shared by every server would let anyone who knows it subtract
+    # the noise again.
     for server in deployment.servers:
-        server.add_dp_noise(
-            epsilon=EPSILON, sensitivity=15.0, generator=generator
-        )
+        server.add_dp_noise(epsilon=EPSILON, sensitivity=15.0)
     scale = discrete_laplace_scale(EPSILON, 15.0)
     print(f"per-cell DP noise stddev ~ {scale:.1f} (epsilon = {EPSILON})")
 

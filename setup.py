@@ -4,8 +4,9 @@ The code lives under ``src/``; numpy is optional (every batch kernel
 has a pure-Python fallback), so it is an extra rather than a hard
 requirement.  ``cryptography`` is required: seed expansion, the PRG of
 PRG-compressed sharing, runs fixed-key AES-128 on OpenSSL through it,
-and clients seal and servers open boxes on it (the box keeps a pure
-P-256 fallback).  Offline, install in development mode with::
+clients seal and servers open boxes on it (P-256), and registered
+clients sign on it (Ed25519).  Offline, install in development mode
+with::
 
     pip install -e . --no-build-isolation --no-deps
 

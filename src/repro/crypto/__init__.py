@@ -1,4 +1,4 @@
-"""Crypto substrate: stream cipher, HKDF, ECIES box, Schnorr signatures.
+"""Crypto substrate: stream cipher, HKDF, ECIES box, Ed25519 signatures.
 
 Public surface
 --------------

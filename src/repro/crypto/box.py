@@ -18,8 +18,11 @@ one box onto another message's associated data fails authentication.
 Cost.  A seal is two scalar multiplications, ``k * G`` for the
 ephemeral key and ``k * Pub`` for the shared secret — the "single
 public-key encryption" per packet that Figure 7's analysis counts.
-Where the optional ``cryptography`` package imports, OpenSSL runs
-both.  ``derive_private_key(k)`` gives ``R = k * G`` in full, but ECDH
+OpenSSL runs both, through the ``cryptography`` package: a required
+dependency, imported on the first key generation, seal or open, so a
+cleartext client or server never loads it; where it does not import,
+that call raises :class:`ModuleNotFoundError` naming the package.
+``derive_private_key(k)`` gives ``R = k * G`` in full, but ECDH
 gives only ``x1 = x(k * Pub)``, while the keys hash the *compressed*
 shared point, whose prefix is y's parity.  A second exchange, against
 the recipient's cached ``Pub + G``, gives ``x3 = x(k * Pub + R)``; the
@@ -29,43 +32,35 @@ inversion and no square root::
     y1 = (yR^2 + x1^3 - 3 x1 + b - (x3 + x1 + xR) (xR - x1)^2) / (2 yR)
 
 (``docs/ANALYSIS.md``, "Sealed-box seal: recovering y").  The chord
-does not exist for ``Pub = +-G`` (``k * Pub = +-R``), so those two
-recipients take the pure path, as would a recovered y that failed the
-curve equation.  On the 2-vCPU benchmark host a seal costs about
-0.3 ms this way (``derive_private_key`` 0.05, each exchange 0.08, the
-recovery's inversion 0.03) against about 1 ms on the pure fixed-base
-tables of :func:`repro.ec.p256.fixed_base_mult`, which stay as the
-fallback and as the oracle the differential tests seal every box
-against.  Both
-paths draw the one ephemeral scalar first, so a seeded seal is the
-same bytes either way.  A recipient is validated once, on its first
-seal: the identity, an off-curve point or an out-of-range coordinate
-raises :class:`CryptoError` (``k`` times such a "key" is a constant
-any eavesdropper can compute) and is never cached.
+does not exist for ``Pub = +-G``, but there ``k * Pub = +-R``, which
+is known in full.  A recovered y that fails the curve equation (only
+a wrong cached key gives one) raises :class:`CryptoError`.  On the
+2-vCPU benchmark host a seal costs about 0.3 ms
+(``derive_private_key`` 0.05, each exchange 0.08, the recovery's
+inversion 0.03).  A recipient is validated once, on its first seal:
+the identity, an off-curve point or an out-of-range coordinate raises
+:class:`CryptoError` (``k`` times such a "key" is a constant any
+eavesdropper can compute) and is never cached.
 
-An open is one ECDH by the server's secret.  Where the optional
-``cryptography`` package imports, OpenSSL runs it: the ephemeral point
-is decoded and validated by ``from_encoded_point``.  On the 2-vCPU
+An open is one ECDH by the server's secret: the ephemeral point is
+decoded and validated by ``from_encoded_point``.  On the 2-vCPU
 benchmark host the exchange costs about 0.05 ms and a whole open about
-0.09 ms, against about 1 ms for the pure wNAF ladder of
-:func:`repro.ec.p256.scalar_mult`, which stays as the fallback and as
-the oracle the differential tests open every box against.  The import
-happens on the first seal or open, so a cleartext client or server
-never loads it.  Like the seal, the open gets only the shared x from
-OpenSSL; rather than pay a second exchange to recover y, it derives
-the keys for both prefixes (``02 || x`` and ``03 || x``),
-checks both tags, and decrypts with the one that verifies; checking
-both costs the same whichever parity is right.  The wrong-parity keys
-come out of a different HKDF input, so their tag is an independent
-16-byte value: for it to verify as well, the box would have to carry
-an HMAC tag forged under a second key.  An honest box does that with
-probability 2^-128, and even a sender who knows both keys must search
-for a message on which two truncated HMACs agree.  Should it happen,
-the open defers to the ladder, which knows y.  Only the pure seal
-builds fixed-base tables (the generator's and the recipient's);
-``open_box`` and key generation never do.  Neither the pure kernels
-nor the Python arithmetic of the y recovery is constant-time (see
-:mod:`repro.ec.p256`).
+0.09 ms.  Like the seal, the open gets only the shared x from OpenSSL;
+rather than pay a second exchange to recover y, it derives the keys
+for both prefixes (``02 || x`` and ``03 || x``), checks both tags, and
+decrypts with the one that verifies; checking both costs the same
+whichever parity is right.  The wrong-parity keys come out of a
+different HKDF input, so their tag is an independent 16-byte value:
+for it to verify as well, the box would have to carry an HMAC tag
+forged under a second key.  An honest box does that with probability
+2^-128, and even a sender who knows both keys must search for a
+message on which two truncated HMACs agree; a box whose tag verifies
+under both is refused.
+
+The pure P-256 kernels of :mod:`repro.ec` run none of this;
+``tests/oracle/box.py`` rebuilds seal and open on them as the oracle
+the differential tests check every box against.  The Python
+arithmetic of the y recovery is not constant-time.
 """
 
 from __future__ import annotations
@@ -83,20 +78,7 @@ from repro.crypto.primitives import (
     mac_verify,
     stream_xor,
 )
-from repro.ec.p256 import (
-    GENERATOR,
-    ORDER,
-    A,
-    B,
-    EcError,
-    P,
-    Point,
-    _affine_many,
-    _check_fixed_base,
-    _fixed_base_jacobian,
-    random_scalar,
-    scalar_mult,
-)
+from repro.ec.p256 import GENERATOR, ORDER, A, B, P, Point, random_scalar
 
 
 @dataclass(frozen=True)
@@ -105,11 +87,10 @@ class BoxKeyPair:
 
     ``secret`` must lie in ``[1, ORDER)``: a multiple of the order
     would make every shared secret the identity, a constant anyone can
-    compute, and OpenSSL refuses any secret the pure ladder would
-    reduce, so both open paths accept the same keys.  The first OpenSSL
-    open caches the key's OpenSSL form on the instance; it is left out
-    of the pickled state (process workers receive the server's key pair
-    and derive their own).
+    compute, and OpenSSL refuses any secret outside that range.  The
+    first open caches the key's OpenSSL form on the instance; it is
+    left out of the pickled state (process workers receive the
+    server's key pair and derive their own).
     """
 
     secret: int
@@ -129,7 +110,9 @@ class BoxKeyPair:
         if rng is None:
             rng = _random.SystemRandom()
         secret = random_scalar(rng)
-        return cls(secret=secret, public=scalar_mult(secret, GENERATOR))
+        ec = _openssl_ec()
+        key = ec.derive_private_key(secret, ec.SECP256R1())
+        return cls(secret=secret, public=_public_point(key))
 
 
 _POINT_SIZE = 33
@@ -160,6 +143,12 @@ def _mac_input(associated_data: bytes, ciphertext: bytes) -> bytes:
     )
 
 
+def _public_point(key) -> Point:
+    """The public point of an OpenSSL private key."""
+    numbers = key.public_key().public_numbers()
+    return Point(numbers.x, numbers.y)
+
+
 def seal(
     recipient_public: Point,
     plaintext: bytes,
@@ -171,80 +160,54 @@ def seal(
     ``associated_data`` is authenticated but not encrypted (and not
     included in the output): the opener must present the same bytes.
     Raises :class:`CryptoError` for an invalid ``recipient_public``.
-    The scalar products run on OpenSSL when ``cryptography`` imports
-    and on the pure fixed-base tables otherwise; both give the same
-    bytes from the same ``rng``.
+    The one random draw is the ephemeral scalar, so a seeded ``rng``
+    gives the same bytes as the oracle's pure seal.
     """
     if rng is None:
         rng = _random.SystemRandom()
-    # the one draw, before the path is chosen: both paths consume rng
-    # identically, so a seeded seal is the same bytes either way
     ephemeral_secret = random_scalar(rng)
-    points = None
     ec = _openssl_ec()
-    if ec is not None:
-        keys = _recipient_keys(ec, recipient_public)
-        if keys is not None:
-            points = _seal_points_openssl(ec, ephemeral_secret, keys)
-    if points is None:
-        points = _seal_points_pure(ephemeral_secret, recipient_public)
-    ephemeral_pub, shared = points
-    enc_key, mac_key = _derive_keys(shared, ephemeral_pub)
+    keys = _recipient_keys(ec, recipient_public)
+    ephemeral = ec.derive_private_key(ephemeral_secret, ec.SECP256R1())
+    r = _public_point(ephemeral)
+    if keys is None:
+        # Pub = +-G, so k Pub = +-R
+        shared = r if recipient_public == GENERATOR else -r
+    else:
+        shared = _recover_shared(ec, ephemeral, r, keys)
+    ephemeral_pub = r.encode()
+    enc_key, mac_key = _derive_keys(shared.encode(), ephemeral_pub)
     ciphertext = stream_xor(enc_key, ephemeral_pub[:16], plaintext)
     tag = mac_tag(mac_key, _mac_input(associated_data, ciphertext))
     return ephemeral_pub + ciphertext + tag
 
 
-def _seal_points_pure(
-    ephemeral_secret: int, recipient_public: Point
-) -> tuple[bytes, bytes]:
-    """Compressed ``(k * G, k * Pub)`` on the fixed-base tables: the
-    fallback and the oracle."""
-    try:
-        jacobian = [
-            _fixed_base_jacobian(ephemeral_secret, GENERATOR),
-            _fixed_base_jacobian(ephemeral_secret, recipient_public),
-        ]
-    except EcError as exc:
-        raise CryptoError(_INVALID_RECIPIENT) from exc
-    # a nonzero scalar times a point of prime order: neither is the
-    # identity, so one shared inversion converts both
-    ephemeral_pub, shared = (Point(*xy) for xy in _affine_many(jacobian))
-    return ephemeral_pub.encode(), shared.encode()
-
-
-def _seal_points_openssl(
-    ec, ephemeral_secret: int, keys
-) -> tuple[bytes, bytes] | None:
-    """Compressed ``(k * G, k * Pub)`` on OpenSSL, or None when the
-    recovered y fails the curve equation.
+def _recover_shared(ec, ephemeral, r: Point, keys) -> Point:
+    """``k * Pub`` in full from two exchanges.
 
     ``keys`` are the recipient's ``(Pub, Pub + G)``.  ECDH yields only
     x1 = x(k Pub) and x3 = x(k Pub + k G); with R = k G known in full,
     y1 follows from the chord through k Pub and R (module docstring).
     """
-    ephemeral = ec.derive_private_key(ephemeral_secret, ec.SECP256R1())
-    numbers = ephemeral.public_key().public_numbers()
-    x_r, y_r = numbers.x, numbers.y
     pub_key, pub_plus_g_key = keys
     x1 = int.from_bytes(ephemeral.exchange(ec.ECDH(), pub_key), "big")
     x3 = int.from_bytes(ephemeral.exchange(ec.ECDH(), pub_plus_g_key), "big")
     y1_squared = (x1 * x1 * x1 + A * x1 + B) % P
-    run = x_r - x1
+    run = r.x - x1
     y1 = (
-        (y_r * y_r + y1_squared - (x3 + x1 + x_r) * run * run)
-        * pow(2 * y_r, -1, P)
+        (r.y * r.y + y1_squared - (x3 + x1 + r.x) * run * run)
+        * pow(2 * r.y, -1, P)
         % P
     )
     if y1 * y1 % P != y1_squared:
-        return None
-    return Point(x_r, y_r).encode(), Point(x1, y1).encode()
+        raise CryptoError("shared point recovery failed")
+    return Point(x1, y1)
 
 
 #: Recipients' OpenSSL keys ``(Pub, Pub + G)`` by point, or None for
-#: ``Pub = +-G``, whose seals take the tables.  A sealing client uses
+#: ``Pub = +-G``, whose shared point is ``+-R``.  A sealing client uses
 #: one entry per server; a process that cycles through more than the
-#: bound starts over rather than grow, as p256's table cache does.
+#: bound starts over rather than grow.
 _RECIPIENT_CACHE: dict = {}
 _RECIPIENT_CACHE_SIZE = 32
 
@@ -256,10 +219,14 @@ def _recipient_keys(ec, recipient_public: Point):
         return _RECIPIENT_CACHE[recipient_public]
     except KeyError:
         pass
-    try:
-        _check_fixed_base(recipient_public)
-    except EcError as exc:
-        raise CryptoError(_INVALID_RECIPIENT) from exc
+    # a multiple of the identity or of an off-curve point is a
+    # constant anyone can compute
+    if (
+        recipient_public.infinity
+        or not (0 <= recipient_public.x < P and 0 <= recipient_public.y < P)
+        or not recipient_public.is_on_curve()
+    ):
+        raise CryptoError(_INVALID_RECIPIENT)
     keys = None
     # Pub = +-G: k Pub = +-R, where the chord is a tangent or vertical
     if recipient_public.x != GENERATOR.x:
@@ -277,16 +244,20 @@ def _recipient_keys(ec, recipient_public: Point):
 
 @functools.lru_cache(maxsize=None)
 def _openssl_ec():
-    """``cryptography``'s EC module, or None where it does not import.
+    """``cryptography``'s EC module.
 
-    Imported on the first seal or open rather than with this module:
-    every client and server imports the box, and a cleartext one must
-    not pay the import's 6-7 MiB.
+    Imported on the first key generation, seal or open rather than
+    with this module: every client and server imports the box, and a
+    cleartext one must not pay the import's 6-7 MiB.
     """
     try:
         from cryptography.hazmat.primitives.asymmetric import ec
-    except ImportError:
-        return None
+    except ImportError as exc:
+        raise ModuleNotFoundError(
+            "the sealed box runs P-256 on OpenSSL and needs the "
+            "'cryptography' package",
+            name="cryptography",
+        ) from exc
     return ec
 
 
@@ -304,17 +275,10 @@ def open_box(
     sealed: bytes,
     associated_data: bytes = b"",
 ) -> bytes:
-    """Verify and decrypt a sealed box; raises CryptoError on tamper.
-
-    The ECDH runs on OpenSSL when ``cryptography`` imports and on the
-    pure ladder otherwise; both give the same plaintext or the same
-    :class:`CryptoError`.
-    """
+    """Verify and decrypt a sealed box; raises CryptoError on tamper."""
     if len(sealed) < _POINT_SIZE + MAC_SIZE:
         raise CryptoError("sealed box too short")
     ec = _openssl_ec()
-    if ec is None:
-        return _open_pure(keypair, sealed, associated_data)
     ephemeral_pub = bytes(sealed[:_POINT_SIZE])
     try:
         peer = ec.EllipticCurvePublicKey.from_encoded_point(
@@ -336,31 +300,7 @@ def open_box(
         )
         if mac_verify(mac_key, mac_input, tag)
     ]
-    if not verified:
+    # both verifying is a forged tag (module docstring)
+    if len(verified) != 1:
         raise CryptoError("box authentication failed")
-    if len(verified) == 2:
-        # a forged tag (module docstring): only the ladder knows y
-        return _open_pure(keypair, sealed, associated_data)
     return stream_xor(verified[0], ephemeral_pub[:16], ciphertext)
-
-
-def _open_pure(
-    keypair: BoxKeyPair, sealed: bytes, associated_data: bytes
-) -> bytes:
-    """:func:`open_box` on the pure ladder: the fallback and the
-    oracle."""
-    try:
-        ephemeral_pub = Point.decode(sealed[:_POINT_SIZE])
-    except ValueError as exc:
-        # Point.decode raises EcError (a bare ValueError); untrusted
-        # bytes must surface as a typed crypto failure so batch callers
-        # can poison only the offender.
-        raise CryptoError(_MALFORMED_POINT) from exc.with_traceback(None)
-    ciphertext = sealed[_POINT_SIZE:-MAC_SIZE]
-    tag = sealed[-MAC_SIZE:]
-    shared = scalar_mult(keypair.secret, ephemeral_pub)
-    enc_key, mac_key = _derive_keys(shared.encode(), ephemeral_pub.encode())
-    if not mac_verify(mac_key, _mac_input(associated_data, ciphertext), tag):
-        raise CryptoError("box authentication failed")
-    nonce = ephemeral_pub.encode()[:16]
-    return stream_xor(enc_key, nonce, ciphertext)

@@ -1,10 +1,10 @@
 """Symmetric primitives: XOF stream cipher, HKDF, and MAC tags.
 
 The paper's prototype encrypts client->server packets with NaCl's
-"box" (Curve25519 + XSalsa20-Poly1305).  Offline, the closest
-buildable equivalent from the standard library is:
+"box" (Curve25519 + XSalsa20-Poly1305).  The equivalent built here
+is:
 
-* key agreement over our own P-256 (:mod:`repro.crypto.box`),
+* P-256 ECDH on OpenSSL for key agreement (:mod:`repro.crypto.box`),
 * HKDF-SHA256 for key derivation (RFC 5869, implemented here),
 * a SHAKE-256 keystream XOR cipher for confidentiality, and
 * HMAC-SHA256 (truncated to 16 bytes) for integrity.

@@ -1,4 +1,4 @@
-"""Schnorr signatures over P-256.
+"""Ed25519 client signatures, on OpenSSL.
 
 Used by the protocol layer's client-registration defence against the
 selective denial-of-service / Sybil attacks of Section 7: "Prio clients
@@ -7,66 +7,70 @@ registered public key and the servers wait to publish their accumulator
 values until a threshold number of registered clients have submitted
 valid messages."
 
-Standard Fiat-Shamir Schnorr:  R = kG,  e = H(R || pub || msg),
-s = k + e*x (mod order);  verify  sG == R + e*Pub.
+Signing and verifying are RFC 8032 Ed25519 through the
+``cryptography`` package, imported on the first key generation,
+signature or verification; where it does not import, that call raises
+:class:`ModuleNotFoundError` naming the package.  Ed25519 rather than
+ECDSA P-256: its signatures are a fixed 64 bytes, deterministic (a
+signature draws no randomness) and not malleable, so no one can turn a
+valid signature into a second valid one on the same message.  Keys
+travel as raw bytes, the 32-byte private seed and the 32-byte public
+key (which is also the client id, so a registry of them pickles into
+process workers); the OpenSSL key objects are built per call.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import os
 from dataclasses import dataclass
 
-from repro.ec.p256 import GENERATOR, ORDER, Point, random_scalar, scalar_mult
+
+@functools.lru_cache(maxsize=None)
+def _ed25519():
+    """``cryptography``'s Ed25519 module and its verify failure."""
+    try:
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric import ed25519
+    except ImportError as exc:
+        raise ModuleNotFoundError(
+            "client signatures run Ed25519 on OpenSSL and need the "
+            "'cryptography' package",
+            name="cryptography",
+        ) from exc
+    return ed25519, InvalidSignature
 
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    secret: int
-    public: Point
+    secret: bytes
+    public: bytes
 
     @classmethod
     def generate(cls, rng=None) -> "SigningKeyPair":
-        if rng is None:
-            import random as _random
-
-            rng = _random.Random(os.urandom(16))
-        secret = random_scalar(rng)
-        return cls(secret=secret, public=scalar_mult(secret, GENERATOR))
-
-
-def _challenge(nonce_point: Point, public: Point, message: bytes) -> int:
-    digest = hashlib.sha256(
-        b"prio-schnorr" + nonce_point.encode() + public.encode() + message
-    ).digest()
-    return int.from_bytes(digest, "big") % ORDER
+        """A fresh key pair, seeded from the OS CSPRNG unless a test
+        passes ``rng``."""
+        secret = os.urandom(32) if rng is None else rng.randbytes(32)
+        ed25519, _ = _ed25519()
+        key = ed25519.Ed25519PrivateKey.from_private_bytes(secret)
+        return cls(secret=secret, public=key.public_key().public_bytes_raw())
 
 
-def sign(keypair: SigningKeyPair, message: bytes, rng=None) -> bytes:
-    """Produce a 65-byte signature (33-byte R point + 32-byte scalar)."""
-    if rng is None:
-        import random as _random
-
-        rng = _random.Random(os.urandom(16))
-    k = random_scalar(rng)
-    nonce_point = scalar_mult(k, GENERATOR)
-    e = _challenge(nonce_point, keypair.public, message)
-    s = (k + e * keypair.secret) % ORDER
-    return nonce_point.encode() + s.to_bytes(32, "big")
+def sign(keypair: SigningKeyPair, message: bytes) -> bytes:
+    """The 64-byte signature of ``message``."""
+    ed25519, _ = _ed25519()
+    key = ed25519.Ed25519PrivateKey.from_private_bytes(keypair.secret)
+    return key.sign(message)
 
 
-def verify(public: Point, message: bytes, signature: bytes) -> bool:
-    """Check a signature; False (never an exception) on any mismatch."""
-    if len(signature) != 33 + 32:
-        return False
+def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """Check a signature; False (never an exception) on any mismatch,
+    a malformed key or signature included."""
+    ed25519, invalid_signature = _ed25519()
     try:
-        nonce_point = Point.decode(signature[:33])
-    except Exception:
+        ed25519.Ed25519PublicKey.from_public_bytes(public).verify(
+            signature, message
+        )
+    except (invalid_signature, TypeError, ValueError):
         return False
-    s = int.from_bytes(signature[33:], "big")
-    if s >= ORDER:
-        return False
-    e = _challenge(nonce_point, public, message)
-    lhs = scalar_mult(s, GENERATOR)
-    rhs = nonce_point + scalar_mult(e, public)
-    return lhs == rhs
+    return True

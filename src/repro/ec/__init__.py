@@ -1,5 +1,6 @@
-"""NIST P-256 group, built from scratch (substrate for ``repro.crypto``
-and the NIZK baseline in ``benchmarks/baselines/``).
+"""NIST P-256 group, built from scratch (the box's point type and
+constants in ``repro.crypto``; the kernel of the NIZK baseline in
+``benchmarks/baselines/`` and of the box oracle in ``tests/``).
 
 Public surface
 --------------
@@ -7,19 +8,19 @@ Public surface
 ``tests/test_package_surface.py`` checks that ``__all__`` is exactly
 the names below and that each sits in the paragraph naming its callers.
 
-Used in ``src/``: ``GENERATOR``, ``ORDER``, ``EcError``, ``Point``,
-``random_scalar``, ``scalar_mult``.
+Used in ``src/``: ``GENERATOR``, ``ORDER``, ``Point``,
+``random_scalar``.
 
 Paper experiments (Table 2 counts public-key operations; the NIZK
-baseline's identity ciphertext): ``INFINITY``, ``reset_op_counter``,
-``scalar_mult_count``.
+baseline's identity ciphertext and scalar products; the
+``ec.scalar_mult_ms`` probe): ``INFINITY``, ``reset_op_counter``,
+``scalar_mult``, ``scalar_mult_count``.
 """
 
 from repro.ec.p256 import (
     GENERATOR,
     INFINITY,
     ORDER,
-    EcError,
     Point,
     random_scalar,
     reset_op_counter,
@@ -31,7 +32,6 @@ __all__ = [
     "GENERATOR",
     "INFINITY",
     "ORDER",
-    "EcError",
     "Point",
     "random_scalar",
     "reset_op_counter",

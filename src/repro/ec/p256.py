@@ -3,50 +3,36 @@
 The paper's NIZK comparison system "uses OpenSSL's NIST P256 code" via
 a Go wrapper.  This module provides the same group with no dependency:
 the short-Weierstrass curve ``y^2 = x^3 - 3x + b`` over the P-256
-prime, with Jacobian-coordinate arithmetic and two
-scalar-multiplication kernels that share one mixed (Jacobian + affine)
-addition:
+prime, with Jacobian-coordinate arithmetic and one
+scalar-multiplication kernel, :func:`scalar_mult`.  The scalar is
+recoded to signed width-5 wNAF and walked from the top: one doubling
+per bit, one mixed (Jacobian + affine) addition per nonzero digit
+(~43 of 256) out of the table ``Q, 3Q, .., 15Q``, which is made affine
+with a single inversion.
 
-* :func:`scalar_mult` — any base.  The scalar is recoded to signed
-  width-5 wNAF and walked from the top: one doubling per bit, one
-  mixed addition per nonzero digit (~43 of 256) out of the table
-  ``Q, 3Q, .., 15Q``, which is made affine with a single inversion.
-* :func:`fixed_base_mult` — a base that recurs.  A table of
-  ``d * 2^(5i) * Q`` for every 5-bit window ``i`` and digit
-  ``d = 1..16`` is built on the first use of ``Q`` and cached; a
-  multiplication is then one mixed addition per nonzero signed window
-  digit (at most 52) and no doubling at all, about five times faster.
-  Only the pure seal fallback uses it (:func:`repro.crypto.box.seal`
-  without ``cryptography``, or to a recipient ``+-G``: the generator
-  and each server's long-term key); servers, signatures and the NIZK
-  baseline stay on :func:`scalar_mult` and never pay for a table.
-  Where the optional ``cryptography`` package imports, clients seal
-  and servers open boxes on OpenSSL; these kernels are then the
-  fallback and the oracle the differential tests seal and open every
-  box against.
-
-Neither kernel is constant-time, and neither was the 4-bit ladder they
-replaced: the digits of a secret scalar choose which table entry is
-read and whether an addition happens at all, and Python's integers are
-variable-time underneath.  That is in keeping with a reproduction whose
-subject is the cost of the protocol, not a hardened library.
+The kernel is not constant-time: the digits of a secret scalar choose
+which table entry is read and whether an addition happens at all, and
+Python's integers are variable-time underneath.  That is in keeping
+with a reproduction whose subject is the cost of the protocol, not a
+hardened library.
 
 It serves three consumers:
 
 * ``benchmarks/baselines/nizk.py`` — ElGamal bit encryptions and
   Chaum-Pedersen proofs (the baseline Prio is compared against in
   Figures 4-7);
-* :mod:`repro.crypto` — the ECIES "box" construction standing in for
-  NaCl box, and Schnorr signatures for client registration;
+* :mod:`repro.crypto.box` — the box's point type, curve constants and
+  ephemeral-scalar draw; its scalar products run on OpenSSL, and
+  ``tests/oracle/box.py`` rebuilds them on :func:`scalar_mult` as the
+  oracle;
 * benchmarks — exponentiation counts and measured scalar-mult times
   feed Table 2 and the Figure 7 SNARK cost model.
 
 A module-level operation counter records scalar multiplications (one
-per call of either kernel) so the benchmarks can report exact
-"exponentiation" counts without profiling.  It counts only these pure
-kernels: a box sealed or opened on OpenSSL adds nothing.  Table 2
-counts client and NIZK exponentiations, never seals or opens.
-"""
+per call of the kernel) so the benchmarks can report exact
+"exponentiation" counts without profiling.  It counts only this pure
+kernel: a box sealed or opened on OpenSSL adds nothing.  Table 2
+counts client and NIZK exponentiations, never seals or opens."""
 
 from __future__ import annotations
 
@@ -81,7 +67,7 @@ def reset_op_counter() -> None:
 def scalar_mult_count() -> int:
     """Scalar multiplications ("exponentiations") since the last reset.
 
-    Only this module's kernels count; a box seal or open on OpenSSL
+    Only this module's kernel counts; a box seal or open on OpenSSL
     does not.
     """
     return _scalar_mult_count
@@ -214,7 +200,7 @@ def _jac_add(p1: _JacPoint, p2: _JacPoint) -> _JacPoint:
 def _jac_add_affine(p1: _JacPoint, q: _AffinePoint) -> _JacPoint:
     """Mixed addition: Jacobian ``p1`` plus the affine, non-identity
     ``q`` (``Z2 == 1`` saves five of the general formula's sixteen
-    multiplications).  The one addition both kernels are built on."""
+    multiplications).  The one addition the ladder is built on."""
     x1, y1, z1 = p1
     x2, y2 = q
     if z1 == 0:
@@ -325,108 +311,6 @@ def scalar_mult(scalar: int, point: Point) -> Point:
     if scalar == 0 or point.infinity:
         return INFINITY
     return _to_affine(_wnaf_ladder(_wnaf(scalar), point))
-
-
-# ----------------------------------------------------------------------
-# Fixed base: one table entry per signed window, no doublings
-# ----------------------------------------------------------------------
-
-#: Window width of the fixed-base tables.  Row ``i`` of a table holds
-#: ``d * 2^(5 i) * base`` for ``d = 1 .. 16`` in affine form; a
-#: multiplication recodes the scalar into 52 digits in ``[-15, 16]``
-#: and adds one entry (negated for a negative digit) per nonzero digit.
-#: Measured on the 2-vCPU benchmark host, table build / multiply in ms:
-#: 4 bits 4.3 / 0.33, 5 bits 7.0 / 0.28, 6 bits 11.3 / 0.23.  A client
-#: on the pure seal builds three tables on its first submission (the
-#: generator, two servers), and five bits (21 ms of builds) is the
-#: widest window that does not make the benchmark's set-up slower on
-#: that path.  Where ``cryptography`` imports, seals run on OpenSSL and
-#: build no table.
-_FIXED_WIDTH = 5
-_FIXED_MASK = (1 << _FIXED_WIDTH) - 1
-_FIXED_HALF = 1 << (_FIXED_WIDTH - 1)
-#: enough rows that the top digit of a scalar below 2^256 never carries
-_FIXED_ROWS = 256 // _FIXED_WIDTH + 1
-
-_FixedTable = list[list[_AffinePoint]]
-
-#: Tables by base point.  A client on the pure seal uses s + 1 bases
-#: (the generator and its s servers' keys); a process that cycles
-#: through more than the bound starts over rather than grow.
-_TABLE_CACHE: dict[Point, _FixedTable] = {}
-_TABLE_CACHE_SIZE = 32
-
-
-def _check_fixed_base(point: Point) -> None:
-    """The one validation of a recurring base (a fixed-base table, a
-    box recipient): a multiple of the identity or of an off-curve point
-    is a constant anyone can compute."""
-    if (
-        point.infinity
-        or not (0 <= point.x < P and 0 <= point.y < P)
-        or not point.is_on_curve()
-    ):
-        raise EcError("fixed base must be a finite point on the curve")
-
-
-def _fixed_base_table(point: Point) -> _FixedTable:
-    """The cached table of ``point``, validated and built on a miss."""
-    table = _TABLE_CACHE.get(point)
-    if table is not None:
-        return table
-    _check_fixed_base(point)
-    jac = []
-    base = _to_jacobian(point)
-    for _ in range(_FIXED_ROWS):
-        row = [base]
-        for d in range(2, _FIXED_HALF + 1):
-            if d & 1:
-                row.append(_jac_add(row[-1], base))
-            else:
-                row.append(_jac_double(row[d // 2 - 1]))
-        jac.extend(row)
-        base = _jac_double(row[-1])
-    flat = _affine_many(jac)
-    table = [
-        flat[i:i + _FIXED_HALF] for i in range(0, len(flat), _FIXED_HALF)
-    ]
-    if len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
-        _TABLE_CACHE.clear()
-    _TABLE_CACHE[point] = table
-    return table
-
-
-def _fixed_base_jacobian(scalar: int, point: Point) -> _JacPoint:
-    """``scalar * point`` left in Jacobian form, so a caller with
-    several results (the box seal) can share one inversion."""
-    global _scalar_mult_count
-    table = _fixed_base_table(point)
-    _scalar_mult_count += 1
-    scalar %= ORDER
-    acc = _JAC_INFINITY
-    carry = 0
-    for row in table:
-        digit = (scalar & _FIXED_MASK) + carry
-        scalar >>= _FIXED_WIDTH
-        carry = digit > _FIXED_HALF
-        if carry:
-            digit -= _FIXED_MASK + 1
-        if digit > 0:
-            acc = _jac_add_affine(acc, row[digit - 1])
-        elif digit < 0:
-            x, y = row[-digit - 1]
-            acc = _jac_add_affine(acc, (x, P - y))
-    return acc
-
-
-def fixed_base_mult(scalar: int, point: Point) -> Point:
-    """``scalar * point`` for a base that recurs (the generator, a
-    server's long-term key): the first call per base builds and caches
-    its table, every later one is ~52 mixed additions.
-
-    Raises :class:`EcError` for the identity or an off-curve base.
-    """
-    return _to_affine(_fixed_base_jacobian(scalar, point))
 
 
 def random_scalar(rng) -> int:

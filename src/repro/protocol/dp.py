@@ -93,7 +93,7 @@ def server_noise_vector(
     epsilon: float,
     sensitivity: float,
     n_servers: int,
-    generator,
+    generator=None,
 ):
     """One server's noise shares for every component, batched.
 
@@ -104,11 +104,14 @@ def server_noise_vector(
     ``(positives, negatives)`` of nonnegative ``int64`` arrays — kept
     unsubtracted so the field embedding can stay vectorized
     (:func:`repro.field.batch.signed_delta_batch`); the signed share
-    vector is ``positives - negatives``.
+    vector is ``positives - negatives``.  ``generator`` None draws
+    from a fresh generator seeded from OS entropy.
     """
     alpha = _check_parameters(epsilon, sensitivity, n_servers)
     if n_components < 0:
         raise DpError("n_components must be nonnegative")
+    if generator is None:
+        generator = np.random.default_rng()
     r = 1.0 / n_servers
     rates = generator.gamma(
         shape=r, scale=alpha / (1.0 - alpha), size=(2, n_components)
@@ -123,7 +126,7 @@ def add_noise_to_accumulator(
     epsilon: float,
     sensitivity: float,
     n_servers: int,
-    generator,
+    generator=None,
 ):
     """Noise every accumulator component (per-component epsilon).
 

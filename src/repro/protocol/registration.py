@@ -15,7 +15,7 @@ standard defence:
 This module implements that defence on top of the base pipeline:
 
 * :class:`ClientRegistry` — the servers' shared list of registered
-  Schnorr public keys;
+  Ed25519 public keys (:mod:`repro.crypto.sign`);
 * :class:`RegisteredClient` — wraps :class:`PrioClient`, signing every
   packet with the client's registered key;
 * :class:`GatedServer` — a :class:`PrioServer` that receives only
@@ -36,13 +36,10 @@ frame check both of its receives share, so no driver can skip the gate.
 from __future__ import annotations
 
 import contextlib
-import os
-import random as _random
 from dataclasses import dataclass
 
 from repro.afe.base import Afe
 from repro.crypto.sign import SigningKeyPair, sign, verify
-from repro.ec.p256 import Point
 from repro.protocol.client import ClientSubmission, PrioClient
 from repro.protocol.runner import PrioDeployment
 from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
@@ -55,24 +52,19 @@ class RegistrationError(ProtocolError):
 
 
 class ClientRegistry:
-    """The deployment's list of registered client public keys."""
+    """The deployment's list of registered client public keys: raw
+    32-byte Ed25519 keys, each its client's id."""
 
     def __init__(self) -> None:
-        self._keys: dict[bytes, Point] = {}
+        self._keys: set[bytes] = set()
 
-    def register(self, public: Point) -> bytes:
-        """Add a public key; returns the client id (the encoded point)."""
-        client_id = public.encode()
-        self._keys[client_id] = public
-        return client_id
+    def register(self, public: bytes) -> bytes:
+        """Add a public key; returns the client id (the key itself)."""
+        self._keys.add(public)
+        return public
 
     def is_registered(self, client_id: bytes) -> bool:
         return client_id in self._keys
-
-    def public_key(self, client_id: bytes) -> Point:
-        if client_id not in self._keys:
-            raise RegistrationError("unknown client id")
-        return self._keys[client_id]
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -101,9 +93,8 @@ class RegisteredClient:
         rng=None,
     ) -> None:
         self.keypair = keypair
-        self.client_id = keypair.public.encode()
-        self.rng = rng if rng is not None else _random.Random(os.urandom(16))
-        self._inner = PrioClient(afe, n_servers, rng=self.rng)
+        self.client_id = keypair.public
+        self._inner = PrioClient(afe, n_servers, rng=rng)
 
     def prepare_submission(self, value) -> list[SignedPacket]:
         [submission] = self._inner.prepare_submissions([value])
@@ -111,7 +102,7 @@ class RegisteredClient:
             SignedPacket(
                 packet=packet,
                 client_id=self.client_id,
-                signature=sign(self.keypair, packet.encode(), self.rng),
+                signature=sign(self.keypair, packet.encode()),
             )
             for packet in submission.packets
         ]
@@ -148,8 +139,9 @@ class GatedServer(PrioServer):
         """
         if not self.registry.is_registered(signed.client_id):
             raise RegistrationError("client is not registered")
-        public = self.registry.public_key(signed.client_id)
-        if not verify(public, signed.signed_bytes(), signed.signature):
+        if not verify(
+            signed.client_id, signed.signed_bytes(), signed.signature
+        ):
             raise RegistrationError("bad submission signature")
         self._admitted[signed.packet.submission_id] = signed.client_id
 

@@ -217,9 +217,8 @@ class PrioServer:
         (:mod:`repro.protocol.wire` envelope layout).  Per position:
         the envelope parses (cheap slice), the wrong-server and replay
         checks run against the *cleartext* envelope fields — before
-        paying the one ECDH of :func:`~repro.crypto.box.open_box`
-        (OpenSSL's where ``cryptography`` imports, else the pure
-        ladder's scalar multiplication) — then the box opens with
+        paying the one ECDH (on OpenSSL) of
+        :func:`~repro.crypto.box.open_box` — then the box opens with
         the envelope as associated data (so a grafted envelope fails
         authentication), and the opened packet's inner header must
         agree with its envelope.  Survivors join the same fused sweep
@@ -552,7 +551,7 @@ class PrioServer:
         self,
         epsilon: float,
         sensitivity: float,
-        generator,
+        generator=None,
         n_servers: "int | None" = None,
     ) -> None:
         """Add this server's distributed-DP noise share (Section 7).
@@ -560,7 +559,10 @@ class PrioServer:
         Plane-resident: the batched Polya sampler's signed noise vector
         is embedded into limb planes and added to the accumulator plane
         — the aggregate still decodes to Python ints only at
-        :meth:`publish`.  ``n_servers`` defaults to this deployment's
+        :meth:`publish`.  By default the noise comes from a numpy
+        generator seeded from OS entropy inside this call, so no other
+        server knows it; a ``generator`` passed in (tests) is drawn
+        from instead.  ``n_servers`` defaults to this deployment's
         server count (the noise-divisibility parameter ``s``).
         """
         from repro.protocol.dp import add_noise_to_accumulator

@@ -1,12 +1,11 @@
-"""The OpenSSL box seal and open against the pure kernels they replace.
+"""The OpenSSL box seal and open against the pure oracle.
 
 :func:`repro.crypto.box.seal` and :func:`repro.crypto.box.open_box`
-run their scalar products on OpenSSL when ``cryptography`` imports.
-The pure path (the loader patched to find nothing) is the oracle: a
-seeded seal must give the same bytes or fail with the same
-:class:`CryptoError` both ways, and every box of a seeded sealed batch,
-honest or tampered, must open to the same plaintext or fail with the
-same :class:`CryptoError` both ways.
+run their scalar products on OpenSSL.  ``tests/oracle/box.py`` rebuilds
+both on the pure P-256 ladder: a seeded seal must give the same bytes
+or fail with the same :class:`CryptoError` both ways, and every box of
+a seeded sealed batch, honest or tampered, must open to the same
+plaintext or fail with the same :class:`CryptoError` both ways.
 """
 
 import random
@@ -15,11 +14,13 @@ import pytest
 
 pytest.importorskip("cryptography")
 
+from oracle import box as oracle_box  # noqa: E402
 from repro.afe import IntegerSumAfe  # noqa: E402
-from repro.crypto import BoxKeyPair, CryptoError, box, seal  # noqa: E402
-from repro.ec import GENERATOR, INFINITY, Point, p256  # noqa: E402
+from repro.crypto import BoxKeyPair, CryptoError, box  # noqa: E402
+from repro.ec import GENERATOR, INFINITY, Point  # noqa: E402
 from repro.ec import reset_op_counter  # noqa: E402
 from repro.ec import scalar_mult, scalar_mult_count  # noqa: E402
+from repro.ec import p256  # noqa: E402
 from repro.field import FIELD87  # noqa: E402
 from repro.protocol import PrioDeployment  # noqa: E402
 from repro.protocol.wire import ENVELOPE_SIZE  # noqa: E402
@@ -91,18 +92,16 @@ def _tampered(keypairs, boxes):
     yield "too short", keypair, honest[:48], envelope
 
 
-def _outcome(keypair, box_bytes, associated_data):
+def _outcome(open_box, keypair, box_bytes, associated_data):
     try:
-        return box.open_box(keypair, box_bytes, associated_data)
+        return open_box(keypair, box_bytes, associated_data)
     except CryptoError as exc:
         return (type(exc), str(exc))
 
 
-def _both_ways(monkeypatch, cases):
-    fast = [_outcome(*case) for case in cases]
-    with monkeypatch.context() as patched:
-        patched.setattr(box, "_openssl_ec", lambda: None)
-        pure = [_outcome(*case) for case in cases]
+def _both_ways(cases):
+    fast = [_outcome(box.open_box, *case) for case in cases]
+    pure = [_outcome(oracle_box.open_box, *case) for case in cases]
     return fast, pure
 
 
@@ -115,46 +114,44 @@ def test_the_batch_exercises_both_parities(batch):
     assert parities == {0, 1}
 
 
-def test_honest_boxes_open_identically(batch, monkeypatch):
+def test_honest_boxes_open_identically(batch):
     keypairs, boxes = batch
     cases = [(keypairs[s], b, env) for s, env, b in boxes]
     reset_op_counter()
-    fast, pure = _both_ways(monkeypatch, cases)
-    # the pure path pays one ladder per box; the OpenSSL path none
+    fast, pure = _both_ways(cases)
+    # the oracle pays one ladder per box; OpenSSL none
     assert scalar_mult_count() == len(cases)
     assert fast == pure
     assert all(isinstance(p, bytes) for p in fast)
 
 
-def test_tampered_boxes_fail_identically(batch, monkeypatch):
+def test_tampered_boxes_fail_identically(batch):
     keypairs, boxes = batch
     cases = list(_tampered(keypairs, boxes))
-    fast, pure = _both_ways(monkeypatch, [case[1:] for case in cases])
+    fast, pure = _both_ways([case[1:] for case in cases])
     for (name, *_), got, want in zip(cases, fast, pure):
         assert got == want, name
         assert isinstance(got, tuple), name
 
 
-def test_both_parities_verifying_defers_to_the_ladder(batch, monkeypatch):
+def test_both_parities_verifying_is_refused(batch, monkeypatch):
     # only a forged tag verifies under both prefixes' keys; a forced
-    # "verify" makes the OpenSSL path hand the box to the ladder,
-    # which decrypts under the true parity
+    # "verify" makes every box look like one, and the open refuses it
     keypairs, boxes = batch
     cases = [(keypairs[s], b, env) for s, env, b in boxes]
-    honest = [box.open_box(*case) for case in cases]
     monkeypatch.setattr(box, "mac_verify", lambda *args: True)
-    assert [box.open_box(*case) for case in cases] == honest
+    for case in cases:
+        with pytest.raises(CryptoError, match="authentication failed"):
+            box.open_box(*case)
 
 
-def test_malformed_point_errors_hold_no_frames(monkeypatch):
+def test_malformed_point_errors_hold_no_frames():
     rng = random.Random(3)
     keypair = BoxKeyPair.generate(rng)
-    sealed = b"\x04" + seal(keypair.public, b"payload", rng)[1:]
-    for loader in (box._openssl_ec, lambda: None):
-        monkeypatch.setattr(box, "_openssl_ec", loader)
-        with pytest.raises(CryptoError, match="ephemeral point") as info:
-            box.open_box(keypair, sealed)
-        assert info.value.__cause__.__traceback__ is None
+    sealed = b"\x04" + box.seal(keypair.public, b"payload", rng)[1:]
+    with pytest.raises(CryptoError, match="ephemeral point") as info:
+        box.open_box(keypair, sealed)
+    assert info.value.__cause__.__traceback__ is None
 
 
 # ----------------------------------------------------------------------
@@ -162,45 +159,44 @@ def test_malformed_point_errors_hold_no_frames(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _seal_outcome(recipient, seed):
+def _seal_outcome(seal, recipient, seed):
     try:
-        return box.seal(
+        return seal(
             recipient, b"payload %d" % seed, random.Random(seed), b"env"
         )
     except CryptoError as exc:
         return (type(exc), str(exc))
 
 
-def _seal_both_ways(monkeypatch, recipients, seeds):
-    """Seal outcomes on OpenSSL and on the pure path, and the pure
-    scalar multiplications each path ran."""
+def _seal_both_ways(recipients, seeds):
+    """Seal outcomes on OpenSSL and on the oracle, and the pure scalar
+    multiplications each ran."""
     outcomes, counts = [], []
-    for loader in (box._openssl_ec, lambda: None):
-        with monkeypatch.context() as patched:
-            patched.setattr(box, "_openssl_ec", loader)
-            reset_op_counter()
-            outcomes.append([
-                _seal_outcome(r, seed) for r in recipients for seed in seeds
-            ])
-            counts.append(scalar_mult_count())
+    for seal in (box.seal, oracle_box.seal):
+        reset_op_counter()
+        outcomes.append([
+            _seal_outcome(seal, r, seed) for r in recipients for seed in seeds
+        ])
+        counts.append(scalar_mult_count())
     return outcomes, counts
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
+def fresh_cache(monkeypatch):
     monkeypatch.setattr(box, "_RECIPIENT_CACHE", {})
-    monkeypatch.setattr(p256, "_TABLE_CACHE", {})
 
 
-def test_seeded_seals_are_identical(monkeypatch, fresh_caches):
+def test_seeded_seals_are_identical(fresh_cache):
     rng = random.Random(0x5EA1)
     keypairs = [BoxKeyPair.generate(rng) for _ in range(2)]
+    # key generation draws one scalar, as it did on the pure ladder
+    assert all(k.public == scalar_mult(k.secret, GENERATOR) for k in keypairs)
     seeds = range(48)
     (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
-        monkeypatch, [k.public for k in keypairs], seeds
+        [k.public for k in keypairs], seeds
     )
     assert fast == pure
-    # OpenSSL did both products; the pure path two per seal
+    # OpenSSL did both products; the oracle two per seal
     assert (fast_mults, pure_mults) == (0, 2 * len(fast))
     # y's parity is a compressed point's prefix: both occur for k * G
     # (the box's first byte) and for the recovered k * Pub
@@ -212,16 +208,16 @@ def test_seeded_seals_are_identical(monkeypatch, fresh_caches):
     } == {0, 1}
 
 
-def test_recipients_plus_or_minus_g_take_the_tables(monkeypatch, fresh_caches):
+def test_recipients_plus_or_minus_g_seal_without_the_ladder(fresh_cache):
     # the public keys of secrets 1 and ORDER - 1: k * Pub = +-k * G,
     # where the chord the recovery needs does not exist
     recipients = [GENERATOR, -GENERATOR]
     seeds = range(4)
     (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
-        monkeypatch, recipients, seeds
+        recipients, seeds
     )
     assert fast == pure
-    assert fast_mults == pure_mults == 2 * len(fast)
+    assert (fast_mults, pure_mults) == (0, 2 * len(fast))
     assert box._RECIPIENT_CACHE == dict.fromkeys(recipients)
 
 
@@ -235,19 +231,16 @@ def test_recipients_plus_or_minus_g_take_the_tables(monkeypatch, fresh_caches):
     ],
     ids=["identity", "off-curve", "x>=p", "y>=p"],
 )
-def test_invalid_recipients_fail_identically(
-    monkeypatch, fresh_caches, recipient
-):
-    (fast, pure), _ = _seal_both_ways(monkeypatch, [recipient], range(2))
+def test_invalid_recipients_fail_identically(fresh_cache, recipient):
+    (fast, pure), _ = _seal_both_ways([recipient], range(2))
     assert fast == pure
     assert set(fast) == {(CryptoError, "invalid recipient public key")}
     assert box._RECIPIENT_CACHE == {}
-    assert recipient not in p256._TABLE_CACHE
 
 
-def test_a_failed_recovery_falls_back(monkeypatch, fresh_caches):
+def test_a_failed_recovery_is_refused(fresh_cache):
     # a second exchange against the wrong key yields a foreign x3: the
-    # recovered y fails the curve equation and the seal takes the tables
+    # recovered y fails the curve equation and the seal refuses
     rng = random.Random(0xFA11)
     keypair = BoxKeyPair.generate(rng)
     ec = box._openssl_ec()
@@ -256,16 +249,12 @@ def test_a_failed_recovery_falls_back(monkeypatch, fresh_caches):
         ec.SECP256R1(), (keypair.public + GENERATOR + GENERATOR).encode()
     )
     box._RECIPIENT_CACHE[keypair.public] = (pub_key, wrong)
-    seeds = range(6)
-    (fast, pure), (fast_mults, pure_mults) = _seal_both_ways(
-        monkeypatch, [keypair.public], seeds
-    )
-    assert fast == pure
-    assert fast_mults == pure_mults == 2 * len(seeds)
-    assert all(box.open_box(keypair, sealed, b"env") for sealed in fast)
+    for seed in range(6):
+        with pytest.raises(CryptoError, match="recovery failed"):
+            box.seal(keypair.public, b"m", random.Random(seed), b"env")
 
 
-def test_recipient_cache_stays_bounded(monkeypatch, fresh_caches):
+def test_recipient_cache_stays_bounded(fresh_cache):
     rng = random.Random(0xCAC4E)
     bound = box._RECIPIENT_CACHE_SIZE
     keypairs = [BoxKeyPair.generate(rng) for _ in range(bound + 3)]
@@ -273,4 +262,3 @@ def test_recipient_cache_stays_bounded(monkeypatch, fresh_caches):
         sealed = box.seal(keypair.public, b"m", rng)
         assert box.open_box(keypair, sealed) == b"m"
         assert len(box._RECIPIENT_CACHE) <= bound
-    assert p256._TABLE_CACHE == {}

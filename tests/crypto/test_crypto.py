@@ -10,7 +10,6 @@ from repro.crypto import (
     BoxKeyPair,
     CryptoError,
     SigningKeyPair,
-    box,
     hkdf_sha256,
     mac_tag,
     mac_verify,
@@ -190,29 +189,6 @@ def test_seal_rejects_invalid_recipient(rng, recipient):
         seal(recipient, b"hello", rng)  # and nothing bad was cached
 
 
-def test_only_the_sender_builds_fixed_base_tables(rng, monkeypatch):
-    # a seal on OpenSSL builds no table; the pure seal (its fallback)
-    # caches the generator's and the recipient's; key generation,
-    # opening, signing and verifying (what a server process does)
-    # never touch the cache
-    monkeypatch.setattr(p256, "_TABLE_CACHE", {})
-    keypair = BoxKeyPair.generate(rng)
-    if box._openssl_ec() is not None:
-        assert open_box(keypair, seal(keypair.public, b"a", rng)) == b"a"
-        assert p256._TABLE_CACHE == {}
-    with monkeypatch.context() as pure:
-        pure.setattr(box, "_openssl_ec", lambda: None)
-        sealed = seal(keypair.public, b"payload", rng)
-    assert set(p256._TABLE_CACHE) == {GENERATOR, keypair.public}
-    before = list(p256._TABLE_CACHE)
-    other = BoxKeyPair.generate(rng)
-    assert open_box(keypair, sealed) == b"payload"
-    signer = SigningKeyPair.generate(rng)
-    assert verify(signer.public, b"m", sign(signer, b"m", rng))
-    assert list(p256._TABLE_CACHE) == before
-    assert other.public not in p256._TABLE_CACHE
-
-
 @pytest.mark.parametrize("secret", [0, -1, p256.ORDER, 2 * p256.ORDER + 5])
 def test_box_keypair_rejects_secret_outside_the_group(secret):
     # a multiple of the order makes every shared secret the identity,
@@ -302,30 +278,39 @@ def test_box_default_rng_never_uses_mersenne_twister(monkeypatch):
 def test_sign_verify_roundtrip(rng):
     keypair = SigningKeyPair.generate(rng)
     message = b"client registration"
-    signature = sign(keypair, message, rng)
+    signature = sign(keypair, message)
     assert verify(keypair.public, message, signature)
+    # the client id is the raw public key; Ed25519 signatures are a
+    # fixed size and draw no randomness
+    assert len(keypair.public) == 32
+    assert len(signature) == 64
+    assert sign(keypair, message) == signature
 
 
 def test_signature_rejects_wrong_message(rng):
     keypair = SigningKeyPair.generate(rng)
-    signature = sign(keypair, b"original", rng)
+    signature = sign(keypair, b"original")
     assert not verify(keypair.public, b"forged", signature)
 
 
 def test_signature_rejects_wrong_key(rng):
     alice = SigningKeyPair.generate(rng)
     eve = SigningKeyPair.generate(rng)
-    signature = sign(alice, b"msg", rng)
+    signature = sign(alice, b"msg")
     assert not verify(eve.public, b"msg", signature)
 
 
 def test_signature_rejects_malformed(rng):
     keypair = SigningKeyPair.generate(rng)
     assert not verify(keypair.public, b"msg", b"junk")
-    assert not verify(keypair.public, b"msg", b"\x00" * 65)
-    sig = bytearray(sign(keypair, b"msg", rng))
-    sig[0] = 0x07  # invalid point prefix
+    assert not verify(keypair.public, b"msg", b"\x00" * 64)
+    sig = bytearray(sign(keypair, b"msg"))
+    sig[0] ^= 0x01
     assert not verify(keypair.public, b"msg", bytes(sig))
+    # a key of the wrong length or type is a mismatch, not an exception
+    good = sign(keypair, b"msg")
+    assert not verify(keypair.public[:31], b"msg", good)
+    assert not verify(bytearray(keypair.public), b"msg", good)
 
 
 def test_signature_deterministic_keygen(rng):

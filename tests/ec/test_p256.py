@@ -10,7 +10,6 @@ from repro.ec import (
     GENERATOR,
     INFINITY,
     ORDER,
-    EcError,
     Point,
     random_scalar,
     reset_op_counter,
@@ -18,7 +17,7 @@ from repro.ec import (
     scalar_mult_count,
 )
 from repro.ec import p256
-from repro.ec.p256 import A, B, P, fixed_base_mult
+from repro.ec.p256 import A, B, P, EcError
 
 
 @pytest.fixture
@@ -133,7 +132,7 @@ def test_double_and_add_consistency(k):
 
 
 # ----------------------------------------------------------------------
-# The two kernels against an affine double-and-add oracle
+# The kernel against an affine double-and-add oracle
 # ----------------------------------------------------------------------
 
 def _oracle_add(p, q):
@@ -172,9 +171,9 @@ EDGE_SCALARS = (
     [0, 1, 2, 3, ORDER - 2, ORDER - 1, ORDER, ORDER + 1, 2 * ORDER + 5]
     + [1 << k for k in (1, 4, 5, 6, 31, 64, 127, 128, 250, 255, 256)]
     + [(1 << k) - 1 for k in (4, 5, 6, 32, 129, 255, 256, 257)]
-    # every fixed-base window the same digit: zero but the top one; the
-    # largest without a carry; the one kept positive; the smallest that
-    # carries; all ones
+    # every 5-bit window the same digit: zero but the top one; the
+    # largest signed digit without a carry; the one kept positive; the
+    # smallest that carries; all ones
     + [1 << 255]
     + [_digit_pattern(d, 5, 51) for d in (15, 16, 17, 31)]
     # every 4-bit and 6-bit window all ones
@@ -192,7 +191,6 @@ def test_kernels_match_oracle_on_edge_scalars(scalar, some_base):
     for base in (GENERATOR, some_base):
         expected = _oracle_mult(scalar % ORDER, base)
         assert scalar_mult(scalar, base) == expected
-        assert fixed_base_mult(scalar, base) == expected
 
 
 def test_oracle_reaches_the_identity_unreduced():
@@ -209,14 +207,6 @@ def test_kernels_match_oracle_on_random_scalars_and_bases(rng):
             k = random_scalar(rng)
             expected = _oracle_mult(k, base)
             assert scalar_mult(k, base) == expected
-            assert fixed_base_mult(k, base) == expected
-
-
-@given(k=st.integers(0, 2**300))
-@settings(max_examples=40, deadline=None)
-def test_fixed_base_equals_variable_base(k, some_base):
-    assert fixed_base_mult(k, GENERATOR) == scalar_mult(k, GENERATOR)
-    assert fixed_base_mult(k, some_base) == scalar_mult(k, some_base)
 
 
 def test_wnaf_digits_are_sparse_odd_and_sum_to_the_scalar(rng):
@@ -275,45 +265,14 @@ def test_wnaf_ladder_meets_a_table_entry(monkeypatch):
     assert p256._wnaf_ladder(digits, GENERATOR)[2] == 0
 
 
-def test_fixed_base_rejects_invalid_bases():
-    with pytest.raises(EcError):
-        fixed_base_mult(5, INFINITY)
-    with pytest.raises(EcError):
-        fixed_base_mult(5, Point(GENERATOR.x, GENERATOR.y + 1))
-    # congruent to the generator mod p, but not a canonical encoding
-    with pytest.raises(EcError):
-        fixed_base_mult(5, Point(GENERATOR.x + P, GENERATOR.y))
-    with pytest.raises(EcError):
-        fixed_base_mult(5, Point(GENERATOR.x, GENERATOR.y - P))
-    # nothing invalid was cached
-    assert all(base.is_on_curve() for base in p256._TABLE_CACHE)
-
-
-def test_fixed_base_table_cache_stays_bounded():
-    bound = p256._TABLE_CACHE_SIZE
-    base = GENERATOR
-    for _ in range(bound + 3):
-        base = base + GENERATOR
-        assert fixed_base_mult(7, base) == scalar_mult(7, base)
-        assert len(p256._TABLE_CACHE) <= bound
-    # a base evicted along the way is rebuilt, not lost
-    first = GENERATOR + GENERATOR
-    assert fixed_base_mult(ORDER - 1, first) == -first
-
-
-def test_op_counter_counts_one_per_call_of_either_kernel(rng, some_base):
-    fixed_base_mult(3, some_base)  # table built outside the count
+def test_op_counter_counts_one_per_call(rng, some_base):
     reset_op_counter()
     scalar_mult(random_scalar(rng), some_base)
     assert scalar_mult_count() == 1
-    fixed_base_mult(random_scalar(rng), some_base)
-    assert scalar_mult_count() == 2
-    fixed_base_mult(0, GENERATOR)
-    scalar_mult(0, INFINITY)
-    assert scalar_mult_count() == 4
-    reset_op_counter()
-    fixed_base_mult(3, _oracle_mult(0xBEEF, GENERATOR))  # builds a table
-    assert scalar_mult_count() == 1
+    # the trivial products count too
+    scalar_mult(0, GENERATOR)
+    scalar_mult(5, INFINITY)
+    assert scalar_mult_count() == 3
 
 
 def test_ecdh_agrees_with_openssl(rng):
@@ -325,9 +284,7 @@ def test_ecdh_agrees_with_openssl(rng):
         their_key = ec.derive_private_key(theirs, ec.SECP256R1())
         their_numbers = their_key.public_key().public_numbers()
         their_point = Point(their_numbers.x, their_numbers.y)
-        assert fixed_base_mult(theirs, GENERATOR) == their_point
         assert scalar_mult(theirs, GENERATOR) == their_point
         our_key = ec.derive_private_key(ours, ec.SECP256R1())
         secret = our_key.exchange(ec.ECDH(), their_key.public_key())
-        for kernel in (scalar_mult, fixed_base_mult):
-            assert kernel(ours, their_point).x.to_bytes(32, "big") == secret
+        assert scalar_mult(ours, their_point).x.to_bytes(32, "big") == secret

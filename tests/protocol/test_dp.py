@@ -17,6 +17,7 @@ from repro.protocol import (
     server_noise_share,
     server_noise_vector,
 )
+from repro.workloads import CellSignalAfe
 
 
 @pytest.fixture
@@ -178,3 +179,33 @@ def test_noised_aggregate_still_useful(generator):
         field.add(true_sum, field.from_signed(total_noise))
     )
     assert abs(noisy - true_sum) < 100  # relative error < 0.2%
+
+
+def _server_noise(generators):
+    """Each server's published noise vector (nothing submitted) when
+    server i draws from ``generators[i]``."""
+    afe = CellSignalAfe(FIELD87, n_cells=16)
+    deployment = PrioDeployment.create(afe, len(generators), seed=b"dp-own")
+    noise = []
+    for server, generator in zip(deployment.servers, generators):
+        server.add_dp_noise(
+            epsilon=1.0, sensitivity=255.0, generator=generator
+        )
+        noise.append(server.publish())
+    deployment.close()
+    return noise
+
+
+def test_each_server_draws_its_own_noise_by_default():
+    """By default a server's noise comes from its own OS-seeded
+    generator: two servers' vectors differ, and so do two runs.  A
+    generator shared by every server would let anyone who knows its
+    seed subtract the whole noise again.  A passed generator still
+    reproduces its draws."""
+    first, second = _server_noise([None, None])
+    again, _ = _server_noise([None, None])
+    assert len({tuple(first), tuple(second), tuple(again)}) == 3
+    seeded = [np.random.default_rng(31), np.random.default_rng(31)]
+    left, right = _server_noise(seeded)
+    assert left == right
+    assert len(left) == 16 and any(left)

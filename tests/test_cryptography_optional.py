@@ -1,16 +1,18 @@
-"""``cryptography`` is what seed expansion runs on, and it loads late.
+"""``cryptography`` is what the deployment's crypto runs on, and it
+loads late.
 
-PRG-compressed sharing expands seeds with fixed-key AES-128 on OpenSSL,
-so ``cryptography`` is a required dependency.  Where it cannot be
-imported, a PRG-compressed deployment fails at its first seed
-expansion with an error naming the package, while a deployment that
-ships explicit shares still seals and opens every box on the pure
-P-256 kernels.  Where it can be imported, nothing imports it before the
-first seed expansion, seal or open, so ``import repro`` and a
-deployment that does none of them never load it.  Both checks run in a
-fresh interpreter; the first blocks ``cryptography`` with a
-``sys.meta_path`` finder, as ``tests/test_numpy_optional.py`` blocks
-numpy.
+Seed expansion (fixed-key AES-128), the sealed box (P-256) and client
+signatures (Ed25519) all run on OpenSSL, so ``cryptography`` is a
+required dependency.  Where it cannot be imported, each fails at its
+first use with :class:`ModuleNotFoundError` naming the package: a
+sealed deployment at its first key generation or seal, a signing key
+at its generation, a PRG-compressed deployment at its first seed
+expansion.  Where it can be imported, nothing imports it before that
+first use, so ``import repro``, the registration module and a
+cleartext deployment that ships explicit shares never load it.  Both
+checks run in a fresh interpreter; the first blocks ``cryptography``
+with a ``sys.meta_path`` finder, as ``tests/test_numpy_optional.py``
+blocks numpy.
 """
 
 import os
@@ -37,37 +39,38 @@ BLOCKED = textwrap.dedent(
     sys.meta_path.insert(0, BlockCryptography())
 
     from repro.afe import IntegerSumAfe
-    from repro.crypto import box
-    from repro.ec import reset_op_counter, scalar_mult_count
+    from repro.crypto import SigningKeyPair, seal
+    from repro.ec import GENERATOR
     from repro.field import FIELD87
     from repro.protocol import PrioDeployment
 
+
+    def fails(call):
+        try:
+            call()
+        except ModuleNotFoundError as exc:
+            assert exc.name == "cryptography", exc.name
+            assert "cryptography" in str(exc), exc
+        else:
+            raise AssertionError(f"{call} ran without cryptography")
+
+
     values = [5, 19, 3, 200, 0, 77]
-    deployment = PrioDeployment.create(
-        IntegerSumAfe(FIELD87, 8), 2, batch_size=4,
-        rng=random.Random(7), encrypt=True, use_prg_compression=False,
-    )
-    try:
-        reset_op_counter()
-        deployment.submit_many(values)
-        assert deployment.publish() == sum(values)
-    finally:
-        deployment.close()
-    assert box._openssl_ec() is None
-    # each server opened each upload on the ladder
-    assert scalar_mult_count() >= 2 * len(values), scalar_mult_count()
+
+    # a sealed deployment generates its servers' box keys at creation
+    fails(lambda: PrioDeployment.create(
+        IntegerSumAfe(FIELD87, 8), 2, rng=random.Random(7), encrypt=True,
+        use_prg_compression=False,
+    ))
+    fails(lambda: seal(GENERATOR, b"payload", random.Random(7)))
+    fails(SigningKeyPair.generate)
 
     # seeds need AES: the first expansion names the missing package
     deployment = PrioDeployment.create(
         IntegerSumAfe(FIELD87, 8), 2, batch_size=4, rng=random.Random(7),
     )
     try:
-        deployment.submit_many(values)
-    except ModuleNotFoundError as exc:
-        assert exc.name == "cryptography", exc.name
-        assert "cryptography" in str(exc), exc
-    else:
-        raise AssertionError("seeds expanded without cryptography")
+        fails(lambda: deployment.submit_many(values))
     finally:
         deployment.close()
     assert not any(m.split(".")[0] == "cryptography" for m in sys.modules)
@@ -82,6 +85,7 @@ LAZY = textwrap.dedent(
 
     import repro
     import repro.protocol
+    import repro.protocol.registration
     import repro.transport
     from repro.afe import IntegerSumAfe
     from repro.field import FIELD87
@@ -119,7 +123,7 @@ def _run(script):
     assert result.stdout.strip() == "ok"
 
 
-def test_sealed_round_trip_without_cryptography():
+def test_public_key_crypto_needs_cryptography():
     _run(BLOCKED)
 
 
