@@ -2,9 +2,10 @@
 
 The code lives under ``src/``; numpy is optional (every batch kernel
 has a pure-Python fallback), so it is an extra rather than a hard
-requirement.  ``cryptography`` is required: seed expansion, the PRG of
-PRG-compressed sharing, runs fixed-key AES-128 on OpenSSL through it,
-clients seal and servers open boxes on it (P-256), and registered
+requirement.  ``cryptography`` 48 or later is required: seed
+expansion, the PRG of PRG-compressed sharing, runs fixed-key AES-128 on
+OpenSSL through it, clients seal and servers open boxes on it (RFC 9180
+HPKE on X25519, from its ``hazmat.primitives.hpke``), and registered
 clients sign on it (Ed25519).  Offline, install in development mode
 with::
 
@@ -27,6 +28,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["cryptography"],
+    install_requires=["cryptography>=48"],
     extras_require={"numpy": ["numpy"]},
 )

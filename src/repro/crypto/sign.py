@@ -16,7 +16,9 @@ signature draws no randomness) and not malleable, so no one can turn a
 valid signature into a second valid one on the same message.  Keys
 travel as raw bytes, the 32-byte private seed and the 32-byte public
 key (which is also the client id, so a registry of them pickles into
-process workers); the OpenSSL key objects are built per call.
+process workers).  A key pair builds its OpenSSL key object on its
+first signature and keeps it, out of the pickled state; rebuilding it
+per call doubled the cost of a signature.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class SigningKeyPair:
     secret: bytes
     public: bytes
 
+    def __getstate__(self) -> dict:
+        return {"secret": self.secret, "public": self.public}
+
     @classmethod
     def generate(cls, rng=None) -> "SigningKeyPair":
         """A fresh key pair, seeded from the OS CSPRNG unless a test
@@ -58,8 +63,11 @@ class SigningKeyPair:
 
 def sign(keypair: SigningKeyPair, message: bytes) -> bytes:
     """The 64-byte signature of ``message``."""
-    ed25519, _ = _ed25519()
-    key = ed25519.Ed25519PrivateKey.from_private_bytes(keypair.secret)
+    key = getattr(keypair, "_openssl_key", None)
+    if key is None:
+        ed25519, _ = _ed25519()
+        key = ed25519.Ed25519PrivateKey.from_private_bytes(keypair.secret)
+        object.__setattr__(keypair, "_openssl_key", key)
     return key.sign(message)
 
 

@@ -1,6 +1,6 @@
-"""NIST P-256 group, built from scratch (the box's point type and
-constants in ``repro.crypto``; the kernel of the NIZK baseline in
-``benchmarks/baselines/`` and of the box oracle in ``tests/``).
+"""NIST P-256 group, built from scratch (the kernel of the NIZK
+baseline in ``benchmarks/baselines/`` and of the Table 2 and Figure 7
+cost counts; the legacy box oracle in ``tests/`` runs on it too).
 
 Public surface
 --------------
@@ -8,13 +8,13 @@ Public surface
 ``tests/test_package_surface.py`` checks that ``__all__`` is exactly
 the names below and that each sits in the paragraph naming its callers.
 
-Used in ``src/``: ``GENERATOR``, ``ORDER``, ``Point``,
-``random_scalar``.
+Used in ``src/``: none (the sealed box runs on X25519).
 
 Paper experiments (Table 2 counts public-key operations; the NIZK
-baseline's identity ciphertext and scalar products; the
-``ec.scalar_mult_ms`` probe): ``INFINITY``, ``reset_op_counter``,
-``scalar_mult``, ``scalar_mult_count``.
+baseline's group, identity ciphertext and scalar products; the
+``ec.scalar_mult_ms`` probe): ``GENERATOR``, ``INFINITY``, ``ORDER``,
+``Point``, ``random_scalar``, ``reset_op_counter``, ``scalar_mult``,
+``scalar_mult_count``.
 """
 
 from repro.ec.p256 import (

@@ -16,17 +16,16 @@ Python's integers are variable-time underneath.  That is in keeping
 with a reproduction whose subject is the cost of the protocol, not a
 hardened library.
 
-It serves three consumers:
+It serves two consumers, neither in ``src/``:
 
 * ``benchmarks/baselines/nizk.py`` — ElGamal bit encryptions and
   Chaum-Pedersen proofs (the baseline Prio is compared against in
   Figures 4-7);
-* :mod:`repro.crypto.box` — the box's point type, curve constants and
-  ephemeral-scalar draw; its scalar products run on OpenSSL, and
-  ``tests/oracle/box.py`` rebuilds them on :func:`scalar_mult` as the
-  oracle;
 * benchmarks — exponentiation counts and measured scalar-mult times
   feed Table 2 and the Figure 7 SNARK cost model.
+
+``tests/oracle/box.py`` also rebuilds the retired P-256 box on it, so
+the upload pins taken before the box moved to X25519 still reproduce.
 
 A module-level operation counter records scalar multiplications (one
 per call of the kernel) so the benchmarks can report exact

@@ -22,12 +22,10 @@ with the same rng draw order and the same bytes, is the test suite's
 
 from __future__ import annotations
 
-import os
 import random as _random
 from dataclasses import dataclass
 
 from repro.afe.base import Afe
-from repro.ec.p256 import Point
 from repro.field.batch import (
     BatchVector,
     encode_bytes_batch,
@@ -114,7 +112,7 @@ class PrioClient:
         afe: Afe,
         n_servers: int,
         use_prg_compression: bool = True,
-        server_box_keys: list[Point] | None = None,
+        server_box_keys: list[bytes] | None = None,
         rng=None,
     ) -> None:
         if server_box_keys is not None and len(server_box_keys) != n_servers:
@@ -124,7 +122,12 @@ class PrioClient:
         self.n_servers = n_servers
         self.use_prg_compression = use_prg_compression
         self.server_box_keys = server_box_keys
-        self.rng = rng if rng is not None else _random.Random(os.urandom(16))
+        # The OS CSPRNG unless a test injects a seeded rng: it draws
+        # the share seeds and the box's ephemeral keys, and its raw
+        # output is every submission id, which travels in cleartext.
+        # MT19937 is GF(2)-linear, and about 160 ids carry more output
+        # bits than its 19 937-bit state.
+        self.rng = rng if rng is not None else _random.SystemRandom()
         self.circuit = afe.valid_circuit()
 
     def prepare_submissions(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import random as _random
 from dataclasses import dataclass, field as dc_field
 
@@ -108,7 +107,7 @@ class PrioDeployment:
         if n_servers < 2:
             raise ProtocolError("Prio needs at least two servers")
         if rng is None:
-            rng = _random.Random(os.urandom(16))
+            rng = _random.SystemRandom()
         randomness = ServerRandomness(seed or rng.randbytes(16))
         box_keys = None
         box_keypairs: list[BoxKeyPair | None] = [None] * n_servers

@@ -217,7 +217,7 @@ class PrioServer:
         (:mod:`repro.protocol.wire` envelope layout).  Per position:
         the envelope parses (cheap slice), the wrong-server and replay
         checks run against the *cleartext* envelope fields — before
-        paying the one ECDH (on OpenSSL) of
+        paying the one X25519 exchange (on OpenSSL) of
         :func:`~repro.crypto.box.open_box` — then the box opens with
         the envelope as associated data (so a grafted envelope fails
         authentication), and the opened packet's inner header must
@@ -245,9 +245,9 @@ class PrioServer:
                 )
                 continue
             # Replay pre-check on the envelope sid: a replayed upload
-            # must not cost the server an ECDH.  An id that passes here
-            # is re-checked (authenticated, in the fused sweep) after
-            # the box opens, so a lying envelope cannot smuggle a
+            # must not cost the server an exchange.  An id that passes
+            # here is re-checked (authenticated, in the fused sweep)
+            # after the box opens, so a lying envelope cannot smuggle a
             # replay through.
             if sid in self._replay or sid in self._pending_ids:
                 self.n_replayed += 1

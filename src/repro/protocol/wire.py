@@ -24,17 +24,18 @@ submission id without holding a decryption key::
                server_index(2)
     sealed packet = envelope || box(packet_bytes, ad=envelope)
 
-The envelope is passed to the box as *associated data*, so the box MAC
-covers ``envelope || ciphertext``: an attacker cannot graft envelope A
-onto box B without failing authentication, and the server additionally
-rejects any opened packet whose inner header disagrees with its
-envelope.  The trust story is deliberately asymmetric — the cleartext
-envelope is trusted only for *routing* and the cheap replay pre-check
-(both of which the server re-validates against the authenticated inner
-header after opening); share data, packet kind, and lengths come
-exclusively from inside the box.  Sealing therefore adds a constant
-21 (envelope) + 49 (33-byte point + 16-byte tag) = 70 bytes per
-packet.
+The envelope is passed to the box as *associated data* (HPKE's
+``info``, which enters the key schedule): an attacker cannot graft
+envelope A onto box B without failing authentication, and the server
+additionally rejects any opened packet whose inner header disagrees
+with its envelope.  The trust story is deliberately asymmetric — the
+cleartext envelope is trusted only for *routing* and the cheap replay
+pre-check (both of which the server re-validates against the
+authenticated inner header after opening); share data, packet kind,
+and lengths come exclusively from inside the box.  Sealing therefore
+adds a constant 21 (envelope) + 48 (32-byte X25519 ``enc`` + 16-byte
+GCM tag) = 69 bytes per packet.  Envelope version 2 is the HPKE box;
+version 1, the retired P-256 box, is refused with :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ PACKET_SID_END = PACKET_SID_START + SUBMISSION_ID_SIZE
 
 #: sealed-packet envelope: magic(2) | version(1) | sid(16) | index(2)
 ENVELOPE_MAGIC = b"PS"
-ENVELOPE_VERSION = 1
+ENVELOPE_VERSION = 2
 ENVELOPE_SIZE = 2 + 1 + SUBMISSION_ID_SIZE + 2
 #: offsets of the submission id inside an envelope
 ENVELOPE_SID_START = 3

@@ -1,4 +1,6 @@
-"""Tests for the crypto substrate (stream, HKDF, box, signatures)."""
+"""Tests for the crypto substrate (box, signatures) and for the
+retired P-256 box's primitives (HKDF, stream, MAC) that the upload
+pins taken on it still need."""
 
 import hashlib
 import pickle
@@ -6,21 +8,27 @@ import random
 
 import pytest
 
+from oracle import box as legacy
+from oracle.box import hkdf_sha256, keystream, mac_tag, mac_verify
+from oracle.box import stream_xor
 from repro.crypto import (
     BoxKeyPair,
     CryptoError,
     SigningKeyPair,
-    hkdf_sha256,
-    mac_tag,
-    mac_verify,
     open_box,
     seal,
     sign,
-    stream_xor,
     verify,
 )
-from repro.crypto.primitives import keystream
-from repro.ec import GENERATOR, INFINITY, Point, p256
+from repro.ec import GENERATOR
+
+#: Curve25519's prime, 2^255 - 19
+P25519 = 2**255 - 19
+
+
+def _u(value):
+    """A Montgomery u-coordinate as X25519's 32 little-endian bytes."""
+    return value.to_bytes(32, "little")
 
 
 @pytest.fixture
@@ -29,7 +37,7 @@ def rng():
 
 
 # ----------------------------------------------------------------------
-# Primitives
+# The retired P-256 box's primitives (tests/oracle/box.py)
 # ----------------------------------------------------------------------
 
 
@@ -96,6 +104,15 @@ def test_mac_roundtrip():
     assert not mac_verify(b"j" * 32, b"message", tag)
 
 
+def test_legacy_box_roundtrip(rng):
+    keypair = legacy.LegacyBoxKeyPair.generate(rng)
+    sealed = legacy.seal(keypair.public, b"payload", rng, b"env")
+    assert len(sealed) == len(b"payload") + 49
+    assert legacy.open_box(keypair, sealed, b"env") == b"payload"
+    with pytest.raises(CryptoError, match="authentication failed"):
+        legacy.open_box(keypair, sealed, b"enw")
+
+
 # ----------------------------------------------------------------------
 # Box
 # ----------------------------------------------------------------------
@@ -109,11 +126,11 @@ def test_box_roundtrip(rng):
 
 
 def test_box_overhead_constant(rng):
-    # 33-byte compressed ephemeral point + MAC tag
+    # 32-byte X25519 enc + 16-byte GCM tag
     keypair = BoxKeyPair.generate(rng)
     for size in (0, 10, 1000):
         sealed = seal(keypair.public, b"x" * size, rng)
-        assert len(sealed) == size + 49
+        assert len(sealed) == size + 48
 
 
 def test_sealed_overhead_accounts_for_the_envelope(rng):
@@ -127,9 +144,13 @@ def test_sealed_overhead_accounts_for_the_envelope(rng):
     keypair = BoxKeyPair.generate(rng)
     client = PrioClient(IntegerSumAfe(FIELD87, 4), 2, rng=rng)
     (submission,) = client.prepare_submissions([5])
+    legacy_keypair = legacy.LegacyBoxKeyPair.generate(rng)
     for packet in submission.packets:  # one seed, one explicit share
         sealed = seal_packet(keypair.public, packet, rng)
-        assert len(sealed) == len(packet.encode()) + 70
+        assert len(sealed) == len(packet.encode()) + 69
+        # one byte per packet under the P-256 box's 33-byte point
+        legacy_box = legacy.seal(legacy_keypair.public, packet.encode(), rng)
+        assert len(legacy_box) + ENVELOPE_SIZE == len(sealed) + 1
 
 
 def test_box_associated_data_binds(rng):
@@ -148,8 +169,8 @@ def test_box_associated_data_binds(rng):
 
 
 def test_box_ad_boundary_is_unambiguous(rng):
-    # length-prefixed MAC input: moving a byte across the ad/ciphertext
-    # boundary must not authenticate
+    # the associated data is HPKE info, hashed whole into the key
+    # schedule: one more byte of it must not authenticate
     keypair = BoxKeyPair.generate(rng)
     sealed = seal(keypair.public, b"xyz", rng, associated_data=b"ab")
     with pytest.raises(CryptoError):
@@ -157,51 +178,70 @@ def test_box_ad_boundary_is_unambiguous(rng):
 
 
 def test_box_malformed_ephemeral_point_is_typed(rng):
-    # garbage point bytes must surface as CryptoError, not a bare
-    # EcError/ValueError that batch callers cannot classify
+    # garbage enc bytes surface as the one CryptoError, not a bare
+    # ValueError that batch callers cannot classify
     keypair = BoxKeyPair.generate(rng)
     sealed = bytearray(seal(keypair.public, b"secret", rng))
-    sealed[0] = 0x07  # invalid compressed-point prefix
-    with pytest.raises(CryptoError, match="ephemeral point"):
+    sealed[0] ^= 0x07
+    with pytest.raises(CryptoError, match="authentication failed"):
         open_box(keypair, bytes(sealed))
-    off_curve = b"\x02" + b"\xff" * 32 + bytes(sealed[33:])
-    with pytest.raises(CryptoError, match="ephemeral point"):
-        open_box(keypair, off_curve)
+    low_order = _u(0) + bytes(sealed[32:])
+    with pytest.raises(CryptoError, match="authentication failed"):
+        open_box(keypair, low_order)
+
+
+#: Recipient keys whose X25519 exchange gives the all-zero secret, a
+#: constant any eavesdropper can compute, keys of the wrong size, and a
+#: key in the retired box's P-256 form.
+#: X25519 carries only u: the identity and the 2-torsion point both
+#: encode as u = 0, u = p - 1 lies on the twist (off the curve), and
+#: u = p is the non-canonical encoding of u = 0.
+INVALID_RECIPIENTS = {
+    "identity": _u(0),
+    "off-curve": _u(P25519 - 1),
+    "x>=p": _u(P25519),
+    "order-8": bytes.fromhex(
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
+    ),
+    "short": bytes(31),
+    "long": bytes(33),
+    "p256-point": GENERATOR,
+}
 
 
 @pytest.mark.parametrize(
-    "recipient",
-    [
-        INFINITY,
-        Point(GENERATOR.x, GENERATOR.y + 1),
-        Point(GENERATOR.x + p256.P, GENERATOR.y),
-        Point(GENERATOR.x, GENERATOR.y + p256.P),
-    ],
-    ids=["identity", "off-curve", "x>=p", "y>=p"],
+    "recipient", list(INVALID_RECIPIENTS.values()),
+    ids=list(INVALID_RECIPIENTS),
 )
 def test_seal_rejects_invalid_recipient(rng, recipient):
-    # k * identity is the identity and k * (off-curve point) lives in
-    # some other, possibly tiny, group: either way both box keys would
-    # derive from something an eavesdropper can compute
     with pytest.raises(CryptoError, match="recipient"):
         seal(recipient, b"hello", rng)
     with pytest.raises(CryptoError, match="recipient"):
-        seal(recipient, b"hello", rng)  # and nothing bad was cached
+        seal(recipient, b"hello", rng)  # and again, from the cache
 
 
-@pytest.mark.parametrize("secret", [0, -1, p256.ORDER, 2 * p256.ORDER + 5])
-def test_box_keypair_rejects_secret_outside_the_group(secret):
-    # a multiple of the order makes every shared secret the identity,
-    # so every box would open under keys anyone can derive
-    with pytest.raises(CryptoError, match="secret"):
-        BoxKeyPair(secret=secret, public=GENERATOR)
+@pytest.mark.parametrize(
+    "secret, public",
+    [(bytes(31), bytes(32)), (bytes(32), bytes(33))],
+    ids=["short-secret", "long-public"],
+)
+def test_box_keypair_rejects_malformed_keys(secret, public):
+    with pytest.raises(CryptoError, match="32 bytes"):
+        BoxKeyPair(secret=secret, public=public)
 
 
 def test_box_keypair_accepts_the_extreme_secrets(rng):
-    for secret in (1, p256.ORDER - 1):
-        keypair = BoxKeyPair(
-            secret=secret, public=p256.scalar_mult(secret, GENERATOR)
-        )
+    # X25519 clamps every 32-byte string into a valid scalar
+    class _Fixed:
+        def __init__(self, secret):
+            self.secret = secret
+
+        def randbytes(self, n):
+            return self.secret
+
+    for secret in (bytes(32), b"\xff" * 32):
+        keypair = BoxKeyPair.generate(_Fixed(secret))
+        assert keypair.secret == secret
         sealed = seal(keypair.public, b"edge", rng)
         assert open_box(keypair, sealed) == b"edge"
 
@@ -311,6 +351,19 @@ def test_signature_rejects_malformed(rng):
     good = sign(keypair, b"msg")
     assert not verify(keypair.public[:31], b"msg", good)
     assert not verify(bytearray(keypair.public), b"msg", good)
+
+
+def test_signing_keypair_pickles_after_a_signature(rng):
+    # registered clients' key pairs cross into process workers: the
+    # cached OpenSSL key stays out of the pickle, and a restored pair
+    # signs byte for byte as the original
+    keypair = SigningKeyPair.generate(rng)
+    signature = sign(keypair, b"msg")
+    copy = pickle.loads(pickle.dumps(keypair))
+    assert copy == keypair
+    assert vars(copy) == {"secret": keypair.secret, "public": keypair.public}
+    assert sign(copy, b"msg") == signature == sign(keypair, b"msg")
+    assert verify(copy.public, b"msg", signature)
 
 
 def test_signature_deterministic_keygen(rng):

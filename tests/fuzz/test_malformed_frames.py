@@ -14,7 +14,8 @@ The corpus drives the three untrusted-input seams end to end:
   (oversized ``n_elements``, non-canonical limb bytes, duplicated
   submission ids);
 * :meth:`PrioServer.receive_sealed_batch` — sealed packets (malformed
-  ephemeral points, MAC tampering, grafted or lying envelopes).
+  or tampered ``enc``, ciphertext or tag, grafted, lying or retired
+  envelopes).
 """
 
 import random
@@ -210,10 +211,10 @@ def test_sealed_malformed_ephemeral_point_rejects_offender_only():
     subs = dep.client.prepare_submissions([1, 2, 3])
     payloads = _sealed_payloads_for(subs, 0)
 
-    # garbage point bytes behind an intact envelope: the typed
-    # CryptoError (not a bare EcError) poisons only this position
+    # garbage enc bytes behind an intact envelope: the typed
+    # CryptoError (not a bare ValueError) poisons only this position
     bad = bytearray(payloads[1])
-    bad[ENVELOPE_SIZE] = 0x07  # invalid compressed-point prefix
+    bad[ENVELOPE_SIZE:ENVELOPE_SIZE + 32] = bytes(32)  # low-order enc
     payloads[1] = bytes(bad)
 
     out = dep.servers[0].receive_sealed_batch(payloads)
@@ -233,12 +234,60 @@ def test_sealed_mac_tamper_rejects_offender_only():
 
     out = dep.servers[0].receive_sealed_batch(payloads)
     _assert_offender_only(out, {2}, CryptoError)
+    assert "authentication failed" in str(out[2])
+
+
+#: byte offsets into a sealed packet (envelope || enc || ciphertext ||
+#: tag), by the part one flipped bit tampers with; the tag's case is
+#: :func:`test_sealed_mac_tamper_rejects_offender_only`
+_SEALED_PARTS = {
+    "envelope": 10,  # a submission-id byte: HPKE info, so the open fails
+    "enc": 21 + 5,
+    "ciphertext": 21 + 32 + 7,
+}
+
+
+@pytest.mark.parametrize("part", list(_SEALED_PARTS))
+def test_sealed_tamper_rejects_offender_only(part):
+    """One flipped bit in any part of a sealed packet fails the open
+    for that position alone."""
+    from repro.crypto import CryptoError
+
+    dep = _sealed_deployment()
+    subs = dep.client.prepare_submissions([1, 2, 3])
+    payloads = _sealed_payloads_for(subs, 0)
+
+    bad = bytearray(payloads[1])
+    bad[_SEALED_PARTS[part]] ^= 0x10
+    payloads[1] = bytes(bad)
+
+    out = dep.servers[0].receive_sealed_batch(payloads)
+    _assert_offender_only(out, {1}, CryptoError)
+    assert "authentication failed" in str(out[1])
+
+
+def test_sealed_v1_envelope_rejects_offender_only():
+    """Envelope version 1 was the retired P-256 box: a typed WireError
+    before any open."""
+    from repro.protocol.wire import WireError
+
+    dep = _sealed_deployment()
+    subs = dep.client.prepare_submissions([1, 2, 3])
+    payloads = _sealed_payloads_for(subs, 0)
+
+    bad = bytearray(payloads[2])
+    bad[2] = 1
+    payloads[2] = bytes(bad)
+
+    out = dep.servers[0].receive_sealed_batch(payloads)
+    _assert_offender_only(out, {2}, WireError)
+    assert "envelope version 1" in str(out[2])
 
 
 def test_sealed_grafted_envelope_rejects_offender_only():
-    """Envelope A on box B: the box MAC covers the envelope as
-    associated data, so the graft fails authentication — the attacker
-    cannot re-route an honest box under a different cleartext id."""
+    """Envelope A on box B: the box binds the envelope as HPKE info,
+    so the graft fails authentication — the attacker cannot re-route
+    an honest box under a different cleartext id."""
     from repro.crypto import CryptoError
     from repro.protocol.wire import ENVELOPE_SIZE
 
@@ -330,8 +379,8 @@ def test_sealed_to_keyless_server_rejects_per_position():
 
 
 def test_sealed_replay_precheck_never_opens_the_box(monkeypatch):
-    """A replayed envelope sid is refused before open_box's ECDH is
-    paid."""
+    """A replayed envelope sid is refused before open_box's X25519
+    exchange is paid."""
     dep = _sealed_deployment()
     subs = dep.client.prepare_submissions([1])
     server = dep.servers[0]

@@ -7,7 +7,12 @@ import pytest
 from repro.afe import BoolOrAfe, IntegerSumAfe
 from repro.crypto import BoxKeyPair
 from repro.field import FIELD87
-from repro.protocol import PrioClient, PrioServer, ProtocolError
+from repro.protocol import (
+    PrioClient,
+    PrioDeployment,
+    PrioServer,
+    ProtocolError,
+)
 from repro.protocol.wire import (
     ClientPacket,
     PacketKind,
@@ -36,6 +41,21 @@ def test_client_box_key_count_mismatch(rng):
     keys = [BoxKeyPair.generate(rng).public]  # one key for two servers
     with pytest.raises(ValueError, match="one box key per server"):
         PrioClient(afe, 2, server_box_keys=keys, rng=rng)
+
+
+def test_default_client_draws_from_the_os_csprng():
+    """An unseeded client's rng is the OS CSPRNG: its raw output is
+    every submission id, which sealed uploads carry in cleartext, and
+    a Mersenne Twister's state follows from enough of them."""
+    afe = IntegerSumAfe(FIELD87, 4)
+    assert isinstance(PrioClient(afe, 2).rng, random.SystemRandom)
+    deployment = PrioDeployment.create(afe, 2, encrypt=True)
+    try:
+        assert isinstance(deployment.client.rng, random.SystemRandom)
+        deployment.submit_many([3, 5])
+        assert deployment.publish() == 8
+    finally:
+        deployment.close()
 
 
 def test_client_submission_elements_accounting(rng):

@@ -61,6 +61,8 @@ from repro.protocol import (
     PrioServer,
 )
 from repro.protocol import client as client_module
+from repro.protocol import runner as runner_module
+from repro.protocol import wire as wire_module
 from repro.sharing import prg
 from repro.snip import ServerRandomness, SnipError
 from repro.snip.proof import snip_domain_sizes
@@ -69,6 +71,8 @@ from repro.workloads.scenarios import scenario_by_name
 
 from oracle import scalar_prepare_submission
 from oracle.aes import shake_stream
+from oracle.box import LegacyBoxKeyPair
+from oracle.box import seal as legacy_seal
 
 BACKENDS = [True] + ([False] if use_numpy(None) else [])
 MODULI = [FIELD_SMALL, FIELD64, FIELD87, FIELD265]
@@ -244,7 +248,8 @@ def test_vec256_uploads_pinned_bytes(force_pure, field):
 #: taken on the commit before the fixed-base tables and the wNAF ladder
 #: replaced the 4-bit ladder: an EC kernel swap must not move a sealed
 #: byte (same ephemeral scalars drawn, same points, same keystream).
-#: The ``FIELD87`` digests were taken as for the vec256 pin.
+#: The ``FIELD87`` digests were taken as for the vec256 pin.  All are
+#: in the P-256 box of envelope version 1 (the ``legacy_box`` fixture).
 SHAKE_SEALED_UPLOADS_SHA256 = {
     8: {
         LEGACY_F87:
@@ -260,9 +265,10 @@ SHAKE_SEALED_UPLOADS_SHA256 = {
     },
 }
 
-#: The same sealed uploads on the fixed-key AES-128 seed stream.  The
-#: box bytes around the shares are unchanged; only the shares moved.
-SEALED_UPLOADS_SHA256 = {
+#: The same sealed uploads on the fixed-key AES-128 seed stream, still
+#: in the P-256 box of envelope version 1.  The box bytes around the
+#: shares are unchanged from the SHAKE pins; only the shares moved.
+P256_BOX_SEALED_UPLOADS_SHA256 = {
     8: {
         LEGACY_F87:
             "291ad174dc47a99ee9782d0361a5cd1518ccf4acc0775819ae57a2f665a38506",
@@ -274,6 +280,25 @@ SEALED_UPLOADS_SHA256 = {
             "5a9ceeb9437c9c3580b0844a666c24ddde31e4cb7d48097fdfd1414741004a67",
         FIELD87:
             "b31cd91f829991939f16819fd262674a4731349ac02fab3eb8cef2bc09831a99",
+    },
+}
+
+#: The same sealed uploads in the HPKE box of envelope version 2.
+#: Re-pinned when the box changed;
+#: :func:`test_sealed_uploads_in_the_p256_box` shows the box was the
+#: only thing that moved.
+SEALED_UPLOADS_SHA256 = {
+    8: {
+        LEGACY_F87:
+            "770fec6c90991a23f48ed54065131c868bff297bb4cf090ad95c0c7b4985f97f",
+        FIELD87:
+            "fed46edeaff1cd920da110a43f2c69490e81807ceb4fe1af636812d20721fc43",
+    },
+    1: {
+        LEGACY_F87:
+            "58fad72a297af2a5b5b2e3ab27af2167830a4bcdd66be72db30d3fbf09c4ea63",
+        FIELD87:
+            "ab5199a2b67d54e6489d524c0e947dcfb08964b90014e05f908f860d948cae6a",
     },
 }
 
@@ -325,6 +350,31 @@ def shake_seed_stream(monkeypatch):
     monkeypatch.setattr(prg, "_keystream_rows", keystream_rows)
 
 
+@pytest.fixture
+def legacy_box(monkeypatch):
+    """Sealing in the retired P-256 box: its key generation (one scalar
+    drawn per server), its seal (one scalar drawn per packet) and
+    envelope version 1, all from ``tests/oracle/box.py``."""
+    monkeypatch.setattr(runner_module, "BoxKeyPair", LegacyBoxKeyPair)
+    monkeypatch.setattr(wire_module, "seal", legacy_seal)
+    monkeypatch.setattr(wire_module, "ENVELOPE_VERSION", 1)
+
+
+@pytest.mark.parametrize(
+    "force_pure, n_values, field",
+    _pinned_cases(sorted(P256_BOX_SEALED_UPLOADS_SHA256)),
+)
+def test_sealed_uploads_in_the_p256_box(
+    legacy_box, force_pure, n_values, field
+):
+    """In the P-256 box the current client reproduces the old pins byte
+    for byte: the re-pin moved box bytes and nothing else."""
+    assert (
+        _sealed_digest(force_pure, n_values, field)
+        == P256_BOX_SEALED_UPLOADS_SHA256[n_values][field]
+    )
+
+
 @pytest.mark.parametrize("force_pure, field", _pinned_cases())
 def test_vec256_uploads_on_shake_stream(
     shake_seed_stream, force_pure, field
@@ -342,7 +392,7 @@ def test_vec256_uploads_on_shake_stream(
     _pinned_cases(sorted(SHAKE_SEALED_UPLOADS_SHA256)),
 )
 def test_sealed_uploads_on_shake_stream(
-    shake_seed_stream, force_pure, n_values, field
+    shake_seed_stream, legacy_box, force_pure, n_values, field
 ):
     assert (
         _sealed_digest(force_pure, n_values, field)

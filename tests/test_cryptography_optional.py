@@ -1,9 +1,9 @@
 """``cryptography`` is what the deployment's crypto runs on, and it
 loads late.
 
-Seed expansion (fixed-key AES-128), the sealed box (P-256) and client
-signatures (Ed25519) all run on OpenSSL, so ``cryptography`` is a
-required dependency.  Where it cannot be imported, each fails at its
+Seed expansion (fixed-key AES-128), the sealed box (HPKE on X25519) and
+client signatures (Ed25519) all run on OpenSSL, so ``cryptography`` is
+a required dependency.  Where it cannot be imported, each fails at its
 first use with :class:`ModuleNotFoundError` naming the package: a
 sealed deployment at its first key generation or seal, a signing key
 at its generation, a PRG-compressed deployment at its first seed
@@ -40,7 +40,6 @@ BLOCKED = textwrap.dedent(
 
     from repro.afe import IntegerSumAfe
     from repro.crypto import SigningKeyPair, seal
-    from repro.ec import GENERATOR
     from repro.field import FIELD87
     from repro.protocol import PrioDeployment
 
@@ -62,7 +61,7 @@ BLOCKED = textwrap.dedent(
         IntegerSumAfe(FIELD87, 8), 2, rng=random.Random(7), encrypt=True,
         use_prg_compression=False,
     ))
-    fails(lambda: seal(GENERATOR, b"payload", random.Random(7)))
+    fails(lambda: seal(bytes(range(32)), b"payload", random.Random(7)))
     fails(SigningKeyPair.generate)
 
     # seeds need AES: the first expansion names the missing package
